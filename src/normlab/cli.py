@@ -9,9 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
-from dataclasses import dataclass
 
 from .coeffs import Coeffs
 from . import spaces as sp
@@ -30,24 +28,6 @@ EXIT_IO = 3
 EXIT_VERIFY = 4
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    space: sp.SpaceSpec | None = None
-    operator: op.OperatorSpec | None = None
-    vector: Coeffs | None = None
-    z: complex = 0.0
-    eps: float = 0.5
-    trunc: int = 30
-    grid: tuple = (-3.0, 3.0, -3.0, 3.0)
-    res: int = 61
-    tol: float = 1e-8
-    seed: int = 0
-    out: str | None = None
-    fmt: str = "csv"
-    only: tuple = ()
-
-
 class UsageError(Exception):
     pass
 
@@ -59,37 +39,24 @@ def _parse_json(text, label):
         raise UsageError("malformed %s JSON: %s" % (label, exc))
 
 
-def _parse_complex(text) -> complex:
-    try:
-        return complex(text.replace("i", "j"))
-    except ValueError as exc:
-        raise UsageError("bad complex number %r: %s" % (text, exc))
+_LOADERS = {"space": sp.space_from_json_obj,
+            "operator": op.operator_from_json_obj,
+            "vector": Coeffs.from_json_obj}
 
 
-def _build_config(args) -> RunConfig:
-    space = operator = vector = None
-    if args.space:
-        space = sp.space_from_json_obj(_parse_json(args.space, "--space"))
-    if getattr(args, "operator", None):
-        operator = op.operator_from_json_obj(
-            _parse_json(args.operator, "--operator"))
-    if getattr(args, "vector", None):
-        vector = Coeffs.from_json_obj(_parse_json(args.vector, "--vector"))
-    grid = (-3.0, 3.0, -3.0, 3.0)
-    if getattr(args, "grid", None):
-        parts = args.grid.split(",")
-        if len(parts) != 4:
-            raise UsageError("--grid needs re0,re1,im0,im1")
-        grid = tuple(float(v) for v in parts)
-    only = tuple(s for s in (getattr(args, "only", "") or "").split(",") if s)
-    return RunConfig(
-        command=args.command, space=space, operator=operator, vector=vector,
-        z=_parse_complex(getattr(args, "z", "0") or "0"),
-        eps=getattr(args, "eps", 0.5), trunc=getattr(args, "trunc", 30),
-        grid=grid, res=getattr(args, "res", 61),
-        tol=getattr(args, "tol", 1e-8), seed=getattr(args, "seed", 0),
-        out=getattr(args, "out", None), fmt=getattr(args, "format", "csv"),
-        only=only)
+def _load(args, *names) -> list:
+    """Parse the named JSON options of a subcommand; all are required."""
+    if not all(getattr(args, name) for name in names):
+        raise UsageError("%s needs %s" % (
+            args.command, " and ".join("--" + name for name in names)))
+    out = []
+    for name in names:
+        obj = _parse_json(getattr(args, name), "--" + name)
+        try:
+            out.append(_LOADERS[name](obj))
+        except TypeError as exc:
+            raise UsageError("malformed --%s: %s" % (name, exc))
+    return out
 
 
 def _write_out(path: str, text: str) -> None:
@@ -100,66 +67,63 @@ def _write_out(path: str, text: str) -> None:
         raise IOError("cannot write %s: %s" % (path, exc))
 
 
-def _emit(cfg: RunConfig, text: str, stdout) -> None:
-    if cfg.out:
-        _write_out(cfg.out, text)
+def _emit(args, text: str, stdout) -> None:
+    if args.out:
+        _write_out(args.out, text)
     else:
         stdout.write(text if text.endswith("\n") else text + "\n")
 
 
-def cmd_norm(cfg: RunConfig, stdout) -> int:
-    if cfg.space is None or cfg.vector is None:
-        raise UsageError("norm needs --space and --vector")
-    if isinstance(cfg.space, sp.RenormedL2):
-        trunc = cfg.trunc if cfg.trunc else cfg.space.trunc
-        value, d = convex.minkowski_norm(cfg.vector, trunc, cfg.tol)
+def cmd_norm(args, stdout) -> int:
+    space, vector = _load(args, "space", "vector")
+    if isinstance(space, sp.RenormedL2):
+        trunc = args.trunc if args.trunc else space.trunc
+        value, d = convex.minkowski_norm(vector, trunc, args.tol)
         payload = {"schema_version": SCHEMA_VERSION, "value": value,
                    "decomposition": d.to_json_obj()}
-        if cfg.fmt == "json":
-            _emit(cfg, json.dumps(payload, sort_keys=True), stdout)
+        if args.format == "json":
+            _emit(args, json.dumps(payload, sort_keys=True), stdout)
         else:
-            _emit(cfg, "%.6f" % value, stdout)
+            _emit(args, "%.6f" % value, stdout)
         if not d.converged:
             stdout.write("solver gap %.3g above tolerance\n" % d.gap)
             return EXIT_SOLVER_GAP
         return EXIT_OK
-    value = sp.norm_eval(cfg.space, cfg.vector)
-    if cfg.fmt == "json":
-        _emit(cfg, json.dumps({"schema_version": SCHEMA_VERSION,
-                               "value": value}, sort_keys=True), stdout)
+    value = sp.norm_eval(space, vector)
+    if args.format == "json":
+        _emit(args, json.dumps({"schema_version": SCHEMA_VERSION,
+                                "value": value}, sort_keys=True), stdout)
     else:
-        _emit(cfg, "%.6f" % value, stdout)
+        _emit(args, "%.6f" % value, stdout)
     return EXIT_OK
 
 
-def cmd_opnorm(cfg: RunConfig, stdout) -> int:
-    if cfg.space is None or cfg.operator is None:
-        raise UsageError("opnorm needs --space and --operator")
-    cfgo = opnorm.OpnormConfig(seed=cfg.seed)
-    report = opnorm.operator_norm(cfg.operator, cfg.space, cfg.space,
-                                  cfg.trunc, cfgo)
-    if cfg.fmt == "json":
+def cmd_opnorm(args, stdout) -> int:
+    space, operator = _load(args, "space", "operator")
+    cfgo = opnorm.OpnormConfig(seed=args.seed)
+    report = opnorm.operator_norm(operator, space, space, args.trunc, cfgo)
+    if args.format == "json":
         payload = {"schema_version": SCHEMA_VERSION}
         payload.update(report.to_json_obj())
-        _emit(cfg, json.dumps(payload, sort_keys=True), stdout)
+        _emit(args, json.dumps(payload, sort_keys=True), stdout)
     else:
-        _emit(cfg, "%.10f method=%s attainment=%s"
+        _emit(args, "%.10f method=%s attainment=%s"
               % (report.value, report.method, report.attainment), stdout)
     return EXIT_OK
 
 
-def cmd_pspec(cfg: RunConfig, stdout) -> int:
-    if cfg.space is None or cfg.operator is None:
-        raise UsageError("pspec needs --space and --operator")
-    if cfg.res < 2:
-        raise UsageError("--res must be at least 2 per axis")
-    cfgo = opnorm.OpnormConfig(seed=cfg.seed)
-    grid = ps.grid_scan(cfg.operator, cfg.space, cfg.grid, cfg.res,
-                        cfg.eps, cfg.trunc, cfgo)
+def cmd_pspec(args, stdout) -> int:
+    space, operator = _load(args, "space", "operator")
+    region = args.grid.split(",")
+    if len(region) != 4:
+        raise UsageError("--grid needs re0,re1,im0,im1")
+    cfgo = opnorm.OpnormConfig(seed=args.seed)
+    grid = ps.grid_scan(operator, space, tuple(float(v) for v in region),
+                        args.res, args.eps, args.trunc, cfgo)
     text = (json.dumps(grid.to_json_obj(), sort_keys=True)
-            if cfg.fmt == "json" else grid.to_csv())
-    if cfg.out:
-        _write_out(cfg.out, text)
+            if args.format == "json" else grid.to_csv())
+    if args.out:
+        _write_out(args.out, text)
     else:
         stdout.write(text)
     counts = {"strict": 0, "level": 0, "outside": 0}
@@ -171,9 +135,10 @@ def cmd_pspec(cfg: RunConfig, stdout) -> int:
     return EXIT_OK
 
 
-def cmd_verify(cfg: RunConfig, stdout) -> int:
+def cmd_verify(args, stdout) -> int:
+    only = [s for s in (args.only or "").split(",") if s]
     try:
-        results = verify.run_checks(cfg.only or None)
+        results = verify.run_checks(only or None)
     except KeyError as exc:
         raise UsageError(str(exc))
     for r in results:
@@ -181,9 +146,9 @@ def cmd_verify(cfg: RunConfig, stdout) -> int:
     report = {"schema_version": SCHEMA_VERSION,
               "results": [r.to_json_obj() for r in results],
               "all_ok": all(r.ok for r in results)}
-    if cfg.out:
-        _write_out(cfg.out, json.dumps(report, sort_keys=True))
-    elif cfg.fmt == "json":
+    if args.out:
+        _write_out(args.out, json.dumps(report, sort_keys=True))
+    elif args.format == "json":
         stdout.write(json.dumps(report, sort_keys=True) + "\n")
     return EXIT_OK if report["all_ok"] else EXIT_VERIFY
 
@@ -193,30 +158,28 @@ def build_parser() -> argparse.ArgumentParser:
         prog="normlab",
         description="sequence-space norms, operator norms, pseudospectra")
     sub = parser.add_subparsers(dest="command", required=True)
+    pn = sub.add_parser("norm", help="norm of a vector")
+    po = sub.add_parser("opnorm", help="operator norm on a truncation")
+    pp = sub.add_parser("pspec", help="pseudospectrum grid scan")
+    pv = sub.add_parser("verify", help="run the acceptance checks")
 
-    def common(p, operator=True, vector=False):
+    for p in (pn, po, pp):
         p.add_argument("--space", help="space spec JSON")
-        if operator:
-            p.add_argument("--operator", help="operator spec JSON")
-        if vector:
-            p.add_argument("--vector", help="coefficient JSON [[i,re,im],…]")
-        p.add_argument("--z", default="0", help="complex shift, e.g. 1+2j")
-        p.add_argument("--eps", type=float, default=0.5)
+    pn.add_argument("--vector", help="coefficient JSON [[i,re,im],…]")
+    pn.add_argument("--trunc", type=int,
+                    help="renormed-space truncation (default: the space's)")
+    pn.add_argument("--tol", type=float, default=1e-8)
+    for p in (po, pp):
+        p.add_argument("--operator", help="operator spec JSON")
         p.add_argument("--trunc", type=int, default=30)
-        p.add_argument("--grid", help="re0,re1,im0,im1")
-        p.add_argument("--res", type=int, default=61)
-        p.add_argument("--tol", type=float, default=1e-8)
         p.add_argument("--seed", type=int, default=0)
+    pp.add_argument("--eps", type=float, default=0.5)
+    pp.add_argument("--grid", default="-3,3,-3,3", help="re0,re1,im0,im1")
+    pp.add_argument("--res", type=int, default=61)
+    pv.add_argument("--only", help="comma-separated check ids, e.g. AC3")
+    for p in (pn, po, pp, pv):
         p.add_argument("--out")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
-
-    common(sub.add_parser("norm", help="norm of a vector"),
-           operator=False, vector=True)
-    common(sub.add_parser("opnorm", help="operator norm on a truncation"))
-    common(sub.add_parser("pspec", help="pseudospectrum grid scan"))
-    pv = sub.add_parser("verify", help="run the acceptance checks")
-    common(pv, operator=False)
-    pv.add_argument("--only", help="comma-separated check ids, e.g. AC3")
     return parser
 
 
@@ -227,15 +190,14 @@ def main(argv=None, stdout=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
+    handler = {"norm": cmd_norm, "opnorm": cmd_opnorm,
+               "pspec": cmd_pspec, "verify": cmd_verify}[args.command]
     try:
-        cfg = _build_config(args)
-        handler = {"norm": cmd_norm, "opnorm": cmd_opnorm,
-                   "pspec": cmd_pspec, "verify": cmd_verify}[cfg.command]
-        return handler(cfg, stdout)
+        return handler(args, stdout)
     except UsageError as exc:
         sys.stderr.write("error: %s\n" % exc)
         return EXIT_USAGE
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, NotImplementedError) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return EXIT_USAGE
     except IOError as exc:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -69,21 +69,6 @@ def _split_coords(u: Coeffs, N: int):
                          % N)
     arr = u.to_array(N + 3)
     return arr[0], arr[1], arr[2], arr[3:]
-
-
-def decomposition_objective(u: Coeffs, alpha, beta, N: int,
-                            qseq: QSeqParams = QSeqParams()) -> float:
-    """Cost of the decomposition of u with the given atom coefficients."""
-    u0, u1, u2, tail = _split_coords(u, N)
-    alpha = np.asarray(alpha, dtype=complex)
-    beta = np.asarray(beta, dtype=complex)
-    q = qseq.q_array(N)
-    x1 = u1 - np.dot(q, beta)
-    x2 = u2 - alpha.sum() - np.dot(q, beta)
-    xt = tail - alpha - q * beta
-    xprime = math.hypot(abs(u0), float(np.linalg.norm(xt)))
-    return (xprime + math.hypot(abs(x1), abs(x2))
-            + float(np.abs(alpha).sum()) + float(np.abs(beta).sum()))
 
 
 def minkowski_norm(u: Coeffs, N: int, tol: float = 1e-8,
@@ -174,12 +159,6 @@ def minkowski_norm(u: Coeffs, N: int, tol: float = 1e-8,
     d = Decomposition(x, tuple(alpha), tuple(beta), best_val,
                       best_dual, gap, converged)
     return best_val, d
-
-
-def membership_B(u: Coeffs, N: int, tol: float = 1e-8) -> bool:
-    """u lies in the unit ball B iff its Minkowski norm is at most 1."""
-    value, _ = minkowski_norm(u, N, tol)
-    return value <= 1.0 + tol
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ entries 1 - 2^{-n}.  Duality is with respect to the bilinear pairing
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -185,23 +185,17 @@ def apply(T: OperatorSpec, x: Coeffs) -> Coeffs:
         m = T.as_array()
         vec = x.to_array(max(x.dim_hint, m.shape[1]))
         return Coeffs.from_array(m @ vec[: m.shape[1]])
-    if isinstance(T, SimpleS):
+    if isinstance(T, (SimpleS, SimpleR)):
+        shrink = isinstance(T, SimpleS)
         out = {0: x[1], 1: x[0]}
         for i, v in x.entries.items():
             if i >= 2:
-                out[i] = v * i / (i + 1.0)
+                out[i] = v * i / (i + 1.0) if shrink else v * (i + 1.0) / i
         return Coeffs(out, x.dim_hint)
-    if isinstance(T, SimpleR):
-        out = {0: x[1], 1: x[0]}
-        for i, v in x.entries.items():
-            if i >= 2:
-                out[i] = v * (i + 1.0) / i
-        return Coeffs(out, x.dim_hint)
-    if isinstance(T, Tc0):
-        s = sum(2.0 ** (-i) * v for i, v in x.entries.items() if i >= 1)
-        return Coeffs({0: s}, x.dim_hint)
-    if isinstance(T, Tl1):
-        s = sum((1.0 - 2.0 ** (-i)) * v for i, v in x.entries.items() if i >= 1)
+    if isinstance(T, (Tc0, Tl1)):
+        tl1 = isinstance(T, Tl1)
+        s = sum((1.0 - 2.0 ** (-i) if tl1 else 2.0 ** (-i)) * v
+                for i, v in x.entries.items() if i >= 1)
         return Coeffs({0: s}, x.dim_hint)
     if isinstance(T, Transpose):
         raise UnboundedImageError(
@@ -253,16 +247,18 @@ def dual_operator(T: OperatorSpec) -> OperatorSpec:
 # catalog
 # ---------------------------------------------------------------------------
 
+# operator classes serialized as {"op": "catalog", "name": ...}
+_CATALOG = {"simple_s": SimpleS, "simple_r": SimpleR, "tc0": Tc0, "tl1": Tl1}
+_CATALOG_NAMES = {cls: name for name, cls in _CATALOG.items()}
+
+
 def catalog_build(name: str, **params) -> OperatorSpec:
     name = name.lower()
-    if name == "simple_s":
-        return SimpleS(float(params["p"]), float(params["q"]))
-    if name == "simple_r":
-        return SimpleR(float(params["p"]), float(params["q"]))
-    if name == "tc0":
-        return Tc0()
-    if name == "tl1":
-        return Tl1()
+    cls = _CATALOG.get(name)
+    if cls in (SimpleS, SimpleR):
+        return cls(float(params["p"]), float(params["q"]))
+    if cls is not None:
+        return cls()
     if name == "sex":
         # Su = u + u_2 e_1 on renormed l_2
         return Sum((Identity(), RankOne(Coeffs.basis(2), Coeffs.basis(1))))
@@ -298,16 +294,11 @@ def operator_to_json_obj(T: OperatorSpec):
     if isinstance(T, Matrix):
         return {"op": "matrix",
                 "rows": [[[v.real, v.imag] for v in row] for row in T.rows]}
-    if isinstance(T, SimpleS):
-        return {"op": "catalog", "name": "simple_s", "p": T.p,
-                "q": "inf" if T.q == math.inf else T.q}
-    if isinstance(T, SimpleR):
-        return {"op": "catalog", "name": "simple_r", "p": T.p,
-                "q": "inf" if T.q == math.inf else T.q}
-    if isinstance(T, Tc0):
-        return {"op": "catalog", "name": "tc0"}
-    if isinstance(T, Tl1):
-        return {"op": "catalog", "name": "tl1"}
+    if type(T) in _CATALOG_NAMES:
+        obj = {"op": "catalog", "name": _CATALOG_NAMES[type(T)]}
+        if isinstance(T, (SimpleS, SimpleR)):
+            obj.update(p=T.p, q="inf" if T.q == math.inf else T.q)
+        return obj
     if isinstance(T, Transpose):
         return {"op": "transpose", "inner": operator_to_json_obj(T.inner)}
     raise TypeError("unknown operator %r" % (T,))

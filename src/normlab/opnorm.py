@@ -10,7 +10,7 @@ power iteration with restarts, which certifies a lower bound only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import optimize
@@ -156,31 +156,9 @@ def max_f_over_K(p: float, q: float) -> tuple:
     return maximize_swapped_f(p, q, t=1.0)
 
 
-def _swap_section_factor(T, N: int) -> float:
-    """Largest shrink/expand factor present in the N-section."""
-    if N < 3:
-        return 0.0
-    if isinstance(T, op.SimpleS):
-        return (N - 1.0) / N
-    if isinstance(T, op.SimpleR):
-        return max((n + 1.0) / n for n in range(2, N))
-    raise TypeError
-
-
-def _swap_section_argmax(T, N: int) -> int:
-    if isinstance(T, op.SimpleS):
-        return N - 1
-    return 2
-
-
 # ---------------------------------------------------------------------------
 # matrix norms with exact reductions and power iteration
 # ---------------------------------------------------------------------------
-
-def _is_sup_space(space) -> bool:
-    return isinstance(space, sp.C0) or (isinstance(space, sp.Lp)
-                                        and space.p == INF)
-
 
 def _power_iteration(M, dom, cod, cfg: OpnormConfig, starts=()):
     n = M.shape[1]
@@ -234,7 +212,7 @@ def matrix_norm(M: np.ndarray, dom, cod, cfg: OpnormConfig = DEFAULT_CFG,
         vals = [sp.norm_array(cod, M[:, j]) for j in range(n)]
         j = int(np.argmax(vals))
         return vals[j], np.eye(n, dtype=complex)[j], "closed_form"
-    if _is_sup_space(cod):
+    if sp.lp_exponent(cod) == INF:
         dd = sp.dual_space(dom)
         vals = [sp.norm_array(dd, M[i, :]) for i in range(M.shape[0])]
         i = int(np.argmax(vals))
@@ -256,6 +234,7 @@ def _centroid(w: np.ndarray) -> float:
 
 
 def rank_one_norm(T: op.RankOne, dom, cod) -> float:
+    """||f||_{dom*} ||v||_cod: the norm of x -> <x, f> v from dom to cod."""
     return (sp.norm_eval(sp.dual_space(dom), T.functional)
             * sp.norm_eval(cod, T.vector))
 
@@ -283,7 +262,7 @@ def operator_norm(T, dom, cod, N: int, cfg: OpnormConfig = DEFAULT_CFG,
         w = Coeffs.basis(i)
         return NormReport(val, w, "closed_form", ((N, val),), "inconclusive",
                           (float(i),))
-    if isinstance(T, op.RankOne) and not isinstance(dom, sp.RenormedL2):
+    if isinstance(T, op.RankOne):
         fN = T.functional.to_array(N)
         vN = T.vector.to_array(N)
         val = sp.norm_array(sp.dual_space(dom), fN) * sp.norm_array(cod, vN)
@@ -293,10 +272,16 @@ def operator_norm(T, dom, cod, N: int, cfg: OpnormConfig = DEFAULT_CFG,
                           (_centroid(warr),))
     if (isinstance(T, (op.SimpleS, op.SimpleR)) and dom == cod
             and isinstance(dom, sp.QSumLp)):
-        t = _swap_section_factor(T, N)
+        # the largest shrink (S) or expand (R) factor in the section and
+        # the index it sits on
+        if N < 3:
+            t, k = 0.0, None
+        elif isinstance(T, op.SimpleS):
+            t, k = (N - 1.0) / N, N - 1
+        else:
+            t, k = 1.5, 2
         val, (a, b, g) = maximize_swapped_f(dom.p, dom.q, t)
-        w = Coeffs({0: a, 1: b, _swap_section_argmax(T, N): g}) if N >= 3 \
-            else Coeffs({0: a, 1: b})
+        w = Coeffs({0: a, 1: b} if k is None else {0: a, 1: b, k: g})
         return NormReport(val, w, "reduction_f", ((N, val),), "inconclusive",
                           (_centroid(w.to_array(N)),))
 
@@ -320,6 +305,22 @@ def _phase_align(w: np.ndarray) -> np.ndarray:
     return w * np.conj(s)
 
 
+def witness_drift(witnesses, space) -> tuple:
+    """(aligned, dists, centroids) for witnesses over growing sections.
+
+    aligned holds each witness with its global phase fixed on its largest
+    coordinate; dists the space norms between consecutive aligned witnesses
+    (the shorter one zero-padded); centroids the support centroid of each.
+    """
+    aligned = [_phase_align(w) for w in witnesses]
+    dists = []
+    for wa, wb in zip(aligned, aligned[1:]):
+        pad = np.zeros(len(wb), dtype=complex)
+        pad[: len(wa)] = wa
+        dists.append(sp.norm_array(space, pad - wb))
+    return aligned, dists, [_centroid(w) for w in witnesses]
+
+
 def attainment_scan(T, space, Ns, cfg: OpnormConfig = DEFAULT_CFG) -> NormReport:
     """Run operator_norm over increasing truncations and classify attainment.
 
@@ -331,30 +332,21 @@ def attainment_scan(T, space, Ns, cfg: OpnormConfig = DEFAULT_CFG) -> NormReport
     if any(b <= a for a, b in zip(Ns, Ns[1:])):
         raise ValueError("Ns must be strictly increasing")
     trace = []
-    centroids = []
     witnesses = []
-    prev_witness = None
     report = None
     for N in Ns:
         starts = ()
-        if prev_witness is not None:
+        if witnesses:
             padded = np.zeros(N, dtype=complex)
-            padded[: len(prev_witness)] = prev_witness
+            padded[: len(witnesses[-1])] = witnesses[-1]
             starts = (padded,)
         report = operator_norm(T, space, space, N, cfg, starts)
-        warr = report.witness.to_array(N)
         trace.append((N, report.value))
-        centroids.append(_centroid(warr))
-        witnesses.append(_phase_align(warr))
-        prev_witness = warr
+        witnesses.append(report.witness.to_array(N))
+    _, dists, centroids = witness_drift(witnesses, space)
 
     tag = "inconclusive"
     if len(Ns) >= 2:
-        dists = []
-        for wa, wb in zip(witnesses, witnesses[1:]):
-            pad = np.zeros(len(wb), dtype=complex)
-            pad[: len(wa)] = wa
-            dists.append(sp.norm_array(space, pad - wb))
         values = [v for _, v in trace]
         increasing = all(b >= a - 1e-15 for a, b in zip(values, values[1:]))
         if all(d < cfg.att_tol for d in dists[-2:]):
@@ -366,12 +358,3 @@ def attainment_scan(T, space, Ns, cfg: OpnormConfig = DEFAULT_CFG) -> NormReport
 
     return NormReport(trace[-1][1], report.witness, report.method,
                       tuple(trace), tag, tuple(centroids), report.warning)
-
-
-def dual_norm_consistency(T, dom, cod, N: int,
-                          cfg: OpnormConfig = DEFAULT_CFG) -> tuple:
-    """(report for T, report for T*) on the same truncation; norms must agree."""
-    Tstar = op.dual_operator(T)
-    r1 = operator_norm(T, dom, cod, N, cfg)
-    r2 = operator_norm(Tstar, sp.dual_space(cod), sp.dual_space(dom), N, cfg)
-    return r1, r2

@@ -12,14 +12,15 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .coeffs import Coeffs
 from . import spaces as sp
 from . import operators as op
-from .opnorm import OpnormConfig, DEFAULT_CFG, matrix_norm
+from .opnorm import (OpnormConfig, DEFAULT_CFG, matrix_norm, rank_one_norm,
+                     witness_drift)
 
 SINGULAR_COND = 1e14
 
@@ -33,35 +34,44 @@ def _resolvent_section(T, z: complex, N: int) -> np.ndarray:
     return M - complex(z) * np.eye(N, dtype=complex)
 
 
+def _inverse_norm(A: np.ndarray, space, cfg: OpnormConfig) -> tuple:
+    """(||A^{-1}||, witness, A^{-1}); (inf, None, None) when A is singular."""
+    if np.linalg.cond(A) > SINGULAR_COND:
+        return math.inf, None, None
+    inv = np.linalg.inv(A)
+    val, w, _ = matrix_norm(inv, space, space, cfg)
+    return val, w, inv
+
+
 def resolvent_norm(T, space, z: complex, N: int,
                    cfg: OpnormConfig = DEFAULT_CFG,
                    with_witness: bool = False):
     """||(T_N - zI)^{-1}|| as a subordinate norm; +inf when singular."""
-    A = _resolvent_section(T, z, N)
-    if np.linalg.cond(A) > SINGULAR_COND:
-        return (math.inf, None) if with_witness else math.inf
-    inv = np.linalg.inv(A)
-    val, w, _ = matrix_norm(inv, space, space, cfg)
+    val, w, _ = _inverse_norm(_resolvent_section(T, z, N), space, cfg)
     return (val, w) if with_witness else val
 
 
-def classify_point(T, space, z: complex, eps: float, N: int,
-                   cfg: OpnormConfig = DEFAULT_CFG,
-                   band: float = 1e-6) -> str:
-    """strict | level | outside for the eps-pseudospectrum on the N-section.
+def _classify(r: float, eps: float, band: float) -> str:
+    """strict | level | outside for a resolvent norm r against 1/eps.
 
     The level band is relative (exact equality is measure zero in floating
     point) and is checked before the strict comparison.
     """
-    if eps <= 0:
+    if not eps > 0:
         raise ValueError("eps must be positive")
-    r = resolvent_norm(T, space, z, N, cfg)
     thr = 1.0 / eps
     if r == math.inf:
         return "strict"
     if abs(r - thr) <= band * thr:
         return "level"
     return "strict" if r > thr else "outside"
+
+
+def classify_point(T, space, z: complex, eps: float, N: int,
+                   cfg: OpnormConfig = DEFAULT_CFG,
+                   band: float = 1e-6) -> str:
+    """strict | level | outside for the eps-pseudospectrum on the N-section."""
+    return _classify(resolvent_norm(T, space, z, N, cfg), eps, band)
 
 
 # ---------------------------------------------------------------------------
@@ -117,21 +127,13 @@ def grid_scan(T, space, region, resolution: int, eps: float, N: int,
     re0, re1, im0, im1 = region
     res_axis = np.linspace(re0, re1, resolution)
     im_axis = np.linspace(im0, im1, resolution)
-    thr = 1.0 / eps
     resnorms = []
     classes = []
     for im in im_axis:
         for re in res_axis:
             r = resolvent_norm(T, space, complex(re, im), N, cfg)
             resnorms.append(r)
-            if r == math.inf:
-                classes.append("strict")
-            elif abs(r - thr) <= band * thr:
-                classes.append("level")
-            elif r > thr:
-                classes.append("strict")
-            else:
-                classes.append("outside")
+            classes.append(_classify(r, eps, band))
     return PspecGrid(tuple(region), resolution, eps, N,
                      tuple(res_axis), tuple(im_axis),
                      tuple(resnorms), tuple(classes))
@@ -235,8 +237,7 @@ def verify_cert(T, space, cert: PerturbationCert, N: int | None = None) -> dict:
     Tw = op.truncate_matrix(T, wide) + op.truncate_matrix(cert.A, wide)
     resid = sp.norm_array(space, Tw @ yw - cert.z * yw)
     if isinstance(cert.A, op.RankOne):
-        norm_A = (sp.norm_eval(sp.dual_space(space), cert.A.functional)
-                  * sp.norm_eval(space, cert.A.vector))
+        norm_A = rank_one_norm(cert.A, space, space)
     elif isinstance(cert.A, op.ScalarMul):
         norm_A = abs(cert.A.lam)
     else:
@@ -264,13 +265,9 @@ class Lp111Result:
 
 
 def _min_norm_witness(T, space, N: int, cfg: OpnormConfig):
-    """(c_N, unit minimizer of ||T_N x||) via the inverse-section norm."""
-    M = op.truncate_matrix(T, N)
-    if np.linalg.cond(M) > SINGULAR_COND:
-        return 0.0, None
-    inv = np.linalg.inv(M)
-    val, x, _ = matrix_norm(inv, space, space, cfg)
-    if val <= 0 or x is None:
+    """(c_N, unit minimizer of ||T_N x||) from the resolvent at z = 0."""
+    val, x, inv = _inverse_norm(op.truncate_matrix(T, N), space, cfg)
+    if inv is None or val <= 0:
         return 0.0, None
     u = inv @ x
     u = u / sp.norm_array(space, u)
@@ -289,24 +286,15 @@ def lp111_perturbation(T, space, N: int, cfg: OpnormConfig = DEFAULT_CFG,
     if Ns is None:
         Ns = sorted({max(2, N // 8), max(3, N // 4), max(4, N // 2), N})
     trace = []
-    witnesses = []
+    minimizers = []
     for n in Ns:
         c_n, u_n = _min_norm_witness(T, space, n, cfg)
         if u_n is None:
             return Lp111Result("inconclusive", None, 0.0, None, tuple(trace))
         trace.append((n, c_n))
-        # align the global phase on the largest coordinate
-        k = int(np.argmax(np.abs(u_n)))
-        witnesses.append(u_n * np.conj(u_n[k] / abs(u_n[k])))
+        minimizers.append(u_n)
     c = trace[-1][1]
-
-    dists = []
-    for wa, wb in zip(witnesses, witnesses[1:]):
-        pad = np.zeros(len(wb), dtype=complex)
-        pad[: len(wa)] = wa
-        dists.append(sp.norm_array(space, pad - wb))
-    centroids = [float((np.arange(len(w)) * np.abs(w) ** 2).sum()
-                       / (np.abs(w) ** 2).sum()) for w in witnesses]
+    witnesses, dists, centroids = witness_drift(minimizers, space)
 
     if all(d < case_tol for d in dists[-2:]):
         xhat = witnesses[-1]

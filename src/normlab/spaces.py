@@ -3,8 +3,8 @@
 Space descriptors cover l_p, c_0, l_1, the K (+)_q l_p sum with index 0 as
 the scalar component, finite l_p-direct sums of l_r blocks, and the
 renormed-l_2 space whose norm is a Minkowski functional evaluated by the
-convex solver.  Alongside the norms live the support / projection / defect
-utilities and the gliding-hump disjointification routine.
+convex solver.  Alongside the norms live the norm-splitting defect and the
+gliding-hump disjointification routine.
 """
 
 from __future__ import annotations
@@ -144,15 +144,23 @@ def qsum_combine(alpha: float, tail: float, q: float) -> float:
     return (alpha ** q + tail ** q) ** (1.0 / q)
 
 
+def lp_exponent(space: SpaceSpec) -> float | None:
+    """Exponent of an l_p-family space (Lp: p, C0: inf, L1: 1), else None."""
+    if isinstance(space, Lp):
+        return space.p
+    if isinstance(space, C0):
+        return INF
+    if isinstance(space, L1):
+        return 1
+    return None
+
+
 def norm_array(space: SpaceSpec, arr: np.ndarray) -> float:
     """Norm of a dense coefficient array under the given space."""
     arr = np.asarray(arr, dtype=complex)
-    if isinstance(space, Lp):
-        return _lp_norm(arr, space.p)
-    if isinstance(space, C0):
-        return _lp_norm(arr, INF)
-    if isinstance(space, L1):
-        return _lp_norm(arr, 1)
+    p = lp_exponent(space)
+    if p is not None:
+        return _lp_norm(arr, p)
     if isinstance(space, QSumLp):
         alpha = abs(arr[0]) if arr.size else 0.0
         tail = _lp_norm(arr[1:], space.p)
@@ -202,12 +210,9 @@ def _lp_duality(arr: np.ndarray, p: float) -> np.ndarray:
 def norming_functional_array(space: SpaceSpec, arr: np.ndarray) -> np.ndarray:
     """Hahn-Banach surrogate: unit dual vector f with sum f_i x_i = ||x||."""
     arr = np.asarray(arr, dtype=complex)
-    if isinstance(space, Lp):
-        return _lp_duality(arr, space.p)
-    if isinstance(space, C0):
-        return _lp_duality(arr, INF)
-    if isinstance(space, L1):
-        return _lp_duality(arr, 1)
+    p = lp_exponent(space)
+    if p is not None:
+        return _lp_duality(arr, p)
     if isinstance(space, QSumLp):
         out = np.zeros_like(arr, dtype=complex)
         if not arr.size:
@@ -251,12 +256,9 @@ def dual_space(space: SpaceSpec) -> SpaceSpec:
             return 1.0
         return e / (e - 1.0)
 
-    if isinstance(space, Lp):
-        return Lp(conj_exp(space.p)) if space.p < INF else L1()
-    if isinstance(space, C0):
-        return L1()
-    if isinstance(space, L1):
-        return C0()
+    p = lp_exponent(space)
+    if p is not None:
+        return L1() if p == INF else C0() if p == 1 else Lp(conj_exp(p))
     if isinstance(space, QSumLp):
         return QSumLp(conj_exp(space.q), conj_exp(space.p))
     if isinstance(space, DirectSumLp):
@@ -270,8 +272,6 @@ def dual_space(space: SpaceSpec) -> SpaceSpec:
 # ---------------------------------------------------------------------------
 
 def norm_eval(space: SpaceSpec, x: Coeffs) -> float:
-    if isinstance(space, RenormedL2):
-        return norm_array(space, x.to_array())
     n = max(x.dim_hint, 1)
     if isinstance(space, DirectSumLp):
         n = max(n, space.total_size())
@@ -280,22 +280,6 @@ def norm_eval(space: SpaceSpec, x: Coeffs) -> float:
 
 def norming_functional(space: SpaceSpec, x: Coeffs) -> Coeffs:
     return Coeffs.from_array(norming_functional_array(space, x.to_array()))
-
-
-def support(x: Coeffs) -> frozenset:
-    return x.support()
-
-
-def project_onto(B, x: Coeffs) -> Coeffs:
-    return x.restrict(B)
-
-
-def abg_components(x: Coeffs, p: float) -> tuple:
-    """(alpha, beta, gamma) split of a QSum vector: |x_0|, |x_1|, tail l_p."""
-    alpha = abs(x[0])
-    beta = abs(x[1])
-    gamma = _lp_norm(np.array([v for i, v in x.entries.items() if i >= 2]), p)
-    return alpha, beta, gamma
 
 
 def p_space_defect(x: Coeffs, useq, p: float, space: SpaceSpec):

@@ -43,7 +43,17 @@ class CheckResult:
     details: dict
 
     def to_json_obj(self):
-        return {"id": self.check_id, "ok": self.ok, "details": self.details}
+        return {"id": self.check_id, "ok": self.ok,
+                "details": _plain(self.details)}
+
+
+def _plain(obj):
+    """Copy of obj with numpy scalars as Python numbers, for json.dumps."""
+    if isinstance(obj, dict):
+        return {k: _plain(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_plain(v) for v in obj]
+    return obj.item() if isinstance(obj, np.generic) else obj
 
 
 def _result(cid, ok, **details):

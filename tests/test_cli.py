@@ -13,6 +13,15 @@ def run(argv):
     return code, buf.getvalue()
 
 
+def assert_usage_error(argv, capsys):
+    """Exit code 1 with exactly one line on stderr and no traceback."""
+    capsys.readouterr()
+    code, _ = run(argv)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
 # -- norm ----------------------------------------------------------------------
 
 def test_norm_lp():
@@ -51,6 +60,21 @@ def test_norm_missing_vector_is_usage_error():
     assert code == 1
 
 
+def test_norm_string_entry_is_usage_error(capsys):
+    assert_usage_error(["norm", "--space", '{"space":"lp","p":2}',
+                        "--vector", '[[0,"a",0]]'], capsys)
+
+
+def test_norm_renorm_uses_space_trunc(capsys):
+    # trunc 4 admits support [0, 7); index 9 fails the support check unless
+    # --trunc is given
+    argv = ["norm", "--space", '{"space":"renorm","trunc":4}',
+            "--vector", "[[2,1,0],[9,1,0]]"]
+    assert_usage_error(argv, capsys)
+    code, out = run(argv + ["--trunc", "8"])
+    assert code == 0 and out.strip() == "1.000000"
+
+
 # -- opnorm --------------------------------------------------------------------
 
 def test_opnorm_simple_s():
@@ -72,7 +96,19 @@ def test_opnorm_json():
     assert obj["value"] == 1.0 and obj["schema_version"] == 1
 
 
+def test_opnorm_renorm_is_usage_error(capsys):
+    assert_usage_error(["opnorm", "--space", '{"space":"renorm"}',
+                        "--operator", '{"op":"identity"}'], capsys)
+
+
 # -- pspec ---------------------------------------------------------------------
+
+@pytest.mark.parametrize("eps", ["0", "-1", "nan"])
+def test_pspec_nonpositive_eps_rejected(eps, capsys):
+    assert_usage_error(["pspec", "--space", '{"space":"c0"}',
+                        "--operator", '{"op":"catalog","name":"tc0"}',
+                        "--eps", eps, "--res", "3", "--trunc", "4"], capsys)
+
 
 def test_pspec_writes_csv(tmp_path):
     out_file = tmp_path / "grid.csv"
@@ -134,6 +170,18 @@ def test_verify_only_subset():
     assert code == 0
     lines = out.strip().split("\n")
     assert lines == ["qseq: PASS", "AC2: PASS"]
+
+
+def test_verify_json_report():
+    code, out = run(["verify", "--only", "qseq,AC2", "--format", "json"])
+    assert code == 0
+    lines = out.strip().split("\n")
+    assert lines[:2] == ["qseq: PASS", "AC2: PASS"]
+    report = json.loads(lines[2])
+    assert report["all_ok"] is True
+    assert [r["id"] for r in report["results"]] == ["qseq", "AC2"]
+    rows = report["results"][1]["details"]["rows"]
+    assert all(row["ok"] is True for row in rows)
 
 
 def test_verify_unknown_check():

@@ -8,13 +8,13 @@ from normlab.coeffs import Coeffs
 from normlab.spaces import QSeqParams
 from normlab import convex
 
-cvxpy = pytest.importorskip("cvxpy")
-
 QSEQ = QSeqParams()
 
 
 def cone_oracle(u: Coeffs, N: int) -> float:
     """Independent second-order-cone solve of the decomposition problem."""
+    import cvxpy
+
     arr = u.to_array(N + 3)
     q = QSEQ.q_array(N)
     alpha = cvxpy.Variable(N, complex=True)
@@ -28,6 +28,21 @@ def cone_oracle(u: Coeffs, N: int) -> float:
     prob = cvxpy.Problem(cvxpy.Minimize(obj))
     prob.solve(solver=cvxpy.CLARABEL)
     return float(prob.value)
+
+
+def decomposition_objective(u: Coeffs, alpha, beta, N: int) -> float:
+    """Hand-computed cost of the decomposition of u with the given atom
+    coefficients: ||x'||_2 + ||(x_1, x_2)||_2 + ||alpha||_1 + ||beta||_1."""
+    arr = u.to_array(N + 3)
+    alpha = np.asarray(alpha, dtype=complex)
+    beta = np.asarray(beta, dtype=complex)
+    q = QSEQ.q_array(N)
+    x1 = arr[1] - np.dot(q, beta)
+    x2 = arr[2] - alpha.sum() - np.dot(q, beta)
+    xt = arr[3:] - alpha - q * beta
+    xprime = math.hypot(abs(arr[0]), float(np.linalg.norm(xt)))
+    return (xprime + math.hypot(abs(x1), abs(x2))
+            + float(np.abs(alpha).sum()) + float(np.abs(beta).sum()))
 
 
 def random_coeffs(rng, max_index=8):
@@ -72,6 +87,7 @@ def test_support_precondition():
 
 
 def test_cone_oracle_cross_check():
+    pytest.importorskip("cvxpy")
     rng = np.random.default_rng(5)
     targets = [Coeffs.basis(2) + Coeffs.basis(3),
                Coeffs.basis(1) + Coeffs.basis(2) + Coeffs.basis(5),
@@ -93,7 +109,7 @@ def test_any_feasible_decomposition_upper_bounds(data):
     v, _ = convex.minkowski_norm(u, N)
     alpha = 0.3 * (rng.standard_normal(N) + 1j * rng.standard_normal(N))
     beta = 0.3 * (rng.standard_normal(N) + 1j * rng.standard_normal(N))
-    hand = convex.decomposition_objective(u, alpha, beta, N)
+    hand = decomposition_objective(u, alpha, beta, N)
     assert v <= hand + 1e-7
 
 
@@ -149,9 +165,9 @@ def test_membership_small_l2():
         u = random_coeffs(rng)
         arr = u.to_array(11)
         u = (0.5 / np.linalg.norm(arr)) * u
-        assert convex.membership_B(u, 8)
-    assert convex.membership_B(Coeffs.zero(), 4)
-    assert not convex.membership_B(Coeffs({1: 1.9}), 4)
+        assert convex.minkowski_norm(u, 8)[0] <= 1.0 + 1e-8
+    assert convex.minkowski_norm(Coeffs.zero(), 4)[0] <= 1.0 + 1e-8
+    assert convex.minkowski_norm(Coeffs({1: 1.9}), 4)[0] > 1.0 + 1e-8
 
 
 def test_atomic_split_pair_atom():

@@ -28,9 +28,9 @@ def coeffs_strategy(max_index=12, max_mag=4.0):
 # -- coeffs ------------------------------------------------------------------
 
 def test_coeffs_pruning_and_support():
-    assert sp.support(Coeffs.zero()) == frozenset()
-    assert sp.support(Coeffs.basis(0) + 3.0 * Coeffs.basis(5)) == {0, 5}
-    assert sp.support(Coeffs.basis(2) - Coeffs.basis(2)) == frozenset()
+    assert Coeffs.zero().support() == frozenset()
+    assert (Coeffs.basis(0) + 3.0 * Coeffs.basis(5)).support() == {0, 5}
+    assert (Coeffs.basis(2) - Coeffs.basis(2)).support() == frozenset()
 
 
 def test_coeffs_json_round_trip():
@@ -115,22 +115,28 @@ def test_dual_space_involution():
 
 # -- components and defects ---------------------------------------------------
 
+def abg_components(x: Coeffs, p: float) -> tuple:
+    """(alpha, beta, gamma) split of a QSum vector: |x_0|, |x_1|, tail l_p."""
+    tail = np.array([v for i, v in x.entries.items() if i >= 2])
+    return abs(x[0]), abs(x[1]), sp.norm_array(sp.Lp(p), tail)
+
+
 def test_abg_components():
     c = 2.0 ** -0.25
-    a, b, g = sp.abg_components(c * (Coeffs.basis(0) + Coeffs.basis(3)), 2.0)
+    a, b, g = abg_components(c * (Coeffs.basis(0) + Coeffs.basis(3)), 2.0)
     assert (a, b, g) == pytest.approx((c, 0.0, c), abs=1e-14)
-    assert sp.abg_components(Coeffs.basis(1), 2.0) == (0.0, 1.0, 0.0)
-    assert sp.abg_components(Coeffs.basis(2) + Coeffs.basis(3), 2.0)[2] == \
+    assert abg_components(Coeffs.basis(1), 2.0) == (0.0, 1.0, 0.0)
+    assert abg_components(Coeffs.basis(2) + Coeffs.basis(3), 2.0)[2] == \
         pytest.approx(math.sqrt(2), abs=1e-14)
 
 
 def test_projection_idempotent_contractive():
     x = Coeffs({0: 1.0, 1: 2.0, 5: -1j})
     B = {0, 5}
-    px = sp.project_onto(B, x)
-    assert sp.project_onto(B, px) == px
+    px = x.restrict(B)
+    assert px.restrict(B) == px
     assert px == Coeffs({0: 1.0, 5: -1j})
-    assert sp.project_onto(set(), x) == Coeffs.zero()
+    assert x.restrict(set()) == Coeffs.zero()
     for space in EXACT_SPACES[:6]:
         assert sp.norm_eval(space, px) <= sp.norm_eval(space, x) + 1e-12
 
