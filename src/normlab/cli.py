@@ -54,7 +54,7 @@ def _load(args, *names) -> list:
         obj = _parse_json(getattr(args, name), "--" + name)
         try:
             out.append(_LOADERS[name](obj))
-        except TypeError as exc:
+        except (TypeError, OverflowError) as exc:
             raise UsageError("malformed --%s: %s" % (name, exc))
     return out
 

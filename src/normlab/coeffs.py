@@ -7,12 +7,19 @@ the support stays finite and exact.
 
 from __future__ import annotations
 
+import cmath
 import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
 PRUNE_TOL = 1e-300
+
+
+def require_finite(values, what: str) -> None:
+    """Reject input data holding NaN or infinite entries."""
+    if not all(cmath.isfinite(v) for v in values):
+        raise ValueError("%s must be finite" % what)
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,8 +87,8 @@ class Coeffs:
                 out[i] = v
         return out
 
-    def is_real(self, tol: float = 0.0) -> bool:
-        return all(abs(v.imag) <= tol for v in self.entries.values())
+    def is_real(self) -> bool:
+        return all(v.imag == 0 for v in self.entries.values())
 
     def require_real(self) -> "Coeffs":
         """Real-restricted mode: reject entries with an imaginary part."""
@@ -127,7 +134,9 @@ class Coeffs:
 
     @staticmethod
     def from_json_obj(obj) -> "Coeffs":
-        return Coeffs({int(i): complex(re, im) for i, re, im in obj})
+        pairs = [(int(i), complex(re, im)) for i, re, im in obj]
+        require_finite((v for _, v in pairs), "coefficients")
+        return Coeffs(dict(pairs))
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_obj())

@@ -21,7 +21,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coeffs import Coeffs
-from .spaces import QSeqParams
+from .spaces import Q_RULE, QSeqParams
+
+QSEQ = QSeqParams()
+TOL = 1e-8              # relative duality-gap target of minkowski_norm
+MAX_ITER = 60000        # primal-dual iterations per solve
+SEX_TOL = 1e-6          # solver tolerance of the norm squeeze
+SEX_TRUNC = 12          # truncation of the squeeze's random samples
 
 
 @dataclass(frozen=True)
@@ -36,12 +42,12 @@ class Decomposition:
     gap: float
     converged: bool
 
-    def reconstruct(self, qseq: QSeqParams = QSeqParams()) -> Coeffs:
+    def reconstruct(self) -> Coeffs:
         u = self.x
         for n, a in enumerate(self.alpha, start=1):
             u = u + a * (Coeffs.basis(2) + Coeffs.basis(n + 2))
         for n, b in enumerate(self.beta, start=1):
-            u = u + (b * qseq.q(n)) * (Coeffs.basis(1) + Coeffs.basis(2)
+            u = u + (b * QSEQ.q(n)) * (Coeffs.basis(1) + Coeffs.basis(2)
                                        + Coeffs.basis(n + 2))
         return u
 
@@ -55,7 +61,7 @@ class Decomposition:
             "dual_bound": self.dual_bound,
             "gap": self.gap,
             "converged": self.converged,
-            "q_rule": QSeqParams().rule,
+            "q_rule": Q_RULE,
         }
 
     def to_json(self) -> str:
@@ -71,9 +77,7 @@ def _split_coords(u: Coeffs, N: int):
     return arr[0], arr[1], arr[2], arr[3:]
 
 
-def minkowski_norm(u: Coeffs, N: int, tol: float = 1e-8,
-                   qseq: QSeqParams = QSeqParams(),
-                   max_iter: int = 60000) -> tuple:
+def minkowski_norm(u: Coeffs, N: int, tol: float = TOL) -> tuple:
     """(norm value, optimal Decomposition) with a certified duality gap.
 
     Non-convergence is not an exception: the best feasible value is returned
@@ -85,7 +89,7 @@ def minkowski_norm(u: Coeffs, N: int, tol: float = 1e-8,
                           0.0, 0.0, 0.0, True)
         return 0.0, d
 
-    q = qseq.q_array(N)
+    q = QSEQ.q_array(N)
     # K stacks the linear maps w = (alpha, beta) -> (K1 w, K2 w) with
     # x' = b1 - K1 w (first coordinate constant u0) and (x1,x2) = b2 - K2 w
     K = np.zeros((N + 3, 2 * N))
@@ -124,7 +128,7 @@ def minkowski_norm(u: Coeffs, N: int, tol: float = 1e-8,
     best_w = w.copy()
     best_dual = 0.0
     converged = False
-    for it in range(max_iter):
+    for it in range(MAX_ITER):
         # dual ascent: prox of the conjugate of y -> sum ||b_i - y_i||
         p = p + sigma * (K @ wbar)
         for sl in blocks:
@@ -139,7 +143,7 @@ def minkowski_norm(u: Coeffs, N: int, tol: float = 1e-8,
         w_new = w_new * shrink
         wbar = 2.0 * w_new - w
         w = w_new
-        if it % 50 == 49 or it == max_iter - 1:
+        if it % 50 == 49 or it == MAX_ITER - 1:
             val = primal(w)
             if val < best_val:
                 best_val, best_w = val, w.copy()
@@ -176,10 +180,9 @@ class AtomicSplit:
         return self.a * self.x + self.b * self.y + self.c * self.w
 
 
-def b_atomic_decompose(u: Coeffs, N: int, tol: float = 1e-8,
-                       qseq: QSeqParams = QSeqParams()) -> AtomicSplit:
-    value, d = minkowski_norm(u, N, tol, qseq)
-    if value > 1.0 + tol:
+def b_atomic_decompose(u: Coeffs, N: int) -> AtomicSplit:
+    value, d = minkowski_norm(u, N)
+    if value > 1.0 + TOL:
         raise ValueError("u is outside B (norm %.9g > 1)" % value)
 
     arr = u.to_array(N + 3)
@@ -191,24 +194,24 @@ def b_atomic_decompose(u: Coeffs, N: int, tol: float = 1e-8,
     xa = d.x.to_array(N + 3)
     a = (math.hypot(abs(xa[0]), float(np.linalg.norm(xa[3:])))
          + math.hypot(abs(xa[1]), abs(xa[2])))
-    x = (1.0 / a) * d.x if a > tol else Coeffs.zero()
-    a = a if a > tol else 0.0
+    x = (1.0 / a) * d.x if a > TOL else Coeffs.zero()
+    a = a if a > TOL else 0.0
 
     bsum = float(np.abs(np.asarray(d.alpha)).sum())
     y = Coeffs.zero()
-    if bsum > tol:
+    if bsum > TOL:
         for n, v in enumerate(d.alpha, start=1):
             y = y + (v / bsum) * (Coeffs.basis(2) + Coeffs.basis(n + 2))
-    bsum = bsum if bsum > tol else 0.0
+    bsum = bsum if bsum > TOL else 0.0
 
     csum = float(np.abs(np.asarray(d.beta)).sum())
     w = Coeffs.zero()
-    if csum > tol:
+    if csum > TOL:
         for n, v in enumerate(d.beta, start=1):
-            w = w + (v * qseq.q(n) / csum) * (Coeffs.basis(1)
+            w = w + (v * QSEQ.q(n) / csum) * (Coeffs.basis(1)
                                               + Coeffs.basis(2)
                                               + Coeffs.basis(n + 2))
-    csum = csum if csum > tol else 0.0
+    csum = csum if csum > TOL else 0.0
 
     return AtomicSplit(a, x, bsum, y, csum, w)
 
@@ -221,8 +224,7 @@ def sex_apply(u: Coeffs) -> Coeffs:
     return u + u[2] * Coeffs.basis(1)
 
 
-def su_upper_bound(u: Coeffs, d: Decomposition,
-                   qseq: QSeqParams = QSeqParams()) -> tuple:
+def su_upper_bound(u: Coeffs, d: Decomposition) -> tuple:
     """(tight, relaxed) certified upper bounds on ||S u||.
 
     tight  = ||x'||_2 + ||(x_1 + tau, x_2)||_2 + sum |beta_n + alpha_n / q_n|
@@ -231,7 +233,7 @@ def su_upper_bound(u: Coeffs, d: Decomposition,
               + sum |alpha_n| / q_n.
     """
     N = len(d.alpha)
-    q = qseq.q_array(N)
+    q = QSEQ.q_array(N)
     alpha = np.asarray(d.alpha, dtype=complex)
     beta = np.asarray(d.beta, dtype=complex)
     xa = d.x.to_array(max(d.x.dim_hint, N + 3))
@@ -260,12 +262,11 @@ class SexReport:
             "gaps": list(self.gaps),
             "min_gap": self.min_gap,
             "failures": list(self.failures),
-            "q_rule": QSeqParams().rule,
+            "q_rule": Q_RULE,
         }
 
 
-def sex_norm_bounds(Ns, samples: int = 100, seed: int = 0,
-                    tol: float = 1e-6, trunc: int = 12) -> SexReport:
+def sex_norm_bounds(Ns, samples: int = 100, seed: int = 0) -> SexReport:
     """Two-sided squeeze on ||S||: lower bounds 1/q_n -> 2 and, per random
     unit sample, a certified strict gap ||Su|| < 2 ||u||.
 
@@ -273,26 +274,25 @@ def sex_norm_bounds(Ns, samples: int = 100, seed: int = 0,
     of the Su solve (an upper bound) must stay below twice the dual bound of
     the u solve (a lower bound).
     """
-    qseq = QSeqParams()
     lower = []
     for n in Ns:
         atom = Coeffs.basis(1) + Coeffs.basis(2) + Coeffs.basis(n + 2)
-        value, _ = minkowski_norm(atom, n, tol)
-        lower.append((n, 1.0 / qseq.q(n), value))
+        value, _ = minkowski_norm(atom, n, SEX_TOL)
+        lower.append((n, 1.0 / QSEQ.q(n), value))
 
     rng = np.random.default_rng(seed)
     gaps = []
     failures = []
     for k in range(samples):
-        supp = rng.integers(0, trunc + 2, size=4)
+        supp = rng.integers(0, SEX_TRUNC + 2, size=4)
         vals = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         u = Coeffs.from_pairs(zip(supp.tolist(), vals.tolist()))
         if not u.entries:
             u = Coeffs.basis(2)
-        nu, du = minkowski_norm(u, trunc, tol)
+        nu, du = minkowski_norm(u, SEX_TRUNC, SEX_TOL)
         u = (1.0 / nu) * u
-        nu, du = minkowski_norm(u, trunc, tol)
-        nsu, dsu = minkowski_norm(sex_apply(u), trunc, tol)
+        nu, du = minkowski_norm(u, SEX_TRUNC, SEX_TOL)
+        nsu, dsu = minkowski_norm(sex_apply(u), SEX_TRUNC, SEX_TOL)
         if not (du.converged and dsu.converged):
             failures.append(k)
         gaps.append(2.0 * du.dual_bound - dsu.objective)

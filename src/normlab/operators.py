@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coeffs import Coeffs
+from .coeffs import Coeffs, require_finite
 
 
 class UnboundedImageError(Exception):
@@ -27,14 +27,9 @@ class UnboundedImageError(Exception):
 
 _DIAG_RULES = {
     # DiagD: entries 1 - 2^{-n}, n >= 1, written on 0-based indices
-    "one_minus_2pow": (lambda n: 1.0 - 2.0 ** (-(n + 1)), 1.0),
-    # shrink factors n/(n+1) (identity on indices 0, 1 is NOT implied;
-    # the rule is the bare factor, 0 at n = 0)
-    "shift_ratio": (lambda n: n / (n + 1.0), 1.0),
-    # expand factors (n+1)/n for n >= 1; index 0 maps to 0
-    "inv_shift_ratio": (lambda n: (n + 1.0) / n if n >= 1 else 0.0, 2.0),
+    "one_minus_2pow": lambda n: 1.0 - 2.0 ** (-(n + 1)),
     # escaping-minimizer example: entries 1 + 1/(n+1)
-    "one_plus_inv": (lambda n: 1.0 + 1.0 / (n + 1.0), 1.5),
+    "one_plus_inv": lambda n: 1.0 + 1.0 / (n + 1.0),
 }
 
 
@@ -47,30 +42,27 @@ class Identity:
 class ScalarMul:
     lam: complex
 
+    def __post_init__(self):
+        require_finite((complex(self.lam),), "scalar")
+
 
 @dataclass(frozen=True)
 class Diagonal:
     rule: str
     values: tuple = ()        # for rule == "explicit"
-    sup_bound: float | None = None
 
     def __post_init__(self):
         if self.rule == "explicit":
             vals = tuple(complex(v) for v in self.values)
+            require_finite(vals, "diagonal values")
             object.__setattr__(self, "values", vals)
-            bound = self.sup_bound
-            if bound is None:
-                bound = max((abs(v) for v in vals), default=0.0)
-            object.__setattr__(self, "sup_bound", float(bound))
-        elif self.rule in _DIAG_RULES:
-            object.__setattr__(self, "sup_bound", _DIAG_RULES[self.rule][1])
-        else:
+        elif self.rule not in _DIAG_RULES:
             raise ValueError("unknown diagonal rule %r" % (self.rule,))
 
     def entry(self, n: int) -> complex:
         if self.rule == "explicit":
             return self.values[n] if n < len(self.values) else 0.0
-        return _DIAG_RULES[self.rule][0](n)
+        return _DIAG_RULES[self.rule](n)
 
 
 @dataclass(frozen=True)
@@ -107,6 +99,7 @@ class Matrix:
 
     def __post_init__(self):
         rows = tuple(tuple(complex(v) for v in row) for row in self.rows)
+        require_finite((v for row in rows for v in row), "matrix entries")
         object.__setattr__(self, "rows", rows)
 
     def as_array(self) -> np.ndarray:
@@ -114,25 +107,26 @@ class Matrix:
 
 
 @dataclass(frozen=True)
-class SimpleS:
-    """Swap coordinates 0,1 then shrink: (x_1, x_0, 2x_2/3, 3x_3/4, ...)."""
+class _Swap:
+    """Swap operator on the K (+)_q l_p sum; needs 1 < p < inf, q >= 1."""
 
     p: float
     q: float
 
     def __post_init__(self):
+        name = type(self).__name__
         if not (self.p > 1 and self.p < math.inf):
-            raise ValueError("SimpleS needs 1 < p < inf")
+            raise ValueError("%s needs 1 < p < inf" % name)
         if not (self.q >= 1):
-            raise ValueError("SimpleS needs 1 <= q <= inf")
+            raise ValueError("%s needs 1 <= q <= inf" % name)
 
 
-@dataclass(frozen=True)
-class SimpleR:
+class SimpleS(_Swap):
+    """Swap coordinates 0,1 then shrink: (x_1, x_0, 2x_2/3, 3x_3/4, ...)."""
+
+
+class SimpleR(_Swap):
     """Inverse of SimpleS: swap then expand (x_1, x_0, 3x_2/2, 4x_3/3, ...)."""
-
-    p: float
-    q: float
 
 
 @dataclass(frozen=True)
@@ -281,7 +275,6 @@ def operator_to_json_obj(T: OperatorSpec):
         obj = {"op": "diagonal", "rule": T.rule}
         if T.rule == "explicit":
             obj["values"] = [[v.real, v.imag] for v in T.values]
-            obj["sup_bound"] = T.sup_bound
         return obj
     if isinstance(T, RankOne):
         return {"op": "rank_one", "functional": T.functional.to_json_obj(),
@@ -313,7 +306,7 @@ def operator_from_json_obj(obj) -> OperatorSpec:
     if tag == "diagonal":
         if obj["rule"] == "explicit":
             vals = [complex(re, im) for re, im in obj["values"]]
-            return Diagonal("explicit", tuple(vals), obj.get("sup_bound"))
+            return Diagonal("explicit", tuple(vals))
         return Diagonal(obj["rule"])
     if tag == "rank_one":
         return RankOne(Coeffs.from_json_obj(obj["functional"]),

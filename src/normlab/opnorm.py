@@ -21,15 +21,17 @@ from . import operators as op
 
 INF = math.inf
 
+RESTARTS = 16           # random starts of the power iteration
+MAX_ITER = 400          # power-iteration steps per start
+TOL = 1e-12             # relative stall tolerance of the power iteration
+ATT_TOL = 1e-3          # witness Cauchy tolerance for "attained"
+ESCAPE_FRAC = 0.2       # centroid/N threshold for "escaping"
+F_GRID = 48             # grid points per axis in maximize_swapped_f
+
 
 @dataclass(frozen=True)
 class OpnormConfig:
-    restarts: int = 16
-    max_iter: int = 400
-    tol: float = 1e-12
     seed: int = 0
-    att_tol: float = 1e-3       # witness Cauchy tolerance for "attained"
-    escape_frac: float = 0.2    # centroid/N threshold for "escaping"
 
 
 DEFAULT_CFG = OpnormConfig()
@@ -67,8 +69,7 @@ def f_abg(alpha: float, beta: float, gamma: float, p: float, q: float) -> float:
     return sp.qsum_combine(alpha, tail, q)
 
 
-def maximize_swapped_f(p: float, q: float, t: float = 1.0,
-                       grid: int = 48) -> tuple:
+def maximize_swapped_f(p: float, q: float, t: float = 1.0) -> tuple:
     """max of (a,b,g) -> f(b, a, t*g) over K = {f(a,b,g) = 1}.
 
     Grid over normalized directions (lexicographically smallest grid argmax
@@ -88,7 +89,7 @@ def maximize_swapped_f(p: float, q: float, t: float = 1.0,
         return 1.0, (0.0, 1.0, 0.0)
 
     # coarse grid
-    axis = np.linspace(0.0, 1.0, grid)
+    axis = np.linspace(0.0, 1.0, F_GRID)
     A, B, G = np.meshgrid(axis, axis, axis, indexing="ij")
     pts = np.stack([A.ravel(), B.ravel(), G.ravel()], axis=1)
     pts = pts[np.any(pts > 0, axis=1)]
@@ -169,7 +170,7 @@ def _power_iteration(M, dom, cod, cfg: OpnormConfig, starts=()):
 
     init = [np.ones(n, dtype=complex)]
     init += [np.eye(n, dtype=complex)[j] for j in range(min(n, 4))]
-    for _ in range(cfg.restarts):
+    for _ in range(RESTARTS):
         v = rng.standard_normal(n)
         if not real_only:
             v = v + 1j * rng.standard_normal(n)
@@ -183,14 +184,14 @@ def _power_iteration(M, dom, cod, cfg: OpnormConfig, starts=()):
             continue
         x = x / nx
         prev = -1.0
-        for _ in range(cfg.max_iter):
+        for _ in range(MAX_ITER):
             y = M @ x
             val = sp.norm_array(cod, y)
             if val <= 0:
                 break
             if val > best_val:
                 best_val, best_x = val, x.copy()
-            if abs(val - prev) <= cfg.tol * max(1.0, val):
+            if abs(val - prev) <= TOL * max(1.0, val):
                 break
             prev = val
             g = sp.norming_functional_array(cod, y)
@@ -349,10 +350,10 @@ def attainment_scan(T, space, Ns, cfg: OpnormConfig = DEFAULT_CFG) -> NormReport
     if len(Ns) >= 2:
         values = [v for _, v in trace]
         increasing = all(b >= a - 1e-15 for a, b in zip(values, values[1:]))
-        if all(d < cfg.att_tol for d in dists[-2:]):
+        if all(d < ATT_TOL for d in dists[-2:]):
             tag = "attained"
         elif (increasing
-              and all(c >= cfg.escape_frac * n
+              and all(c >= ESCAPE_FRAC * n
                       for c, n in zip(centroids[-2:], Ns[-2:]))):
             tag = "escaping"
 

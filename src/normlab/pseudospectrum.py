@@ -23,6 +23,8 @@ from .opnorm import (OpnormConfig, DEFAULT_CFG, matrix_norm, rank_one_norm,
                      witness_drift)
 
 SINGULAR_COND = 1e14
+LEVEL_BAND = 1e-6       # relative width of the level set |r - 1/eps|
+CASE_TOL = 1e-4         # minimizer Cauchy tolerance for the "fixed" case
 
 
 # ---------------------------------------------------------------------------
@@ -34,7 +36,8 @@ def _resolvent_section(T, z: complex, N: int) -> np.ndarray:
     return M - complex(z) * np.eye(N, dtype=complex)
 
 
-def _inverse_norm(A: np.ndarray, space, cfg: OpnormConfig) -> tuple:
+def _inverse_norm(A: np.ndarray, space,
+                  cfg: OpnormConfig = DEFAULT_CFG) -> tuple:
     """(||A^{-1}||, witness, A^{-1}); (inf, None, None) when A is singular."""
     if np.linalg.cond(A) > SINGULAR_COND:
         return math.inf, None, None
@@ -44,11 +47,9 @@ def _inverse_norm(A: np.ndarray, space, cfg: OpnormConfig) -> tuple:
 
 
 def resolvent_norm(T, space, z: complex, N: int,
-                   cfg: OpnormConfig = DEFAULT_CFG,
-                   with_witness: bool = False):
+                   cfg: OpnormConfig = DEFAULT_CFG) -> float:
     """||(T_N - zI)^{-1}|| as a subordinate norm; +inf when singular."""
-    val, w, _ = _inverse_norm(_resolvent_section(T, z, N), space, cfg)
-    return (val, w) if with_witness else val
+    return _inverse_norm(_resolvent_section(T, z, N), space, cfg)[0]
 
 
 def _classify(r: float, eps: float, band: float) -> str:
@@ -67,11 +68,9 @@ def _classify(r: float, eps: float, band: float) -> str:
     return "strict" if r > thr else "outside"
 
 
-def classify_point(T, space, z: complex, eps: float, N: int,
-                   cfg: OpnormConfig = DEFAULT_CFG,
-                   band: float = 1e-6) -> str:
+def classify_point(T, space, z: complex, eps: float, N: int) -> str:
     """strict | level | outside for the eps-pseudospectrum on the N-section."""
-    return _classify(resolvent_norm(T, space, z, N, cfg), eps, band)
+    return _classify(resolvent_norm(T, space, z, N), eps, LEVEL_BAND)
 
 
 # ---------------------------------------------------------------------------
@@ -120,7 +119,8 @@ class PspecGrid:
 
 
 def grid_scan(T, space, region, resolution: int, eps: float, N: int,
-              cfg: OpnormConfig = DEFAULT_CFG, band: float = 1e-6) -> PspecGrid:
+              cfg: OpnormConfig = DEFAULT_CFG,
+              band: float = LEVEL_BAND) -> PspecGrid:
     """Classify every cell center of a rectangular complex-plane grid."""
     if resolution < 2:
         raise ValueError("resolution must be at least 2 per axis")
@@ -186,22 +186,22 @@ class PerturbationCert:
         return json.dumps(self.to_json_obj())
 
 
-def att1_perturbation(T, space, z: complex, eps: float, N: int,
-                      cfg: OpnormConfig = DEFAULT_CFG) -> PerturbationCert:
+def att1_perturbation(T, space, z: complex, eps: float,
+                      N: int) -> PerturbationCert:
     """Plant the eigenvalue z into T with a rank-one A of norm 1/c <= eps.
 
     With x a unit resolvent witness, c = ||(T-zI)^{-1}x||, y the normalized
     resolvent image and f a norming functional of y, the perturbation
     A u = -c^{-1} f(u) x satisfies (T+A)y = zy exactly.
     """
-    c, x = resolvent_norm(T, space, z, N, cfg, with_witness=True)
+    A = _resolvent_section(T, z, N)
+    c, x, _ = _inverse_norm(A, space)
     if c == math.inf:
         # z is an eigenvalue of the section already; A = 0 certifies it
-        Msec = _resolvent_section(T, z, N)
-        _, _, vh = np.linalg.svd(Msec)
+        _, _, vh = np.linalg.svd(A)
         y = np.conj(vh[-1])
         y = y / sp.norm_array(space, y)
-        resid = sp.norm_array(space, Msec @ y)
+        resid = sp.norm_array(space, A @ y)
         return PerturbationCert(op.ScalarMul(0.0), complex(z),
                                 Coeffs.from_array(y), float(resid), 0.0,
                                 eps, N)
@@ -211,7 +211,6 @@ def att1_perturbation(T, space, z: complex, eps: float, N: int,
         raise ValueError(
             "1/c = %.6g exceeds eps = %.6g: z outside the non-strict set "
             "on this truncation" % (1.0 / c, eps))
-    A = _resolvent_section(T, z, N)
     y = np.linalg.solve(A, x) / c
     f = sp.norming_functional_array(space, y)
     pert = op.RankOne(Coeffs.from_array(f),
@@ -224,15 +223,14 @@ def att1_perturbation(T, space, z: complex, eps: float, N: int,
     fy = np.dot(f, y)
     img = Tw @ yw - (fy / c) * np.pad(x, (0, wide - N)) - complex(z) * yw
     resid = sp.norm_array(space, img)
-    norm_A = sp.norm_array(sp.dual_space(space), f) * sp.norm_array(space, x) / c
     return PerturbationCert(pert, complex(z), Coeffs.from_array(y),
-                            float(resid), float(norm_A), eps, N)
+                            float(resid),
+                            float(rank_one_norm(pert, space, space)), eps, N)
 
 
-def verify_cert(T, space, cert: PerturbationCert, N: int | None = None) -> dict:
+def verify_cert(T, space, cert: PerturbationCert) -> dict:
     """Re-verify a certificate with independent norm and residual evaluations."""
-    N = cert.N if N is None else N
-    wide = max(N, cert.y.dim_hint) + 8
+    wide = max(cert.N, cert.y.dim_hint) + 8
     yw = cert.y.to_array(wide)
     Tw = op.truncate_matrix(T, wide) + op.truncate_matrix(cert.A, wide)
     resid = sp.norm_array(space, Tw @ yw - cert.z * yw)
@@ -264,9 +262,9 @@ class Lp111Result:
         return self.S is not None
 
 
-def _min_norm_witness(T, space, N: int, cfg: OpnormConfig):
+def _min_norm_witness(T, space, N: int):
     """(c_N, unit minimizer of ||T_N x||) from the resolvent at z = 0."""
-    val, x, inv = _inverse_norm(op.truncate_matrix(T, N), space, cfg)
+    val, x, inv = _inverse_norm(op.truncate_matrix(T, N), space)
     if inv is None or val <= 0:
         return 0.0, None
     u = inv @ x
@@ -274,8 +272,7 @@ def _min_norm_witness(T, space, N: int, cfg: OpnormConfig):
     return 1.0 / val, u
 
 
-def lp111_perturbation(T, space, N: int, cfg: OpnormConfig = DEFAULT_CFG,
-                       Ns=None, case_tol: float = 1e-4) -> Lp111Result:
+def lp111_perturbation(T, space, N: int) -> Lp111Result:
     """Perturbation S with ||S|| = c = inf_{||x||=1} ||T_N x|| and
     inf ||(T+S)x|| ~ 0 on the truncation.
 
@@ -283,12 +280,11 @@ def lp111_perturbation(T, space, N: int, cfg: OpnormConfig = DEFAULT_CFG,
     the rank-one S = -phi(.) T x_hat; escaping minimizers (support centroid
     beyond N/2) give the block construction over a disjointified family.
     """
-    if Ns is None:
-        Ns = sorted({max(2, N // 8), max(3, N // 4), max(4, N // 2), N})
+    Ns = sorted({max(2, N // 8), max(3, N // 4), max(4, N // 2), N})
     trace = []
     minimizers = []
     for n in Ns:
-        c_n, u_n = _min_norm_witness(T, space, n, cfg)
+        c_n, u_n = _min_norm_witness(T, space, n)
         if u_n is None:
             return Lp111Result("inconclusive", None, 0.0, None, tuple(trace))
         trace.append((n, c_n))
@@ -296,7 +292,7 @@ def lp111_perturbation(T, space, N: int, cfg: OpnormConfig = DEFAULT_CFG,
     c = trace[-1][1]
     witnesses, dists, centroids = witness_drift(minimizers, space)
 
-    if all(d < case_tol for d in dists[-2:]):
+    if all(d < CASE_TOL for d in dists[-2:]):
         xhat = witnesses[-1]
         phi = sp.norming_functional_array(space, xhat)
         Tx = op.truncate_matrix(T, len(xhat) + 8) @ np.pad(
@@ -372,15 +368,14 @@ class Sigma0Report:
 
 
 def sigma0_vs_sigma_check(T, space, eps: float, region, resolution: int,
-                          N: int, cfg: OpnormConfig = DEFAULT_CFG,
-                          band: float = 1e-3) -> Sigma0Report:
+                          N: int) -> Sigma0Report:
     """Attempt a planting certificate at every level-set cell.
 
     Strict cells need no certificate (strict membership is already
     perturbation-reachable with norms < eps); level cells are the boundary
     where attainment of the resolvent norm decides membership.
     """
-    grid = grid_scan(T, space, region, resolution, eps, N, cfg, band)
+    grid = grid_scan(T, space, region, resolution, eps, N, band=1e-3)
     certified = []
     uncertified = []
     strict = outside = 0
@@ -391,7 +386,7 @@ def sigma0_vs_sigma_check(T, space, eps: float, region, resolution: int,
             outside += 1
         else:
             try:
-                cert = att1_perturbation(T, space, z, eps, N, cfg)
+                cert = att1_perturbation(T, space, z, eps, N)
             except (ValueError, RuntimeError) as exc:
                 uncertified.append((z, str(exc)))
                 continue

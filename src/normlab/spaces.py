@@ -10,13 +10,15 @@ gliding-hump disjointification routine.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .coeffs import Coeffs
 
 INF = math.inf
+_TINY = float(np.finfo(float).tiny)
+Q_RULE = "half_plus_quarter_shift"      # the q-sequence's name in JSON
 
 
 # ---------------------------------------------------------------------------
@@ -29,8 +31,6 @@ class QSeqParams:
 
     Satisfies 1/2 < q_n < 1/sqrt(2), strictly decreasing, q_n -> 1/2.
     """
-
-    rule: str = "half_plus_quarter_shift"
 
     def q(self, n: int) -> float:
         if n < 1:
@@ -110,7 +110,6 @@ class DirectSumLp:
 class RenormedL2:
     """l_2 renormed by the Minkowski functional of the atomic set B."""
 
-    qseq: QSeqParams = field(default_factory=QSeqParams)
     trunc: int = 64
 
     def __post_init__(self):
@@ -131,9 +130,12 @@ def _lp_norm(arr: np.ndarray, p: float) -> float:
         return float(a.max()) if a.size else 0.0
     if p == 1:
         return float(a.sum())
-    if p == 2:
-        return float(np.sqrt((a * a).sum()))
-    return float((a ** p).sum() ** (1.0 / p))
+    s = float((a * a).sum() if p == 2 else (a ** p).sum())
+    if s == INF or (s < _TINY and a.any()):
+        # the sum overflowed or underflowed: factor out the largest modulus
+        m = a.max()
+        return float(m) if m == INF else float(m * _lp_norm(a / m, p))
+    return math.sqrt(s) if p == 2 else s ** (1.0 / p)
 
 
 def qsum_combine(alpha: float, tail: float, q: float) -> float:
@@ -173,9 +175,7 @@ def norm_array(space: SpaceSpec, arr: np.ndarray) -> float:
         return _lp_norm(np.array(vals), space.p)
     if isinstance(space, RenormedL2):
         from .convex import minkowski_norm
-        value, _ = minkowski_norm(Coeffs.from_array(arr), space.trunc,
-                                  qseq=space.qseq)
-        return value
+        return minkowski_norm(Coeffs.from_array(arr), space.trunc)[0]
     raise TypeError("unknown space %r" % (space,))
 
 
@@ -308,35 +308,27 @@ class DisjointifyResult:
     failed_at: int | None = None
 
 
-def disjointify(xs, eps, space: SpaceSpec | None = None, count: int | None = None,
-                scan_cutoff: int | None = None) -> DisjointifyResult:
+def disjointify(xs, eps, space: SpaceSpec = Lp(2.0)) -> DisjointifyResult:
     """Gliding hump: select x_{n_k} and nearby u_k with pairwise disjoint supports.
 
-    Guarantees ||xs[n_k - 1] - u_k|| < eps[k-1] in the ambient norm.  Since
-    the inner wait for ||P_C x_n|| < eps_k/2 is undecidable from finite data,
-    a scan cutoff (default 10 * len(xs)) declares failure at the step reached.
+    Picks min(len(xs), len(eps)) vectors and guarantees ||xs[n_k - 1] - u_k||
+    < eps[k-1] in the ambient norm.  Since the inner wait for ||P_C x_n|| <
+    eps_k/2 is undecidable from finite data, running out of xs declares
+    failure at the step reached.
     """
-    space = space if space is not None else Lp(2.0)
-    count = count if count is not None else min(len(xs), len(eps))
-    if count > len(eps):
-        raise ValueError("need at least %d tolerances" % count)
-    scan_cutoff = scan_cutoff if scan_cutoff is not None else 10 * len(xs)
-
     indices: list = []
     vectors: list = []
     covered: set = set()
     pos = 0  # 0-based scan position
-    for k in range(1, count + 1):
+    for k in range(1, min(len(xs), len(eps)) + 1):
         found = None
-        scanned = 0
-        while pos < len(xs) and scanned < scan_cutoff:
+        while pos < len(xs):
             cand = xs[pos]
             leak = cand.restrict(covered)
             if norm_eval(space, leak) < eps[k - 1] / 2.0:
                 found = pos
                 break
             pos += 1
-            scanned += 1
         if found is None:
             return DisjointifyResult(False, tuple(indices), tuple(vectors),
                                      failed_at=k)

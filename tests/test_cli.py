@@ -75,6 +75,13 @@ def test_norm_renorm_uses_space_trunc(capsys):
     assert code == 0 and out.strip() == "1.000000"
 
 
+@pytest.mark.parametrize("vector", ["[[0,NaN,0],[1,3,0],[2,4,0]]",
+                                    "[[0,Infinity,0]]", "[[Infinity,1,0]]"])
+def test_norm_non_finite_entry_is_usage_error(vector, capsys):
+    assert_usage_error(["norm", "--space", '{"space":"lp","p":2}',
+                        "--vector", vector], capsys)
+
+
 # -- opnorm --------------------------------------------------------------------
 
 def test_opnorm_simple_s():
@@ -94,6 +101,20 @@ def test_opnorm_json():
     assert code == 0
     obj = json.loads(out)
     assert obj["value"] == 1.0 and obj["schema_version"] == 1
+
+
+def test_opnorm_nan_matrix_is_usage_error(capsys):
+    assert_usage_error(["opnorm", "--space", '{"space":"lp","p":2}',
+                        "--operator",
+                        '{"op":"matrix","rows":[[[NaN,0],[1,0]],[[0,0],[1,0]]]}',
+                        "--trunc", "2"], capsys)
+
+
+def test_opnorm_simple_r_out_of_domain_is_usage_error(capsys):
+    assert_usage_error(["opnorm", "--space", '{"space":"lp","p":2}',
+                        "--operator",
+                        '{"op":"catalog","name":"simple_r","p":0.5,"q":-3}',
+                        "--trunc", "4"], capsys)
 
 
 def test_opnorm_renorm_is_usage_error(capsys):

@@ -159,7 +159,6 @@ def test_transpose_apply_raises():
 def test_catalog_diag_d():
     D = op.catalog_build("diag_d")
     assert [D.entry(n) for n in range(3)] == [0.5, 0.75, 0.875]
-    assert D.sup_bound == 1.0
 
 
 def test_catalog_validation():
@@ -169,6 +168,27 @@ def test_catalog_validation():
         op.catalog_build("nope")
     with pytest.raises(ValueError):
         op.Diagonal("unknown_rule")
+
+
+@pytest.mark.parametrize("p, q", [(0.5, -3.0), (1.0, 2.0), (math.inf, 2.0),
+                                  (2.0, 0.5), (math.nan, 2.0)])
+def test_swap_operators_share_validation(p, q):
+    for name in ("simple_s", "simple_r"):
+        with pytest.raises(ValueError, match="needs"):
+            op.catalog_build(name, p=p, q=q)
+
+
+@pytest.mark.parametrize("build", [
+    lambda bad: op.Matrix(((1.0, bad), (0.0, 1.0))),
+    lambda bad: op.Diagonal("explicit", (1.0, bad)),
+    lambda bad: op.ScalarMul(bad),
+    lambda bad: Coeffs.from_json_obj([[0, 1.0, 0.0], [1, bad, 0.0]]),
+    lambda bad: Coeffs.from_json_obj([[0, 0.0, bad]]),
+])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_input_rejected(build, bad):
+    with pytest.raises(ValueError, match="finite"):
+        build(bad)
 
 
 def test_compose_right_to_left():

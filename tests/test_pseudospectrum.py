@@ -49,8 +49,7 @@ def test_truncated_tc0_resolvent_exact_section_value():
 
 def test_classify_level_on_rank_one_boundary():
     # at eps = 1/2 the law gives 1 + 1 = 2 = 1/eps exactly on |z| = 1
-    assert ps.classify_point(op.Tc0(), sp.C0(), 1.0, 0.5, 40,
-                             band=1e-6) == "level"
+    assert ps.classify_point(op.Tc0(), sp.C0(), 1.0, 0.5, 40) == "level"
     assert ps.classify_point(op.Tc0(), sp.C0(), -1.5, 0.5, 40) == "outside"
     assert ps.classify_point(op.Tc0(), sp.C0(), 0.5, 0.5, 40) == "strict"
 

@@ -55,6 +55,19 @@ def test_norm_examples():
     assert sp.norm_eval(sp.L1(), x) == pytest.approx(7 / 4, abs=1e-12)
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_lp_norm_survives_overflow():
+    assert sp.norm_array(sp.Lp(2), np.array([1e308, 1e308])) == \
+        pytest.approx(math.sqrt(2) * 1e308, rel=1e-15)
+
+
+def test_lp_norm_survives_underflow():
+    assert sp.norm_array(sp.Lp(2), np.array([1e-200, 1e-200])) == \
+        pytest.approx(math.sqrt(2) * 1e-200, rel=1e-15)
+    assert sp.norm_array(sp.Lp(3), np.array([1e-120])) == \
+        pytest.approx(1e-120, rel=1e-15)
+
+
 def test_direct_sum_support_check():
     space = sp.DirectSumLp(2.0, ((2, 2.0),))
     with pytest.raises(ValueError):
@@ -169,7 +182,7 @@ def test_disjointify_strips_leakage():
     xs = [Coeffs.basis(n) + (2.0 ** -n) * Coeffs.basis(0)
           for n in range(1, 30)]
     eps = [2.0 ** -k for k in range(1, 7)]
-    res = sp.disjointify(xs, eps, count=6)
+    res = sp.disjointify(xs, eps)
     assert res.ok
     supports = [v.support() for v in res.vectors]
     for i in range(len(supports)):
@@ -181,7 +194,7 @@ def test_disjointify_strips_leakage():
 
 def test_disjointify_constant_sequence_fails():
     xs = [Coeffs.basis(0)] * 8
-    res = sp.disjointify(xs, [0.01] * 4, count=4)
+    res = sp.disjointify(xs, [0.01] * 4)
     assert not res.ok
     assert res.failed_at == 2
 
