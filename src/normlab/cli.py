@@ -54,7 +54,7 @@ def _load(args, *names) -> list:
         obj = _parse_json(getattr(args, name), "--" + name)
         try:
             out.append(_LOADERS[name](obj))
-        except (TypeError, OverflowError) as exc:
+        except (TypeError, AttributeError, OverflowError) as exc:
             raise UsageError("malformed --%s: %s" % (name, exc))
     return out
 
@@ -122,10 +122,7 @@ def cmd_pspec(args, stdout) -> int:
                         args.res, args.eps, args.trunc, cfgo)
     text = (json.dumps(grid.to_json_obj(), sort_keys=True)
             if args.format == "json" else grid.to_csv())
-    if args.out:
-        _write_out(args.out, text)
-    else:
-        stdout.write(text)
+    _emit(args, text, stdout)
     counts = {"strict": 0, "level": 0, "outside": 0}
     for _, _, c in grid.cells():
         counts[c] += 1

@@ -8,7 +8,6 @@ the support stays finite and exact.
 from __future__ import annotations
 
 import cmath
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,6 +19,14 @@ def require_finite(values, what: str) -> None:
     """Reject input data holding NaN or infinite entries."""
     if not all(cmath.isfinite(v) for v in values):
         raise ValueError("%s must be finite" % what)
+
+
+def require_int(value, what: str) -> int:
+    """An integer from input data; non-integral values are rejected."""
+    n = int(value)
+    if n != value:
+        raise ValueError("%s must be an integer, got %r" % (what, value))
+    return n
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,15 +94,6 @@ class Coeffs:
                 out[i] = v
         return out
 
-    def is_real(self) -> bool:
-        return all(v.imag == 0 for v in self.entries.values())
-
-    def require_real(self) -> "Coeffs":
-        """Real-restricted mode: reject entries with an imaginary part."""
-        if not self.is_real():
-            raise ValueError("complex entries rejected in real mode")
-        return self
-
     # -- algebra -----------------------------------------------------------
 
     def __add__(self, other: "Coeffs") -> "Coeffs":
@@ -134,13 +132,7 @@ class Coeffs:
 
     @staticmethod
     def from_json_obj(obj) -> "Coeffs":
-        pairs = [(int(i), complex(re, im)) for i, re, im in obj]
+        pairs = [(require_int(i, "index"), complex(re, im))
+                 for i, re, im in obj]
         require_finite((v for _, v in pairs), "coefficients")
         return Coeffs(dict(pairs))
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj())
-
-    @staticmethod
-    def from_json(text: str) -> "Coeffs":
-        return Coeffs.from_json_obj(json.loads(text))

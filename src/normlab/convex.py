@@ -14,16 +14,17 @@ certified duality gap from a scaled dual-feasible point.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .coeffs import Coeffs
+from . import operators as op
 from .spaces import Q_RULE, QSeqParams
 
 QSEQ = QSeqParams()
+SEX = op.catalog_build("sex")   # S u = u + u_2 e_1
 TOL = 1e-8              # relative duality-gap target of minkowski_norm
 MAX_ITER = 60000        # primal-dual iterations per solve
 SEX_TOL = 1e-6          # solver tolerance of the norm squeeze
@@ -64,9 +65,6 @@ class Decomposition:
             "q_rule": Q_RULE,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj())
-
 
 def _split_coords(u: Coeffs, N: int):
     """(u0, u1, u2, tail of length N) with support confined to [0, N+3)."""
@@ -83,6 +81,8 @@ def minkowski_norm(u: Coeffs, N: int, tol: float = TOL) -> tuple:
     Non-convergence is not an exception: the best feasible value is returned
     with converged=False and the residual gap recorded.
     """
+    if not 0 < tol < math.inf:
+        raise ValueError("tol must be positive and finite")
     u0, u1, u2, tail = _split_coords(u, N)
     if not u.entries:
         d = Decomposition(Coeffs.zero(), (0.0,) * N, (0.0,) * N,
@@ -220,10 +220,6 @@ def b_atomic_decompose(u: Coeffs, N: int) -> AtomicSplit:
 # the shifted-identity operator S u = u + u_2 e_1 and its norm squeeze
 # ---------------------------------------------------------------------------
 
-def sex_apply(u: Coeffs) -> Coeffs:
-    return u + u[2] * Coeffs.basis(1)
-
-
 def su_upper_bound(u: Coeffs, d: Decomposition) -> tuple:
     """(tight, relaxed) certified upper bounds on ||S u||.
 
@@ -255,16 +251,6 @@ class SexReport:
     min_gap: float
     failures: tuple        # sample indices whose solves left a gap flag
 
-    def to_json_obj(self):
-        return {
-            "schema_version": 1,
-            "lower_bounds": [list(t) for t in self.lower_bounds],
-            "gaps": list(self.gaps),
-            "min_gap": self.min_gap,
-            "failures": list(self.failures),
-            "q_rule": Q_RULE,
-        }
-
 
 def sex_norm_bounds(Ns, samples: int = 100, seed: int = 0) -> SexReport:
     """Two-sided squeeze on ||S||: lower bounds 1/q_n -> 2 and, per random
@@ -292,7 +278,7 @@ def sex_norm_bounds(Ns, samples: int = 100, seed: int = 0) -> SexReport:
         nu, du = minkowski_norm(u, SEX_TRUNC, SEX_TOL)
         u = (1.0 / nu) * u
         nu, du = minkowski_norm(u, SEX_TRUNC, SEX_TOL)
-        nsu, dsu = minkowski_norm(sex_apply(u), SEX_TRUNC, SEX_TOL)
+        nsu, dsu = minkowski_norm(op.apply(SEX, u), SEX_TRUNC, SEX_TOL)
         if not (du.converged and dsu.converged):
             failures.append(k)
         gaps.append(2.0 * du.dual_bound - dsu.objective)

@@ -99,6 +99,8 @@ class Matrix:
 
     def __post_init__(self):
         rows = tuple(tuple(complex(v) for v in row) for row in self.rows)
+        if len({len(row) for row in rows}) != 1:
+            raise ValueError("matrix needs rows of one common length")
         require_finite((v for row in rows for v in row), "matrix entries")
         object.__setattr__(self, "rows", rows)
 
@@ -241,9 +243,8 @@ def dual_operator(T: OperatorSpec) -> OperatorSpec:
 # catalog
 # ---------------------------------------------------------------------------
 
-# operator classes serialized as {"op": "catalog", "name": ...}
+# operator classes read from {"op": "catalog", "name": ...}
 _CATALOG = {"simple_s": SimpleS, "simple_r": SimpleR, "tc0": Tc0, "tl1": Tl1}
-_CATALOG_NAMES = {cls: name for name, cls in _CATALOG.items()}
 
 
 def catalog_build(name: str, **params) -> OperatorSpec:
@@ -262,40 +263,8 @@ def catalog_build(name: str, **params) -> OperatorSpec:
 
 
 # ---------------------------------------------------------------------------
-# serialization
+# the --operator JSON descriptor
 # ---------------------------------------------------------------------------
-
-def operator_to_json_obj(T: OperatorSpec):
-    if isinstance(T, Identity):
-        return {"op": "identity"}
-    if isinstance(T, ScalarMul):
-        lam = complex(T.lam)
-        return {"op": "scalar", "re": lam.real, "im": lam.imag}
-    if isinstance(T, Diagonal):
-        obj = {"op": "diagonal", "rule": T.rule}
-        if T.rule == "explicit":
-            obj["values"] = [[v.real, v.imag] for v in T.values]
-        return obj
-    if isinstance(T, RankOne):
-        return {"op": "rank_one", "functional": T.functional.to_json_obj(),
-                "vector": T.vector.to_json_obj()}
-    if isinstance(T, Sum):
-        return {"op": "sum", "terms": [operator_to_json_obj(t) for t in T.terms]}
-    if isinstance(T, Compose):
-        return {"op": "compose",
-                "factors": [operator_to_json_obj(t) for t in T.factors]}
-    if isinstance(T, Matrix):
-        return {"op": "matrix",
-                "rows": [[[v.real, v.imag] for v in row] for row in T.rows]}
-    if type(T) in _CATALOG_NAMES:
-        obj = {"op": "catalog", "name": _CATALOG_NAMES[type(T)]}
-        if isinstance(T, (SimpleS, SimpleR)):
-            obj.update(p=T.p, q="inf" if T.q == math.inf else T.q)
-        return obj
-    if isinstance(T, Transpose):
-        return {"op": "transpose", "inner": operator_to_json_obj(T.inner)}
-    raise TypeError("unknown operator %r" % (T,))
-
 
 def operator_from_json_obj(obj) -> OperatorSpec:
     tag = obj["op"]
@@ -329,12 +298,3 @@ def operator_from_json_obj(obj) -> OperatorSpec:
         return catalog_build(obj["name"], **params)
     raise ValueError("unknown operator tag %r" % (tag,))
 
-
-def matrix_to_csv(T: OperatorSpec, N: int) -> str:
-    """Column-major CSV export of the finite section (re and im columns)."""
-    m = truncate_matrix(T, N)
-    lines = ["col,row,re,im"]
-    for j in range(N):
-        for i in range(N):
-            lines.append("%d,%d,%.17g,%.17g" % (j, i, m[i, j].real, m[i, j].imag))
-    return "\n".join(lines) + "\n"

@@ -240,15 +240,20 @@ def rank_one_norm(T: op.RankOne, dom, cod) -> float:
             * sp.norm_eval(cod, T.vector))
 
 
+def require_norming(*spaces) -> None:
+    """Reject the renormed l_2 space: its norming functionals are implicit."""
+    if any(isinstance(space, sp.RenormedL2) for space in spaces):
+        raise NotImplementedError(
+            "no norming functionals for the renormed l_2 space; "
+            "use the convex module's certified bounds instead")
+
+
 def operator_norm(T, dom, cod, N: int, cfg: OpnormConfig = DEFAULT_CFG,
                   starts=()) -> NormReport:
     """Norm of the N-section of T as an operator dom -> cod."""
     if N < 1:
         raise ValueError("N must be positive")
-    if isinstance(dom, sp.RenormedL2) or isinstance(cod, sp.RenormedL2):
-        raise NotImplementedError(
-            "no norming functionals for the renormed l_2 space; "
-            "use the convex module's certified bounds instead")
+    require_norming(dom, cod)
 
     # closed forms that bypass the section matrix
     if isinstance(T, (op.Identity, op.ScalarMul)) and dom == cod:

@@ -10,17 +10,16 @@ minimizer or from a disjointified escaping family.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .coeffs import Coeffs
+from .coeffs import Coeffs, require_finite
 from . import spaces as sp
 from . import operators as op
 from .opnorm import (OpnormConfig, DEFAULT_CFG, matrix_norm, rank_one_norm,
-                     witness_drift)
+                     require_norming, witness_drift)
 
 SINGULAR_COND = 1e14
 LEVEL_BAND = 1e-6       # relative width of the level set |r - 1/eps|
@@ -114,9 +113,6 @@ class PspecGrid:
                       for z, r, c in self.cells()],
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj())
-
 
 def grid_scan(T, space, region, resolution: int, eps: float, N: int,
               cfg: OpnormConfig = DEFAULT_CFG,
@@ -124,6 +120,8 @@ def grid_scan(T, space, region, resolution: int, eps: float, N: int,
     """Classify every cell center of a rectangular complex-plane grid."""
     if resolution < 2:
         raise ValueError("resolution must be at least 2 per axis")
+    require_finite(region, "grid bounds")
+    require_norming(space)
     re0, re1, im0, im1 = region
     res_axis = np.linspace(re0, re1, resolution)
     im_axis = np.linspace(im0, im1, resolution)
@@ -169,21 +167,6 @@ class PerturbationCert:
     norm_A: float
     eps: float
     N: int
-
-    def to_json_obj(self):
-        return {
-            "schema_version": 1,
-            "A": op.operator_to_json_obj(self.A),
-            "z": [self.z.real, self.z.imag],
-            "y": self.y.to_json_obj(),
-            "residual": self.residual,
-            "norm_A": self.norm_A,
-            "eps": self.eps,
-            "N": self.N,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj())
 
 
 def att1_perturbation(T, space, z: complex, eps: float,
@@ -352,19 +335,6 @@ class Sigma0Report:
     level_certified: tuple     # (z, norm_A) pairs
     level_uncertified: tuple   # (z, reason) pairs
     outside_count: int
-
-    def to_json_obj(self):
-        return {
-            "schema_version": 1,
-            "eps": self.eps,
-            "N": self.N,
-            "strict_count": self.strict_count,
-            "outside_count": self.outside_count,
-            "level_certified": [[z.real, z.imag, a]
-                                for z, a in self.level_certified],
-            "level_uncertified": [[z.real, z.imag, r]
-                                  for z, r in self.level_uncertified],
-        }
 
 
 def sigma0_vs_sigma_check(T, space, eps: float, region, resolution: int,

@@ -2,9 +2,9 @@
 
 Space descriptors cover l_p, c_0, l_1, the K (+)_q l_p sum with index 0 as
 the scalar component, finite l_p-direct sums of l_r blocks, and the
-renormed-l_2 space whose norm is a Minkowski functional evaluated by the
-convex solver.  Alongside the norms live the norm-splitting defect and the
-gliding-hump disjointification routine.
+renormed-l_2 space, whose norm (a Minkowski functional) only the convex
+solver evaluates.  Alongside the norms live the norm-splitting defect and
+the gliding-hump disjointification routine.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coeffs import Coeffs
+from .coeffs import Coeffs, require_int
 
 INF = math.inf
 _TINY = float(np.finfo(float).tiny)
@@ -88,7 +88,8 @@ class DirectSumLp:
     def __post_init__(self):
         if not (self.p > 1):
             raise ValueError("DirectSumLp needs p > 1")
-        blocks = tuple((int(s), float(r)) for s, r in self.blocks)
+        blocks = tuple((require_int(s, "block size"), float(r))
+                       for s, r in self.blocks)
         for s, r in blocks:
             if s < 1:
                 raise ValueError("block sizes must be positive")
@@ -113,6 +114,7 @@ class RenormedL2:
     trunc: int = 64
 
     def __post_init__(self):
+        object.__setattr__(self, "trunc", require_int(self.trunc, "trunc"))
         if self.trunc < 1:
             raise ValueError("trunc must be positive")
 
@@ -173,10 +175,7 @@ def norm_array(space: SpaceSpec, arr: np.ndarray) -> float:
             raise ValueError("support exceeds the block partition")
         vals = [_lp_norm(arr[sl], r) for sl, r in space.slices()]
         return _lp_norm(np.array(vals), space.p)
-    if isinstance(space, RenormedL2):
-        from .convex import minkowski_norm
-        return minkowski_norm(Coeffs.from_array(arr), space.trunc)[0]
-    raise TypeError("unknown space %r" % (space,))
+    raise TypeError("no norm evaluation for %r" % (space,))
 
 
 def _sign(v: complex) -> complex:
@@ -341,25 +340,8 @@ def disjointify(xs, eps, space: SpaceSpec = Lp(2.0)) -> DisjointifyResult:
 
 
 # ---------------------------------------------------------------------------
-# JSON descriptors shared with the CLI
+# the --space JSON descriptor
 # ---------------------------------------------------------------------------
-
-def space_to_json_obj(space: SpaceSpec):
-    if isinstance(space, Lp):
-        return {"space": "lp", "p": space.p}
-    if isinstance(space, C0):
-        return {"space": "c0"}
-    if isinstance(space, L1):
-        return {"space": "l1"}
-    if isinstance(space, QSumLp):
-        return {"space": "qsum", "q": space.q, "p": space.p}
-    if isinstance(space, DirectSumLp):
-        return {"space": "dsum", "p": space.p,
-                "blocks": [[s, r] for s, r in space.blocks]}
-    if isinstance(space, RenormedL2):
-        return {"space": "renorm", "trunc": space.trunc}
-    raise TypeError("unknown space %r" % (space,))
-
 
 def space_from_json_obj(obj) -> SpaceSpec:
     tag = obj["space"]
@@ -373,8 +355,7 @@ def space_from_json_obj(obj) -> SpaceSpec:
         q = obj["q"]
         return QSumLp(INF if q in ("inf", None) else float(q), float(obj["p"]))
     if tag == "dsum":
-        return DirectSumLp(float(obj["p"]),
-                           tuple((int(s), float(r)) for s, r in obj["blocks"]))
+        return DirectSumLp(float(obj["p"]), tuple(obj["blocks"]))
     if tag == "renorm":
-        return RenormedL2(trunc=int(obj.get("trunc", 64)))
+        return RenormedL2(obj["trunc"]) if "trunc" in obj else RenormedL2()
     raise ValueError("unknown space tag %r" % (tag,))

@@ -49,6 +49,26 @@ def test_norm_json_format():
     assert obj["decomposition"]["converged"]
 
 
+def test_norm_json_format_lp():
+    code, out = run(["norm", "--space", '{"space":"lp","p":2}',
+                     "--vector", "[[0,3,0],[1,0,4]]", "--format", "json"])
+    assert code == 0
+    assert json.loads(out) == {"schema_version": 1, "value": 5.0}
+
+
+def test_norm_solver_gap_exit_code():
+    # a dense vector whose primal-dual gap stays at rounding level (~1e-15)
+    vector = [[i, v, 0] for i, v in enumerate(
+        (-0.1, 0.6, 0.1, -0.5, 0.4, 1.3, 0.9, -0.7, -1.3, -0.6, 0, -2.3,
+         -0.2, -1.2)) if v]
+    code, out = run(["norm", "--space", '{"space":"renorm"}',
+                     "--vector", json.dumps(vector), "--trunc", "11",
+                     "--tol", "1e-300"])
+    assert code == 2
+    value, gap = out.splitlines()
+    assert float(value) > 0 and gap.startswith("solver gap ")
+
+
 def test_norm_malformed_json_is_usage_error():
     code, _ = run(["norm", "--space", '{"space":"lp","p":2}',
                    "--vector", "not json"])
@@ -80,6 +100,35 @@ def test_norm_renorm_uses_space_trunc(capsys):
 def test_norm_non_finite_entry_is_usage_error(vector, capsys):
     assert_usage_error(["norm", "--space", '{"space":"lp","p":2}',
                         "--vector", vector], capsys)
+
+
+LP2 = '{"space":"lp","p":2}'
+TC0 = '{"op":"catalog","name":"tc0"}'
+
+
+@pytest.mark.parametrize("argv", [
+    ["norm", "--space", LP2, "--vector", "[[1.5,1,0]]"],
+    ["norm", "--space", '{"space":"dsum","p":2,"blocks":[[1.5,2]]}',
+     "--vector", "[[0,1,0]]"],
+    ["norm", "--space", '{"space":"renorm","trunc":2.7}',
+     "--vector", "[[2,1,0]]"],
+    ["norm", "--space", '{"space":"renorm"}', "--vector", "[[2,1,0]]",
+     "--tol", "-1"],
+    ["norm", "--space", '{"space":"renorm"}', "--vector", "[[2,1,0]]",
+     "--tol", "nan"],
+    ["opnorm", "--space", LP2, "--operator", '{"op":"catalog","name":5}'],
+    ["opnorm", "--space", LP2, "--operator", '{"op":"matrix","rows":[]}'],
+    ["pspec", "--space", '{"space":"renorm"}', "--operator", TC0,
+     "--res", "3", "--trunc", "4"],
+    ["pspec", "--space", LP2, "--operator", TC0, "--grid=nan,1,0,1",
+     "--res", "3", "--trunc", "4"],
+    ["pspec", "--space", LP2, "--operator", TC0, "--grid=-1,inf,0,1",
+     "--res", "3", "--trunc", "4"],
+], ids=["index", "block_size", "trunc", "tol_negative", "tol_nan",
+        "catalog_name", "empty_matrix", "pspec_renorm", "grid_nan",
+        "grid_inf"])
+def test_out_of_domain_input_is_usage_error(argv, capsys):
+    assert_usage_error(argv, capsys)
 
 
 # -- opnorm --------------------------------------------------------------------
@@ -163,6 +212,17 @@ def test_pspec_json_schema(tmp_path):
     obj = json.loads(out_file.read_text())
     assert obj["schema_version"] == 1
     assert len(obj["cells"]) == 25
+
+
+def test_pspec_json_stdout_parses():
+    code, out = run(["pspec", "--space", LP2,
+                     "--operator", '{"op":"scalar","re":0}',
+                     "--eps", "1", "--grid=-1,1,-1,1", "--res", "3",
+                     "--trunc", "4", "--format", "json"])
+    assert code == 0
+    grid, summary = out.splitlines()
+    assert len(json.loads(grid)["cells"]) == 9
+    assert summary.startswith("strict=")
 
 
 def test_pspec_deterministic(tmp_path):

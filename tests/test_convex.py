@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from normlab.coeffs import Coeffs
 from normlab.spaces import QSeqParams
 from normlab import convex
+from normlab import operators as op
 
 QSEQ = QSeqParams()
 
@@ -84,6 +85,12 @@ def test_zero_vector():
 def test_support_precondition():
     with pytest.raises(ValueError):
         convex.minkowski_norm(Coeffs.basis(10), 4)
+
+
+@pytest.mark.parametrize("tol", [-1.0, 0.0, math.nan, math.inf])
+def test_tol_must_be_positive_and_finite(tol):
+    with pytest.raises(ValueError, match="tol"):
+        convex.minkowski_norm(Coeffs.basis(2), 4, tol)
 
 
 def test_cone_oracle_cross_check():
@@ -214,7 +221,7 @@ def test_atomic_split_invariants(seed):
 
 def test_su_atom_image():
     u = Coeffs.basis(2) + Coeffs.basis(3)
-    su = convex.sex_apply(u)
+    su = op.apply(convex.SEX, u)
     assert su == Coeffs.basis(1) + Coeffs.basis(2) + Coeffs.basis(3)
     v, _ = convex.minkowski_norm(su, 4)
     assert v == pytest.approx(1.0 / QSEQ.q(1), abs=1e-6)
@@ -224,7 +231,7 @@ def test_su_upper_bound_examples():
     u = Coeffs.basis(2) + Coeffs.basis(3)
     _, d = convex.minkowski_norm(u, 4)
     tight, relaxed = convex.su_upper_bound(u, d)
-    v_su, _ = convex.minkowski_norm(convex.sex_apply(u), 4)
+    v_su, _ = convex.minkowski_norm(op.apply(convex.SEX, u), 4)
     assert v_su <= tight + 1e-6
     assert v_su <= relaxed + 1e-6
     assert relaxed < 2.0
@@ -237,7 +244,7 @@ def test_su_upper_bound_soundness(seed):
     u = random_coeffs(rng)
     _, d = convex.minkowski_norm(u, 8)
     tight, relaxed = convex.su_upper_bound(u, d)
-    v_su, _ = convex.minkowski_norm(convex.sex_apply(u), 8)
+    v_su, _ = convex.minkowski_norm(op.apply(convex.SEX, u), 8)
     assert v_su <= tight + 1e-6
     assert v_su <= relaxed + 1e-6
 
@@ -251,5 +258,3 @@ def test_sex_norm_bounds_report():
         assert b < 2.0
     assert report.min_gap > 0
     assert not report.failures
-    obj = report.to_json_obj()
-    assert obj["schema_version"] == 1

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -197,18 +198,49 @@ def test_compose_right_to_left():
     assert op.apply(T, Coeffs.basis(0)) == Coeffs({1: 2.0})
 
 
-@pytest.mark.parametrize("T", SAMPLE_OPS + [op.dual_operator(op.Tc0())],
-                         ids=lambda t: type(t).__name__)
-def test_operator_json_round_trip(T):
-    back = op.operator_from_json_obj(op.operator_to_json_obj(T))
-    N = 12
-    assert np.allclose(op.truncate_matrix(back, N),
-                       op.truncate_matrix(T, N), atol=0)
+# literal --operator JSON of SAMPLE_OPS and of the dual of Tc0, in order
+SAMPLE_JSON = [
+    '{"op":"identity"}',
+    '{"op":"scalar","re":1.5,"im":-0.5}',
+    '{"op":"diagonal","rule":"one_minus_2pow"}',
+    '{"op":"diagonal","rule":"explicit","values":[[1,0],[2,0],[0,3]]}',
+    '{"op":"rank_one","functional":[[1,1,0]],"vector":[[0,1,0]]}',
+    '{"op":"sum","terms":[{"op":"identity"},{"op":"scalar","re":2}]}',
+    '{"op":"compose","factors":[{"op":"diagonal","rule":"one_minus_2pow"},'
+    '{"op":"catalog","name":"simple_s","p":2,"q":4}]}',
+    '{"op":"matrix","rows":[[[1,0],[2,0]],[[3,0],[4,0]]]}',
+    '{"op":"catalog","name":"simple_s","p":2,"q":4}',
+    '{"op":"catalog","name":"simple_r","p":2,"q":4}',
+    '{"op":"catalog","name":"tc0"}',
+    '{"op":"catalog","name":"tl1"}',
+    '{"op":"transpose","inner":{"op":"catalog","name":"tc0"}}',
+]
 
 
-def test_matrix_csv_export():
-    text = op.matrix_to_csv(op.Identity(), 2)
-    lines = text.strip().split("\n")
-    assert lines[0] == "col,row,re,im"
-    assert len(lines) == 5
-    assert lines[1].startswith("0,0,1")
+@pytest.mark.parametrize(
+    "T, text", zip(SAMPLE_OPS + [op.dual_operator(op.Tc0())], SAMPLE_JSON),
+    ids=[type(t).__name__ for t in SAMPLE_OPS] + ["Transpose"])
+def test_operator_json_round_trip(T, text):
+    """Every --operator tag, written as literal JSON, parses to T."""
+    back = op.operator_from_json_obj(json.loads(text))
+    assert back == T
+    assert np.array_equal(op.truncate_matrix(back, 12),
+                          op.truncate_matrix(T, 12))
+
+
+@pytest.mark.parametrize("text, T", [
+    ('{"op":"catalog","name":"sex"}',
+     op.Sum((op.Identity(), op.RankOne(Coeffs.basis(2), Coeffs.basis(1))))),
+    ('{"op":"catalog","name":"diag_d"}', op.Diagonal("one_minus_2pow")),
+    ('{"op":"catalog","name":"simple_s","p":2,"q":"inf"}',
+     op.SimpleS(2.0, math.inf)),
+    ('{"op":"diagonal","rule":"one_plus_inv"}', op.Diagonal("one_plus_inv")),
+])
+def test_catalog_json_names(text, T):
+    assert op.operator_from_json_obj(json.loads(text)) == T
+
+
+@pytest.mark.parametrize("rows", [(), ((1.0, 2.0), (3.0,))])
+def test_matrix_rows_must_match(rows):
+    with pytest.raises(ValueError, match="rows"):
+        op.Matrix(rows)

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from normlab.coeffs import Coeffs
+from normlab import convex
 from normlab import spaces as sp
 
 INF = math.inf
@@ -35,13 +37,14 @@ def test_coeffs_pruning_and_support():
 
 def test_coeffs_json_round_trip():
     x = Coeffs({0: 1 + 2j, 7: -0.5})
-    assert Coeffs.from_json(x.to_json()) == x
+    assert Coeffs.from_json_obj([[0, 1, 2], [7.0, -0.5, 0]]) == x
+    assert Coeffs.from_json_obj(x.to_json_obj()) == x
 
 
-def test_require_real():
-    Coeffs({1: 2.0}).require_real()
-    with pytest.raises(ValueError):
-        Coeffs({1: 1j}).require_real()
+@pytest.mark.parametrize("obj", [[[1.5, 1, 0]], [["1", 1, 0]]])
+def test_coeffs_non_integral_index_rejected(obj):
+    with pytest.raises(ValueError, match="index must be an integer"):
+        Coeffs.from_json_obj(obj)
 
 
 # -- norm values -------------------------------------------------------------
@@ -204,32 +207,53 @@ def test_disjointify_constant_sequence_fails():
 @settings(max_examples=15, deadline=None)
 @given(x=coeffs_strategy(max_index=8, max_mag=2.0))
 def test_renormed_equivalence_bounds(x):
-    space = sp.RenormedL2(trunc=12)
     l2 = sp.norm_eval(sp.Lp(2), x)
-    v = sp.norm_eval(space, x)
+    v, _ = convex.minkowski_norm(x, 12)
     assert v >= 2.0 ** -0.5 * l2 - 1e-6
     assert v <= 2.0 * l2 + 1e-6
 
 
 def test_renormed_coincides_off_first_coords():
-    space = sp.RenormedL2(trunc=12)
     u = Coeffs({4: 0.3, 5: 0.4, 0: 0.1})
     l2 = sp.norm_eval(sp.Lp(2), u)
-    assert sp.norm_eval(space, u) == pytest.approx(l2, abs=1e-6)
-    assert sp.norm_eval(space, Coeffs.basis(2) + Coeffs.basis(3)) == \
-        pytest.approx(1.0, abs=1e-6)
+    assert convex.minkowski_norm(u, 12)[0] == pytest.approx(l2, abs=1e-6)
+    assert convex.minkowski_norm(Coeffs.basis(2) + Coeffs.basis(3), 12)[0] \
+        == pytest.approx(1.0, abs=1e-6)
+
+
+def test_renormed_norm_only_in_convex():
+    with pytest.raises(TypeError):
+        sp.norm_eval(sp.RenormedL2(), Coeffs.basis(2))
 
 
 # -- serialization --------------------------------------------------------------
 
+SPACE_JSON = [
+    ('{"space":"lp","p":3}', sp.Lp(3.0)),
+    ('{"space":"c0"}', sp.C0()),
+    ('{"space":"l1"}', sp.L1()),
+    ('{"space":"qsum","q":4,"p":2}', sp.QSumLp(4.0, 2.0)),
+    ('{"space":"qsum","q":"inf","p":2}', sp.QSumLp(INF, 2.0)),
+    ('{"space":"dsum","p":2,"blocks":[[2,1],[3,2],[2,"inf"]]}',
+     sp.DirectSumLp(2.0, ((2, 1.0), (3, 2.0), (2, INF)))),
+    ('{"space":"renorm"}', sp.RenormedL2(64)),
+    ('{"space":"renorm","trunc":16}', sp.RenormedL2(16)),
+]
+
+
 def test_space_json_round_trip():
-    for space in EXACT_SPACES + [sp.RenormedL2(trunc=16)]:
-        obj = sp.space_to_json_obj(space)
-        back = sp.space_from_json_obj(obj)
-        if isinstance(space, sp.RenormedL2):
-            assert back.trunc == space.trunc
-        else:
-            assert back == space
+    """Every --space tag, written as literal JSON, parses to its space."""
+    for text, space in SPACE_JSON:
+        assert sp.space_from_json_obj(json.loads(text)) == space
+
+
+@pytest.mark.parametrize("text", [
+    '{"space":"dsum","p":2,"blocks":[[1.5,2]]}',
+    '{"space":"renorm","trunc":2.7}',
+])
+def test_space_non_integral_size_rejected(text):
+    with pytest.raises(ValueError, match="must be an integer"):
+        sp.space_from_json_obj(json.loads(text))
 
 
 def test_qseq_rule():
