@@ -77,8 +77,10 @@ def _emit(args, text: str, stdout) -> None:
 def cmd_norm(args, stdout) -> int:
     space, vector = _load(args, "space", "vector")
     if isinstance(space, sp.RenormedL2):
-        trunc = args.trunc if args.trunc else space.trunc
-        value, d = convex.minkowski_norm(vector, trunc, args.tol)
+        if args.trunc is not None:
+            space = sp.RenormedL2(args.trunc)
+        tol = convex.TOL if args.tol is None else args.tol
+        value, d = convex.minkowski_norm(vector, space.trunc, tol)
         payload = {"schema_version": SCHEMA_VERSION, "value": value,
                    "decomposition": d.to_json_obj()}
         if args.format == "json":
@@ -89,6 +91,8 @@ def cmd_norm(args, stdout) -> int:
             stdout.write("solver gap %.3g above tolerance\n" % d.gap)
             return EXIT_SOLVER_GAP
         return EXIT_OK
+    if args.trunc is not None or args.tol is not None:
+        raise UsageError("--trunc and --tol apply only to the renormed space")
     value = sp.norm_eval(space, vector)
     if args.format == "json":
         _emit(args, json.dumps({"schema_version": SCHEMA_VERSION,
@@ -123,12 +127,10 @@ def cmd_pspec(args, stdout) -> int:
     text = (json.dumps(grid.to_json_obj(), sort_keys=True)
             if args.format == "json" else grid.to_csv())
     _emit(args, text, stdout)
-    counts = {"strict": 0, "level": 0, "outside": 0}
-    for _, _, c in grid.cells():
-        counts[c] += 1
+    classes = grid.classes
     stdout.write("strict=%d level=%d outside=%d radius=%.6f\n"
-                 % (counts["strict"], counts["level"], counts["outside"],
-                    ps.strict_radius(grid)))
+                 % (classes.count("strict"), classes.count("level"),
+                    classes.count("outside"), ps.strict_radius(grid)))
     return EXIT_OK
 
 
@@ -165,7 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
     pn.add_argument("--vector", help="coefficient JSON [[i,re,im],…]")
     pn.add_argument("--trunc", type=int,
                     help="renormed-space truncation (default: the space's)")
-    pn.add_argument("--tol", type=float, default=1e-8)
+    pn.add_argument("--tol", type=float, help="renormed-space gap target")
     for p in (po, pp):
         p.add_argument("--operator", help="operator spec JSON")
         p.add_argument("--trunc", type=int, default=30)

@@ -30,11 +30,6 @@ CASE_TOL = 1e-4         # minimizer Cauchy tolerance for the "fixed" case
 # resolvent norms and point classification
 # ---------------------------------------------------------------------------
 
-def _resolvent_section(T, z: complex, N: int) -> np.ndarray:
-    M = op.truncate_matrix(T, N)
-    return M - complex(z) * np.eye(N, dtype=complex)
-
-
 def _inverse_norm(A: np.ndarray, space,
                   cfg: OpnormConfig = DEFAULT_CFG) -> tuple:
     """(||A^{-1}||, witness, A^{-1}); (inf, None, None) when A is singular."""
@@ -45,10 +40,16 @@ def _inverse_norm(A: np.ndarray, space,
     return val, w, inv
 
 
-def resolvent_norm(T, space, z: complex, N: int,
+def resolvent_norm(M: np.ndarray, space, z: complex,
                    cfg: OpnormConfig = DEFAULT_CFG) -> float:
-    """||(T_N - zI)^{-1}|| as a subordinate norm; +inf when singular."""
-    return _inverse_norm(_resolvent_section(T, z, N), space, cfg)[0]
+    """||(M - zI)^{-1}|| as a subordinate norm; +inf when singular."""
+    return _inverse_norm(M - complex(z) * np.eye(len(M), dtype=complex),
+                         space, cfg)[0]
+
+
+def _require_eps(eps: float) -> None:
+    if not eps > 0:
+        raise ValueError("eps must be positive")
 
 
 def _classify(r: float, eps: float, band: float) -> str:
@@ -57,8 +58,7 @@ def _classify(r: float, eps: float, band: float) -> str:
     The level band is relative (exact equality is measure zero in floating
     point) and is checked before the strict comparison.
     """
-    if not eps > 0:
-        raise ValueError("eps must be positive")
+    _require_eps(eps)
     thr = 1.0 / eps
     if r == math.inf:
         return "strict"
@@ -69,7 +69,8 @@ def _classify(r: float, eps: float, band: float) -> str:
 
 def classify_point(T, space, z: complex, eps: float, N: int) -> str:
     """strict | level | outside for the eps-pseudospectrum on the N-section."""
-    return _classify(resolvent_norm(T, space, z, N), eps, LEVEL_BAND)
+    return _classify(resolvent_norm(op.truncate_matrix(T, N), space, z),
+                     eps, LEVEL_BAND)
 
 
 # ---------------------------------------------------------------------------
@@ -85,14 +86,17 @@ class PspecGrid:
     res: tuple             # re axis values
     ims: tuple             # im axis values
     resnorms: tuple        # row-major, rows = fixed im starting at im_min
-    classes: tuple         # same layout, tags strict | level | outside
+    band: float            # relative width of the level set
+
+    @property
+    def classes(self) -> tuple:
+        """Tags strict | level | outside, in the layout of resnorms."""
+        return tuple(_classify(r, self.eps, self.band)
+                     for r in self.resnorms)
 
     def cells(self):
-        k = 0
-        for im in self.ims:
-            for re in self.res:
-                yield complex(re, im), self.resnorms[k], self.classes[k]
-                k += 1
+        points = (complex(re, im) for im in self.ims for re in self.res)
+        return zip(points, self.resnorms, self.classes)
 
     def to_csv(self) -> str:
         lines = ["re,im,resnorm,class"]
@@ -117,7 +121,7 @@ class PspecGrid:
 def grid_scan(T, space, region, resolution: int, eps: float, N: int,
               cfg: OpnormConfig = DEFAULT_CFG,
               band: float = LEVEL_BAND) -> PspecGrid:
-    """Classify every cell center of a rectangular complex-plane grid."""
+    """Resolvent norms of the N-section at the cell centers of a grid."""
     if resolution < 2:
         raise ValueError("resolution must be at least 2 per axis")
     require_finite(region, "grid bounds")
@@ -125,16 +129,12 @@ def grid_scan(T, space, region, resolution: int, eps: float, N: int,
     re0, re1, im0, im1 = region
     res_axis = np.linspace(re0, re1, resolution)
     im_axis = np.linspace(im0, im1, resolution)
-    resnorms = []
-    classes = []
-    for im in im_axis:
-        for re in res_axis:
-            r = resolvent_norm(T, space, complex(re, im), N, cfg)
-            resnorms.append(r)
-            classes.append(_classify(r, eps, band))
+    M = op.truncate_matrix(T, N)
+    _require_eps(eps)
+    resnorms = tuple(resolvent_norm(M, space, complex(re, im), cfg)
+                     for im in im_axis for re in res_axis)
     return PspecGrid(tuple(region), resolution, eps, N,
-                     tuple(res_axis), tuple(im_axis),
-                     tuple(resnorms), tuple(classes))
+                     tuple(res_axis), tuple(im_axis), resnorms, band)
 
 
 def strict_radius(grid: PspecGrid) -> float:
@@ -177,7 +177,9 @@ def att1_perturbation(T, space, z: complex, eps: float,
     resolvent image and f a norming functional of y, the perturbation
     A u = -c^{-1} f(u) x satisfies (T+A)y = zy exactly.
     """
-    A = _resolvent_section(T, z, N)
+    # one section wide enough to hold Ty: its leading N-block is T_N
+    Tw = op.truncate_matrix(T, N + 8)
+    A = Tw[:N, :N] - complex(z) * np.eye(N, dtype=complex)
     c, x, _ = _inverse_norm(A, space)
     if c == math.inf:
         # z is an eigenvalue of the section already; A = 0 certifies it
@@ -198,13 +200,10 @@ def att1_perturbation(T, space, z: complex, eps: float,
     f = sp.norming_functional_array(space, y)
     pert = op.RankOne(Coeffs.from_array(f),
                       Coeffs.from_array(-x / c))
-    # residual of (T + A)y = zy, evaluated on a section wide enough to hold Ty
-    wide = N + 8
-    yw = np.zeros(wide, dtype=complex)
-    yw[:N] = y
-    Tw = op.truncate_matrix(T, wide)
+    # residual of (T + A)y = zy on the wide section
+    yw = np.pad(y, (0, 8))
     fy = np.dot(f, y)
-    img = Tw @ yw - (fy / c) * np.pad(x, (0, wide - N)) - complex(z) * yw
+    img = Tw @ yw - (fy / c) * np.pad(x, (0, 8)) - complex(z) * yw
     resid = sp.norm_array(space, img)
     return PerturbationCert(pert, complex(z), Coeffs.from_array(y),
                             float(resid),
@@ -222,8 +221,9 @@ def verify_cert(T, space, cert: PerturbationCert) -> dict:
     elif isinstance(cert.A, op.ScalarMul):
         norm_A = abs(cert.A.lam)
     else:
-        norm_A, _, _ = matrix_norm(op.truncate_matrix(cert.A, wide),
-                                   space, space)
+        # a section norm of a general A is only a lower bound on ||A||
+        raise TypeError("no certified norm for a %s perturbation"
+                        % type(cert.A).__name__)
     ok = resid < 1e-10 and norm_A <= cert.eps + 1e-10
     return {"ok": bool(ok), "residual": float(resid), "norm_A": float(norm_A)}
 
@@ -245,16 +245,6 @@ class Lp111Result:
         return self.S is not None
 
 
-def _min_norm_witness(T, space, N: int):
-    """(c_N, unit minimizer of ||T_N x||) from the resolvent at z = 0."""
-    val, x, inv = _inverse_norm(op.truncate_matrix(T, N), space)
-    if inv is None or val <= 0:
-        return 0.0, None
-    u = inv @ x
-    u = u / sp.norm_array(space, u)
-    return 1.0 / val, u
-
-
 def lp111_perturbation(T, space, N: int) -> Lp111Result:
     """Perturbation S with ||S|| = c = inf_{||x||=1} ||T_N x|| and
     inf ||(T+S)x|| ~ 0 on the truncation.
@@ -264,24 +254,27 @@ def lp111_perturbation(T, space, N: int) -> Lp111Result:
     beyond N/2) give the block construction over a disjointified family.
     """
     Ns = sorted({max(2, N // 8), max(3, N // 4), max(4, N // 2), N})
+    # every section below is a leading block of this one
+    Tw = op.truncate_matrix(T, Ns[-1] + 8)
     trace = []
     minimizers = []
     for n in Ns:
-        c_n, u_n = _min_norm_witness(T, space, n)
-        if u_n is None:
+        # c_n and a unit minimizer of ||T_n x|| from the resolvent at z = 0
+        val, x, inv = _inverse_norm(Tw[:n, :n], space)
+        if inv is None or val <= 0:
             return Lp111Result("inconclusive", None, 0.0, None, tuple(trace))
-        trace.append((n, c_n))
-        minimizers.append(u_n)
+        u = inv @ x
+        trace.append((n, 1.0 / val))
+        minimizers.append(u / sp.norm_array(space, u))
     c = trace[-1][1]
     witnesses, dists, centroids = witness_drift(minimizers, space)
 
     if all(d < CASE_TOL for d in dists[-2:]):
         xhat = witnesses[-1]
         phi = sp.norming_functional_array(space, xhat)
-        Tx = op.truncate_matrix(T, len(xhat) + 8) @ np.pad(
-            xhat, (0, 8))
+        Tx = Tw @ np.pad(xhat, (0, 8))
         S = op.RankOne(Coeffs.from_array(phi), Coeffs.from_array(-Tx))
-        new_inf = _perturbed_value(T, S, space, xhat)
+        new_inf = _perturbed_value(Tw, S, space, xhat)
         return Lp111Result("fixed", S, c, new_inf, tuple(trace))
 
     if all(cn >= 0.5 * n for cn, n in zip(centroids[-2:], Ns[-2:])):
@@ -310,16 +303,17 @@ def lp111_perturbation(T, space, N: int) -> Lp111Result:
             terms.append(op.RankOne(phi, (-c_used / cm) * v))
         S = op.Sum(tuple(terms))
         k = int(np.argmin(cms))
-        new_inf = _perturbed_value(T, S, space,
+        new_inf = _perturbed_value(Tw, S, space,
                                    blocks[k][0].to_array())
         return Lp111Result("escaping", S, c_used, new_inf, tuple(trace))
 
     return Lp111Result("inconclusive", None, c, None, tuple(trace))
 
 
-def _perturbed_value(T, S, space, x: np.ndarray) -> float:
+def _perturbed_value(Tw: np.ndarray, S, space, x: np.ndarray) -> float:
+    """||(T + S)x|| on the leading len(x)+8 block of T's section Tw."""
     wide = len(x) + 8
-    M = op.truncate_matrix(T, wide) + op.truncate_matrix(S, wide)
+    M = Tw[:wide, :wide] + op.truncate_matrix(S, wide)
     return float(sp.norm_array(space, M @ np.pad(x, (0, wide - len(x)))))
 
 

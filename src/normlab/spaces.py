@@ -86,8 +86,8 @@ class DirectSumLp:
     blocks: tuple  # of (size, r) pairs
 
     def __post_init__(self):
-        if not (self.p > 1):
-            raise ValueError("DirectSumLp needs p > 1")
+        if not (self.p >= 1):
+            raise ValueError("DirectSumLp needs p >= 1")
         blocks = tuple((require_int(s, "block size"), float(r))
                        for s, r in self.blocks)
         for s, r in blocks:

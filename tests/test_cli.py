@@ -4,6 +4,7 @@ import json
 import pytest
 
 from normlab import cli
+from normlab import convex
 from normlab import verify
 
 
@@ -116,6 +117,12 @@ TC0 = '{"op":"catalog","name":"tc0"}'
      "--tol", "-1"],
     ["norm", "--space", '{"space":"renorm"}', "--vector", "[[2,1,0]]",
      "--tol", "nan"],
+    ["norm", "--space", LP2, "--vector", "[[0,1,0]]", "--tol", "-1"],
+    ["norm", "--space", LP2, "--vector", "[[0,1,0]]", "--trunc", "8"],
+    ["norm", "--space", '{"space":"renorm"}', "--vector", "[[2,1,0]]",
+     "--trunc", "0"],
+    ["norm", "--space", '{"space":"renorm"}', "--vector", "[[0,1,0]]",
+     "--trunc", "-1"],
     ["opnorm", "--space", LP2, "--operator", '{"op":"catalog","name":5}'],
     ["opnorm", "--space", LP2, "--operator", '{"op":"matrix","rows":[]}'],
     ["pspec", "--space", '{"space":"renorm"}', "--operator", TC0,
@@ -125,10 +132,27 @@ TC0 = '{"op":"catalog","name":"tc0"}'
     ["pspec", "--space", LP2, "--operator", TC0, "--grid=-1,inf,0,1",
      "--res", "3", "--trunc", "4"],
 ], ids=["index", "block_size", "trunc", "tol_negative", "tol_nan",
-        "catalog_name", "empty_matrix", "pspec_renorm", "grid_nan",
-        "grid_inf"])
+        "tol_on_lp", "trunc_on_lp", "renorm_trunc_zero",
+        "renorm_trunc_negative", "catalog_name", "empty_matrix",
+        "pspec_renorm", "grid_nan", "grid_inf"])
 def test_out_of_domain_input_is_usage_error(argv, capsys):
     assert_usage_error(argv, capsys)
+
+
+def test_norm_default_tol_is_the_solver_default(monkeypatch):
+    # the CLI reads the default where the solver defines it
+    tols = []
+    real = convex.minkowski_norm
+
+    def recording(u, N, tol):
+        tols.append(tol)
+        return real(u, N, tol)
+
+    monkeypatch.setattr(convex, "minkowski_norm", recording)
+    monkeypatch.setattr(convex, "TOL", 1e-7)
+    code, _ = run(["norm", "--space", '{"space":"renorm","trunc":8}',
+                   "--vector", "[[2,1,0],[3,1,0]]"])
+    assert code == 0 and tols == [1e-7]
 
 
 # -- opnorm --------------------------------------------------------------------
@@ -141,6 +165,18 @@ def test_opnorm_simple_s():
     assert code == 0
     assert out.startswith("1.1344141612")
     assert "method=reduction_f" in out
+
+
+def test_opnorm_dsum_inf():
+    # the operator lives in the first l_2 block as [[1,2],[0,1]], whose
+    # l_2 norm is 1 + sqrt(2); the dual space is the l_1 sum of the blocks
+    code, out = run(["opnorm", "--space",
+                     '{"space":"dsum","p":"inf","blocks":[[2,2],[2,3]]}',
+                     "--operator",
+                     '{"op":"matrix","rows":[[[1,0],[2,0]],[[0,0],[1,0]]]}',
+                     "--trunc", "4"])
+    assert code == 0
+    assert out.startswith("2.4142135624 ")
 
 
 def test_opnorm_json():

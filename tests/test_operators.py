@@ -95,6 +95,18 @@ def test_truncate_identity():
     assert np.array_equal(op.truncate_matrix(op.Identity(), 3), np.eye(3))
 
 
+@pytest.mark.parametrize(
+    "T", SAMPLE_OPS + [op.Transpose(op.Tl1()),
+                       op.Compose((op.Tc0(), op.Diagonal("one_plus_inv")))],
+    ids=lambda t: type(t).__name__)
+def test_section_is_leading_block_of_wider_section(T):
+    # callers slice smaller sections out of one wide one, so this is bitwise
+    wide = op.truncate_matrix(T, 24)
+    for n in (1, 2, 5, 16, 24):
+        block = np.ascontiguousarray(wide[:n, :n])
+        assert op.truncate_matrix(T, n).tobytes() == block.tobytes()
+
+
 def test_truncate_tc0():
     M = op.truncate_matrix(op.Tc0(), 3)
     expect = np.zeros((3, 3), dtype=complex)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -8,6 +9,7 @@ from normlab import spaces as sp
 from normlab import operators as op
 from normlab import opnorm
 from normlab import pseudospectrum as ps
+from normlab import verify
 
 INF = math.inf
 ZERO = op.ScalarMul(0.0)
@@ -16,30 +18,30 @@ ZERO = op.ScalarMul(0.0)
 # -- resolvent norms -----------------------------------------------------------
 
 def test_zero_operator_resolvent():
-    assert ps.resolvent_norm(ZERO, sp.Lp(2), 2.0, 8) == \
+    assert ps.resolvent_norm(op.truncate_matrix(ZERO, 8), sp.Lp(2), 2.0) == \
         pytest.approx(0.5, abs=1e-12)
 
 
 def test_singular_section_is_infinite():
     D = op.Diagonal("explicit", (1.0, 2.0))
-    assert ps.resolvent_norm(D, sp.Lp(2), 1.0, 2) == INF
+    assert ps.resolvent_norm(op.truncate_matrix(D, 2), sp.Lp(2), 1.0) == INF
 
 
 def test_tc0_resolvent_law():
     for z in (-1.0, 2.0, 0.5 + 1.0j):
-        val = ps.resolvent_norm(op.Tc0(), sp.C0(), z, 30)
+        val = ps.resolvent_norm(op.truncate_matrix(op.Tc0(), 30), sp.C0(), z)
         assert val == pytest.approx(ps.rank_one_resolvent_law(z), rel=1e-4)
 
 
 def test_tl1_resolvent_law():
-    val = ps.resolvent_norm(op.Tl1(), sp.L1(), 3.0, 30)
+    val = ps.resolvent_norm(op.truncate_matrix(op.Tl1(), 30), sp.L1(), 3.0)
     assert val == pytest.approx(4.0 / 9.0, rel=1e-4)
 
 
 def test_truncated_tc0_resolvent_exact_section_value():
     # on the N-section the law picks up the finite tail sum 1 - 2^{1-N}
     N, z = 12, -1.0
-    val = ps.resolvent_norm(op.Tc0(), sp.C0(), z, N)
+    val = ps.resolvent_norm(op.truncate_matrix(op.Tc0(), N), sp.C0(), z)
     expected = 1.0 + (1.0 - 2.0 ** (1 - N))
     assert val == pytest.approx(expected, abs=1e-12)
 
@@ -109,12 +111,70 @@ def test_grid_rejects_renormed_space():
         ps.grid_scan(ZERO, sp.RenormedL2(), (-1, 1, -1, 1), 3, 1.0, 4)
 
 
+@pytest.mark.parametrize("eps", [0.0, -1.0, math.nan])
+def test_grid_rejects_bad_eps_before_scan(eps, monkeypatch):
+    def no_scan(*args, **kwargs):
+        raise AssertionError("scanned the grid")
+
+    monkeypatch.setattr(ps, "resolvent_norm", no_scan)
+    with pytest.raises(ValueError, match="^eps must be positive$"):
+        ps.grid_scan(ZERO, sp.Lp(2), (-1, 1, -1, 1), 3, eps, 4)
+
+
+@pytest.mark.parametrize("band", [ps.LEVEL_BAND, 1e-3])
+def test_grid_reread_at_other_eps_matches_fresh_scan(band):
+    # ZERO has resolvent norm 1/|z|, so the cells at |z| = eps are level
+    args = (ZERO, sp.Lp(2), (-2, 2, -2, 2), 9)
+    grid = ps.grid_scan(*args, 0.1, 4, band=band)
+    for eps in (0.5, 1.0):
+        fresh = ps.grid_scan(*args, eps, 4, band=band)
+        reread = dataclasses.replace(grid, eps=eps)
+        assert reread.resnorms == fresh.resnorms
+        assert reread.classes == fresh.classes
+        assert "level" in reread.classes and "strict" in reread.classes
+
+
+def counted_sections(monkeypatch) -> list:
+    """Record (T, N) of every truncate_matrix call from now on."""
+    seen = []
+    real = op.truncate_matrix
+
+    def counting(T, N):
+        seen.append((T, N))
+        return real(T, N)
+
+    monkeypatch.setattr(op, "truncate_matrix", counting)
+    return seen
+
+
+def test_grid_scan_builds_one_section(monkeypatch):
+    seen = counted_sections(monkeypatch)
+    ps.grid_scan(op.Tc0(), sp.C0(), (-2, 2, -2, 2), 5, 0.5, 12)
+    assert seen == [(op.Tc0(), 12)]
+
+
+def test_ac4_scans_one_grid(monkeypatch):
+    # a coarse grid keeps the count cheap; the radii are not checked here
+    monkeypatch.setattr(verify, "AC4_RESOLUTION", 7)
+    calls = []
+    real = ps.grid_scan
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(ps, "grid_scan", counting)
+    rows = verify.check_ac4().details["rows"]
+    assert len(calls) == 1
+    assert [r["eps"] for r in rows] == [0.1, 0.5, 1.0]
+
+
 def test_diag_d_grid_spot_checks():
     D = op.catalog_build("diag_d")
     grid = ps.grid_scan(D, sp.Lp(2), (0, 1.2, -0.3, 0.3), 13, 0.1, 12)
     cells = list(grid.cells())
     for z, r, cls in cells[::17]:
-        direct = ps.resolvent_norm(D, sp.Lp(2), z, 12)
+        direct = ps.resolvent_norm(op.truncate_matrix(D, 12), sp.Lp(2), z)
         if direct == INF:
             assert r == INF
         else:
@@ -140,6 +200,20 @@ def test_att1_tc0():
     assert cert.residual < 1e-10
     assert cert.norm_A <= 0.51 + 1e-10
     assert ps.verify_cert(op.Tc0(), sp.C0(), cert)["ok"]
+
+
+def test_att1_builds_one_section_of_t(monkeypatch):
+    seen = counted_sections(monkeypatch)
+    ps.att1_perturbation(op.Tc0(), sp.C0(), -1.0, 0.51, 20)
+    assert seen == [(op.Tc0(), 28)]
+
+
+def test_verify_cert_rejects_uncertifiable_perturbation():
+    # a section norm of a Matrix A only bounds ||A|| from below on l_3
+    cert = ps.PerturbationCert(op.Matrix(((0.1, 0.0), (0.0, 0.0))), 0.0,
+                               Coeffs.basis(1), 0.0, 0.1, 0.5, 2)
+    with pytest.raises(TypeError):
+        ps.verify_cert(ZERO, sp.Lp(3.0), cert)
 
 
 def test_att1_eps_too_small_rejected():
@@ -195,6 +269,15 @@ def test_lp111_escaping_diagonal():
     # trace of bottom-of-sphere values decreases toward the infimum 1
     values = [v for _, v in res.trace]
     assert values == sorted(values, reverse=True)
+
+
+@pytest.mark.parametrize("T, N", [(op.ScalarMul(2.0), 16),
+                                  (op.Diagonal("one_plus_inv"), 32)],
+                         ids=["fixed", "escaping"])
+def test_lp111_builds_one_section_of_t(T, N, monkeypatch):
+    seen = counted_sections(monkeypatch)
+    ps.lp111_perturbation(T, sp.Lp(2.0), N)
+    assert [s for s in seen if s[0] == T] == [(T, N + 8)]
 
 
 # -- strict vs closure ---------------------------------------------------------

@@ -16,6 +16,7 @@ EXACT_SPACES = [
     sp.C0(), sp.L1(),
     sp.QSumLp(4.0, 2.0), sp.QSumLp(1.0, 2.0), sp.QSumLp(INF, 2.0),
     sp.DirectSumLp(2.0, ((2, 1.0), (3, 2.0), (2, INF))),
+    sp.DirectSumLp(INF, ((2, 1.0), (3, 2.0), (2, INF))),
 ]
 
 
