@@ -105,7 +105,7 @@ def cmd_norm(args, stdout) -> int:
 def cmd_opnorm(args, stdout) -> int:
     space, operator = _load(args, "space", "operator")
     cfgo = opnorm.OpnormConfig(seed=args.seed)
-    report = opnorm.operator_norm(operator, space, space, args.trunc, cfgo)
+    report = opnorm.operator_norm(operator, space, args.trunc, cfgo)
     if args.format == "json":
         payload = {"schema_version": SCHEMA_VERSION}
         payload.update(report.to_json_obj())

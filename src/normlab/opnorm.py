@@ -1,10 +1,11 @@
-"""Operator norms on finite sections with attainment diagnostics.
+"""Norms of finite sections of operators on one space, with attainment
+diagnostics.
 
-Exact reductions are used where available (l_1 domain: column maxima,
-sup-norm codomain: row functionals, l_2 -> l_2: SVD, diagonal and rank-one
-operators: closed forms, swap-plus-shrink on the K (+)_q l_p sum: a
-three-variable reduction).  Everything else falls back to a generalized
-power iteration with restarts, which certifies a lower bound only.
+Exact reductions are used where available (l_1: column sums, c_0 and
+l_inf: row sums, l_2: SVD, diagonal and rank-one operators: closed forms,
+swap-plus-shrink on the K (+)_q l_p sum: a three-variable reduction).
+Everything else falls back to a generalized power iteration with
+restarts, which certifies a lower bound only.
 """
 
 from __future__ import annotations
@@ -161,10 +162,10 @@ def max_f_over_K(p: float, q: float) -> tuple:
 # matrix norms with exact reductions and power iteration
 # ---------------------------------------------------------------------------
 
-def _power_iteration(M, dom, cod, cfg: OpnormConfig, starts=()):
+def _power_iteration(M, space, cfg: OpnormConfig, starts=()):
     n = M.shape[1]
     Mt = M.T
-    dom_dual = sp.dual_space(dom)
+    dual = sp.dual_space(space)
     rng = np.random.default_rng(cfg.seed)
     real_only = np.isrealobj(M) or not np.any(M.imag)
 
@@ -179,14 +180,14 @@ def _power_iteration(M, dom, cod, cfg: OpnormConfig, starts=()):
 
     best_val, best_x = 0.0, np.zeros(n, dtype=complex)
     for x in init:
-        nx = sp.norm_array(dom, x)
+        nx = sp.norm_array(space, x)
         if nx == 0:
             continue
         x = x / nx
         prev = -1.0
         for _ in range(MAX_ITER):
             y = M @ x
-            val = sp.norm_array(cod, y)
+            val = sp.norm_array(space, y)
             if val <= 0:
                 break
             if val > best_val:
@@ -194,37 +195,34 @@ def _power_iteration(M, dom, cod, cfg: OpnormConfig, starts=()):
             if abs(val - prev) <= TOL * max(1.0, val):
                 break
             prev = val
-            g = sp.norming_functional_array(cod, y)
+            g = sp.norming_functional_array(space, y)
             h = Mt @ g
-            x_new = sp.norming_functional_array(dom_dual, h)
-            nx = sp.norm_array(dom, x_new)
+            x_new = sp.norming_functional_array(dual, h)
+            nx = sp.norm_array(space, x_new)
             if nx == 0:
                 break
             x = x_new / nx
     return best_val, best_x
 
 
-def matrix_norm(M: np.ndarray, dom, cod, cfg: OpnormConfig = DEFAULT_CFG,
+def matrix_norm(M: np.ndarray, space, cfg: OpnormConfig = DEFAULT_CFG,
                 starts=()):
-    """Subordinate norm of a finite section; (value, witness, method)."""
+    """Subordinate norm of M on space; (value, witness, method)."""
     M = np.asarray(M, dtype=complex)
-    n = M.shape[1]
-    if isinstance(dom, sp.L1):
-        vals = [sp.norm_array(cod, M[:, j]) for j in range(n)]
-        j = int(np.argmax(vals))
-        return vals[j], np.eye(n, dtype=complex)[j], "closed_form"
-    if sp.lp_exponent(cod) == INF:
-        dd = sp.dual_space(dom)
-        vals = [sp.norm_array(dd, M[i, :]) for i in range(M.shape[0])]
-        i = int(np.argmax(vals))
-        w = sp.norming_functional_array(dd, M[i, :])
-        return vals[i], w, "closed_form"
-    if (isinstance(dom, sp.Lp) and dom.p == 2
-            and isinstance(cod, sp.Lp) and cod.p == 2):
+    p = sp.lp_exponent(space)
+    if p == 1 or p == INF:
+        # largest column (l_1) or row (sup norm) sum of |M|, each line
+        # summed pairwise from a C-contiguous copy, as _lp_norm sums it
+        sums = np.ascontiguousarray(np.abs(M.T if p == 1 else M)).sum(axis=1)
+        k = int(np.argmax(sums))
+        w = (np.eye(len(sums), dtype=complex)[k] if p == 1
+             else sp.norming_functional_array(sp.L1(), M[k]))
+        return float(sums[k]), w, "closed_form"
+    if p == 2:
         # bilinear pairing: witness of ||M|| is the top right-singular vector
         U, s, Vh = np.linalg.svd(M)
         return float(s[0]), np.conj(Vh[0]), "closed_form"
-    val, w = _power_iteration(M, dom, cod, cfg, starts)
+    val, w = _power_iteration(M, space, cfg, starts)
     return val, w, "iterate"
 
 
@@ -234,34 +232,34 @@ def _centroid(w: np.ndarray) -> float:
     return float((np.arange(len(w)) * a).sum() / tot) if tot > 0 else 0.0
 
 
-def rank_one_norm(T: op.RankOne, dom, cod) -> float:
-    """||f||_{dom*} ||v||_cod: the norm of x -> <x, f> v from dom to cod."""
-    return (sp.norm_eval(sp.dual_space(dom), T.functional)
-            * sp.norm_eval(cod, T.vector))
+def rank_one_norm(T: op.RankOne, space) -> float:
+    """||f||_{X*} ||v||_X: the norm of x -> <x, f> v on X = space."""
+    return (sp.norm_eval(sp.dual_space(space), T.functional)
+            * sp.norm_eval(space, T.vector))
 
 
-def require_norming(*spaces) -> None:
+def require_norming(space) -> None:
     """Reject the renormed l_2 space: its norming functionals are implicit."""
-    if any(isinstance(space, sp.RenormedL2) for space in spaces):
+    if isinstance(space, sp.RenormedL2):
         raise NotImplementedError(
             "no norming functionals for the renormed l_2 space; "
             "use the convex module's certified bounds instead")
 
 
-def operator_norm(T, dom, cod, N: int, cfg: OpnormConfig = DEFAULT_CFG,
+def operator_norm(T, space, N: int, cfg: OpnormConfig = DEFAULT_CFG,
                   starts=()) -> NormReport:
-    """Norm of the N-section of T as an operator dom -> cod."""
+    """Norm of the N-section of T as an operator on space."""
     if N < 1:
         raise ValueError("N must be positive")
-    require_norming(dom, cod)
+    require_norming(space)
 
     # closed forms that bypass the section matrix
-    if isinstance(T, (op.Identity, op.ScalarMul)) and dom == cod:
+    if isinstance(T, (op.Identity, op.ScalarMul)):
         lam = 1.0 if isinstance(T, op.Identity) else complex(T.lam)
         w = Coeffs.basis(0)
         return NormReport(abs(lam), w, "closed_form", ((N, abs(lam)),),
                           "attained", (_centroid(w.to_array(N)),))
-    if isinstance(T, op.Diagonal) and dom == cod:
+    if isinstance(T, op.Diagonal):
         dvals = np.array([abs(T.entry(i)) for i in range(N)])
         i = int(np.argmax(dvals))
         val = float(dvals[i])
@@ -271,13 +269,14 @@ def operator_norm(T, dom, cod, N: int, cfg: OpnormConfig = DEFAULT_CFG,
     if isinstance(T, op.RankOne):
         fN = T.functional.to_array(N)
         vN = T.vector.to_array(N)
-        val = sp.norm_array(sp.dual_space(dom), fN) * sp.norm_array(cod, vN)
-        warr = sp.norming_functional_array(sp.dual_space(dom), fN)
+        dual = sp.dual_space(space)
+        val = sp.norm_array(dual, fN) * sp.norm_array(space, vN)
+        warr = sp.norming_functional_array(dual, fN)
         w = Coeffs.from_array(warr)
         return NormReport(val, w, "closed_form", ((N, val),), "inconclusive",
                           (_centroid(warr),))
-    if (isinstance(T, (op.SimpleS, op.SimpleR)) and dom == cod
-            and isinstance(dom, sp.QSumLp)):
+    if (isinstance(T, (op.SimpleS, op.SimpleR))
+            and isinstance(space, sp.QSumLp)):
         # the largest shrink (S) or expand (R) factor in the section and
         # the index it sits on
         if N < 3:
@@ -286,13 +285,13 @@ def operator_norm(T, dom, cod, N: int, cfg: OpnormConfig = DEFAULT_CFG,
             t, k = (N - 1.0) / N, N - 1
         else:
             t, k = 1.5, 2
-        val, (a, b, g) = maximize_swapped_f(dom.p, dom.q, t)
+        val, (a, b, g) = maximize_swapped_f(space.p, space.q, t)
         w = Coeffs({0: a, 1: b} if k is None else {0: a, 1: b, k: g})
         return NormReport(val, w, "reduction_f", ((N, val),), "inconclusive",
                           (_centroid(w.to_array(N)),))
 
     M = op.truncate_matrix(T, N)
-    val, warr, method = matrix_norm(M, dom, cod, cfg, starts)
+    val, warr, method = matrix_norm(M, space, cfg, starts)
     return NormReport(val, Coeffs.from_array(warr), method, ((N, val),),
                       "inconclusive", (_centroid(warr),),
                       warning=(method == "iterate" and val == 0.0))
@@ -346,7 +345,7 @@ def attainment_scan(T, space, Ns, cfg: OpnormConfig = DEFAULT_CFG) -> NormReport
             padded = np.zeros(N, dtype=complex)
             padded[: len(witnesses[-1])] = witnesses[-1]
             starts = (padded,)
-        report = operator_norm(T, space, space, N, cfg, starts)
+        report = operator_norm(T, space, N, cfg, starts)
         trace.append((N, report.value))
         witnesses.append(report.witness.to_array(N))
     _, dists, centroids = witness_drift(witnesses, space)

@@ -24,6 +24,9 @@ from .opnorm import (OpnormConfig, DEFAULT_CFG, matrix_norm, rank_one_norm,
 SINGULAR_COND = 1e14
 LEVEL_BAND = 1e-6       # relative width of the level set |r - 1/eps|
 CASE_TOL = 1e-4         # minimizer Cauchy tolerance for the "fixed" case
+# rows of T's image beyond an N-section that the residuals see; a residual
+# is not certified past them
+TAIL = 8
 
 
 # ---------------------------------------------------------------------------
@@ -36,7 +39,7 @@ def _inverse_norm(A: np.ndarray, space,
     if np.linalg.cond(A) > SINGULAR_COND:
         return math.inf, None, None
     inv = np.linalg.inv(A)
-    val, w, _ = matrix_norm(inv, space, space, cfg)
+    val, w, _ = matrix_norm(inv, space, cfg)
     return val, w, inv
 
 
@@ -50,6 +53,8 @@ def resolvent_norm(M: np.ndarray, space, z: complex,
 def _require_eps(eps: float) -> None:
     if not eps > 0:
         raise ValueError("eps must be positive")
+    if 1.0 / float(eps) == math.inf:
+        raise ValueError("eps = %g is too small: 1/eps overflows" % eps)
 
 
 def _classify(r: float, eps: float, band: float) -> str:
@@ -178,7 +183,7 @@ def att1_perturbation(T, space, z: complex, eps: float,
     A u = -c^{-1} f(u) x satisfies (T+A)y = zy exactly.
     """
     # one section wide enough to hold Ty: its leading N-block is T_N
-    Tw = op.truncate_matrix(T, N + 8)
+    Tw = op.truncate_matrix(T, N + TAIL)
     A = Tw[:N, :N] - complex(z) * np.eye(N, dtype=complex)
     c, x, _ = _inverse_norm(A, space)
     if c == math.inf:
@@ -201,23 +206,23 @@ def att1_perturbation(T, space, z: complex, eps: float,
     pert = op.RankOne(Coeffs.from_array(f),
                       Coeffs.from_array(-x / c))
     # residual of (T + A)y = zy on the wide section
-    yw = np.pad(y, (0, 8))
+    yw = np.pad(y, (0, TAIL))
     fy = np.dot(f, y)
-    img = Tw @ yw - (fy / c) * np.pad(x, (0, 8)) - complex(z) * yw
+    img = Tw @ yw - (fy / c) * np.pad(x, (0, TAIL)) - complex(z) * yw
     resid = sp.norm_array(space, img)
     return PerturbationCert(pert, complex(z), Coeffs.from_array(y),
                             float(resid),
-                            float(rank_one_norm(pert, space, space)), eps, N)
+                            float(rank_one_norm(pert, space)), eps, N)
 
 
 def verify_cert(T, space, cert: PerturbationCert) -> dict:
     """Re-verify a certificate with independent norm and residual evaluations."""
-    wide = max(cert.N, cert.y.dim_hint) + 8
+    wide = max(cert.N, cert.y.dim_hint) + TAIL
     yw = cert.y.to_array(wide)
     Tw = op.truncate_matrix(T, wide) + op.truncate_matrix(cert.A, wide)
     resid = sp.norm_array(space, Tw @ yw - cert.z * yw)
     if isinstance(cert.A, op.RankOne):
-        norm_A = rank_one_norm(cert.A, space, space)
+        norm_A = rank_one_norm(cert.A, space)
     elif isinstance(cert.A, op.ScalarMul):
         norm_A = abs(cert.A.lam)
     else:
@@ -255,7 +260,7 @@ def lp111_perturbation(T, space, N: int) -> Lp111Result:
     """
     Ns = sorted({max(2, N // 8), max(3, N // 4), max(4, N // 2), N})
     # every section below is a leading block of this one
-    Tw = op.truncate_matrix(T, Ns[-1] + 8)
+    Tw = op.truncate_matrix(T, Ns[-1] + TAIL)
     trace = []
     minimizers = []
     for n in Ns:
@@ -272,7 +277,7 @@ def lp111_perturbation(T, space, N: int) -> Lp111Result:
     if all(d < CASE_TOL for d in dists[-2:]):
         xhat = witnesses[-1]
         phi = sp.norming_functional_array(space, xhat)
-        Tx = Tw @ np.pad(xhat, (0, 8))
+        Tx = Tw @ np.pad(xhat, (0, TAIL))
         S = op.RankOne(Coeffs.from_array(phi), Coeffs.from_array(-Tx))
         new_inf = _perturbed_value(Tw, S, space, xhat)
         return Lp111Result("fixed", S, c, new_inf, tuple(trace))
@@ -311,8 +316,8 @@ def lp111_perturbation(T, space, N: int) -> Lp111Result:
 
 
 def _perturbed_value(Tw: np.ndarray, S, space, x: np.ndarray) -> float:
-    """||(T + S)x|| on the leading len(x)+8 block of T's section Tw."""
-    wide = len(x) + 8
+    """||(T + S)x|| on the leading len(x)+TAIL block of T's section Tw."""
+    wide = len(x) + TAIL
     M = Tw[:wide, :wide] + op.truncate_matrix(S, wide)
     return float(sp.norm_array(space, M @ np.pad(x, (0, wide - len(x)))))
 

@@ -145,7 +145,15 @@ def qsum_combine(alpha: float, tail: float, q: float) -> float:
         return max(alpha, tail)
     if q == 1:
         return alpha + tail
-    return (alpha ** q + tail ** q) ** (1.0 / q)
+    try:
+        s = float(alpha) ** q + float(tail) ** q
+    except OverflowError:
+        s = INF
+    if s == INF or (s < _TINY and (alpha or tail)):
+        # the sum overflowed or underflowed: factor out the larger part
+        m = max(alpha, tail)
+        return m if m == INF else m * qsum_combine(alpha / m, tail / m, q)
+    return s ** (1.0 / q)
 
 
 def lp_exponent(space: SpaceSpec) -> float | None:
@@ -202,7 +210,15 @@ def _lp_duality(arr: np.ndarray, p: float) -> np.ndarray:
     # relative floor: entries this small contribute nothing but can overflow
     # a**(p-2) for p < 2
     nz = a > nrm * 1e-150
-    out[nz] = np.conj(arr[nz]) * a[nz] ** (p - 2) / nrm ** (p - 1)
+    try:
+        d = nrm ** (p - 1)
+    except OverflowError:
+        d = INF
+    if 0 < d < INF:
+        out[nz] = np.conj(arr[nz]) * a[nz] ** (p - 2) / d
+    else:
+        # nrm^(p-1) over- or underflows (p or its dual exponent is large)
+        out[nz] = np.conj(arr[nz]) / a[nz] * (a[nz] / nrm) ** (p - 1)
     return out
 
 

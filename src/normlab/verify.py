@@ -301,7 +301,7 @@ def check_ac8() -> CheckResult:
         p = exps[k % len(exps)]
         M = rng.standard_normal((n, n))
         space = sp.Lp(p)
-        val, _, method = opnorm.matrix_norm(M.astype(complex), space, space)
+        val, _, method = opnorm.matrix_norm(M.astype(complex), space)
         oracle = sphere_grid_norm(M, p)
         row_ok = abs(val - oracle) < AC8_TOL
         rows.append({"k": k, "n": n, "p": "inf" if p == INF else p,
@@ -348,7 +348,7 @@ def check_ac10() -> CheckResult:
                          "ok": False})
             ok = False
             continue
-        normS = opnorm.operator_norm(res.S, space, space, N).value
+        normS = opnorm.operator_norm(res.S, space, N).value
         row_ok = (res.case == want_case
                   and normS <= res.c + AC10_NORM_SLACK
                   and res.new_inf < AC10_INF_TOL)

@@ -195,6 +195,23 @@ def test_opnorm_nan_matrix_is_usage_error(capsys):
                         "--trunc", "2"], capsys)
 
 
+@pytest.mark.parametrize("p,lower,upper", [
+    # between the best basis column and the Riesz-Thorin bound
+    # ||M||_1^{1/p} ||M||_inf^{1-1/p} of M = [[1, 2], [3, 4]]
+    ("800", 4.0, 6.0 ** (1 / 800) * 7.0 ** (799 / 800)),
+    ("1.001", 5.99618, 6.0 ** (1 / 1.001) * 7.0 ** (0.001 / 1.001)),
+])
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_opnorm_extreme_exponent_iterates(p, lower, upper):
+    code, out = run(["opnorm", "--space", '{"space":"lp","p":%s}' % p,
+                     "--operator",
+                     '{"op":"matrix","rows":[[[1,0],[2,0]],[[3,0],[4,0]]]}',
+                     "--trunc", "2"])
+    assert code == 0
+    value = float(out.split()[0])
+    assert lower <= value <= upper
+
+
 def test_opnorm_simple_r_out_of_domain_is_usage_error(capsys):
     assert_usage_error(["opnorm", "--space", '{"space":"lp","p":2}',
                         "--operator",
@@ -209,7 +226,7 @@ def test_opnorm_renorm_is_usage_error(capsys):
 
 # -- pspec ---------------------------------------------------------------------
 
-@pytest.mark.parametrize("eps", ["0", "-1", "nan"])
+@pytest.mark.parametrize("eps", ["0", "-1", "nan", "1e-320"])
 def test_pspec_nonpositive_eps_rejected(eps, capsys):
     assert_usage_error(["pspec", "--space", '{"space":"c0"}',
                         "--operator", '{"op":"catalog","name":"tc0"}',

@@ -247,7 +247,7 @@ def test_lp111_scalar():
     assert res.case == "fixed"
     assert res.c == pytest.approx(2.0, abs=1e-10)
     assert res.new_inf < 1e-10
-    normS = opnorm.operator_norm(res.S, sp.Lp(2.0), sp.Lp(2.0), 16).value
+    normS = opnorm.operator_norm(res.S, sp.Lp(2.0), 16).value
     assert normS <= res.c + 1e-8
 
 
@@ -256,7 +256,7 @@ def test_lp111_simple_s():
     res = ps.lp111_perturbation(op.SimpleS(2.0, 4.0), space, 24)
     assert res.case == "fixed"
     assert res.new_inf < 1e-6
-    normS = opnorm.operator_norm(res.S, space, space, 24).value
+    normS = opnorm.operator_norm(res.S, space, 24).value
     assert normS <= res.c + 1e-8
 
 
@@ -264,7 +264,7 @@ def test_lp111_escaping_diagonal():
     res = ps.lp111_perturbation(op.Diagonal("one_plus_inv"), sp.Lp(2.0), 32)
     assert res.case == "escaping"
     assert res.new_inf < 1e-10
-    normS = opnorm.operator_norm(res.S, sp.Lp(2.0), sp.Lp(2.0), 32).value
+    normS = opnorm.operator_norm(res.S, sp.Lp(2.0), 32).value
     assert normS <= res.c + 1e-8
     # trace of bottom-of-sphere values decreases toward the infimum 1
     values = [v for _, v in res.trace]

@@ -67,9 +67,33 @@ def test_lp_norm_survives_overflow():
 
 def test_lp_norm_survives_underflow():
     assert sp.norm_array(sp.Lp(2), np.array([1e-200, 1e-200])) == \
-        pytest.approx(math.sqrt(2) * 1e-200, rel=1e-15)
+        pytest.approx(math.sqrt(2) * 1e-200, rel=1e-15, abs=0)
     assert sp.norm_array(sp.Lp(3), np.array([1e-120])) == \
-        pytest.approx(1e-120, rel=1e-15)
+        pytest.approx(1e-120, rel=1e-15, abs=0)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("q,arr,want", [
+    (2.0, [1e200], 1e200),
+    (2.0, [0.0, 1e200], 1e200),
+    (2.0, [1e200, 1e200], math.sqrt(2) * 1e200),
+    (800.0, [10.0], 10.0),
+    (2.0, [1e-200], 1e-200),
+    (2.0, [1e-200, 1e-200], math.sqrt(2) * 1e-200),
+])
+def test_qsum_norm_survives_overflow_and_underflow(q, arr, want):
+    assert sp.norm_array(sp.QSumLp(q, 2.0), np.array(arr)) == \
+        pytest.approx(want, rel=1e-15, abs=0)
+
+
+def test_qsum_combine_unchanged_on_ordinary_pairs():
+    # away from over- and underflow the direct formula is used bit for bit
+    rng = np.random.default_rng(5)
+    alphas, tails = 10.0 ** rng.uniform(-3, 3, (2, 20000))
+    qs = rng.uniform(1.01, 12.0, 20000)
+    for alpha, tail, q in zip(alphas, tails, qs):
+        want = (alpha ** q + float(tail) ** q) ** (1.0 / q)
+        assert sp.qsum_combine(alpha, float(tail), float(q)) == want
 
 
 def test_direct_sum_support_check():
