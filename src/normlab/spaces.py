@@ -192,6 +192,16 @@ def _sign(v: complex) -> complex:
     return np.conj(v) / a if a > 1e-200 else 0.0
 
 
+def _power_in_range(x: float, e: float) -> float:
+    """x ** e, or 0.0 when it over- or underflows: the caller then divides
+    by x before raising to e."""
+    try:
+        d = x ** e
+    except OverflowError:
+        return 0.0
+    return d if d < INF else 0.0
+
+
 def _lp_duality(arr: np.ndarray, p: float) -> np.ndarray:
     """Unit functional f (bilinear pairing) with f(arr) = ||arr||_p."""
     out = np.zeros_like(arr, dtype=complex)
@@ -210,11 +220,8 @@ def _lp_duality(arr: np.ndarray, p: float) -> np.ndarray:
     # relative floor: entries this small contribute nothing but can overflow
     # a**(p-2) for p < 2
     nz = a > nrm * 1e-150
-    try:
-        d = nrm ** (p - 1)
-    except OverflowError:
-        d = INF
-    if 0 < d < INF:
+    d = _power_in_range(nrm, p - 1)
+    if d:
         out[nz] = np.conj(arr[nz]) * a[nz] ** (p - 2) / d
     else:
         # nrm^(p-1) over- or underflows (p or its dual exponent is large)
@@ -249,8 +256,14 @@ def norming_functional_array(space: SpaceSpec, arr: np.ndarray) -> np.ndarray:
             out[0] = _sign(arr[0])
             out[1:] = ftail
         else:
-            out[0] = (alpha ** (q - 1) / nrm ** (q - 1)) * _sign(arr[0])
-            out[1:] = (tail ** (q - 1) / nrm ** (q - 1)) * ftail
+            d = _power_in_range(nrm, q - 1)
+            if d:
+                out[0] = (alpha ** (q - 1) / d) * _sign(arr[0])
+                out[1:] = (tail ** (q - 1) / d) * ftail
+            else:
+                # nrm^(q-1) over- or underflows (q is large)
+                out[0] = (alpha / nrm) ** (q - 1) * _sign(arr[0])
+                out[1:] = (tail / nrm) ** (q - 1) * ftail
         return out
     if isinstance(space, DirectSumLp):
         out = np.zeros_like(arr, dtype=complex)

@@ -8,6 +8,7 @@ constants; the pytest acceptance gate calls these same functions.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -36,7 +37,7 @@ AC10_NORM_SLACK = 1e-8
 AC10_INF_TOL = 1e-6
 SEED = 0                # draws of AC3, AC6 and AC8
 GRID_RES = 0.01         # spacing of the AC8 sphere-grid oracle
-GRID_CHUNK = 1 << 19    # directions per oracle block
+GRID_CHUNK = 1 << 16    # directions per oracle block
 
 
 @dataclass(frozen=True)
@@ -44,9 +45,10 @@ class CheckResult:
     check_id: str
     ok: bool
     details: dict
+    seconds: float = 0.0    # wall time of the check, set by run_checks
 
     def to_json_obj(self):
-        return {"id": self.check_id, "ok": self.ok,
+        return {"id": self.check_id, "ok": self.ok, "seconds": self.seconds,
                 "details": _plain(self.details)}
 
 
@@ -261,33 +263,48 @@ def check_ac7() -> CheckResult:
 def sphere_grid_norm(M: np.ndarray, p: float) -> float:
     """Brute-force oracle: max ||Mx||_p / ||x||_p over a cube-face grid.
 
-    Directions are enumerated as points on the faces of the sup-norm cube
-    (one coordinate pinned to 1) and normalized onto the l_p sphere.
-    Independent of the production path; used only for cross-checking.
+    Directions are the points on the faces of the sup-norm cube: one
+    coordinate pinned to 1, the other n-1 free on the GRID_RES axis of
+    [-1, 1].  The grid is never stored: each free coordinate is a
+    broadcastable view of the axis, and the first one is walked in blocks
+    of at most GRID_CHUNK directions (one value per block once a value
+    spans more, n >= 5).  On a face, image row r is
+    M[r, face] + sum_j M[r, c_j] x_j.  Ratios are compared as p-th powers,
+    sum_r |img_r|^p over ||x||_p^p = 1 + sum_j |x_j|^p, a denominator all
+    faces share; on p = inf the numerator is max_r |img_r| and the
+    denominator is 1 (the axis exceeds |x_j| = 1 by at most 2e-15).  One
+    1/p root is taken, of the maximum.  Uses only M.real and numpy, never
+    opnorm, so AC8 can cross-check the production path with it.
     """
     n = M.shape[1]
-    axis = np.arange(-1.0, 1.0 + GRID_RES / 2, GRID_RES)
-    best = 0.0
     if n == 1:
         return float(np.abs(M[0, 0]))
-    grids = np.meshgrid(*([axis] * (n - 1)), indexing="ij")
-    free = np.stack([g.ravel() for g in grids], axis=0)
-    total = free.shape[1]
-    for face in range(n):
-        for start in range(0, total, GRID_CHUNK):
-            blk = free[:, start: start + GRID_CHUNK]
-            pts = np.insert(blk, face, np.ones(blk.shape[1]), axis=0)
+    axis = np.arange(-1.0, 1.0 + GRID_RES / 2, GRID_RES)
+    k = axis.size
+    # array axis 0 runs over image rows, axis j over free coordinate j
+    cols = M.real.T.reshape(M.shape[::-1] + (1,) * (n - 1))
+    views = [axis.reshape((1,) * j + (k,) + (1,) * (n - 1 - j))
+             for j in range(1, n)]
+    step = max(1, GRID_CHUNK // k ** (n - 2))
+    best = 0.0
+    for start in range(0, k, step):
+        xs = [views[0][:, start: start + step]] + views[1:]
+        if p != INF:
+            den = 1.0
+            for x in xs:
+                den = den + np.abs(x) ** p
+        for face in range(n):
+            img = cols[face]
+            for c, x in zip([c for c in range(n) if c != face], xs):
+                img = img + cols[c] * x
+            np.abs(img, out=img)
             if p == INF:
-                den = np.abs(pts).max(axis=0)
+                num = img.max(axis=0)
             else:
-                den = (np.abs(pts) ** p).sum(axis=0) ** (1.0 / p)
-            img = M.real @ pts
-            if p == INF:
-                num = np.abs(img).max(axis=0)
-            else:
-                num = (np.abs(img) ** p).sum(axis=0) ** (1.0 / p)
-            best = max(best, float((num / den).max()))
-    return best
+                img **= p
+                num = img.sum(axis=0) / den
+            best = max(best, float(num.max()))
+    return best if p == INF else best ** (1.0 / p)
 
 
 def check_ac8() -> CheckResult:
@@ -395,5 +412,7 @@ def run_checks(only=None):
     for name in names:
         if name not in ALL_CHECKS:
             raise KeyError("unknown check %r" % (name,))
-        results.append(ALL_CHECKS[name]())
+        t0 = time.perf_counter()
+        result = ALL_CHECKS[name]()
+        results.append(replace(result, seconds=time.perf_counter() - t0))
     return results

@@ -212,6 +212,19 @@ def test_opnorm_extreme_exponent_iterates(p, lower, upper):
     assert lower <= value <= upper
 
 
+def test_opnorm_qsum_large_outer_exponent_iterates():
+    # qsum(800, 2) on two coordinates is l_800: between 2^(-1/800) times the
+    # l_inf norm 7 and the Riesz-Thorin bound of M = [[1, 2], [3, 4]]
+    code, out = run(["opnorm", "--space", '{"space":"qsum","q":800,"p":2}',
+                     "--operator",
+                     '{"op":"matrix","rows":[[[1,0],[2,0]],[[3,0],[4,0]]]}',
+                     "--trunc", "2"])
+    assert code == 0
+    value = float(out.split()[0])
+    assert (7.0 * 2.0 ** (-1 / 800) <= value
+            <= 6.0 ** (1 / 800) * 7.0 ** (799 / 800))
+
+
 def test_opnorm_simple_r_out_of_domain_is_usage_error(capsys):
     assert_usage_error(["opnorm", "--space", '{"space":"lp","p":2}',
                         "--operator",
@@ -316,6 +329,8 @@ def test_verify_json_report():
     assert [r["id"] for r in report["results"]] == ["qseq", "AC2"]
     rows = report["results"][1]["details"]["rows"]
     assert all(row["ok"] is True for row in rows)
+    for r in report["results"]:
+        assert isinstance(r["seconds"], float) and r["seconds"] >= 0
 
 
 def test_verify_unknown_check():

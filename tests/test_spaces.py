@@ -96,6 +96,26 @@ def test_qsum_combine_unchanged_on_ordinary_pairs():
         assert sp.qsum_combine(alpha, float(tail), float(q)) == want
 
 
+def test_qsum_functional_unchanged_on_ordinary_inputs():
+    # away from over- and underflow of nrm^(q-1) the direct formula is used
+    # bit for bit
+    rng = np.random.default_rng(6)
+    for _ in range(20000):
+        q, p = rng.uniform(1.01, 12.0, 2)
+        size = int(rng.integers(1, 6))
+        arr = (rng.standard_normal(size) + 1j * rng.standard_normal(size)) \
+            * 10.0 ** rng.uniform(-3, 3)
+        alpha = abs(arr[0])
+        tail = sp._lp_norm(arr[1:], p)
+        nrm = sp.qsum_combine(alpha, tail, q)
+        want = np.zeros(size, dtype=complex)
+        want[0] = (alpha ** (q - 1) / nrm ** (q - 1)) * sp._sign(arr[0])
+        want[1:] = (tail ** (q - 1) / nrm ** (q - 1)) \
+            * sp._lp_duality(arr[1:], p)
+        got = sp.norming_functional_array(sp.QSumLp(q, p), arr)
+        assert np.array_equal(got, want)
+
+
 def test_direct_sum_support_check():
     space = sp.DirectSumLp(2.0, ((2, 2.0),))
     with pytest.raises(ValueError):
