@@ -11,6 +11,8 @@ import argparse
 import json
 import sys
 
+import numpy as np
+
 from .coeffs import Coeffs
 from . import spaces as sp
 from . import operators as op
@@ -113,6 +115,9 @@ def cmd_opnorm(args, stdout) -> int:
     else:
         _emit(args, "%.10f method=%s attainment=%s"
               % (report.value, report.method, report.attainment), stdout)
+        if report.warning:
+            sys.stderr.write("warning: the iterate returned 0; "
+                             "the value is only a lower bound\n")
     return EXIT_OK
 
 
@@ -192,7 +197,10 @@ def main(argv=None, stdout=None) -> int:
     handler = {"norm": cmd_norm, "opnorm": cmd_opnorm,
                "pspec": cmd_pspec, "verify": cmd_verify}[args.command]
     try:
-        return handler(args, stdout)
+        # an overflowing intermediate (the unscaled l_p sum) is rescaled or
+        # shows in the output as inf; numpy's warning adds nothing to stderr
+        with np.errstate(over="ignore"):
+            return handler(args, stdout)
     except UsageError as exc:
         sys.stderr.write("error: %s\n" % exc)
         return EXIT_USAGE

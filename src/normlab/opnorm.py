@@ -205,25 +205,50 @@ def _power_iteration(M, space, cfg: OpnormConfig, starts=()):
     return best_val, best_x
 
 
+def _closed_form(M: np.ndarray, p: float) -> tuple:
+    """(values, arg) of the closed-form norm on l_1, l_2 or c_0/l_inf of a
+    matrix or a stack (..., n, n) of them.
+
+    l_1 and the sup norm take the largest column (p = 1) or row sum of |M|,
+    each line summed pairwise from a C-contiguous copy, as _lp_norm sums it;
+    arg is the index of the first largest line.  l_2 takes the top singular
+    value; arg is the conjugated top right-singular vector, the witness of
+    the bilinear pairing.
+    """
+    if p == 2:
+        _, s, Vh = np.linalg.svd(M)
+        return s[..., 0], np.conj(Vh[..., 0, :])
+    sums = np.ascontiguousarray(
+        np.abs(np.swapaxes(M, -1, -2) if p == 1 else M)).sum(axis=-1)
+    return sums.max(axis=-1), sums.argmax(axis=-1)
+
+
 def matrix_norm(M: np.ndarray, space, cfg: OpnormConfig = DEFAULT_CFG,
                 starts=()):
     """Subordinate norm of M on space; (value, witness, method)."""
     M = np.asarray(M, dtype=complex)
     p = sp.lp_exponent(space)
-    if p == 1 or p == INF:
-        # largest column (l_1) or row (sup norm) sum of |M|, each line
-        # summed pairwise from a C-contiguous copy, as _lp_norm sums it
-        sums = np.ascontiguousarray(np.abs(M.T if p == 1 else M)).sum(axis=1)
-        k = int(np.argmax(sums))
-        w = (np.eye(len(sums), dtype=complex)[k] if p == 1
-             else sp.norming_functional_array(sp.L1(), M[k]))
-        return float(sums[k]), w, "closed_form"
-    if p == 2:
-        # bilinear pairing: witness of ||M|| is the top right-singular vector
-        U, s, Vh = np.linalg.svd(M)
-        return float(s[0]), np.conj(Vh[0]), "closed_form"
+    if p in (1, 2, INF):
+        val, arg = _closed_form(M, p)
+        w = (arg if p == 2
+             else np.eye(M.shape[1], dtype=complex)[arg] if p == 1
+             else sp.norming_functional_array(sp.L1(), M[arg]))
+        return float(val), w, "closed_form"
     val, w = _power_iteration(M, space, cfg, starts)
     return val, w, "iterate"
+
+
+def matrix_norms(S: np.ndarray, space,
+                 cfg: OpnormConfig = DEFAULT_CFG) -> np.ndarray:
+    """The value of matrix_norm for each matrix of a stack S (K, n, n).
+
+    A closed form is one reduction over the whole stack; the power
+    iteration runs per matrix.
+    """
+    p = sp.lp_exponent(space)
+    if p in (1, 2, INF):
+        return _closed_form(S, p)[0]
+    return np.array([matrix_norm(M, space, cfg)[0] for M in S], dtype=float)
 
 
 def _centroid(w: np.ndarray) -> float:
@@ -294,7 +319,7 @@ def operator_norm(T, space, N: int, cfg: OpnormConfig = DEFAULT_CFG,
     val, warr, method = matrix_norm(M, space, cfg, starts)
     return NormReport(val, Coeffs.from_array(warr), method, ((N, val),),
                       "inconclusive", (_centroid(warr),),
-                      warning=(method == "iterate" and val == 0.0))
+                      warning=bool(method == "iterate" and val == 0.0))
 
 
 # ---------------------------------------------------------------------------

@@ -18,29 +18,66 @@ import numpy as np
 from .coeffs import Coeffs, require_finite
 from . import spaces as sp
 from . import operators as op
-from .opnorm import (OpnormConfig, DEFAULT_CFG, matrix_norm, rank_one_norm,
-                     require_norming, witness_drift)
+from .opnorm import (OpnormConfig, DEFAULT_CFG, matrix_norm, matrix_norms,
+                     rank_one_norm, require_norming, witness_drift)
 
+# a section A is singular when cond_2(A) > SINGULAR_COND, as np.linalg.cond
+# computes it from a full SVD.  That SVD is skipped where a cheaper bound
+# decides: cond_2(A) <= ||A||_F ||A^{-1}||_F, and where the computed product
+# ||A||_F ||X||_F is below SINGULAR_COND / 100 the computed inverse X is
+# accurate to about 1e12 u N (7e-3 relative at N = 60), far inside that
+# factor 100, so cond_2(A) < SINGULAR_COND and the SVD would not call the
+# cell singular either.  The screen can skip the SVD, never flip its answer.
 SINGULAR_COND = 1e14
 LEVEL_BAND = 1e-6       # relative width of the level set |r - 1/eps|
 CASE_TOL = 1e-4         # minimizer Cauchy tolerance for the "fixed" case
 # rows of T's image beyond an N-section that the residuals see; a residual
 # is not certified past them
 TAIL = 8
+GRID_BLOCK = 1 << 14    # complex entries per stack of shifted sections (256 KB)
 
 
 # ---------------------------------------------------------------------------
 # resolvent norms and point classification
 # ---------------------------------------------------------------------------
 
+def _frobenius(A: np.ndarray) -> np.ndarray:
+    """||A_k||_F for each matrix of a stack; +inf where it overflows."""
+    a = np.abs(A)
+    with np.errstate(over="ignore"):
+        return np.sqrt(np.square(a, out=a).sum(axis=(-2, -1)))
+
+
+def _invert(A: np.ndarray) -> tuple:
+    """(inverse, singular) for a stack A (K, N, N).
+
+    singular[k] is np.linalg.cond(A[k]) > SINGULAR_COND, and inverse[k] is
+    np.linalg.inv(A[k]) where it is not (meaningless where it is).  The
+    stack is inverted first; the SVD condition number is taken only for the
+    cells the Frobenius screen (see SINGULAR_COND) leaves open, or for the
+    whole stack when an exact zero pivot makes the inversion raise.
+    """
+    try:
+        inv = np.linalg.inv(A)
+    except np.linalg.LinAlgError:
+        singular = np.linalg.cond(A) > SINGULAR_COND
+        regular = np.where(singular[:, None, None], np.eye(A.shape[-1]), A)
+        return np.linalg.inv(regular), singular
+    undecided = ~(_frobenius(A) * _frobenius(inv) < SINGULAR_COND / 100)
+    singular = np.zeros(len(A), dtype=bool)
+    if undecided.any():
+        singular[undecided] = np.linalg.cond(A[undecided]) > SINGULAR_COND
+    return inv, singular
+
+
 def _inverse_norm(A: np.ndarray, space,
                   cfg: OpnormConfig = DEFAULT_CFG) -> tuple:
     """(||A^{-1}||, witness, A^{-1}); (inf, None, None) when A is singular."""
-    if np.linalg.cond(A) > SINGULAR_COND:
+    inv, singular = _invert(A[None])
+    if singular[0]:
         return math.inf, None, None
-    inv = np.linalg.inv(A)
-    val, w, _ = matrix_norm(inv, space, cfg)
-    return val, w, inv
+    val, w, _ = matrix_norm(inv[0], space, cfg)
+    return val, w, inv[0]
 
 
 def resolvent_norm(M: np.ndarray, space, z: complex,
@@ -126,7 +163,17 @@ class PspecGrid:
 def grid_scan(T, space, region, resolution: int, eps: float, N: int,
               cfg: OpnormConfig = DEFAULT_CFG,
               band: float = LEVEL_BAND) -> PspecGrid:
-    """Resolvent norms of the N-section at the cell centers of a grid."""
+    """Resolvent norms of the N-section at the cell centers of a grid.
+
+    The cells are taken in row-major blocks of at most GRID_BLOCK matrix
+    entries.  Each block stacks M - zI and is inverted at once.  A cell is
+    singular when cond_2 > SINGULAR_COND; the SVD condition number is taken
+    only where the Frobenius bound ||A||_F ||A^{-1}||_F is not below
+    SINGULAR_COND / 100, and below it the SVD could not call the cell
+    singular (see SINGULAR_COND).  The norms of a block come from one
+    matrix_norms call.  Every value equals resolvent_norm(M, space, z, cfg)
+    bit for bit.
+    """
     if resolution < 2:
         raise ValueError("resolution must be at least 2 per axis")
     require_finite(region, "grid bounds")
@@ -136,10 +183,25 @@ def grid_scan(T, space, region, resolution: int, eps: float, N: int,
     im_axis = np.linspace(im0, im1, resolution)
     M = op.truncate_matrix(T, N)
     _require_eps(eps)
-    resnorms = tuple(resolvent_norm(M, space, complex(re, im), cfg)
-                     for im in im_axis for re in res_axis)
+    zs = np.empty((resolution, resolution), dtype=complex)
+    zs.real, zs.imag = res_axis, im_axis[:, None]
+    zs = zs.ravel()
+    resnorms = np.full(zs.size, math.inf)
+    step = max(1, GRID_BLOCK // (N * N))
+    for k in range(0, zs.size, step):
+        block = zs[k:k + step]
+        A = np.empty((block.size, N, N), dtype=complex)
+        A[:] = M
+        A.reshape(block.size, N * N)[:, ::N + 1] -= block[:, None]
+        inv, singular = _invert(A)
+        del A          # each stack is freed before the next one is built
+        if singular.any():
+            inv = inv[~singular]
+        resnorms[k:k + step][~singular] = matrix_norms(inv, space, cfg)
+        del inv
     return PspecGrid(tuple(region), resolution, eps, N,
-                     tuple(res_axis), tuple(im_axis), resnorms, band)
+                     tuple(res_axis), tuple(im_axis),
+                     tuple(resnorms.tolist()), band)
 
 
 def strict_radius(grid: PspecGrid) -> float:

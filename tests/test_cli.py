@@ -1,5 +1,8 @@
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -201,7 +204,7 @@ def test_opnorm_nan_matrix_is_usage_error(capsys):
     ("800", 4.0, 6.0 ** (1 / 800) * 7.0 ** (799 / 800)),
     ("1.001", 5.99618, 6.0 ** (1 / 1.001) * 7.0 ** (0.001 / 1.001)),
 ])
-@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.filterwarnings("error")
 def test_opnorm_extreme_exponent_iterates(p, lower, upper):
     code, out = run(["opnorm", "--space", '{"space":"lp","p":%s}' % p,
                      "--operator",
@@ -210,6 +213,44 @@ def test_opnorm_extreme_exponent_iterates(p, lower, upper):
     assert code == 0
     value = float(out.split()[0])
     assert lower <= value <= upper
+
+
+def test_opnorm_large_exponent_prints_no_numpy_warning():
+    # the first, unscaled l_800 sum overflows; the rescaled value is right
+    # and numpy must not print its overflow warning on the way
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "normlab.cli", "opnorm",
+         "--space", '{"space":"lp","p":800}', "--operator",
+         '{"op":"matrix","rows":[[[1,0],[2,0]],[[3,0],[4,0]]]}',
+         "--trunc", "2"], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0
+    assert proc.stdout == "6.9940272147 method=iterate attainment=inconclusive\n"
+    assert proc.stderr == ""
+
+
+def test_opnorm_json_warning_is_a_json_bool():
+    code, out = run(["opnorm", "--space", '{"space":"qsum","q":1,"p":3}',
+                     "--operator",
+                     '{"op":"matrix","rows":[[[1,0],[2,0],[0,1]],'
+                     '[[3,0],[-4,0],[1,0]],[[0,0.5],[1,0],[2,0]]]}',
+                     "--trunc", "3", "--format", "json"])
+    assert code == 0
+    assert '"warning": false' in out
+    assert json.loads(out)["warning"] is False
+
+
+def test_opnorm_text_shows_zero_iterate_warning(capsys):
+    capsys.readouterr()
+    code, out = run(["opnorm", "--space", '{"space":"lp","p":3}',
+                     "--operator",
+                     '{"op":"matrix","rows":[[[0,0],[0,0]],[[0,0],[0,0]]]}',
+                     "--trunc", "2"])
+    assert code == 0
+    assert out == "0.0000000000 method=iterate attainment=inconclusive\n"
+    assert capsys.readouterr().err == (
+        "warning: the iterate returned 0; the value is only a lower bound\n")
 
 
 def test_opnorm_qsum_large_outer_exponent_iterates():

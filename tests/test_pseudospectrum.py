@@ -1,7 +1,9 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from normlab.coeffs import Coeffs
@@ -183,6 +185,124 @@ def test_diag_d_grid_spot_checks():
         if direct != INF:
             dist = min(abs(z - D.entry(n)) for n in range(12))
             assert r == pytest.approx(1.0 / dist, rel=1e-9)
+
+
+# -- blocked grid inversion ----------------------------------------------------
+
+def per_cell_resolvent_norm(M, space, z, cfg=opnorm.DEFAULT_CFG):
+    """The resolvent norm of one cell as grid_scan computed it cell by cell:
+    the SVD condition number, then the inverse, then the matrix norm with
+    the closed forms written as matrix_norm wrote them then (the power
+    iteration is unchanged).  Returns (norm, cond)."""
+    A = M - complex(z) * np.eye(len(M), dtype=complex)
+    cond = np.linalg.cond(A)
+    if cond > ps.SINGULAR_COND:
+        return INF, cond
+    inv = np.asarray(np.linalg.inv(A), dtype=complex)
+    p = sp.lp_exponent(space)
+    if p == 1 or p == INF:
+        sums = np.ascontiguousarray(np.abs(inv.T if p == 1 else inv)).sum(
+            axis=1)
+        k = int(np.argmax(sums))
+        return float(sums[k]), cond
+    if p == 2:
+        U, s, Vh = np.linalg.svd(inv)
+        return float(s[0]), cond
+    return opnorm.matrix_norm(inv, space, cfg)[0], cond
+
+
+def _zero_pivot(M, z):
+    try:
+        np.linalg.inv(M - complex(z) * np.eye(len(M), dtype=complex))
+    except np.linalg.LinAlgError:
+        return True
+    return False
+
+
+# an upper triangle with eigenvalues on the cells of a 3x3 grid over
+# [-1, 1]^2; on l_3 and on a direct sum only the power iteration runs
+TRIANGLE = op.Matrix(((0, 1, 0.5, 0, 1j), (0, 0.5, 1, 2, 0),
+                      (0, 0, -1, 1, 0.5), (0, 0, 0, 1j, 1),
+                      (0, 0, 0, 0, 1)))
+DIAG_D = op.Diagonal("one_minus_2pow")
+# (operator, space, N, resolution, extra regions)
+EQUIVALENCE_CASES = {
+    "tc0": (op.Tc0(), sp.C0(), 30, 5,
+            # cond 3e13 (the screen is open, cond says regular) and 3e15
+            [(1e-7, 1, 0, 1), (1e-8, 1, 0, 1)]),
+    "tl1": (op.Tl1(), sp.L1(), 30, 5, []),
+    "diag_d": (DIAG_D, sp.Lp(2), 30, 4,
+               # z = d_0 = 0.5 exactly, then d_k + delta with cond 4e8-5e14
+               [(0.5, 1.5, 0, 1)]
+               + [(d + delta, 1.5, 0, 1) for d in (0.5, 0.875)
+                  for delta in (1e-9, 1e-12, 1e-14, 1e-15)]),
+    "lower_triangle_l3": (op.Transpose(TRIANGLE), sp.Lp(3), 5, 3, []),
+    "triangle_dsum": (TRIANGLE, sp.DirectSumLp(2.0, ((2, 1.0), (3, 3.0))),
+                      5, 3, []),
+    "transpose_tc0_l1": (op.Transpose(op.Tc0()), sp.L1(), 30, 5, []),
+}
+
+
+def test_grid_scan_matches_per_cell_path():
+    rng = np.random.default_rng(9)
+    zero_pivots = open_regular = cond_singular = 0
+    for name, (T, space, N, res, extra) in EQUIVALENCE_CASES.items():
+        M = op.truncate_matrix(T, N)
+        cx, cy = rng.uniform(-1, 1, size=2)
+        hx, hy = rng.uniform(0.3, 1.5, size=2)
+        seeded = (cx - hx, cx + hx, cy - hy, cy + hy)
+        for region in [(-1, 1, -1, 1), seeded] + extra:
+            grid = ps.grid_scan(T, space, region, res, 0.5, N)
+            want, conds = zip(*(per_cell_resolvent_norm(M, space, z)
+                                for z, _, _ in grid.cells()))
+            assert grid.resnorms == want, (name, region)
+            assert grid.classes == tuple(ps._classify(r, 0.5, ps.LEVEL_BAND)
+                                         for r in want), (name, region)
+            for (z, _, _), c in zip(grid.cells(), conds):
+                if _zero_pivot(M, z):
+                    zero_pivots += 1
+                elif 1e12 <= c <= ps.SINGULAR_COND:
+                    open_regular += 1
+                elif ps.SINGULAR_COND < c < INF:
+                    cond_singular += 1
+    # every branch of the singular test is taken: an exact zero pivot (the
+    # whole block goes to cond), and cells the Frobenius screen cannot
+    # decide on either side of SINGULAR_COND
+    assert zero_pivots >= 6 and open_regular >= 2 and cond_singular >= 2
+
+
+def counted_linalg(monkeypatch, *names):
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        real = getattr(np.linalg, name)
+
+        def counting(*args, _name=name, _real=real, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counting)
+    return calls
+
+
+def test_grid_scan_inverts_once_per_block_without_cond(monkeypatch):
+    # no eigenvalue of the nilpotent section lies in the region, so the
+    # Frobenius screen decides every cell (cell by cell took 3721 conds)
+    calls = counted_linalg(monkeypatch, "cond", "inv")
+    ps.grid_scan(op.Tc0(), sp.C0(), (0.5, 3, 0.5, 3), 61, 0.5, 30)
+    per_block = ps.GRID_BLOCK // (30 * 30)
+    assert calls == {"cond": 0, "inv": -(-61 * 61 // per_block)}
+
+
+def test_grid_scan_memory_stays_near_one_block():
+    # the AC4 grid: 14,641 resnorms (about 0.5 MB as a tuple of floats)
+    # plus the stacks of one block; it peaked at 1.2 MB when measured
+    tracemalloc.start()
+    try:
+        ps.grid_scan(op.Tc0(), sp.C0(), (-3, 3, -3, 3), 121, 0.1, 30)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5e6
 
 
 # -- planting certificates -----------------------------------------------------
