@@ -90,7 +90,7 @@ def cmd_norm(args, stdout) -> int:
         else:
             _emit(args, "%.6f" % value, stdout)
         if not d.converged:
-            stdout.write("solver gap %.3g above tolerance\n" % d.gap)
+            sys.stderr.write("solver gap %.3g above tolerance\n" % d.gap)
             return EXIT_SOLVER_GAP
         return EXIT_OK
     if args.trunc is not None or args.tol is not None:

@@ -51,6 +51,7 @@ def test_norm_json_format():
     assert obj["schema_version"] == 1
     assert obj["value"] == pytest.approx(1.0, abs=1e-6)
     assert obj["decomposition"]["converged"]
+    assert obj["decomposition"]["iterations"] > 0
 
 
 def test_norm_json_format_lp():
@@ -60,17 +61,31 @@ def test_norm_json_format_lp():
     assert json.loads(out) == {"schema_version": 1, "value": 5.0}
 
 
-def test_norm_solver_gap_exit_code():
-    # a dense vector whose primal-dual gap stays at rounding level (~1e-15)
-    vector = [[i, v, 0] for i, v in enumerate(
-        (-0.1, 0.6, 0.1, -0.5, 0.4, 1.3, 0.9, -0.7, -1.3, -0.6, 0, -2.3,
-         -0.2, -1.2)) if v]
-    code, out = run(["norm", "--space", '{"space":"renorm"}',
-                     "--vector", json.dumps(vector), "--trunc", "11",
-                     "--tol", "1e-300"])
+# a dense vector whose primal-dual gap stays at rounding level (~1e-15)
+GAP_VECTOR = [[i, v, 0] for i, v in enumerate(
+    (-0.1, 0.6, 0.1, -0.5, 0.4, 1.3, 0.9, -0.7, -1.3, -0.6, 0, -2.3,
+     -0.2, -1.2)) if v]
+GAP_ARGV = ["norm", "--space", '{"space":"renorm"}', "--vector",
+            json.dumps(GAP_VECTOR), "--trunc", "11", "--tol", "1e-300"]
+
+
+def test_norm_solver_gap_exit_code(capsys):
+    capsys.readouterr()
+    code, out = run(GAP_ARGV)
+    err = capsys.readouterr().err
     assert code == 2
-    value, gap = out.splitlines()
-    assert float(value) > 0 and gap.startswith("solver gap ")
+    assert float(out) > 0 and err.startswith("solver gap ")
+
+
+def test_norm_solver_gap_json_parses(capsys):
+    capsys.readouterr()
+    code, out = run(GAP_ARGV + ["--format", "json"])
+    err = capsys.readouterr().err
+    assert code == 2
+    obj = json.loads(out)
+    assert not obj["decomposition"]["converged"]
+    assert obj["decomposition"]["iterations"] == convex.MAX_ITER
+    assert err.startswith("solver gap ") and err.count("\n") == 1
 
 
 def test_norm_malformed_json_is_usage_error():

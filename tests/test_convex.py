@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from normlab.coeffs import Coeffs
 from normlab.spaces import QSeqParams
 from normlab import convex
 from normlab import operators as op
+from normlab import verify
 
 QSEQ = QSeqParams()
 
@@ -162,6 +164,155 @@ def test_reconstruction_invariant():
         rec = d.reconstruct()
         diff = rec - u
         assert all(abs(v) < 1e-10 for v in diff.entries.values())
+
+
+# -- the preconditioned solver against the dense-K iteration ------------------
+
+def reference_minkowski_norm(u: Coeffs, N: int, tol: float = convex.TOL):
+    """The solver as it was before preconditioning: a dense K, scalar steps
+    0.99/||K||_2 and the same stop test and certificate."""
+    if not 0 < tol < math.inf:
+        raise ValueError("tol must be positive and finite")
+    u0, u1, u2, tail = convex._split_coords(u, N)
+    if not u.entries:
+        d = convex.Decomposition(Coeffs.zero(), (0.0,) * N, (0.0,) * N,
+                                 0.0, 0.0, 0.0, True)
+        return 0.0, d
+
+    q = QSEQ.q_array(N)
+    # K stacks the linear maps w = (alpha, beta) -> (K1 w, K2 w) with
+    # x' = b1 - K1 w (first coordinate constant u0) and (x1,x2) = b2 - K2 w
+    K = np.zeros((N + 3, 2 * N))
+    for n in range(N):
+        K[1 + n, n] = 1.0          # alpha_n in x_{n+2}
+        K[1 + n, N + n] = q[n]     # q_n beta_n in x_{n+2}
+        K[N + 1, N + n] = q[n]     # x_1 row
+        K[N + 2, n] = 1.0          # x_2 row
+        K[N + 2, N + n] = q[n]
+    b = np.concatenate(([u0], tail, [u1, u2]))
+    blocks = (slice(0, N + 1), slice(N + 1, N + 3))
+
+    L = np.linalg.norm(K, 2)
+    tau = sigma = 0.99 / L if L > 0 else 1.0
+
+    w = np.zeros(2 * N, dtype=complex)
+    wbar = w.copy()
+    p = np.zeros(N + 3, dtype=complex)
+
+    def primal(wv):
+        val = float(np.abs(wv).sum())
+        r = b - K @ wv
+        for sl in blocks:
+            val += float(np.linalg.norm(r[sl]))
+        return val
+
+    def dual(pv):
+        scale = 1.0
+        for sl in blocks:
+            scale = max(scale, float(np.linalg.norm(pv[sl])))
+        kt = K.T @ pv
+        scale = max(scale, float(np.abs(kt).max()) if kt.size else 1.0)
+        return float(-np.real(np.vdot(pv / scale, b)))
+
+    best_val = primal(w)
+    best_w = w.copy()
+    best_dual = 0.0
+    converged = False
+    for it in range(convex.MAX_ITER):
+        # dual ascent: prox of the conjugate of y -> sum ||b_i - y_i||
+        p = p + sigma * (K @ wbar)
+        for sl in blocks:
+            p[sl] -= sigma * b[sl]
+            nb = float(np.linalg.norm(p[sl]))
+            if nb > 1.0:
+                p[sl] /= nb
+        # primal descent: complex soft threshold
+        w_new = w - tau * (K.T @ p)
+        mags = np.abs(w_new)
+        shrink = np.maximum(0.0, 1.0 - tau / np.maximum(mags, 1e-300))
+        w_new = w_new * shrink
+        wbar = 2.0 * w_new - w
+        w = w_new
+        if it % 50 == 49 or it == convex.MAX_ITER - 1:
+            val = primal(w)
+            if val < best_val:
+                best_val, best_w = val, w.copy()
+            best_dual = max(best_dual, dual(p))
+            if best_val - best_dual <= tol * max(1.0, best_val):
+                converged = True
+                break
+
+    alpha = best_w[:N]
+    beta = best_w[N:]
+    x1 = u1 - np.dot(q, beta)
+    x2 = u2 - alpha.sum() - np.dot(q, beta)
+    xt = tail - alpha - q * beta
+    x = Coeffs({0: u0, 1: x1, 2: x2,
+                **{n + 3: v for n, v in enumerate(xt)}})
+    gap = max(best_val - best_dual, 0.0)
+    d = convex.Decomposition(x, tuple(alpha), tuple(beta), best_val,
+                             best_dual, gap, converged)
+    return best_val, d
+
+
+def pair_atom(n):
+    return Coeffs.basis(2) + Coeffs.basis(n + 2)
+
+
+def triple_atom(n):
+    return Coeffs.basis(1) + Coeffs.basis(2) + Coeffs.basis(n + 2)
+
+
+def reference_cases():
+    """Atoms over the rungs of the benchmark's ladders, seeded 4-sparse
+    vectors at trunc 12 and dense vectors at trunc 50 and 100."""
+    cases = [pytest.param(pair_atom(n), max(n, 4), id="pair%d" % n)
+             for n in (5, 20, 37, 52, 67, 85, 100)]
+    cases += [pytest.param(triple_atom(n), max(n, 4), id="triple%d" % n)
+              for n in (20, 60, 100)]
+    rng = np.random.default_rng(11)
+    for k in range(20):
+        supp = rng.integers(0, 14, size=4)
+        vals = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        u = Coeffs.from_pairs(zip(supp.tolist(), vals.tolist()))
+        cases.append(pytest.param(u, 12, id="sparse%d" % k))
+    for N in (50, 100):
+        for k in range(2):
+            arr = rng.standard_normal(N + 3) + 1j * rng.standard_normal(N + 3)
+            cases.append(pytest.param(Coeffs.from_array(arr), N,
+                                      id="dense%d.%d" % (N, k)))
+    return cases
+
+
+@pytest.mark.parametrize("u, N", reference_cases())
+def test_brackets_overlap_the_dense_reference(u, N):
+    v, d = convex.minkowski_norm(u, N)
+    vr, dr = reference_minkowski_norm(u, N)
+    assert d.converged and dr.converged
+    # each [dual_bound, objective] holds the norm up to rounding, so the
+    # two brackets must meet
+    assert max(d.dual_bound, dr.dual_bound) <= min(v, vr) * (1 + 1e-12)
+
+
+@pytest.mark.parametrize("atom, limit", [(pair_atom, 300),
+                                         (triple_atom, 2000)])
+def test_atom_iterations_at_n100(atom, limit):
+    # the scalar step 0.99/||K||_2 took 2350 (pair) and 8450 (triple)
+    v, d = convex.minkowski_norm(atom(100), 100)
+    assert d.converged and 0 < d.iterations <= limit
+    assert d.to_json_obj()["iterations"] == d.iterations
+
+
+def test_large_trunc_solve_stays_small():
+    # a dense K at trunc 2000 alone would take 64 MB
+    tracemalloc.start()
+    try:
+        v, _ = convex.minkowski_norm(pair_atom(2000), 2000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert abs(v - 1.0) < verify.AC5_TOL
+    assert peak < 2e6
 
 
 # -- membership and atomic splits ---------------------------------------------
