@@ -47,13 +47,9 @@ class Decomposition:
     iterations: int = 0    # primal-dual iterations the solve ran
 
     def reconstruct(self) -> Coeffs:
-        u = self.x
-        for n, a in enumerate(self.alpha, start=1):
-            u = u + a * (Coeffs.basis(2) + Coeffs.basis(n + 2))
-        for n, b in enumerate(self.beta, start=1):
-            u = u + (b * QSEQ.q(n)) * (Coeffs.basis(1) + Coeffs.basis(2)
-                                       + Coeffs.basis(n + 2))
-        return u
+        beta = np.asarray(self.beta, dtype=complex)
+        return _atom_sum(self.x, self.alpha,
+                         beta * QSEQ.q_array(len(beta)))
 
     def to_json_obj(self):
         return {
@@ -68,6 +64,32 @@ class Decomposition:
             "iterations": self.iterations,
             "q_rule": Q_RULE,
         }
+
+
+def _atom_sum(x: Coeffs, pair=(), triple=()) -> Coeffs:
+    """x + sum_n pair_n (e_2 + e_{n+2}) + sum_n triple_n (e_1 + e_2 + e_{n+2}).
+
+    One array takes the terms in the order of the term-by-term sum: x, then
+    the pair terms, then the triple terms, n ascending.  So each coefficient
+    gets the bits of that sum, in O(N) instead of copying a Coeffs per term.
+    """
+    pair = np.asarray(pair, dtype=complex)
+    triple = np.asarray(triple, dtype=complex)
+    N = max(len(pair), len(triple))
+    if not N:
+        return x
+    u = x.to_array(max(x.dim_hint, N + 3))
+    u[1] = np.add.accumulate(np.concatenate((u[1:2], triple)))[-1]
+    u[2] = np.add.accumulate(np.concatenate((u[2:3], pair, triple)))[-1]
+    u[3:len(pair) + 3] += pair
+    u[3:len(triple) + 3] += triple
+    return Coeffs.from_array(u)
+
+
+def _divide(v: np.ndarray, s: float) -> np.ndarray:
+    """v / s for complex v and real s, one real division per part, as
+    Python's complex division by a float takes it."""
+    return (np.ascontiguousarray(v, dtype=complex).view(float) / s).view(complex)
 
 
 def _split_coords(u: Coeffs, N: int):
@@ -216,20 +238,18 @@ def b_atomic_decompose(u: Coeffs, N: int) -> AtomicSplit:
     x = (1.0 / a) * d.x if a > TOL else Coeffs.zero()
     a = a if a > TOL else 0.0
 
-    bsum = float(np.abs(np.asarray(d.alpha)).sum())
+    alpha = np.asarray(d.alpha, dtype=complex)
+    bsum = float(np.abs(alpha).sum())
     y = Coeffs.zero()
     if bsum > TOL:
-        for n, v in enumerate(d.alpha, start=1):
-            y = y + (v / bsum) * (Coeffs.basis(2) + Coeffs.basis(n + 2))
+        y = _atom_sum(y, pair=_divide(alpha, bsum))
     bsum = bsum if bsum > TOL else 0.0
 
-    csum = float(np.abs(np.asarray(d.beta)).sum())
+    beta = np.asarray(d.beta, dtype=complex)
+    csum = float(np.abs(beta).sum())
     w = Coeffs.zero()
     if csum > TOL:
-        for n, v in enumerate(d.beta, start=1):
-            w = w + (v * QSEQ.q(n) / csum) * (Coeffs.basis(1)
-                                              + Coeffs.basis(2)
-                                              + Coeffs.basis(n + 2))
+        w = _atom_sum(w, triple=_divide(beta * QSEQ.q_array(len(beta)), csum))
     csum = csum if csum > TOL else 0.0
 
     return AtomicSplit(a, x, bsum, y, csum, w)

@@ -4,8 +4,10 @@ diagnostics.
 Exact reductions are used where available (l_1: column sums, c_0 and
 l_inf: row sums, l_2: SVD, diagonal and rank-one operators: closed forms,
 swap-plus-shrink on the K (+)_q l_p sum: a three-variable reduction).
-Everything else falls back to a generalized power iteration with
-restarts, which certifies a lower bound only.
+Everything else falls back to a generalized power iteration, which
+certifies a lower bound only.  Its starts run as the rows of one array,
+and its value is floored at the best basis column.  On l_p an iterate's
+report also carries a Riesz-Thorin upper bound.
 """
 
 from __future__ import annotations
@@ -47,9 +49,10 @@ class NormReport:
     attainment: str                   # attained | escaping | inconclusive
     centroids: tuple = ()             # witness support centroid per N
     warning: bool = False
+    upper: float | None = None        # upper bound on an iterate's norm
 
     def to_json_obj(self):
-        return {
+        obj = {
             "value": self.value,
             "method": self.method,
             "attainment": self.attainment,
@@ -58,6 +61,9 @@ class NormReport:
             "witness": self.witness.to_json_obj(),
             "warning": self.warning,
         }
+        if self.method == "iterate":
+            obj["upper"] = self.upper
+        return obj
 
 
 # ---------------------------------------------------------------------------
@@ -163,46 +169,59 @@ def max_f_over_K(p: float, q: float) -> tuple:
 # ---------------------------------------------------------------------------
 
 def _power_iteration(M, space, cfg: OpnormConfig, starts=()):
+    """(value, witness) of the generalized power iteration on M.
+
+    The starts (ones, e_0..e_3, RESTARTS random vectors, then the caller's)
+    run as the rows of one array.  A row x steps to the normalized dual
+    functional of M^T g, g the norming functional of Mx.  It leaves the
+    batch when its value is not positive or stalls (TOL), when its step
+    vanishes, or after MAX_ITER values.  The best value wins, ties going to
+    the earliest start and then the earliest step; it is floored at the
+    best basis column, whose e_j is then the witness.
+    """
     n = M.shape[1]
-    Mt = M.T
+    Mt = np.ascontiguousarray(M.T)
     dual = sp.dual_space(space)
     rng = np.random.default_rng(cfg.seed)
     real_only = np.isrealobj(M) or not np.any(M.imag)
 
-    init = [np.ones(n, dtype=complex)]
-    init += [np.eye(n, dtype=complex)[j] for j in range(min(n, 4))]
+    init = [np.ones(n)] + list(np.eye(n)[:4])
     for _ in range(RESTARTS):
         v = rng.standard_normal(n)
         if not real_only:
             v = v + 1j * rng.standard_normal(n)
-        init.append(v.astype(complex))
-    init += [np.asarray(s, dtype=complex) for s in starts]
+        init.append(v)
+    X = np.array(init + [np.asarray(s) for s in starts], dtype=complex)
 
-    best_val, best_x = 0.0, np.zeros(n, dtype=complex)
-    for x in init:
-        nx = sp.norm_array(space, x)
-        if nx == 0:
-            continue
-        x = x / nx
-        prev = -1.0
-        for _ in range(MAX_ITER):
-            y = M @ x
-            val = sp.norm_array(space, y)
-            if val <= 0:
-                break
-            if val > best_val:
-                best_val, best_x = val, x.copy()
-            if abs(val - prev) <= TOL * max(1.0, val):
-                break
-            prev = val
-            g = sp.norming_functional_array(space, y)
-            h = Mt @ g
-            x_new = sp.norming_functional_array(dual, h)
-            nx = sp.norm_array(space, x_new)
-            if nx == 0:
-                break
-            x = x_new / nx
-    return best_val, best_x
+    best_val = np.zeros(len(X))
+    best_x = np.zeros_like(X)
+    nx = sp.norm_rows(space, X)
+    rows = np.flatnonzero(nx != 0)      # the start each active row came from
+    X = X[rows] / nx[rows, None]
+    prev = np.full(len(rows), -1.0)
+    for it in range(MAX_ITER):
+        Y = X @ Mt
+        val = sp.norm_rows(space, Y)
+        better = val > best_val[rows]
+        best_val[rows[better]] = val[better]
+        best_x[rows[better]] = X[better]
+        go = ~((val <= 0) | (np.abs(val - prev) <= TOL * np.maximum(1.0, val)))
+        if it == MAX_ITER - 1 or not go.any():
+            break
+        rows, prev = rows[go], val[go]
+        H = sp.norming_functional_rows(space, Y[go]) @ M
+        X = sp.norming_functional_rows(dual, H)
+        nx = sp.norm_rows(space, X)
+        go = nx != 0
+        rows, prev = rows[go], prev[go]
+        X = X[go] / nx[go, None]
+
+    k = int(np.argmax(best_val))
+    cols = sp.norm_rows(space, Mt)
+    j = int(np.argmax(cols))
+    if cols[j] > best_val[k]:
+        return float(cols[j]), np.eye(n, dtype=complex)[j]
+    return float(best_val[k]), best_x[k]
 
 
 def _closed_form(M: np.ndarray, p: float) -> tuple:
@@ -210,7 +229,7 @@ def _closed_form(M: np.ndarray, p: float) -> tuple:
     matrix or a stack (..., n, n) of them.
 
     l_1 and the sup norm take the largest column (p = 1) or row sum of |M|,
-    each line summed pairwise from a C-contiguous copy, as _lp_norm sums it;
+    each line summed pairwise from a C-contiguous copy, as norm_rows sums it;
     arg is the index of the first largest line.  l_2 takes the top singular
     value; arg is the conjugated top right-singular vector, the witness of
     the bilinear pairing.
@@ -243,12 +262,27 @@ def matrix_norms(S: np.ndarray, space,
     """The value of matrix_norm for each matrix of a stack S (K, n, n).
 
     A closed form is one reduction over the whole stack; the power
-    iteration runs per matrix.
+    iteration runs per matrix, each with its starts as one batch of rows and
+    its value floored at the best basis column.
     """
     p = sp.lp_exponent(space)
     if p in (1, 2, INF):
         return _closed_form(S, p)[0]
     return np.array([matrix_norm(M, space, cfg)[0] for M in S], dtype=float)
+
+
+def lp_upper_bound(M: np.ndarray, p: float) -> float:
+    """Riesz-Thorin upper bound on the norm of M on l_p, 1 < p < inf.
+
+    The smaller of two interpolations: between l_1 and l_inf,
+    ||M||_1^(1/p) ||M||_inf^(1-1/p), and through l_2, between l_2 and
+    l_inf for p > 2 and between l_1 and l_2 for p < 2.
+    """
+    n1, ninf = _closed_form(M, 1)[0], _closed_form(M, INF)[0]
+    n2 = np.linalg.norm(M, 2)
+    via_2 = (n2 ** (2 / p) * ninf ** (1 - 2 / p) if p > 2
+             else n1 ** (2 / p - 1) * n2 ** (2 - 2 / p))
+    return float(min(n1 ** (1 / p) * ninf ** (1 - 1 / p), via_2))
 
 
 def _centroid(w: np.ndarray) -> float:
@@ -317,9 +351,12 @@ def operator_norm(T, space, N: int, cfg: OpnormConfig = DEFAULT_CFG,
 
     M = op.truncate_matrix(T, N)
     val, warr, method = matrix_norm(M, space, cfg, starts)
+    upper = (lp_upper_bound(M, space.p)
+             if method == "iterate" and isinstance(space, sp.Lp) else None)
     return NormReport(val, Coeffs.from_array(warr), method, ((N, val),),
                       "inconclusive", (_centroid(warr),),
-                      warning=bool(method == "iterate" and val == 0.0))
+                      warning=bool(method == "iterate" and val == 0.0),
+                      upper=upper)
 
 
 # ---------------------------------------------------------------------------
@@ -387,4 +424,5 @@ def attainment_scan(T, space, Ns, cfg: OpnormConfig = DEFAULT_CFG) -> NormReport
             tag = "escaping"
 
     return NormReport(trace[-1][1], report.witness, report.method,
-                      tuple(trace), tag, tuple(centroids), report.warning)
+                      tuple(trace), tag, tuple(centroids), report.warning,
+                      report.upper)

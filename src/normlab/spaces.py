@@ -9,6 +9,7 @@ the gliding-hump disjointification routine.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -123,21 +124,55 @@ SpaceSpec = Lp | C0 | L1 | QSumLp | DirectSumLp | RenormedL2
 
 
 # ---------------------------------------------------------------------------
-# norms on dense arrays (the numerical workhorses)
+# norms and norming functionals on dense arrays (the numerical workhorses)
 # ---------------------------------------------------------------------------
+#
+# Every rule works on the rows of a (k, n) array at once; norm_array and
+# norming_functional_array are its one-row case.  Rows are reduced along the
+# last axis of C-contiguous arrays, so each row is summed pairwise exactly as
+# a 1-D array is.  The per-row scalars (roots, rescaling powers, signs, the
+# q-sum of two parts) are taken with Python's scalar arithmetic: numpy's
+# vectorised power, modulus and complex division can differ from it in the
+# last bit.
 
-def _lp_norm(arr: np.ndarray, p: float) -> float:
-    a = np.abs(arr)
+def _pow_each(x: np.ndarray, e: float) -> np.ndarray:
+    """x ** e for each entry of a 1-D float array by Python's float power;
+    inf where it overflows."""
+    out = []
+    for v in x.tolist():
+        try:
+            out.append(v ** e)
+        except OverflowError:
+            out.append(INF)
+    return np.array(out)
+
+
+def _powers_in_range(x: np.ndarray, e: float) -> np.ndarray:
+    """x ** e per entry, or 0.0 where it over- or underflows (a subnormal
+    result counts as underflow): the caller then divides by x before
+    raising to e."""
+    d = _pow_each(x, e)
+    return np.where((d >= _TINY) & (d < INF), d, 0.0)
+
+
+def _lp_norms(a: np.ndarray, p: float) -> np.ndarray:
+    """l_p norm of each row of the moduli a (k, n)."""
     if p == INF:
-        return float(a.max()) if a.size else 0.0
+        return a.max(axis=-1, initial=0.0)
     if p == 1:
-        return float(a.sum())
-    s = float((a * a).sum() if p == 2 else (a ** p).sum())
-    if s == INF or (s < _TINY and a.any()):
+        return a.sum(axis=-1)
+    s = (a * a if p == 2 else a ** p).sum(axis=-1)
+    out = np.sqrt(s) if p == 2 else _pow_each(s, 1.0 / p)
+    bad = (s == INF) | (s < _TINY)
+    if bad.any():
         # the sum overflowed or underflowed: factor out the largest modulus
-        m = a.max()
-        return float(m) if m == INF else float(m * _lp_norm(a / m, p))
-    return math.sqrt(s) if p == 2 else s ** (1.0 / p)
+        # (an all-zero row keeps its norm 0)
+        rows = np.flatnonzero(bad & a.any(axis=-1))
+        m = a[rows].max(axis=-1, initial=0.0)
+        fin = m < INF
+        m[fin] *= _lp_norms(a[rows[fin]] / m[fin, None], p)
+        out[rows] = m
+    return out
 
 
 def qsum_combine(alpha: float, tail: float, q: float) -> float:
@@ -167,23 +202,48 @@ def lp_exponent(space: SpaceSpec) -> float | None:
     return None
 
 
-def norm_array(space: SpaceSpec, arr: np.ndarray) -> float:
-    """Norm of a dense coefficient array under the given space."""
-    arr = np.asarray(arr, dtype=complex)
+def _quiet(rule):
+    """Run a row-wise rule under one np.errstate: the rules rescale where a
+    power over- or underflows, so numpy's warnings there say nothing."""
+    @functools.wraps(rule)
+    def wrapper(space, X):
+        with np.errstate(all="ignore"):
+            return rule(space, np.ascontiguousarray(X, dtype=complex))
+    return wrapper
+
+
+def _qsum_parts(X: np.ndarray, p: float) -> tuple:
+    """(alpha, tail moduli, tail norms) of the rows of X in K (+)_q l_p."""
+    alpha = [abs(v) for v in X[:, 0].tolist()]
+    a = np.abs(X[:, 1:])
+    return alpha, a, _lp_norms(a, p)
+
+
+@_quiet
+def norm_rows(space: SpaceSpec, X: np.ndarray) -> np.ndarray:
+    """Norm under the given space of each row of a dense array X (k, n)."""
     p = lp_exponent(space)
     if p is not None:
-        return _lp_norm(arr, p)
+        return _lp_norms(np.abs(X), p)
     if isinstance(space, QSumLp):
-        alpha = abs(arr[0]) if arr.size else 0.0
-        tail = _lp_norm(arr[1:], space.p)
-        return qsum_combine(alpha, tail, space.q)
+        if not X.shape[-1]:
+            return np.zeros(len(X))
+        alpha, _, tail = _qsum_parts(X, space.p)
+        return np.array([qsum_combine(al, t, space.q)
+                         for al, t in zip(alpha, tail.tolist())])
     if isinstance(space, DirectSumLp):
         total = space.total_size()
-        if arr.size > total and np.any(arr[total:] != 0):
+        if X.shape[-1] > total and np.any(X[:, total:] != 0):
             raise ValueError("support exceeds the block partition")
-        vals = [_lp_norm(arr[sl], r) for sl, r in space.slices()]
-        return _lp_norm(np.array(vals), space.p)
+        vals = np.stack([_lp_norms(np.abs(X[:, sl]), r)
+                         for sl, r in space.slices()], axis=-1)
+        return _lp_norms(vals, space.p)
     raise TypeError("no norm evaluation for %r" % (space,))
+
+
+def norm_array(space: SpaceSpec, arr: np.ndarray) -> float:
+    """Norm of a dense coefficient array under the given space."""
+    return float(norm_rows(space, np.asarray(arr)[None])[0])
 
 
 def _sign(v: complex) -> complex:
@@ -192,88 +252,89 @@ def _sign(v: complex) -> complex:
     return np.conj(v) / a if a > 1e-200 else 0.0
 
 
-def _power_in_range(x: float, e: float) -> float:
-    """x ** e, or 0.0 when it over- or underflows: the caller then divides
-    by x before raising to e."""
-    try:
-        d = x ** e
-    except OverflowError:
-        return 0.0
-    return d if d < INF else 0.0
-
-
-def _lp_duality(arr: np.ndarray, p: float) -> np.ndarray:
-    """Unit functional f (bilinear pairing) with f(arr) = ||arr||_p."""
-    out = np.zeros_like(arr, dtype=complex)
-    a = np.abs(arr)
-    if not a.any():
-        return out
+def _lp_dualities(X: np.ndarray, a: np.ndarray, p: float) -> np.ndarray:
+    """Unit functional f (bilinear pairing) with f(x) = ||x||_p for each
+    row x of X, whose moduli are a."""
     if p == INF:
-        m = int(np.argmax(a))
-        out[m] = _sign(arr[m])
+        out = np.zeros(X.shape, dtype=complex)
+        for r in np.flatnonzero(a.any(axis=-1)):
+            m = int(np.argmax(a[r]))
+            out[r, m] = _sign(X[r, m])
         return out
     if p == 1:
-        nz = a > 1e-200
-        out[nz] = np.conj(arr[nz]) / a[nz]
-        return out
-    nrm = _lp_norm(arr, p)
+        return np.where(a > 1e-200, np.conj(X) / a, 0)
+    nrm = _lp_norms(a, p)[:, None]
+    d = _powers_in_range(nrm[:, 0], p - 1)[:, None]
+    out = np.conj(X) * a ** (p - 2) / d
+    if not d.all():
+        # nrm^(p-1) over- or underflows (p or its dual exponent is large)
+        out = np.where(d != 0, out,
+                       np.conj(X) / a * (a / nrm) ** (p - 1))
     # relative floor: entries this small contribute nothing but can overflow
     # a**(p-2) for p < 2
-    nz = a > nrm * 1e-150
-    d = _power_in_range(nrm, p - 1)
-    if d:
-        out[nz] = np.conj(arr[nz]) * a[nz] ** (p - 2) / d
-    else:
-        # nrm^(p-1) over- or underflows (p or its dual exponent is large)
-        out[nz] = np.conj(arr[nz]) / a[nz] * (a[nz] / nrm) ** (p - 1)
-    return out
+    return np.where(a > nrm * 1e-150, out, 0)
+
+
+@_quiet
+def norming_functional_rows(space: SpaceSpec, X: np.ndarray) -> np.ndarray:
+    """Hahn-Banach surrogate for each row x of X (k, n): a unit dual vector f
+    with sum f_i x_i = ||x||."""
+    p = lp_exponent(space)
+    if p is not None:
+        return _lp_dualities(X, np.abs(X), p)
+    if isinstance(space, QSumLp):
+        out = np.zeros(X.shape, dtype=complex)
+        if not X.shape[-1]:
+            return out
+        q = space.q
+        alpha, a, tails = _qsum_parts(X, space.p)
+        ftail = _lp_dualities(X[:, 1:], a, space.p)
+        tails = tails.tolist()
+        nrms = [qsum_combine(al, t, q) for al, t in zip(alpha, tails)]
+        ds = _powers_in_range(np.array(nrms), q - 1).tolist()
+        head = np.zeros(len(X), dtype=complex)
+        weight = np.zeros(len(X))
+        for r, (al, tail, nrm, d) in enumerate(zip(alpha, tails, nrms, ds)):
+            if nrm == 0:
+                continue
+            sign = _sign(X[r, 0])
+            if q == INF:
+                # weight the attaining component; ties go to the tail
+                if tail >= al:
+                    weight[r] = 1.0
+                else:
+                    head[r] = sign
+            elif q == 1:
+                head[r], weight[r] = sign, 1.0
+            elif d:
+                head[r] = (al ** (q - 1) / d) * sign
+                weight[r] = tail ** (q - 1) / d
+            else:
+                # nrm^(q-1) over- or underflows (q is large)
+                head[r] = (al / nrm) ** (q - 1) * sign
+                weight[r] = (tail / nrm) ** (q - 1)
+        out[:, 0] = head
+        live = weight != 0
+        out[live, 1:] = weight[live, None] * ftail[live]
+        return out
+    if isinstance(space, DirectSumLp):
+        out = np.zeros(X.shape, dtype=complex)
+        mods = [np.abs(X[:, sl]) for sl, _ in space.slices()]
+        vals = np.stack([_lp_norms(a, r)
+                         for a, (_, r) in zip(mods, space.slices())], axis=-1)
+        outer = _lp_dualities(vals.astype(complex), vals, space.p).real
+        for (sl, r), a, w in zip(space.slices(), mods, outer.T):
+            live = w != 0
+            if sl.stop <= X.shape[-1] and live.any():
+                out[live, sl] = (w[live, None]
+                                 * _lp_dualities(X[live, sl], a[live], r))
+        return out
+    raise TypeError("no explicit norming functional for %r" % (space,))
 
 
 def norming_functional_array(space: SpaceSpec, arr: np.ndarray) -> np.ndarray:
     """Hahn-Banach surrogate: unit dual vector f with sum f_i x_i = ||x||."""
-    arr = np.asarray(arr, dtype=complex)
-    p = lp_exponent(space)
-    if p is not None:
-        return _lp_duality(arr, p)
-    if isinstance(space, QSumLp):
-        out = np.zeros_like(arr, dtype=complex)
-        if not arr.size:
-            return out
-        alpha = abs(arr[0])
-        tail = _lp_norm(arr[1:], space.p)
-        nrm = qsum_combine(alpha, tail, space.q)
-        if nrm == 0:
-            return out
-        ftail = _lp_duality(arr[1:], space.p)
-        q = space.q
-        if q == INF:
-            # weight the attaining component; ties go to the tail
-            if tail >= alpha:
-                out[1:] = ftail
-            else:
-                out[0] = _sign(arr[0])
-        elif q == 1:
-            out[0] = _sign(arr[0])
-            out[1:] = ftail
-        else:
-            d = _power_in_range(nrm, q - 1)
-            if d:
-                out[0] = (alpha ** (q - 1) / d) * _sign(arr[0])
-                out[1:] = (tail ** (q - 1) / d) * ftail
-            else:
-                # nrm^(q-1) over- or underflows (q is large)
-                out[0] = (alpha / nrm) ** (q - 1) * _sign(arr[0])
-                out[1:] = (tail / nrm) ** (q - 1) * ftail
-        return out
-    if isinstance(space, DirectSumLp):
-        out = np.zeros_like(arr, dtype=complex)
-        vals = np.array([_lp_norm(arr[sl], r) for sl, r in space.slices()])
-        outer = _lp_duality(vals.astype(complex), space.p)
-        for (sl, r), w in zip(space.slices(), outer):
-            if sl.stop <= arr.size and w != 0:
-                out[sl] = w.real * _lp_duality(arr[sl], r)
-        return out
-    raise TypeError("no explicit norming functional for %r" % (space,))
+    return norming_functional_rows(space, np.asarray(arr)[None])[0]
 
 
 def dual_space(space: SpaceSpec) -> SpaceSpec:

@@ -263,6 +263,47 @@ def triple_atom(n):
     return Coeffs.basis(1) + Coeffs.basis(2) + Coeffs.basis(n + 2)
 
 
+def coeffs_sum_reconstruct(d) -> Coeffs:
+    """The term-by-term Coeffs sum that Decomposition.reconstruct replaced."""
+    u = d.x
+    for n, a in enumerate(d.alpha, start=1):
+        u = u + a * (Coeffs.basis(2) + Coeffs.basis(n + 2))
+    for n, b in enumerate(d.beta, start=1):
+        u = u + (b * QSEQ.q(n)) * (Coeffs.basis(1) + Coeffs.basis(2)
+                                   + Coeffs.basis(n + 2))
+    return u
+
+
+def test_reconstruct_matches_coeffs_sum_bitwise():
+    # the one-array accumulation adds the terms in the same order, so every
+    # coefficient keeps its bits
+    rng = np.random.default_rng(4)
+    cases = [(pair_atom(200), 200), (triple_atom(40), 40)]
+    cases += [(random_coeffs(rng), 8) for _ in range(5)]
+    for u, N in cases:
+        _, d = convex.minkowski_norm(u, N)
+        rec, ref = d.reconstruct(), coeffs_sum_reconstruct(d)
+        assert rec.entries == ref.entries
+        assert rec.dim_hint == ref.dim_hint
+
+
+def test_atomic_split_pieces_match_coeffs_sums():
+    # y and w of b_atomic_decompose equal their term-by-term Coeffs sums
+    u = 0.5 * pair_atom(30) + 0.4 * QSEQ.q(7) * triple_atom(7)
+    s = convex.b_atomic_decompose(u, 30)
+    _, d = convex.minkowski_norm(u, 30)
+    bsum = float(np.abs(np.asarray(d.alpha)).sum())
+    csum = float(np.abs(np.asarray(d.beta)).sum())
+    y, w = Coeffs.zero(), Coeffs.zero()
+    for n, v in enumerate(d.alpha, start=1):
+        y = y + (v / bsum) * (Coeffs.basis(2) + Coeffs.basis(n + 2))
+    for n, v in enumerate(d.beta, start=1):
+        w = w + (v * QSEQ.q(n) / csum) * (Coeffs.basis(1) + Coeffs.basis(2)
+                                          + Coeffs.basis(n + 2))
+    assert s.b == bsum and s.c == csum
+    assert s.y.entries == y.entries and s.w.entries == w.entries
+
+
 def reference_cases():
     """Atoms over the rungs of the benchmark's ladders, seeded 4-sparse
     vectors at trunc 12 and dense vectors at trunc 50 and 100."""

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -106,14 +107,60 @@ def test_qsum_functional_unchanged_on_ordinary_inputs():
         arr = (rng.standard_normal(size) + 1j * rng.standard_normal(size)) \
             * 10.0 ** rng.uniform(-3, 3)
         alpha = abs(arr[0])
-        tail = sp._lp_norm(arr[1:], p)
+        tail = sp.norm_array(sp.Lp(p), arr[1:])
         nrm = sp.qsum_combine(alpha, tail, q)
         want = np.zeros(size, dtype=complex)
         want[0] = (alpha ** (q - 1) / nrm ** (q - 1)) * sp._sign(arr[0])
         want[1:] = (tail ** (q - 1) / nrm ** (q - 1)) \
-            * sp._lp_duality(arr[1:], p)
+            * sp.norming_functional_array(sp.Lp(p), arr[1:])
         got = sp.norming_functional_array(sp.QSumLp(q, p), arr)
         assert np.array_equal(got, want)
+
+
+def test_qsum_functional_subnormal_power_rescales():
+    # nrm^(q-1) = 0.4^799 is subnormal: it counts as underflow, so the head
+    # weight is taken as (alpha/nrm)^(q-1), not 0^... / subnormal = 0
+    q = 800.0
+    arr = np.array([0.14085629 - 0.23595872j, -0.39135317 + 0.09318986j])
+    f = sp.norming_functional_array(sp.QSumLp(q, 2.0), arr)
+    alpha, nrm = abs(arr[0]), sp.norm_array(sp.QSumLp(q, 2.0), arr)
+    assert f[0] == (alpha / nrm) ** (q - 1) * sp._sign(arr[0]) != 0
+
+
+def test_norm_and_functional_raise_no_overflow_warning():
+    # the row-wise rules rescale where a power overflows and keep numpy's
+    # warnings to themselves
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        big = np.array([1e308, 1e308])
+        assert sp.norm_array(sp.Lp(2), big) == \
+            pytest.approx(math.sqrt(2) * 1e308, rel=1e-15)
+        f = sp.norming_functional_array(sp.Lp(3), big)
+        assert np.allclose(f, 2 ** (-2 / 3))
+        assert sp.norm_array(sp.QSumLp(2.0, 3.0), np.array([1e200, 1e200])) \
+            == pytest.approx(1e200 * math.sqrt(2), rel=1e-15)
+
+
+ROW_SPACES = EXACT_SPACES + [sp.Lp(1.001), sp.Lp(800.0), sp.QSumLp(800.0, 2.0),
+                             sp.DirectSumLp(3.0, ((1, 1.0), (6, 1.5)))]
+
+
+@pytest.mark.parametrize("space", ROW_SPACES, ids=str)
+def test_rows_equal_one_row_calls_bitwise(space):
+    # each row of a batch is reduced exactly as its one-row call, scales
+    # from 1e-300 to 1e300 and all-zero rows included
+    rng = np.random.default_rng(8)
+    sizes = (1, 3, 7) if isinstance(space, sp.DirectSumLp) else (1, 4, 9, 40)
+    for n in sizes:
+        X = rng.standard_normal((25, n)) + 1j * rng.standard_normal((25, n))
+        X *= 10.0 ** rng.uniform(-300, 300, (25, 1))
+        X[3] = 0
+        X[5, : n // 2] = 0
+        norms = sp.norm_rows(space, X)
+        funcs = sp.norming_functional_rows(space, X)
+        for x, nrm, f in zip(X, norms, funcs):
+            assert nrm == sp.norm_array(space, x)
+            assert np.array_equal(f, sp.norming_functional_array(space, x))
 
 
 def test_direct_sum_support_check():
