@@ -3,7 +3,7 @@ diagnostics.
 
 Exact reductions are used where available (l_1: column sums, c_0 and
 l_inf: row sums, l_2: SVD, diagonal and rank-one operators: closed forms,
-swap-plus-shrink on the K (+)_q l_p sum: a three-variable reduction).
+swap-plus-shrink on the K (+)_q l_p sum: a closed-form 3-variable maximum).
 Everything else falls back to a generalized power iteration, which
 certifies a lower bound only.  Its starts run as the rows of one array,
 and its value is floored at the best basis column.  On l_p an iterate's
@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from .coeffs import Coeffs
 from . import spaces as sp
@@ -29,7 +28,6 @@ MAX_ITER = 400          # power-iteration steps per start
 TOL = 1e-12             # relative stall tolerance of the power iteration
 ATT_TOL = 1e-3          # witness Cauchy tolerance for "attained"
 ESCAPE_FRAC = 0.2       # centroid/N threshold for "escaping"
-F_GRID = 48             # grid points per axis in maximize_swapped_f
 
 
 @dataclass(frozen=True)
@@ -70,94 +68,46 @@ class NormReport:
 # the three-variable reduction for swap-plus-shrink operators
 # ---------------------------------------------------------------------------
 
-def f_abg(alpha: float, beta: float, gamma: float, p: float, q: float) -> float:
-    """Norm surrogate f(alpha, beta, gamma) of the K (+)_q l_p sum."""
-    tail = (beta ** p + gamma ** p) ** (1.0 / p)
-    return sp.qsum_combine(alpha, tail, q)
-
-
 def maximize_swapped_f(p: float, q: float, t: float = 1.0) -> tuple:
-    """max of (a,b,g) -> f(b, a, t*g) over K = {f(a,b,g) = 1}.
+    """Exact max of (a, b, g) -> f(b, a, t g) over K = {f(a, b, g) = 1},
+    with f(a, b, g) = ||(a, ||(b, g)||_p)||_q; returns (value, argmax).
 
-    Grid over normalized directions (lexicographically smallest grid argmax
-    wins ties), then deterministic local polish.  Returns (value, argmax).
+    Let k = pq/|q - p| and m = t^k.  The maximum is (1 + m)^(1/k), at
+    b = 0, a^q = 1/(1 + m), g^q = m/(1 + m) when q > p, and at a = 0,
+    b^p = 1/(1 + m), g^p = m/(1 + m) when q < p.  When p = q or t = 0 it
+    is max(1, t).  Why: with u = 1 - a^q the l_p part carries
+    b^p + g^p = u^(p/q).  At fixed u the q-th power of the objective is
+    convex in b^p when q >= p, so b = 0 or g = 0 (value 1) is best, and
+    concave when q < p.  The 1-D problem left in u is concave when q > p,
+    with its stationary point at u = m/(1 + m), and convex when q < p, so
+    u = 0 (value 1) or u = 1 (a = 0) is best.  The value is taken as
+    max(1, t) (1 + min(t, 1/t)^k)^(1/k), so m is never formed and cannot
+    overflow.
     """
     if t < 0:
         raise ValueError("t must be non-negative")
-
-    def objective(a, b, g):
-        return f_abg(b, a, t * g, p, q)
-
     if q == INF:
         # closed branch analysis: best is alpha = gamma = 1, beta = 0
         val = (1.0 + t ** p) ** (1.0 / p)
         if val >= 1.0:
             return val, (1.0, 0.0, 1.0)
         return 1.0, (0.0, 1.0, 0.0)
-
-    # coarse grid
-    axis = np.linspace(0.0, 1.0, F_GRID)
-    A, B, G = np.meshgrid(axis, axis, axis, indexing="ij")
-    pts = np.stack([A.ravel(), B.ravel(), G.ravel()], axis=1)
-    pts = pts[np.any(pts > 0, axis=1)]
-    tailc = (pts[:, 1] ** p + pts[:, 2] ** p) ** (1.0 / p)
-    fc = (pts[:, 0] ** q + tailc ** q) ** (1.0 / q)
-    pts = pts / fc[:, None]
-    tails = (pts[:, 0] ** p + (t * pts[:, 2]) ** p) ** (1.0 / p)
-    vals = (pts[:, 1] ** q + tails ** q) ** (1.0 / q)
-    best_i = int(np.argmax(vals))  # np.argmax already takes the first max
-    a0, b0, g0 = pts[best_i]
-
-    candidates = []
-
-    # beta = 0 branch: one-dimensional, smooth
-    def neg_scalar(a):
-        a = min(max(a, 0.0), 1.0)
-        g = (1.0 - a ** q) ** (1.0 / q)
-        return -objective(a, 0.0, g)
-
-    res = optimize.minimize_scalar(neg_scalar, bounds=(0.0, 1.0),
-                                   method="bounded",
-                                   options={"xatol": 1e-13, "maxiter": 500})
-    a = float(res.x)
-    g = (1.0 - a ** q) ** (1.0 / q)
-    candidates.append((objective(a, 0.0, g), (a, 0.0, g)))
-    for a in (0.0, 1.0):
-        g = (1.0 - a ** q) ** (1.0 / q)
-        candidates.append((objective(a, 0.0, g), (a, 0.0, g)))
-
-    # two-variable polish with gamma eliminated by the constraint
-    def neg2(v):
-        a, b = v
-        if a < 0 or b < 0:
-            return 0.0
-        rest = 1.0 - a ** q
-        if rest < 0:
-            return 0.0
-        gp = rest ** (p / q) - b ** p
-        if gp < 0:
-            return 0.0
-        return -objective(a, b, gp ** (1.0 / p))
-
-    res2 = optimize.minimize(neg2, [a0, b0], method="Nelder-Mead",
-                             options={"xatol": 1e-13, "fatol": 1e-15,
-                                      "maxiter": 4000})
-    a, b = res2.x
-    a, b = max(a, 0.0), max(b, 0.0)
-    rest = max(1.0 - a ** q, 0.0)
-    gp = max(rest ** (p / q) - b ** p, 0.0)
-    g = gp ** (1.0 / p)
-    candidates.append((objective(a, b, g), (a, b, g)))
-
-    candidates.sort(key=lambda c: -c[0])
-    return candidates[0]
+    if p == q or t == 0:
+        return (t, (0.0, 0.0, 1.0)) if t > 1 else (1.0, (1.0, 0.0, 0.0))
+    k = p * q / abs(q - p)
+    s = min(t, 1.0 / t) ** k
+    val = max(1.0, t) * (1.0 + s) ** (1.0 / k)
+    # 1/(1 + m) and m/(1 + m), with s = m for t <= 1 and s = 1/m for t > 1
+    lo, hi = s / (1.0 + s), 1.0 / (1.0 + s)
+    rest, u = (hi, lo) if t <= 1 else (lo, hi)
+    if q > p:
+        return val, (rest ** (1.0 / q), 0.0, u ** (1.0 / q))
+    return val, (0.0, rest ** (1.0 / p), u ** (1.0 / p))
 
 
 def max_f_over_K(p: float, q: float) -> tuple:
-    """Maximal value C = 2^(1/p - 1/q) of the swapped norm surrogate on K.
-
-    Computed numerically (grid + polish); the caller compares against the
-    closed form.  Requires 1 < p < q <= inf.
+    """Maximal value C = 2^(1/p - 1/q) of the swapped norm surrogate on K
+    and its argmax: maximize_swapped_f at t = 1.  Requires 1 < p < q <= inf.
     """
     if not (1 < p < q):
         raise ValueError("reduction needs 1 < p < q")

@@ -34,7 +34,11 @@ CASE_TOL = 1e-4         # minimizer Cauchy tolerance for the "fixed" case
 # rows of T's image beyond an N-section that the residuals see; a residual
 # is not certified past them
 TAIL = 8
-GRID_BLOCK = 1 << 14    # complex entries per stack of shifted sections (256 KB)
+# complex entries per stack of shifted sections: 128 KiB, glibc's default
+# mmap threshold.  Stacks and inverses above it are mapped and unmapped afresh
+# for every block (the AC4 grid took 100,000 page faults at 256 KiB, against
+# about 300 here), unless something imported earlier has raised the threshold
+GRID_BLOCK = 1 << 13
 
 
 # ---------------------------------------------------------------------------
@@ -253,28 +257,25 @@ def att1_perturbation(T, space, z: complex, eps: float,
         _, _, vh = np.linalg.svd(A)
         y = np.conj(vh[-1])
         y = y / sp.norm_array(space, y)
-        resid = sp.norm_array(space, A @ y)
-        return PerturbationCert(op.ScalarMul(0.0), complex(z),
-                                Coeffs.from_array(y), float(resid), 0.0,
-                                eps, N)
-    if x is None or not np.any(x):
-        raise RuntimeError("no resolvent witness found on this truncation")
-    if 1.0 / c > eps + 1e-10:
-        raise ValueError(
-            "1/c = %.6g exceeds eps = %.6g: z outside the non-strict set "
-            "on this truncation" % (1.0 / c, eps))
-    y = np.linalg.solve(A, x) / c
-    f = sp.norming_functional_array(space, y)
-    pert = op.RankOne(Coeffs.from_array(f),
-                      Coeffs.from_array(-x / c))
+        pert, Ay, norm_A = op.ScalarMul(0.0), np.zeros(N), 0.0
+    else:
+        if x is None or not np.any(x):
+            raise RuntimeError("no resolvent witness found on this truncation")
+        if 1.0 / c > eps + 1e-10:
+            raise ValueError(
+                "1/c = %.6g exceeds eps = %.6g: z outside the non-strict set "
+                "on this truncation" % (1.0 / c, eps))
+        y = np.linalg.solve(A, x) / c
+        f = sp.norming_functional_array(space, y)
+        pert = op.RankOne(Coeffs.from_array(f),
+                          Coeffs.from_array(-x / c))
+        Ay = -(np.dot(f, y) / c) * x
+        norm_A = float(rank_one_norm(pert, space))
     # residual of (T + A)y = zy on the wide section
     yw = np.pad(y, (0, TAIL))
-    fy = np.dot(f, y)
-    img = Tw @ yw - (fy / c) * np.pad(x, (0, TAIL)) - complex(z) * yw
-    resid = sp.norm_array(space, img)
+    img = Tw @ yw + np.pad(Ay, (0, TAIL)) - complex(z) * yw
     return PerturbationCert(pert, complex(z), Coeffs.from_array(y),
-                            float(resid),
-                            float(rank_one_norm(pert, space)), eps, N)
+                            float(sp.norm_array(space, img)), norm_A, eps, N)
 
 
 def verify_cert(T, space, cert: PerturbationCert) -> dict:

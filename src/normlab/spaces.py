@@ -275,13 +275,29 @@ def _lp_dualities(X: np.ndarray, a: np.ndarray, p: float) -> np.ndarray:
     return np.where(a > nrm * 1e-150, out, 0)
 
 
+def _lift_tiny_rows(X: np.ndarray) -> tuple:
+    """(X, |X|) with each row of X whose largest modulus is below 1e-150
+    scaled by 2^600, which is exact (a zero row stays zero).  A norming
+    functional does not change under positive scaling, and the rules above
+    would divide such rows by subnormal norms (NaN) or drop moduli below
+    1e-200 as zero."""
+    a = np.abs(X)
+    tiny = a.max(axis=-1, initial=0.0) < 1e-150
+    if tiny.any():
+        X = X.copy()
+        X[tiny] *= 2.0 ** 600
+        a[tiny] = np.abs(X[tiny])
+    return X, a
+
+
 @_quiet
 def norming_functional_rows(space: SpaceSpec, X: np.ndarray) -> np.ndarray:
     """Hahn-Banach surrogate for each row x of X (k, n): a unit dual vector f
     with sum f_i x_i = ||x||."""
+    X, absX = _lift_tiny_rows(X)
     p = lp_exponent(space)
     if p is not None:
-        return _lp_dualities(X, np.abs(X), p)
+        return _lp_dualities(X, absX, p)
     if isinstance(space, QSumLp):
         out = np.zeros(X.shape, dtype=complex)
         if not X.shape[-1]:
@@ -325,7 +341,7 @@ def norming_functional_rows(space: SpaceSpec, X: np.ndarray) -> np.ndarray:
         outer = _lp_dualities(vals.astype(complex), vals, space.p).real
         for (sl, r), a, w in zip(space.slices(), mods, outer.T):
             live = w != 0
-            if sl.stop <= X.shape[-1] and live.any():
+            if sl.start < X.shape[-1] and live.any():
                 out[live, sl] = (w[live, None]
                                  * _lp_dualities(X[live, sl], a[live], r))
         return out

@@ -245,6 +245,19 @@ def test_opnorm_large_exponent_prints_no_numpy_warning():
     assert proc.stderr == ""
 
 
+def test_cli_and_verify_load_no_scipy():
+    # scipy is a test dependency only: importing the library must not load it
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, normlab.cli, normlab.verify; "
+         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 def test_opnorm_json_warning_is_a_json_bool():
     code, out = run(["opnorm", "--space", '{"space":"qsum","q":1,"p":3}',
                      "--operator",

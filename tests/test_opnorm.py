@@ -106,16 +106,137 @@ def test_max_f_over_k_rejects_bad_exponents():
         opnorm.max_f_over_K(4.0, 2.0)
 
 
+REF_F_GRID = 48
+
+
+def f_abg(alpha, beta, gamma, p, q):
+    """Norm surrogate f(alpha, beta, gamma) of the K (+)_q l_p sum."""
+    tail = (beta ** p + gamma ** p) ** (1.0 / p)
+    return sp.qsum_combine(alpha, tail, q)
+
+
+def reference_maximize_swapped_f(p, q, t=1.0):
+    """The grid-and-polish search maximize_swapped_f once ran, kept as an
+    independent lower reference for its closed form."""
+    if t < 0:
+        raise ValueError("t must be non-negative")
+
+    def objective(a, b, g):
+        return f_abg(b, a, t * g, p, q)
+
+    if q == INF:
+        # closed branch analysis: best is alpha = gamma = 1, beta = 0
+        val = (1.0 + t ** p) ** (1.0 / p)
+        if val >= 1.0:
+            return val, (1.0, 0.0, 1.0)
+        return 1.0, (0.0, 1.0, 0.0)
+
+    # coarse grid
+    axis = np.linspace(0.0, 1.0, REF_F_GRID)
+    A, B, G = np.meshgrid(axis, axis, axis, indexing="ij")
+    pts = np.stack([A.ravel(), B.ravel(), G.ravel()], axis=1)
+    pts = pts[np.any(pts > 0, axis=1)]
+    tailc = (pts[:, 1] ** p + pts[:, 2] ** p) ** (1.0 / p)
+    fc = (pts[:, 0] ** q + tailc ** q) ** (1.0 / q)
+    pts = pts / fc[:, None]
+    tails = (pts[:, 0] ** p + (t * pts[:, 2]) ** p) ** (1.0 / p)
+    vals = (pts[:, 1] ** q + tails ** q) ** (1.0 / q)
+    best_i = int(np.argmax(vals))  # np.argmax already takes the first max
+    a0, b0, g0 = pts[best_i]
+
+    candidates = []
+
+    # beta = 0 branch: one-dimensional, smooth
+    def neg_scalar(a):
+        a = min(max(a, 0.0), 1.0)
+        g = (1.0 - a ** q) ** (1.0 / q)
+        return -objective(a, 0.0, g)
+
+    res = optimize.minimize_scalar(neg_scalar, bounds=(0.0, 1.0),
+                                   method="bounded",
+                                   options={"xatol": 1e-13, "maxiter": 500})
+    a = float(res.x)
+    g = (1.0 - a ** q) ** (1.0 / q)
+    candidates.append((objective(a, 0.0, g), (a, 0.0, g)))
+    for a in (0.0, 1.0):
+        g = (1.0 - a ** q) ** (1.0 / q)
+        candidates.append((objective(a, 0.0, g), (a, 0.0, g)))
+
+    # two-variable polish with gamma eliminated by the constraint
+    def neg2(v):
+        a, b = v
+        if a < 0 or b < 0:
+            return 0.0
+        rest = 1.0 - a ** q
+        if rest < 0:
+            return 0.0
+        gp = rest ** (p / q) - b ** p
+        if gp < 0:
+            return 0.0
+        return -objective(a, b, gp ** (1.0 / p))
+
+    res2 = optimize.minimize(neg2, [a0, b0], method="Nelder-Mead",
+                             options={"xatol": 1e-13, "fatol": 1e-15,
+                                      "maxiter": 4000})
+    a, b = res2.x
+    a, b = max(a, 0.0), max(b, 0.0)
+    rest = max(1.0 - a ** q, 0.0)
+    gp = max(rest ** (p / q) - b ** p, 0.0)
+    g = gp ** (1.0 / p)
+    candidates.append((objective(a, b, g), (a, b, g)))
+
+    candidates.sort(key=lambda c: -c[0])
+    return candidates[0]
+
+
+SWAP_SWEEP = ([(p, q, t) for p in (1.01, 1.5, 2.0, 3.0, 50.0)
+               for q in (1.0, 1.5, 2.0, 3.0, 10.0, 100.0, INF)
+               for t in (0.0, 0.5, 1.0, 1.5, 3.0)]
+              + [(2.0, 2.001, 1.5), (2.0, 1.0, 0.99), (1.5, 1.1, 0.1)])
+
+
+def brute_swapped_f(p, q, t, n=201):
+    """Max of the swapped surrogate over an n x n grid of K, parametrized by
+    u = 1 - a^q and the share s of u^(p/q) = b^p + g^p that b^p takes."""
+    u = np.linspace(0.0, 1.0, n)[:, None]
+    s = np.linspace(0.0, 1.0, n)[None, :]
+    a, rest = (1 - u) ** (1 / q), u ** (p / q)
+    return float(((s * rest) ** (q / p)
+                  + (a ** p + t ** p * (1 - s) * rest) ** (q / p)).max()
+                 ** (1 / q))
+
+
+def test_maximize_swapped_f_closed_form_sweep():
+    # never below the search it replaced, nor below a grid over K (at
+    # (2, 1, 0.99) the search fell 1.3e-5 short of the grid); the argmax
+    # lies on K and gives back the value; (2, 2.001, 1.5) would overflow
+    # m = t^(pq/|q - p|) if it were formed
+    for p, q, t in SWAP_SWEEP:
+        val, (a, b, g) = opnorm.maximize_swapped_f(p, q, t)
+        ref, _ = reference_maximize_swapped_f(p, q, t)
+        assert math.isfinite(val)
+        assert val >= ref * (1 - 1e-12), (p, q, t)
+        if q < INF:
+            assert val >= brute_swapped_f(p, q, t) * (1 - 1e-12), (p, q, t)
+        assert min(a, b, g) >= 0
+        assert f_abg(a, b, g, p, q) == pytest.approx(1.0, rel=1e-12, abs=0)
+        assert f_abg(b, a, t * g, p, q) == pytest.approx(val, rel=1e-12,
+                                                         abs=0)
+
+
 def test_reduction_matches_dense_section():
     # the structured reduction must agree with brute maximization of the
-    # dense section via the generic iterate path at small N
-    space = sp.QSumLp(4.0, 2.0)
-    T = op.SimpleS(2.0, 4.0)
-    red = opnorm.operator_norm(T, space, 8)
-    M = op.truncate_matrix(T, 8)
-    val, _, method = opnorm.matrix_norm(M, space)
-    assert method == "iterate"
-    assert val == pytest.approx(red.value, abs=1e-8)
+    # dense section via the generic iterate path at small N, for q > p,
+    # q < p and q = p, on the shrinking S and the expanding R
+    for p, q in ((2.0, 4.0), (4.0, 2.0), (3.0, 1.5), (3.0, 1.0), (2.0, 2.0)):
+        space = sp.QSumLp(q, p)
+        for T in (op.SimpleS(p, q), op.SimpleR(p, q)):
+            red = opnorm.operator_norm(T, space, 8)
+            assert red.method == "reduction_f"
+            val, _, method = opnorm.matrix_norm(op.truncate_matrix(T, 8),
+                                                space)
+            assert method == "iterate"
+            assert val == pytest.approx(red.value, abs=1e-8)
 
 
 def test_simple_r_reduction():

@@ -322,6 +322,19 @@ def test_att1_tc0():
     assert ps.verify_cert(op.Tc0(), sp.C0(), cert)["ok"]
 
 
+def test_att1_singular_residual_on_wide_section():
+    # the 6-section of T is zero, so z = 0 is an eigenvalue of it and A = 0
+    # is proposed; but T maps the eigenvector into e_8, past the section,
+    # and the residual must see it there as verify_cert does
+    T = op.RankOne(Coeffs.from_array(np.ones(6)), Coeffs.basis(8))
+    cert = ps.att1_perturbation(T, sp.Lp(2), 0.0, 0.5, 6)
+    chk = ps.verify_cert(T, sp.Lp(2), cert)
+    assert cert.norm_A == 0.0
+    assert cert.residual == pytest.approx(1.0, rel=1e-12)
+    assert cert.residual == pytest.approx(chk["residual"], rel=1e-12)
+    assert not chk["ok"]
+
+
 def test_att1_builds_one_section_of_t(monkeypatch):
     seen = counted_sections(monkeypatch)
     ps.att1_perturbation(op.Tc0(), sp.C0(), -1.0, 0.51, 20)

@@ -127,6 +127,32 @@ def test_qsum_functional_subnormal_power_rescales():
     assert f[0] == (alpha / nrm) ** (q - 1) * sp._sign(arr[0]) != 0
 
 
+def test_functional_of_subnormal_rows_is_finite_and_norming():
+    # such rows are scaled by 2^600 first; they once gave NaN (division by
+    # a subnormal norm) or, below 1e-200, the zero functional
+    rows = np.array([[1e-320 + 1e-321j, 5e-321, 0, 0, 0, 0, 0],
+                     [0, 3e-322, 0, 0, 1e-323j, 0, 2e-310],
+                     [1e-250, 0, -1e-260, 0, 0, 1e-249j, 0]])
+    for space in ROW_SPACES:
+        funcs = sp.norming_functional_rows(space, rows)
+        assert np.array_equal(funcs, sp.norming_functional_rows(
+            space, rows * 2.0 ** 600))
+        for x, f in zip(rows * 2.0 ** 600, funcs):
+            nx = sp.norm_array(space, x)
+            assert np.sum(f * x) == pytest.approx(nx, rel=1e-12, abs=0)
+            assert sp.norm_array(sp.dual_space(space), f) == \
+                pytest.approx(1.0, rel=1e-12)
+    assert np.all(np.isfinite(
+        sp.norming_functional_array(sp.Lp(3), [1e-320 + 1e-321j, 5e-321])))
+
+
+def test_direct_sum_functional_of_array_ending_inside_a_block():
+    space = sp.DirectSumLp(2.0, ((2, 2.0), (3, 2.0)))
+    x = np.array([1.0, 0.0, 1.0])
+    f = sp.norming_functional_array(space, x)
+    assert np.sum(f * x).real == pytest.approx(math.sqrt(2), rel=1e-15)
+
+
 def test_norm_and_functional_raise_no_overflow_warning():
     # the row-wise rules rescale where a power overflows and keep numpy's
     # warnings to themselves
@@ -188,12 +214,15 @@ def test_norm_axioms(space, x, y, lam):
 
 @pytest.mark.parametrize("space", [s for s in EXACT_SPACES], ids=str)
 @settings(max_examples=40, deadline=None)
-@given(x=coeffs_strategy(max_index=6))
-def test_norming_functional_attains(space, x):
+@given(x=coeffs_strategy(max_index=6), data=st.data())
+def test_norming_functional_attains(space, x, data):
     if not x.entries:
         return
-    arr = x.to_array(8 if not isinstance(space, sp.DirectSumLp)
-                     else space.total_size())
+    # a dsum array may end inside a block, or at a block's end short of
+    # the last block
+    width = (data.draw(st.integers(x.dim_hint, space.total_size()))
+             if isinstance(space, sp.DirectSumLp) else 8)
+    arr = x.to_array(width)
     f = sp.norming_functional_array(space, arr)
     nx = sp.norm_array(space, arr)
     assert np.real(np.sum(f * arr)) == pytest.approx(nx, rel=1e-10, abs=1e-10)
