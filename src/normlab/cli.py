@@ -8,6 +8,7 @@ Exit codes: 0 ok, 1 usage error, 2 solver gap, 3 I/O failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -157,7 +158,10 @@ def cmd_verify(args, stdout) -> int:
     return EXIT_OK if report["all_ok"] else EXIT_VERIFY
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it
+    unchanged."""
     parser = argparse.ArgumentParser(
         prog="normlab",
         description="sequence-space norms, operator norms, pseudospectra")

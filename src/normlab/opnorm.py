@@ -122,12 +122,15 @@ def _power_iteration(M, space, cfg: OpnormConfig, starts=()):
     """(value, witness) of the generalized power iteration on M.
 
     The starts (ones, e_0..e_3, RESTARTS random vectors, then the caller's)
-    run as the rows of one array.  A row x steps to the normalized dual
-    functional of M^T g, g the norming functional of Mx.  It leaves the
-    batch when its value is not positive or stalls (TOL), when its step
-    vanishes, or after MAX_ITER values.  The best value wins, ties going to
-    the earliest start and then the earliest step; it is floored at the
-    best basis column, whose e_j is then the witness.
+    run as the rows of one array, normed once.  A row x steps to the dual
+    functional of M^T g, g the norming functional of y = Mx, which is a
+    unit vector by construction.  Each half-step is one
+    norming_functional_rows call: the first gives the value ||y|| and g
+    together, the second the next x.  A row leaves the batch when its
+    value is not positive (a vanished step gives the value 0) or moves by
+    at most TOL times itself, or after MAX_ITER values.  The best value
+    wins, ties going to the earliest start and then the earliest step; it
+    is floored at the best basis column, whose e_j is then the witness.
     """
     n = M.shape[1]
     Mt = np.ascontiguousarray(M.T)
@@ -150,21 +153,15 @@ def _power_iteration(M, space, cfg: OpnormConfig, starts=()):
     X = X[rows] / nx[rows, None]
     prev = np.full(len(rows), -1.0)
     for it in range(MAX_ITER):
-        Y = X @ Mt
-        val = sp.norm_rows(space, Y)
+        val, G = sp.norming_functional_rows(space, X @ Mt)
         better = val > best_val[rows]
         best_val[rows[better]] = val[better]
         best_x[rows[better]] = X[better]
-        go = ~((val <= 0) | (np.abs(val - prev) <= TOL * np.maximum(1.0, val)))
+        go = (val > 0) & (np.abs(val - prev) > TOL * val)
         if it == MAX_ITER - 1 or not go.any():
             break
         rows, prev = rows[go], val[go]
-        H = sp.norming_functional_rows(space, Y[go]) @ M
-        X = sp.norming_functional_rows(dual, H)
-        nx = sp.norm_rows(space, X)
-        go = nx != 0
-        rows, prev = rows[go], prev[go]
-        X = X[go] / nx[go, None]
+        X = sp.norming_functional_rows(dual, G[go] @ M)[1]
 
     k = int(np.argmax(best_val))
     cols = sp.norm_rows(space, Mt)

@@ -183,6 +183,8 @@ def grid_scan(T, space, region, resolution: int, eps: float, N: int,
     require_finite(region, "grid bounds")
     require_norming(space)
     re0, re1, im0, im1 = region
+    # finite bounds whose span overflows would give inf and NaN cell centers
+    require_finite((re1 - re0, im1 - im0), "grid spans re1 - re0, im1 - im0")
     res_axis = np.linspace(re0, re1, resolution)
     im_axis = np.linspace(im0, im1, resolution)
     M = op.truncate_matrix(T, N)

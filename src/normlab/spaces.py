@@ -128,51 +128,45 @@ SpaceSpec = Lp | C0 | L1 | QSumLp | DirectSumLp | RenormedL2
 # ---------------------------------------------------------------------------
 #
 # Every rule works on the rows of a (k, n) array at once; norm_array and
-# norming_functional_array are its one-row case.  Rows are reduced along the
-# last axis of C-contiguous arrays, so each row is summed pairwise exactly as
-# a 1-D array is.  The per-row scalars (roots, rescaling powers, signs, the
-# q-sum of two parts) are taken with Python's scalar arithmetic: numpy's
-# vectorised power, modulus and complex division can differ from it in the
-# last bit.
+# norming_functional_array are its one-row case, and norming_functional_rows
+# hands back the norms it takes on the way, equal to norm_rows bit for bit.
+# Rows are reduced along the last axis of C-contiguous arrays, so each row
+# is summed pairwise exactly as a 1-D array is, and numpy's elementwise
+# modulus and power give an entry the same bits wherever it sits.  The l_p
+# rule (1 < p < inf) is scaled by each row's largest modulus m: u = |x|/m
+# lies in [0, 1], w = u^(p-1) and r = (sum w u)^(1/p) lies in [1, n^(1/p)],
+# so no power over- or underflows; the norm is m r and the functional is
+# sign(conj x) w / r^(p-1).  The q-sum of two parts and its weights are
+# Python scalars, which rescale where a power over- or underflows.
 
-def _pow_each(x: np.ndarray, e: float) -> np.ndarray:
-    """x ** e for each entry of a 1-D float array by Python's float power;
-    inf where it overflows."""
-    out = []
-    for v in x.tolist():
-        try:
-            out.append(v ** e)
-        except OverflowError:
-            out.append(INF)
-    return np.array(out)
-
-
-def _powers_in_range(x: np.ndarray, e: float) -> np.ndarray:
-    """x ** e per entry, or 0.0 where it over- or underflows (a subnormal
-    result counts as underflow): the caller then divides by x before
-    raising to e."""
-    d = _pow_each(x, e)
-    return np.where((d >= _TINY) & (d < INF), d, 0.0)
+def _lp_scaled(a: np.ndarray, m: np.ndarray, p: float) -> tuple:
+    """(r, w) of the l_p rule, 1 < p < inf, on the rows of the moduli a
+    (k, n) with row maxima m; a zero row gets r = 0 and w = 0."""
+    u = a / np.where(m > 0, m, 1.0)[:, None]
+    w = u ** (p - 1)
+    return (w * u).sum(axis=-1) ** (1.0 / p), w
 
 
 def _lp_norms(a: np.ndarray, p: float) -> np.ndarray:
     """l_p norm of each row of the moduli a (k, n)."""
-    if p == INF:
-        return a.max(axis=-1, initial=0.0)
     if p == 1:
         return a.sum(axis=-1)
-    s = (a * a if p == 2 else a ** p).sum(axis=-1)
-    out = np.sqrt(s) if p == 2 else _pow_each(s, 1.0 / p)
-    bad = (s == INF) | (s < _TINY)
-    if bad.any():
-        # the sum overflowed or underflowed: factor out the largest modulus
-        # (an all-zero row keeps its norm 0)
-        rows = np.flatnonzero(bad & a.any(axis=-1))
-        m = a[rows].max(axis=-1, initial=0.0)
-        fin = m < INF
-        m[fin] *= _lp_norms(a[rows[fin]] / m[fin, None], p)
-        out[rows] = m
-    return out
+    m = a.max(axis=-1, initial=0.0)
+    return m if p == INF else m * _lp_scaled(a, m, p)[0]
+
+
+def _powers_in_range(x: np.ndarray, e: float) -> np.ndarray:
+    """x ** e for each entry of a 1-D float array by Python's float power,
+    or 0.0 where it over- or underflows (a subnormal result counts as
+    underflow): the caller then divides by x before raising to e."""
+    out = []
+    for v in x.tolist():
+        try:
+            d = v ** e
+        except OverflowError:
+            d = INF
+        out.append(d if _TINY <= d < INF else 0.0)
+    return np.array(out)
 
 
 def qsum_combine(alpha: float, tail: float, q: float) -> float:
@@ -203,20 +197,13 @@ def lp_exponent(space: SpaceSpec) -> float | None:
 
 
 def _quiet(rule):
-    """Run a row-wise rule under one np.errstate: the rules rescale where a
-    power over- or underflows, so numpy's warnings there say nothing."""
+    """Run a row-wise rule under one np.errstate: numpy's warnings from the
+    entries the rules mask or rescale say nothing."""
     @functools.wraps(rule)
     def wrapper(space, X):
         with np.errstate(all="ignore"):
             return rule(space, np.ascontiguousarray(X, dtype=complex))
     return wrapper
-
-
-def _qsum_parts(X: np.ndarray, p: float) -> tuple:
-    """(alpha, tail moduli, tail norms) of the rows of X in K (+)_q l_p."""
-    alpha = [abs(v) for v in X[:, 0].tolist()]
-    a = np.abs(X[:, 1:])
-    return alpha, a, _lp_norms(a, p)
 
 
 @_quiet
@@ -228,9 +215,9 @@ def norm_rows(space: SpaceSpec, X: np.ndarray) -> np.ndarray:
     if isinstance(space, QSumLp):
         if not X.shape[-1]:
             return np.zeros(len(X))
-        alpha, _, tail = _qsum_parts(X, space.p)
-        return np.array([qsum_combine(al, t, space.q)
-                         for al, t in zip(alpha, tail.tolist())])
+        tails = _lp_norms(np.abs(X[:, 1:]), space.p).tolist()
+        return np.array([qsum_combine(abs(v), t, space.q)
+                         for v, t in zip(X[:, 0].tolist(), tails)])
     if isinstance(space, DirectSumLp):
         total = space.total_size()
         if X.shape[-1] > total and np.any(X[:, total:] != 0):
@@ -252,63 +239,64 @@ def _sign(v: complex) -> complex:
     return np.conj(v) / a if a > 1e-200 else 0.0
 
 
-def _lp_dualities(X: np.ndarray, a: np.ndarray, p: float) -> np.ndarray:
-    """Unit functional f (bilinear pairing) with f(x) = ||x||_p for each
-    row x of X, whose moduli are a."""
+def _lp_dualities(X: np.ndarray, a: np.ndarray, m: np.ndarray,
+                  p: float) -> tuple:
+    """(norms, F): the l_p norm of each row x of X, whose moduli are a and
+    row maxima m, and a unit functional f (bilinear pairing) with
+    f(x) = ||x||_p."""
     if p == INF:
-        out = np.zeros(X.shape, dtype=complex)
-        for r in np.flatnonzero(a.any(axis=-1)):
-            m = int(np.argmax(a[r]))
-            out[r, m] = _sign(X[r, m])
-        return out
+        F = np.zeros(X.shape, dtype=complex)
+        for r in np.flatnonzero(m):
+            j = int(np.argmax(a[r]))
+            F[r, j] = _sign(X[r, j])
+        return m, F
     if p == 1:
-        return np.where(a > 1e-200, np.conj(X) / a, 0)
-    nrm = _lp_norms(a, p)[:, None]
-    d = _powers_in_range(nrm[:, 0], p - 1)[:, None]
-    out = np.conj(X) * a ** (p - 2) / d
-    if not d.all():
-        # nrm^(p-1) over- or underflows (p or its dual exponent is large)
-        out = np.where(d != 0, out,
-                       np.conj(X) / a * (a / nrm) ** (p - 1))
-    # relative floor: entries this small contribute nothing but can overflow
-    # a**(p-2) for p < 2
-    return np.where(a > nrm * 1e-150, out, 0)
+        return a.sum(axis=-1), np.where(a > 1e-200, np.conj(X) / a, 0)
+    r, w = _lp_scaled(a, m, p)
+    # f = conj(x) w / (|x| r^(p-1)); the floor on |x| (1e-150 of the row's
+    # largest, and never subnormal) keeps the factor finite and shrinks only
+    # entries that add nothing to f(x) or to ||f||; a zero row, with w = 0
+    # and r^(p-1) taken as 1, gets f = 0
+    floor = np.maximum(m * 1e-150, _TINY)[:, None]
+    rp = (np.maximum(r, 1.0) ** (p - 1))[:, None]
+    return m * r, np.conj(X) * (w / (np.maximum(a, floor) * rp))
 
 
 def _lift_tiny_rows(X: np.ndarray) -> tuple:
-    """(X, |X|) with each row of X whose largest modulus is below 1e-150
-    scaled by 2^600, which is exact (a zero row stays zero).  A norming
-    functional does not change under positive scaling, and the rules above
-    would divide such rows by subnormal norms (NaN) or drop moduli below
-    1e-200 as zero."""
+    """(X, |X|, row maxima, tiny) with each row of X whose largest modulus
+    is below 1e-150 scaled by 2^600, which is exact (a zero row stays zero);
+    tiny indexes those rows.  A norming functional does not change under
+    positive scaling, and the rules above would take such rows' signs from
+    subnormal moduli or drop moduli below 1e-200 as zero."""
     a = np.abs(X)
-    tiny = a.max(axis=-1, initial=0.0) < 1e-150
-    if tiny.any():
+    m = a.max(axis=-1, initial=0.0)
+    tiny = np.flatnonzero(m < 1e-150)
+    if tiny.size:
         X = X.copy()
         X[tiny] *= 2.0 ** 600
         a[tiny] = np.abs(X[tiny])
-    return X, a
+        m[tiny] = a[tiny].max(axis=-1, initial=0.0)
+    return X, a, m, tiny
 
 
-@_quiet
-def norming_functional_rows(space: SpaceSpec, X: np.ndarray) -> np.ndarray:
-    """Hahn-Banach surrogate for each row x of X (k, n): a unit dual vector f
-    with sum f_i x_i = ||x||."""
-    X, absX = _lift_tiny_rows(X)
+def _functionals(space: SpaceSpec, X: np.ndarray, a: np.ndarray,
+                 m: np.ndarray) -> tuple:
+    """(norms, F) of the rows of X, whose moduli are a and row maxima m."""
     p = lp_exponent(space)
     if p is not None:
-        return _lp_dualities(X, absX, p)
+        return _lp_dualities(X, a, m, p)
+    out = np.zeros(X.shape, dtype=complex)
     if isinstance(space, QSumLp):
-        out = np.zeros(X.shape, dtype=complex)
         if not X.shape[-1]:
-            return out
+            return np.zeros(len(X)), out
         q = space.q
-        alpha, a, tails = _qsum_parts(X, space.p)
-        ftail = _lp_dualities(X[:, 1:], a, space.p)
+        alpha = [abs(v) for v in X[:, 0].tolist()]
+        at = np.ascontiguousarray(a[:, 1:])
+        tails, ftail = _lp_dualities(X[:, 1:], at,
+                                     at.max(axis=-1, initial=0.0), space.p)
         tails = tails.tolist()
         nrms = [qsum_combine(al, t, q) for al, t in zip(alpha, tails)]
         ds = _powers_in_range(np.array(nrms), q - 1).tolist()
-        head = np.zeros(len(X), dtype=complex)
         weight = np.zeros(len(X))
         for r, (al, tail, nrm, d) in enumerate(zip(alpha, tails, nrms, ds)):
             if nrm == 0:
@@ -319,38 +307,51 @@ def norming_functional_rows(space: SpaceSpec, X: np.ndarray) -> np.ndarray:
                 if tail >= al:
                     weight[r] = 1.0
                 else:
-                    head[r] = sign
+                    out[r, 0] = sign
             elif q == 1:
-                head[r], weight[r] = sign, 1.0
+                out[r, 0], weight[r] = sign, 1.0
             elif d:
-                head[r] = (al ** (q - 1) / d) * sign
+                out[r, 0] = (al ** (q - 1) / d) * sign
                 weight[r] = tail ** (q - 1) / d
             else:
                 # nrm^(q-1) over- or underflows (q is large)
-                head[r] = (al / nrm) ** (q - 1) * sign
+                out[r, 0] = (al / nrm) ** (q - 1) * sign
                 weight[r] = (tail / nrm) ** (q - 1)
-        out[:, 0] = head
         live = weight != 0
         out[live, 1:] = weight[live, None] * ftail[live]
-        return out
+        return np.array(nrms), out
     if isinstance(space, DirectSumLp):
-        out = np.zeros(X.shape, dtype=complex)
-        mods = [np.abs(X[:, sl]) for sl, _ in space.slices()]
-        vals = np.stack([_lp_norms(a, r)
-                         for a, (_, r) in zip(mods, space.slices())], axis=-1)
-        outer = _lp_dualities(vals.astype(complex), vals, space.p).real
-        for (sl, r), a, w in zip(space.slices(), mods, outer.T):
-            live = w != 0
-            if sl.start < X.shape[-1] and live.any():
-                out[live, sl] = (w[live, None]
-                                 * _lp_dualities(X[live, sl], a[live], r))
-        return out
+        blocks = []
+        for sl, r in space.slices():
+            ab = np.ascontiguousarray(a[:, sl])
+            blocks.append(_lp_dualities(X[:, sl], ab,
+                                        ab.max(axis=-1, initial=0.0), r))
+        vals = np.stack([nb for nb, _ in blocks], axis=-1)
+        norms, outer = _lp_dualities(vals, vals,
+                                     vals.max(axis=-1, initial=0.0), space.p)
+        for (sl, _), (_, fb), w in zip(space.slices(), blocks,
+                                       np.real(outer).T):
+            out[:, sl] = w[:, None] * fb
+        return norms, out
     raise TypeError("no explicit norming functional for %r" % (space,))
+
+
+@_quiet
+def norming_functional_rows(space: SpaceSpec, X: np.ndarray) -> tuple:
+    """(norms, F) for the rows x of X (k, n): the norm of each row, equal to
+    norm_rows bit for bit, and a Hahn-Banach surrogate, a unit dual vector f
+    with sum f_i x_i = ||x||."""
+    lifted, a, m, tiny = _lift_tiny_rows(X)
+    norms, F = _functionals(space, lifted, a, m)
+    if tiny.size:
+        # the norms of the unlifted rows, as norm_rows takes them
+        norms[tiny] = norm_rows(space, X[tiny])
+    return norms, F
 
 
 def norming_functional_array(space: SpaceSpec, arr: np.ndarray) -> np.ndarray:
     """Hahn-Banach surrogate: unit dual vector f with sum f_i x_i = ||x||."""
-    return norming_functional_rows(space, np.asarray(arr)[None])[0]
+    return norming_functional_rows(space, np.asarray(arr)[None])[1][0]
 
 
 def dual_space(space: SpaceSpec) -> SpaceSpec:

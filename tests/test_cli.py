@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -149,12 +150,31 @@ TC0 = '{"op":"catalog","name":"tc0"}'
      "--res", "3", "--trunc", "4"],
     ["pspec", "--space", LP2, "--operator", TC0, "--grid=-1,inf,0,1",
      "--res", "3", "--trunc", "4"],
+    ["pspec", "--space", LP2, "--operator", TC0, "--grid=-1e308,1e308,0,1",
+     "--res", "3", "--trunc", "4"],
 ], ids=["index", "block_size", "trunc", "tol_negative", "tol_nan",
         "tol_on_lp", "trunc_on_lp", "renorm_trunc_zero",
         "renorm_trunc_negative", "catalog_name", "empty_matrix",
-        "pspec_renorm", "grid_nan", "grid_inf"])
+        "pspec_renorm", "grid_nan", "grid_inf", "grid_span_overflow"])
 def test_out_of_domain_input_is_usage_error(argv, capsys):
     assert_usage_error(argv, capsys)
+
+
+def test_pspec_grid_span_overflow_is_rejected_before_any_work(capfd):
+    # each bound is finite but re1 - re0 overflows: linspace made inf and
+    # NaN cell centers, and the run ended in LAPACK's complaints (on the
+    # C stdout, which an in-process run cannot see) and "SVD did not
+    # converge"; no warning may escape either
+    capfd.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = run(["pspec", "--space", LP2, "--operator", TC0,
+                         "--grid=-1e308,1e308,0,1", "--res", "3",
+                         "--trunc", "4"])
+    cap = capfd.readouterr()
+    assert (code, out, cap.out) == (1, "", "")
+    assert cap.err == ("error: grid spans re1 - re0, im1 - im0 must be "
+                       "finite\n")
 
 
 def test_norm_default_tol_is_the_solver_default(monkeypatch):
@@ -437,3 +457,25 @@ def test_bad_grid_flag():
                    "--operator", '{"op":"identity"}',
                    "--grid", "1,2,3", "--res", "3"])
     assert code == 1
+
+
+def test_repeated_runs_in_one_process_agree(capsys):
+    # the parser is built once per process; each run, after any other and
+    # after a usage error, prints what its first run printed
+    opnorm_argv = ["opnorm", "--space", '{"space":"lp","p":3}', "--operator",
+                   '{"op":"matrix","rows":[[[1,0],[2,0]],[[3,0],[4,0]]]}',
+                   "--trunc", "2", "--format", "json"]
+    sequence = [
+        opnorm_argv,
+        ["norm", "--space", LP2, "--vector", "[[1.5,1,0]]"],
+        ["pspec", "--space", LP2, "--operator", TC0, "--res", "3",
+         "--trunc", "4", "--grid=-1,1,-1,1"],
+        ["verify", "--only", "qseq"],
+        ["norm", "--space", LP2, "--vector", "[[0,3,0],[1,0,4]]"],
+        opnorm_argv,
+    ]
+    first = [run(argv) for argv in sequence]
+    assert [run(argv) for argv in sequence] == first
+    assert first[0] == first[-1]
+    assert [code for code, _ in first] == [0, 1, 0, 0, 0, 0]
+    assert cli.build_parser() is cli.build_parser()

@@ -456,6 +456,51 @@ def test_batched_iterate_not_below_reference(M, space):
         pytest.approx(val, rel=1e-12)
 
 
+HOMOGENEITY_M = np.random.default_rng(3).standard_normal((16, 16))
+
+
+@pytest.mark.parametrize("space,rel", [
+    (sp.Lp(1.5), 0.0), (sp.Lp(3.0), 0.0),
+    (sp.DirectSumLp(3.0, ((4, 1.0), (6, 2.0), (6, 4.0))), 0.0),
+    (sp.QSumLp(4.0, 2.0), 1e-14),
+], ids=str)
+def test_iterate_is_homogeneous(space, rel):
+    # scaling M by 2^k scales the value by 2^k: bit for bit where the row
+    # rules are scale-free and to rounding where qsum_combine rescales; the
+    # stall test once read TOL absolutely below a value of 1, and 2^-500 M
+    # came out 3% low on l_3
+    base = opnorm.matrix_norm(HOMOGENEITY_M, space)[0]
+    for k in (-1000, -500, 500, 900):
+        val = opnorm.matrix_norm(2.0 ** k * HOMOGENEITY_M, space)[0]
+        assert val == pytest.approx(2.0 ** k * base, rel=rel, abs=0), k
+
+
+def test_iterate_takes_one_row_rule_call_per_half_step(monkeypatch):
+    # one norming_functional_rows call gives the values and functionals of
+    # the images, one more the next iterates; norm_rows norms the starts
+    # and the basis columns
+    calls = []
+
+    def counting(name):
+        real = getattr(sp, name)
+
+        def wrapper(space, X):
+            calls.append((name, space))
+            return real(space, X)
+        return wrapper
+
+    for name in ("norm_rows", "norming_functional_rows"):
+        monkeypatch.setattr(sp, name, counting(name))
+    space = sp.Lp(3.0)
+    M = np.random.default_rng(4).standard_normal((12, 12)).astype(complex)
+    opnorm.matrix_norm(M, space)
+    rule = [s for name, s in calls if name == "norming_functional_rows"]
+    steps = len(rule) // 2
+    assert steps > 10
+    assert rule == [space, sp.dual_space(space)] * steps + [space]
+    assert calls.count(("norm_rows", space)) == len(calls) - len(rule) == 2
+
+
 def test_iterate_floored_at_best_column_on_l3_grid():
     # resolvents of the N=8 SimpleS section on l_3 over a 21x21 grid of
     # [-2, 2]^2: the per-start iterate fell short of the best basis column

@@ -134,9 +134,9 @@ def test_functional_of_subnormal_rows_is_finite_and_norming():
                      [0, 3e-322, 0, 0, 1e-323j, 0, 2e-310],
                      [1e-250, 0, -1e-260, 0, 0, 1e-249j, 0]])
     for space in ROW_SPACES:
-        funcs = sp.norming_functional_rows(space, rows)
+        _, funcs = sp.norming_functional_rows(space, rows)
         assert np.array_equal(funcs, sp.norming_functional_rows(
-            space, rows * 2.0 ** 600))
+            space, rows * 2.0 ** 600)[1])
         for x, f in zip(rows * 2.0 ** 600, funcs):
             nx = sp.norm_array(space, x)
             assert np.sum(f * x) == pytest.approx(nx, rel=1e-12, abs=0)
@@ -183,10 +183,31 @@ def test_rows_equal_one_row_calls_bitwise(space):
         X[3] = 0
         X[5, : n // 2] = 0
         norms = sp.norm_rows(space, X)
-        funcs = sp.norming_functional_rows(space, X)
+        _, funcs = sp.norming_functional_rows(space, X)
         for x, nrm, f in zip(X, norms, funcs):
             assert nrm == sp.norm_array(space, x)
             assert np.array_equal(f, sp.norming_functional_array(space, x))
+
+
+@pytest.mark.parametrize("space", ROW_SPACES, ids=str)
+def test_functional_rows_return_norm_rows_bitwise(space):
+    # the norms norming_functional_rows hands back are norm_rows' own, at
+    # scales from 1e-300 to 1e300, on zero rows and on rows below 1e-150
+    # (which the functional takes scaled by 2^600) with subnormal entries
+    rng = np.random.default_rng(9)
+    sizes = (1, 3, 7) if isinstance(space, sp.DirectSumLp) else (1, 4, 9, 40)
+    for n in sizes:
+        X = rng.standard_normal((30, n)) + 1j * rng.standard_normal((30, n))
+        X *= 10.0 ** rng.uniform(-300, 300, (30, 1))
+        X[3] = 0
+        X[5, : n // 2] = 0
+        X[7:10] = X[7:10] / np.abs(X[7:10]).max() * [[1e-151], [1e-300],
+                                                       [1e-310]]
+        X[11, -1] = 1e-320
+        X[12] = 5e-324
+        norms, funcs = sp.norming_functional_rows(space, X)
+        assert np.array_equal(norms, sp.norm_rows(space, X))
+        assert np.all(np.isfinite(funcs))
 
 
 def test_direct_sum_support_check():
