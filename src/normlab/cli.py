@@ -57,6 +57,8 @@ def _load(args, *names) -> list:
         obj = _parse_json(getattr(args, name), "--" + name)
         try:
             out.append(_LOADERS[name](obj))
+        except KeyError as exc:
+            raise UsageError("malformed --%s: missing key %s" % (name, exc))
         except (TypeError, AttributeError, OverflowError) as exc:
             raise UsageError("malformed --%s: %s" % (name, exc))
     return out
@@ -208,7 +210,8 @@ def main(argv=None, stdout=None) -> int:
     except UsageError as exc:
         sys.stderr.write("error: %s\n" % exc)
         return EXIT_USAGE
-    except (ValueError, KeyError, NotImplementedError) as exc:
+    except (ValueError, KeyError, NotImplementedError,
+            op.UnboundedImageError) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return EXIT_USAGE
     except IOError as exc:

@@ -200,11 +200,34 @@ def apply(T: OperatorSpec, x: Coeffs) -> Coeffs:
 
 
 def truncate_matrix(T: OperatorSpec, N: int) -> np.ndarray:
-    """Finite section M[i, j] = <apply(T, e_j), e_i> for 0 <= i, j < N."""
+    """Finite section M[i, j] = <apply(T, e_j), e_i> for 0 <= i, j < N.
+
+    Raises ValueError when a row or column sum of |M| overflows: it bounds
+    the entries of M x and of g M for x and g with entries of modulus at
+    most 1, so past it an l_p or resolvent norm of M is not computable.
+    """
     if N < 1:
         raise ValueError("N must be positive")
+    M = _section(T, N)
+    with np.errstate(over="ignore"):
+        a = np.abs(M)
+        finite = (np.isfinite(a.sum(axis=0)).all()
+                  and np.isfinite(a.sum(axis=1)).all())
+    if not finite:
+        raise ValueError("the N = %d section is too large: a row or column "
+                         "sum of |M| overflows" % N)
+    return M
+
+
+def _section(T: OperatorSpec, N: int) -> np.ndarray:
     if isinstance(T, Transpose):
-        return truncate_matrix(T.inner, N).T
+        return _section(T.inner, N).T
+    if isinstance(T, Sum):
+        # exact, and a term may be a Transpose, which apply cannot image
+        out = np.zeros((N, N), dtype=complex)
+        for term in T.terms:
+            out = out + _section(term, N)
+        return out
     if isinstance(T, Matrix):
         m = T.as_array()
         out = np.zeros((N, N), dtype=complex)

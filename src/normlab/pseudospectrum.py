@@ -67,7 +67,10 @@ def _invert(A: np.ndarray) -> tuple:
         singular = np.linalg.cond(A) > SINGULAR_COND
         regular = np.where(singular[:, None, None], np.eye(A.shape[-1]), A)
         return np.linalg.inv(regular), singular
-    undecided = ~(_frobenius(A) * _frobenius(inv) < SINGULAR_COND / 100)
+    with np.errstate(invalid="ignore"):
+        # inf * 0 (an overflowing A, an underflowing inverse) is NaN and
+        # leaves the cell undecided, to the SVD
+        undecided = ~(_frobenius(A) * _frobenius(inv) < SINGULAR_COND / 100)
     singular = np.zeros(len(A), dtype=bool)
     if undecided.any():
         singular[undecided] = np.linalg.cond(A[undecided]) > SINGULAR_COND

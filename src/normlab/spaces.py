@@ -364,7 +364,9 @@ def dual_space(space: SpaceSpec) -> SpaceSpec:
 
     p = lp_exponent(space)
     if p is not None:
-        return L1() if p == INF else C0() if p == 1 else Lp(conj_exp(p))
+        # past p = 2^53 the conjugate rounds to 1: l_1 to rounding
+        q = conj_exp(p)
+        return C0() if p == 1 else L1() if q == 1 else Lp(q)
     if isinstance(space, QSumLp):
         return QSumLp(conj_exp(space.q), conj_exp(space.p))
     if isinstance(space, DirectSumLp):

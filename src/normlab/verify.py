@@ -37,7 +37,7 @@ AC10_NORM_SLACK = 1e-8
 AC10_INF_TOL = 1e-6
 SEED = 0                # draws of AC3, AC6 and AC8
 GRID_RES = 0.01         # spacing of the AC8 sphere-grid oracle
-GRID_CHUNK = 1 << 16    # directions per oracle block
+BOX_SIDE = 6            # axis indices per side of an oracle box
 
 
 @dataclass(frozen=True)
@@ -265,45 +265,97 @@ def sphere_grid_norm(M: np.ndarray, p: float) -> float:
 
     Directions are the points on the faces of the sup-norm cube: one
     coordinate pinned to 1, the other n-1 free on the GRID_RES axis of
-    [-1, 1].  The grid is never stored: each free coordinate is a
-    broadcastable view of the axis, and the first one is walked in blocks
-    of at most GRID_CHUNK directions (one value per block once a value
-    spans more, n >= 5).  On a face, image row r is
-    M[r, face] + sum_j M[r, c_j] x_j.  Ratios are compared as p-th powers,
-    sum_r |img_r|^p over ||x||_p^p = 1 + sum_j |x_j|^p, a denominator all
-    faces share; on p = inf the numerator is max_r |img_r| and the
-    denominator is 1 (the axis exceeds |x_j| = 1 by at most 2e-15).  One
-    1/p root is taken, of the maximum.  Uses only M.real and numpy, never
-    opnorm, so AC8 can cross-check the production path with it.
+    [-1, 1].  On a face, image row r is M[r, face] + sum_j M[r, c_j] x_j.
+    Ratios are compared as p-th powers, sum_r |img_r|^p over
+    ||x||_p^p = 1 + sum_j |x_j|^p, a denominator all faces share; on
+    p = inf the numerator is max_r |img_r| and the denominator is 1 (the
+    axis exceeds |x_j| = 1 by at most 2e-15).  One 1/p root is taken, of
+    the maximum.
+
+    The result is the maximum over the whole grid, bit for bit, but most
+    of the grid is never evaluated (Piyavskii-Shubert branch and bound).
+    Each face's free coordinates are cut into boxes of BOX_SIDE axis
+    indices a side (the last one shorter).  On a box with centre c and
+    half-widths h, |img_r(x)| <= |img_r(c)| + sum_j |M[r, c_j]| h_j, and
+    the denominator is at least 1 + sum_j min_box |x_j|^p; their quotient
+    bounds every direction in the box.  The best value starts at the
+    largest value in each face's top box; a face then evaluates only its
+    boxes whose bound times 1 + 1e-9 reaches the best value, in
+    decreasing order of bound, and stops at the first that falls short.
+    Every direction is computed by the same formula, in the same order
+    of operations, as a full scan of the grid would compute it.  Only
+    rounding can make a computed value exceed its box's computed bound:
+    by a few p n ulps of sum_r (sum_j |M[r, j]|)^p, which is at most
+    (rows n) times the grid maximum (take x = the signs of one row).
+    The 1e-9 margin covers that many times over, so no pruned box holds
+    a larger computed value and the maximum is the full grid's exactly.
+
+    The grid is never stored.  One face's bounds are live at a time, one
+    float per box and image row: (201 / BOX_SIDE)^(n-1) boxes, 1.3 MB at
+    n = 4 and about 34 times more per added dimension; a batch of boxes
+    holds about as many directions as there are boxes.  Uses only M.real
+    and numpy, never opnorm, so AC8 can cross-check the production path
+    with it.
     """
     n = M.shape[1]
     if n == 1:
         return float(np.abs(M[0, 0]))
     axis = np.arange(-1.0, 1.0 + GRID_RES / 2, GRID_RES)
     k = axis.size
-    # array axis 0 runs over image rows, axis j over free coordinate j
-    cols = M.real.T.reshape(M.shape[::-1] + (1,) * (n - 1))
-    views = [axis.reshape((1,) * j + (k,) + (1,) * (n - 1 - j))
-             for j in range(1, n)]
-    step = max(1, GRID_CHUNK // k ** (n - 2))
-    best = 0.0
-    for start in range(0, k, step):
-        xs = [views[0][:, start: start + step]] + views[1:]
-        if p != INF:
-            den = 1.0
-            for x in xs:
-                den = den + np.abs(x) ** p
-        for face in range(n):
-            img = cols[face]
-            for c, x in zip([c for c in range(n) if c != face], xs):
-                img = img + cols[c] * x
-            np.abs(img, out=img)
-            if p == INF:
-                num = img.max(axis=0)
-            else:
-                img **= p
-                num = img.sum(axis=0) / den
-            best = max(best, float(num.max()))
+    axp = np.abs(axis) ** p
+    starts = np.arange(0, k, BOX_SIDE)
+    ends = np.minimum(starts + BOX_SIDE, k) - 1
+    margin = 1.0 + 1e-9
+
+    def spread(a, j):
+        # a's last axis moved onto free coordinate j's array axis
+        return a.reshape(a.shape[:-1] + (1,) * j + a.shape[-1:]
+                         + (1,) * (n - 2 - j))
+
+    def ratio(face, xs, pows, halves=()):
+        # image rows on array axis 0; halves widen |img| to a box bound
+        free = [c for c in range(n) if c != face]
+        col = M.real.reshape(M.shape[:1] + (1,) * xs[0].ndim + (n,))
+        img = col[..., face]
+        for c, x in zip(free, xs):
+            img = img + col[..., c] * x
+        np.abs(img, out=img)
+        for c, h in zip(free, halves):
+            img += np.abs(col[..., c]) * h
+        if p == INF:
+            return img.max(axis=0)
+        den = 1.0
+        for xp in pows:
+            den = den + xp
+        img **= p
+        return img.sum(axis=0) / den
+
+    def face_max(face, boxes):
+        # every direction of the given boxes, clipped at axis index k-1
+        los = np.unravel_index(boxes, (starts.size,) * (n - 1))
+        idx = [np.minimum(starts[lo][:, None] + np.arange(BOX_SIDE), k - 1)
+               for lo in los]
+        xs = [spread(axis[i], j) for j, i in enumerate(idx)]
+        pows = [spread(axp[i], j) for j, i in enumerate(idx)]
+        return float(ratio(face, xs, pows).max())
+
+    # per box: centre, smallest |x_j|^p and half-width, on the box grid
+    box = [[spread(v, j) for j in range(n - 1)]
+           for v in ((axis[starts] + axis[ends]) / 2,
+                     np.minimum.reduceat(axp, starts),
+                     (axis[ends] - axis[starts]) / 2)]
+    best = max(face_max(face, np.argmax(ratio(face, *box))[None])
+               for face in range(n))
+    for face in range(n):
+        ub = ratio(face, *box).ravel()
+        cand = np.flatnonzero(ub * margin >= best)
+        cand = cand[np.argsort(-ub[cand], kind="stable")]
+        # a batch holds about as many directions as the face has boxes
+        batch = max(1, ub.size // BOX_SIDE ** (n - 1))
+        for s in range(0, cand.size, batch):
+            if ub[cand[s]] * margin < best:
+                break
+            best = max(best, face_max(face, cand[s: s + batch]))
     return best if p == INF else best ** (1.0 / p)
 
 
@@ -313,19 +365,25 @@ def check_ac8() -> CheckResult:
     exps = [1.5, 2.0, 3.0, INF]
     rows = []
     ok = True
+    opnorm_s = oracle_s = 0.0
     for k in range(50):
         n = 4 if k < 10 else int(rng.integers(2, 4))
         p = exps[k % len(exps)]
         M = rng.standard_normal((n, n))
         space = sp.Lp(p)
+        t0 = time.perf_counter()
         val, _, method = opnorm.matrix_norm(M.astype(complex), space)
+        t1 = time.perf_counter()
         oracle = sphere_grid_norm(M, p)
+        opnorm_s += t1 - t0
+        oracle_s += time.perf_counter() - t1
         row_ok = abs(val - oracle) < AC8_TOL
         rows.append({"k": k, "n": n, "p": "inf" if p == INF else p,
                      "value": val, "oracle": oracle, "method": method,
                      "ok": row_ok})
         ok = ok and row_ok
-    return _result("AC8", ok, rows=rows)
+    return _result("AC8", ok, rows=rows, opnorm_s=opnorm_s,
+                   oracle_s=oracle_s)
 
 
 def check_ac9() -> CheckResult:

@@ -14,6 +14,7 @@ from normlab import verify
 INF = math.inf
 GRID_RES = verify.GRID_RES
 GRID_CHUNK = 1 << 19    # the stored-grid oracle's block
+STREAM_CHUNK = 1 << 16  # directions per block of the streamed oracle
 
 
 def _gate(result):
@@ -68,7 +69,10 @@ def test_ac7_planting_certificates():
 
 
 def test_ac8_oracle_equivalence():
-    _gate(verify.check_ac8())
+    result = verify.check_ac8()
+    _gate(result)
+    details = result.to_json_obj()["details"]
+    assert details["opnorm_s"] >= 0 and details["oracle_s"] >= 0
 
 
 def sphere_grid_norm_stored(M, p):
@@ -100,6 +104,91 @@ def sphere_grid_norm_stored(M, p):
                 num = (np.abs(img) ** p).sum(axis=0) ** (1.0 / p)
             best = max(best, float((num / den).max()))
     return best
+
+
+def sphere_grid_norm_streamed(M, p):
+    """The full-scan form of verify.sphere_grid_norm, its bitwise reference.
+
+    Evaluates every grid direction: each free coordinate is a
+    broadcastable view of the axis, and the first one is walked in blocks
+    of at most STREAM_CHUNK directions.  The pruned oracle computes each
+    direction it visits with the same operations in the same order.
+    """
+    n = M.shape[1]
+    if n == 1:
+        return float(np.abs(M[0, 0]))
+    axis = np.arange(-1.0, 1.0 + GRID_RES / 2, GRID_RES)
+    k = axis.size
+    # array axis 0 runs over image rows, axis j over free coordinate j
+    cols = M.real.T.reshape(M.shape[::-1] + (1,) * (n - 1))
+    views = [axis.reshape((1,) * j + (k,) + (1,) * (n - 1 - j))
+             for j in range(1, n)]
+    step = max(1, STREAM_CHUNK // k ** (n - 2))
+    best = 0.0
+    for start in range(0, k, step):
+        xs = [views[0][:, start: start + step]] + views[1:]
+        if p != INF:
+            den = 1.0
+            for x in xs:
+                den = den + np.abs(x) ** p
+        for face in range(n):
+            img = cols[face]
+            for c, x in zip([c for c in range(n) if c != face], xs):
+                img = img + cols[c] * x
+            np.abs(img, out=img)
+            if p == INF:
+                num = img.max(axis=0)
+            else:
+                img **= p
+                num = img.sum(axis=0) / den
+            best = max(best, float(num.max()))
+    return best if p == INF else best ** (1.0 / p)
+
+
+def ac8_instances():
+    """(k, M, p) for AC8's 50 instances, drawn as check_ac8 draws them."""
+    rng = np.random.default_rng(verify.SEED)
+    exps = [1.5, 2.0, 3.0, INF]
+    for k in range(50):
+        n = 4 if k < 10 else int(rng.integers(2, 4))
+        yield k, rng.standard_normal((n, n)), exps[k % len(exps)]
+
+
+def test_sphere_grid_norm_equals_full_scan_on_ac8_small():
+    small = [(k, M, p) for k, M, p in ac8_instances() if M.shape[1] <= 3]
+    assert len(small) == 40
+    for k, M, p in small:
+        assert verify.sphere_grid_norm(M, p) == sphere_grid_norm_streamed(
+            M, p), k
+
+
+@pytest.mark.parametrize("k", [0, 3])
+def test_sphere_grid_norm_equals_full_scan_on_ac8_4x4(k):
+    M, p = {k: (M, p) for k, M, p in ac8_instances()}[k]
+    assert M.shape == (4, 4) and p == (1.5 if k == 0 else INF)
+    assert verify.sphere_grid_norm(M, p) == sphere_grid_norm_streamed(M, p)
+
+
+@pytest.mark.parametrize("p", [1.01, 7.0])
+@pytest.mark.parametrize("scale", [1e-8, 1e8])
+@pytest.mark.parametrize("n", [2, 3])
+def test_sphere_grid_norm_equals_full_scan_on_hard_draws(n, scale, p):
+    rng = np.random.default_rng([n, int(np.log10(scale)) + 8])
+    plain = rng.standard_normal((n, n)) * scale
+    zero_column = plain.copy()
+    zero_column[:, 1] = 0.0
+    equal_rows = plain.copy()
+    equal_rows[1] = equal_rows[0]
+    for M in (plain, zero_column, equal_rows):
+        assert verify.sphere_grid_norm(M, p) == sphere_grid_norm_streamed(
+            M, p)
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, INF])
+def test_sphere_grid_norm_of_zero_matrix(p):
+    M = np.zeros((2, 2))
+    assert verify.sphere_grid_norm(M, p) == sphere_grid_norm_streamed(M, p)
+    assert verify.sphere_grid_norm(M, p) == 0.0
 
 
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0, INF])

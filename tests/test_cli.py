@@ -1,11 +1,14 @@
+import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
 import warnings
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from normlab import cli
 from normlab import convex
@@ -152,12 +155,32 @@ TC0 = '{"op":"catalog","name":"tc0"}'
      "--res", "3", "--trunc", "4"],
     ["pspec", "--space", LP2, "--operator", TC0, "--grid=-1e308,1e308,0,1",
      "--res", "3", "--trunc", "4"],
+    ["opnorm", "--space", LP2, "--operator",
+     '{"op":"rank_one","vector":[[0,1,0]]}'],
+    ["opnorm", "--space", '{"space":"lp","p":800}', "--operator",
+     '{"op":"matrix","rows":[[[1e308,0],[1e308,0],[800,0]]]}',
+     "--trunc", "4"],
+    ["pspec", "--space", '{"space":"c0"}', "--operator",
+     '{"op":"sum","terms":[{"op":"scalar","re":1e308},'
+     '{"op":"scalar","re":1e308}]}', "--trunc", "3", "--res", "2"],
 ], ids=["index", "block_size", "trunc", "tol_negative", "tol_nan",
         "tol_on_lp", "trunc_on_lp", "renorm_trunc_zero",
         "renorm_trunc_negative", "catalog_name", "empty_matrix",
-        "pspec_renorm", "grid_nan", "grid_inf", "grid_span_overflow"])
+        "pspec_renorm", "grid_nan", "grid_inf", "grid_span_overflow",
+        "missing_key", "section_sum_overflow", "section_entry_overflow"])
 def test_out_of_domain_input_is_usage_error(argv, capsys):
     assert_usage_error(argv, capsys)
+
+
+@pytest.mark.parametrize("space,operator,message", [
+    (LP2, '{"op":"rank_one","vector":[[0,1,0]]}',
+     "malformed --operator: missing key 'functional'"),
+    ('{"p":2}', TC0, "malformed --space: missing key 'space'"),
+])
+def test_missing_json_key_is_named(space, operator, message, capsys):
+    capsys.readouterr()
+    code, _ = run(["opnorm", "--space", space, "--operator", operator])
+    assert (code, capsys.readouterr().err) == (1, "error: %s\n" % message)
 
 
 def test_pspec_grid_span_overflow_is_rejected_before_any_work(capfd):
@@ -312,6 +335,46 @@ def test_opnorm_qsum_large_outer_exponent_iterates():
     value = float(out.split()[0])
     assert (7.0 * 2.0 ** (-1 / 800) <= value
             <= 6.0 ** (1 / 800) * 7.0 ** (799 / 800))
+
+
+def test_opnorm_sum_holding_a_transpose():
+    # the sum's section is the sum of its terms' sections; the transpose
+    # of the c_0 nilpotent's section has column 0 = (0, 1/2, 1/4)
+    code, out = run(["opnorm", "--space", LP2, "--operator",
+                     '{"op":"sum","terms":[{"op":"transpose","inner":%s}]}'
+                     % TC0, "--trunc", "3", "--format", "json"])
+    assert code == 0
+    assert json.loads(out)["value"] == pytest.approx(math.sqrt(0.3125),
+                                                     rel=1e-12)
+
+
+def test_opnorm_compose_holding_a_transpose_is_usage_error(capsys):
+    assert_usage_error(["opnorm", "--space", LP2, "--operator",
+                        '{"op":"compose","factors":[{"op":"transpose",'
+                        '"inner":%s},{"op":"identity"}]}' % TC0,
+                        "--trunc", "3"], capsys)
+
+
+@pytest.mark.filterwarnings("error")
+def test_exponent_past_2_53_has_the_l1_dual():
+    # its conjugate rounds to 1: the dual was Lp(1.0), refused with
+    # "Lp needs p > 1"; l_1 is that dual to rounding
+    space = '{"space":"lp","p":1e308}'
+    code, out = run(["opnorm", "--space", space, "--operator",
+                     '{"op":"matrix","rows":[[[1,0],[2,0]],[[3,0],[4,0]]]}',
+                     "--trunc", "2"])
+    assert (code, out) == (
+        0, "7.0000000000 method=iterate attainment=inconclusive\n")
+
+
+@pytest.mark.filterwarnings("error")
+def test_pspec_frobenius_screen_overflow_warns_nothing():
+    # ||A||_F overflows and ||A^-1||_F underflows: their product inf * 0 is
+    # NaN, which leaves the cell to the SVD, with no numpy warning
+    code, out = run(["pspec", "--space", LP2, "--operator",
+                     '{"op":"scalar","re":1e308,"im":800}', "--trunc", "1",
+                     "--res", "2"])
+    assert code == 0 and out.endswith("outside=4 radius=0.000000\n")
 
 
 def test_opnorm_simple_r_out_of_domain_is_usage_error(capsys):
@@ -479,3 +542,74 @@ def test_repeated_runs_in_one_process_agree(capsys):
     assert first[0] == first[-1]
     assert [code for code, _ in first] == [0, 1, 0, 0, 0, 0]
     assert cli.build_parser() is cli.build_parser()
+
+
+# -- fuzz ----------------------------------------------------------------------
+
+# boundary numbers for every numeric JSON field: zero, a negative, the
+# largest and a subnormal double, the string the loaders read as inf, and
+# an exponent large enough to overflow a plain power
+EDGE = st.sampled_from([0, -1, 1e308, 1e-320, "inf", 800])
+PAIRS = st.lists(st.tuples(EDGE, EDGE).map(list), max_size=3)
+SPACES = st.one_of(
+    st.builds(lambda p: {"space": "lp", "p": p}, EDGE),
+    st.sampled_from([{"space": "c0"}, {"space": "l1"}, {"space": "renorm"}]),
+    st.builds(lambda q, p: {"space": "qsum", "q": q, "p": p}, EDGE, EDGE),
+    st.builds(lambda p, b: {"space": "dsum", "p": p, "blocks": b},
+              EDGE, PAIRS),
+    st.builds(lambda t: {"space": "renorm", "trunc": t}, EDGE))
+VECTORS = st.lists(st.tuples(EDGE, EDGE, EDGE).map(list), max_size=3)
+LEAVES = st.one_of(
+    st.just({"op": "identity"}),
+    st.builds(lambda re, im: {"op": "scalar", "re": re, "im": im},
+              EDGE, EDGE),
+    st.builds(lambda rule: {"op": "diagonal", "rule": rule},
+              st.sampled_from(["one_minus_2pow", "one_plus_inv"])),
+    st.builds(lambda v: {"op": "diagonal", "rule": "explicit",
+                         "values": v}, PAIRS),
+    st.builds(lambda f, v: {"op": "rank_one", "functional": f,
+                            "vector": v}, VECTORS, VECTORS),
+    st.builds(lambda rows: {"op": "matrix", "rows": rows},
+              st.lists(PAIRS, min_size=1, max_size=3)),
+    st.builds(lambda name, p, q: {"op": "catalog", "name": name, "p": p,
+                                  "q": q},
+              st.sampled_from(["simple_s", "simple_r", "tc0", "tl1", "sex",
+                               "diag_d"]), EDGE, EDGE))
+
+
+def _nest(inner):
+    return st.one_of(
+        LEAVES,
+        st.builds(lambda t: {"op": "sum", "terms": t},
+                  st.lists(inner, min_size=1, max_size=2)),
+        st.builds(lambda f: {"op": "compose", "factors": f},
+                  st.lists(inner, min_size=1, max_size=2)),
+        st.builds(lambda t: {"op": "transpose", "inner": t}, inner))
+
+
+OPERATORS = _nest(_nest(LEAVES))
+
+
+@settings(max_examples=400, deadline=None)
+@given(command=st.sampled_from(["opnorm", "pspec", "norm"]), space=SPACES,
+       operator=OPERATORS, vector=VECTORS,
+       trunc=st.integers(min_value=1, max_value=5))
+def test_cli_fuzz_exits_with_a_code_and_one_line(command, space, operator,
+                                                 vector, trunc):
+    argv = [command, "--space", json.dumps(space)]
+    if command == "norm":
+        argv += ["--vector", json.dumps(vector)]
+        if space["space"] == "renorm":
+            argv += ["--trunc", str(trunc)]
+    else:
+        argv += ["--operator", json.dumps(operator), "--trunc", str(trunc)]
+        if command == "pspec":
+            argv += ["--res", "2"]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, _ = run(argv)
+    assert 0 <= code <= 4, argv
+    lines = err.getvalue().count("\n") + len(caught)
+    assert lines <= 1, (argv, err.getvalue(), [str(w.message) for w in caught])

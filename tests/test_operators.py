@@ -167,6 +167,33 @@ def test_transpose_apply_raises():
         op.apply(op.dual_operator(op.Tc0()), Coeffs.basis(0))
 
 
+@pytest.mark.filterwarnings("ignore:overflow")
+@pytest.mark.parametrize("T", [
+    op.Matrix(((1e308, 1e308, 800),)),
+    op.Transpose(op.Matrix(((1e308, 1e308, 800),))),
+    op.Sum((op.ScalarMul(1e308), op.ScalarMul(1e308))),
+], ids=["row_sum_overflows", "column_sum_overflows", "entry_overflows"])
+def test_section_too_large_is_refused(T):
+    # M x overflowed in the power iteration (NaN values and warnings) and
+    # an infinite entry reached the SVD of the resolvent screen
+    with pytest.raises(ValueError, match="too large"):
+        op.truncate_matrix(T, 3)
+
+
+def test_section_with_large_finite_line_sums_is_kept():
+    # 1e308 I: every line sum is finite, though the sum of all |M| is not
+    M = op.truncate_matrix(op.ScalarMul(1e308), 3)
+    assert np.array_equal(M, 1e308 * np.eye(3))
+
+
+def test_section_of_a_sum_is_the_sum_of_sections():
+    # the dual of a sum holding Tc0 holds its Transpose, which apply cannot
+    # image; the sum's section is exact from its terms' sections
+    T = op.Sum((op.Tc0(), op.Diagonal("one_minus_2pow")))
+    Ms = op.truncate_matrix(op.dual_operator(T), 6)
+    assert np.array_equal(Ms, op.truncate_matrix(T, 6).T)
+
+
 # -- catalog and serialization -------------------------------------------------
 
 def test_catalog_diag_d():
