@@ -1,0 +1,8 @@
+"""The normlab command line as ``python -m normlab <command> ...``."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

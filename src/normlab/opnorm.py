@@ -8,6 +8,12 @@ Everything else falls back to a generalized power iteration, which
 certifies a lower bound only.  Its starts run as the rows of one array,
 and its value is floored at the best basis column.  On l_p an iterate's
 report also carries a Riesz-Thorin upper bound.
+
+On l_p, 1 < p < inf, operator_norm first splits a section into its
+independent blocks (the connected components of the pattern of its
+nonzero entries).  Disjointly supported pieces add their p-th powers, so
+the norm is exactly the largest block norm, and a block with one column
+or one row has a closed form.
 """
 
 from __future__ import annotations
@@ -232,6 +238,110 @@ def lp_upper_bound(M: np.ndarray, p: float) -> float:
     return float(min(n1 ** (1 / p) * ninf ** (1 - 1 / p), via_2))
 
 
+# ---------------------------------------------------------------------------
+# independent blocks of a section on l_p
+# ---------------------------------------------------------------------------
+
+def block_labels(M: np.ndarray):
+    """(row labels, column labels) of the independent blocks of M, or None
+    when M has no nonzero entry or is one block.
+
+    The blocks are the connected components of the bipartite graph of M's
+    nonzero entries, rows on one side and columns on the other; a zero
+    column is a block of its own, and a zero row lies in no block that has
+    a column.  If some row is nonzero in every column, M is one block.
+    Otherwise each round hooks every component root that shares an edge
+    with a smaller root under one such root, then jumps pointers until
+    every node points at its root: O(nnz) a round, about log N rounds.  A
+    label is the index of a root, rows numbered first and columns after.
+    """
+    nz = M != 0
+    if nz.all(axis=1).any():
+        return None
+    nr = M.shape[0]
+    i, j = np.nonzero(nz)
+    if not i.size:
+        return None
+    j += nr
+    label = np.arange(nr + M.shape[1])
+    while True:
+        a, b = label[i], label[j]
+        cross = a != b
+        if not cross.any():
+            break
+        a, b = a[cross], b[cross]
+        # any smaller root will do: label[x] <= x keeps the hooks a forest
+        label[np.maximum(a, b)] = np.minimum(a, b)
+        while True:
+            up = label[label]
+            if np.array_equal(up, label):
+                break
+            label = up
+    rl, cl = label[:nr], label[nr:]
+    return None if (cl == cl[0]).all() else (rl, cl)
+
+
+def _split_norm(M, rl, cl, space, cfg, starts) -> tuple:
+    """(value, witness, method, upper) of M on l_p, 1 < p < inf, from the
+    blocks of block_labels.
+
+    By p-additivity ||Mx||_p^p = sum_k ||M_k x_k||_p^p, which is at most
+    max_k ||M_k||^p ||x||_p^p, with equality on the best block's witness
+    placed at its columns; ties go to the block with the first column.  A
+    one-column block's norm is the l_p norm of its column, all of them in
+    one norm_rows call; a one-row block's is the dual norm of its row, with
+    the row's norming functional as witness (the rank-one closed form); any
+    other block goes to matrix_norm with the starts restricted to its
+    columns.  The method is iterate if some block iterated, and then upper
+    is the largest block bound: lp_upper_bound of an iterated block, the
+    value of a closed-form one.
+    """
+    n = M.shape[1]
+    ncols = np.bincount(cl, minlength=len(rl) + n)
+    nrows = np.bincount(rl, minlength=len(rl) + n)
+    blocks = []                 # (value, first column, columns, witness)
+    one_col = np.flatnonzero(ncols[cl] == 1)
+    if one_col.size:
+        # the nonzero entries of each such column, packed into a row of C:
+        # they sit on the rows that share the column's label
+        col_of = np.zeros(len(ncols), dtype=int)
+        col_of[cl[one_col]] = one_col
+        ii = np.flatnonzero(ncols[rl] == 1)
+        jj = col_of[rl[ii]]
+        order = np.argsort(jj, kind="stable")
+        ii, jj = ii[order], jj[order]
+        pos = np.arange(jj.size) - np.searchsorted(jj, jj)
+        C = np.zeros((one_col.size, pos.max(initial=0) + 1), dtype=complex)
+        C[np.searchsorted(one_col, jj), pos] = M[ii, jj]
+        vals = sp.norm_rows(space, C)
+        k = int(np.argmax(vals))
+        blocks.append((vals[k], one_col[k], one_col[k], 1.0))
+    one_row = np.flatnonzero((nrows[rl] == 1) & (ncols[rl] > 1))
+    if one_row.size:
+        R = M[one_row]
+        vals, F = sp.norming_functional_rows(sp.dual_space(space), R)
+        firsts = np.argmax(R != 0, axis=1)
+        k = np.lexsort((firsts, -vals))[0]
+        blocks.append((vals[k], firsts[k], slice(None), F[k]))
+    upper = max((b[0] for b in blocks), default=0.0)
+    iterated = False
+    rest = (ncols > 1) & (nrows > 1)
+    for lab in dict.fromkeys(cl[rest[cl]].tolist()):
+        rows, cols = np.flatnonzero(rl == lab), np.flatnonzero(cl == lab)
+        B = M[np.ix_(rows, cols)]
+        val, w, method = matrix_norm(B, space, cfg,
+                                     [np.asarray(s)[cols] for s in starts])
+        iterated |= method == "iterate"
+        upper = max(upper, lp_upper_bound(B, space.p)
+                    if method == "iterate" else val)
+        blocks.append((val, cols[0], cols, w))
+    val, _, cols, w = min(blocks, key=lambda b: (-b[0], b[1]))
+    warr = np.zeros(n, dtype=complex)
+    warr[cols] = w
+    return (float(val), warr, "iterate" if iterated else "closed_form",
+            float(upper) if iterated else None)
+
+
 def _centroid(w: np.ndarray) -> float:
     a = np.abs(w) ** 2
     tot = a.sum()
@@ -254,7 +364,15 @@ def require_norming(space) -> None:
 
 def operator_norm(T, space, N: int, cfg: OpnormConfig = DEFAULT_CFG,
                   starts=()) -> NormReport:
-    """Norm of the N-section of T as an operator on space."""
+    """Norm of the N-section of T as an operator on space.
+
+    Identity, scalar, diagonal and rank-one operators and the swap
+    operators on QSumLp bypass the section.  On Lp with 1 < p < inf a
+    section with at least two blocks (see block_labels) is normed block by
+    block (see _split_norm): exact by p-additivity, with each block's
+    closed form or a power iteration on the block alone.  Any other section,
+    and every section on the other spaces, goes to matrix_norm whole.
+    """
     if N < 1:
         raise ValueError("N must be positive")
     require_norming(space)
@@ -297,9 +415,14 @@ def operator_norm(T, space, N: int, cfg: OpnormConfig = DEFAULT_CFG,
                           (_centroid(w.to_array(N)),))
 
     M = op.truncate_matrix(T, N)
-    val, warr, method = matrix_norm(M, space, cfg, starts)
-    upper = (lp_upper_bound(M, space.p)
-             if method == "iterate" and isinstance(space, sp.Lp) else None)
+    labels = (block_labels(M)
+              if isinstance(space, sp.Lp) and space.p < INF else None)
+    if labels is not None:
+        val, warr, method, upper = _split_norm(M, *labels, space, cfg, starts)
+    else:
+        val, warr, method = matrix_norm(M, space, cfg, starts)
+        upper = (lp_upper_bound(M, space.p)
+                 if method == "iterate" and isinstance(space, sp.Lp) else None)
     return NormReport(val, Coeffs.from_array(warr), method, ((N, val),),
                       "inconclusive", (_centroid(warr),),
                       warning=bool(method == "iterate" and val == 0.0),

@@ -179,7 +179,8 @@ def grid_scan(T, space, region, resolution: int, eps: float, N: int,
     SINGULAR_COND / 100, and below it the SVD could not call the cell
     singular (see SINGULAR_COND).  The norms of a block come from one
     matrix_norms call.  Every value equals resolvent_norm(M, space, z, cfg)
-    bit for bit.
+    bit for bit.  A grid where some M - zI has a row or column sum of
+    moduli that overflows is refused with a ValueError before any inversion.
     """
     if resolution < 2:
         raise ValueError("resolution must be at least 2 per axis")
@@ -191,6 +192,20 @@ def grid_scan(T, space, region, resolution: int, eps: float, N: int,
     res_axis = np.linspace(re0, re1, resolution)
     im_axis = np.linspace(im0, im1, resolution)
     M = op.truncate_matrix(T, N)
+    # truncate_matrix's rule for every M - zI: a row or column sum of its
+    # moduli is the sum off the diagonal plus |M_ii - z|, which grows with
+    # |Re z - Re M_ii| and |Im z - Im M_ii|, so it is largest at a corner
+    corners = np.array([complex(re, im) for re in (re0, re1)
+                        for im in (im0, im1)])
+    with np.errstate(over="ignore"):
+        off = np.abs(M)
+        np.fill_diagonal(off, 0.0)
+        shift = np.abs(np.diagonal(M) - corners[:, None])
+        finite = (np.isfinite(off.sum(axis=1) + shift).all()
+                  and np.isfinite(off.sum(axis=0) + shift).all())
+    if not finite:
+        raise ValueError("M - zI is too large on the grid: a row or column "
+                         "sum of its moduli overflows at a corner")
     _require_eps(eps)
     zs = np.empty((resolution, resolution), dtype=complex)
     zs.real, zs.imag = res_axis, im_axis[:, None]

@@ -299,7 +299,10 @@ def sphere_grid_norm(M: np.ndarray, p: float) -> float:
     """
     n = M.shape[1]
     if n == 1:
-        return float(np.abs(M[0, 0]))
+        # the grid is the single direction e_0
+        col = np.abs(M.real[:, 0])
+        return float(col.max(initial=0.0) if p == INF
+                     else (col ** p).sum() ** (1.0 / p))
     axis = np.arange(-1.0, 1.0 + GRID_RES / 2, GRID_RES)
     k = axis.size
     axp = np.abs(axis) ** p

@@ -191,6 +191,17 @@ def test_sphere_grid_norm_of_zero_matrix(p):
     assert verify.sphere_grid_norm(M, p) == 0.0
 
 
+def test_sphere_grid_norm_of_one_column():
+    # the grid is the single direction e_0, so the value is ||M e_0||_p; it
+    # once returned |M[0, 0]|
+    assert verify.sphere_grid_norm(np.array([[1.0], [1.0]]), 2.0) == \
+        math.sqrt(2)
+    M = np.array([[3.0], [-4.0], [0.0]])
+    assert verify.sphere_grid_norm(M, 1.5) == pytest.approx(
+        (3.0 ** 1.5 + 4.0 ** 1.5) ** (1 / 1.5), rel=1e-15)
+    assert verify.sphere_grid_norm(M, INF) == 4.0
+
+
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0, INF])
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_sphere_grid_norm_matches_stored_grid(n, p):

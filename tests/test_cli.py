@@ -163,11 +163,14 @@ TC0 = '{"op":"catalog","name":"tc0"}'
     ["pspec", "--space", '{"space":"c0"}', "--operator",
      '{"op":"sum","terms":[{"op":"scalar","re":1e308},'
      '{"op":"scalar","re":1e308}]}', "--trunc", "3", "--res", "2"],
+    ["pspec", "--space", LP2, "--operator", '{"op":"scalar","re":-1e308}',
+     "--grid=1e308,1.0000001e308,0,1", "--res", "2", "--trunc", "2"],
 ], ids=["index", "block_size", "trunc", "tol_negative", "tol_nan",
         "tol_on_lp", "trunc_on_lp", "renorm_trunc_zero",
         "renorm_trunc_negative", "catalog_name", "empty_matrix",
         "pspec_renorm", "grid_nan", "grid_inf", "grid_span_overflow",
-        "missing_key", "section_sum_overflow", "section_entry_overflow"])
+        "missing_key", "section_sum_overflow", "section_entry_overflow",
+        "grid_shift_overflow"])
 def test_out_of_domain_input_is_usage_error(argv, capsys):
     assert_usage_error(argv, capsys)
 
@@ -286,6 +289,22 @@ def test_opnorm_large_exponent_prints_no_numpy_warning():
     assert proc.returncode == 0
     assert proc.stdout == "6.9940272147 method=iterate attainment=inconclusive\n"
     assert proc.stderr == ""
+
+
+def test_python_m_normlab_runs_the_cli():
+    # a checkout that is not installed runs as python -m normlab
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "normlab", "opnorm", "--space", LP2,
+         "--operator", '{"op":"catalog","name":"sex"}', "--trunc", "4"],
+        capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == \
+        "1.6180339887 method=closed_form attainment=inconclusive\n"
+    proc = subprocess.run([sys.executable, "-m", "normlab", "frobnicate"],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 1
 
 
 def test_cli_and_verify_load_no_scipy():

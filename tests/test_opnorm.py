@@ -561,3 +561,241 @@ def test_iterate_raises_no_overflow_warning():
     assert np.isfinite(val)
     assert best_column(M, sp.Lp(3.0)) <= val <= \
         opnorm.lp_upper_bound(M, 3.0) * (1 + 1e-12)
+
+
+# -- the split into independent blocks on l_p ----------------------------------
+
+def canonical(labels):
+    """Each node's class, named by the first node in it."""
+    _, first, inv = np.unique(labels, return_index=True, return_inverse=True)
+    return first[inv]
+
+
+def scipy_components(nz):
+    from scipy.sparse import bmat, csr_matrix
+    from scipy.sparse.csgraph import connected_components
+    B = csr_matrix(nz.astype(float))
+    graph = bmat([[None, B], [B.T, None]])
+    return connected_components(graph, directed=False)[1]
+
+
+def block_pattern(rng, sizes, n_zero_rows=0, n_zero_cols=0):
+    """A random permutation of a block-diagonal pattern with blocks of the
+    given (rows, columns) sizes, each block connected, plus zero rows and
+    zero columns."""
+    nr = sum(r for r, _ in sizes) + n_zero_rows
+    nc = sum(c for _, c in sizes) + n_zero_cols
+    nz = np.zeros((nr, nc), dtype=bool)
+    i = j = 0
+    for r, c in sizes:
+        blk = rng.random((r, c)) < 0.3
+        # a staircase through the block keeps it one component
+        for k in range(max(r, c)):
+            blk[min(k, r - 1), min(k, c - 1)] = True
+            blk[min(k + 1, r - 1), min(k, c - 1)] = True
+        nz[i:i + r, j:j + c] = blk
+        i, j = i + r, j + c
+    return nz[rng.permutation(nr)][:, rng.permutation(nc)]
+
+
+def _label_patterns():
+    rng = np.random.default_rng(15)
+    for k in range(12):
+        sizes = [tuple(rng.integers(1, 6, size=2)) for _ in range(1 + k % 5)]
+        yield pytest.param(block_pattern(rng, sizes, k % 3, (k + 1) % 3),
+                           id="blocks%d" % k)
+    chain = np.zeros((402, 402), dtype=bool)
+    chain[np.arange(401), np.arange(401)] = True
+    chain[np.arange(400), np.arange(1, 401)] = True
+    yield pytest.param(chain, id="chain401+zero")
+    yield pytest.param(chain[:401, :401], id="chain401")
+    yield pytest.param(block_pattern(rng, [(1, 1)] * 30, 5, 5), id="diag")
+    yield pytest.param(np.zeros((4, 4), dtype=bool), id="zero")
+    yield pytest.param(np.ones((5, 5), dtype=bool), id="dense")
+
+
+@pytest.mark.parametrize("nz", list(_label_patterns()))
+def test_block_labels_match_connected_components(nz):
+    rng = np.random.default_rng(int(nz.sum()))
+    M = np.where(nz, rng.standard_normal(nz.shape) + 1j, 0)
+    labels = opnorm.block_labels(M)
+    ref = scipy_components(nz)
+    col_blocks = len(set(ref[nz.shape[0]:]))
+    if labels is None:
+        # no nonzero entry, or every column in one block
+        assert not nz.any() or col_blocks == 1
+        return
+    assert col_blocks > 1
+    assert (canonical(np.concatenate(labels)) == canonical(ref)).all()
+
+
+def reducible_section(rng, complex_entries=False):
+    """A permuted block-diagonal section with one-column, one-row and
+    larger blocks, a zero row and a zero column."""
+    nz = block_pattern(rng, [(3, 3), (1, 4), (4, 1), (1, 1), (2, 5), (5, 2)],
+                       1, 1)
+    M = rng.standard_normal(nz.shape)
+    if complex_entries:
+        M = M + 1j * rng.standard_normal(nz.shape)
+    return np.where(nz, M, 0)
+
+
+def section_report(M, space):
+    n = M.shape[0]
+    return opnorm.operator_norm(op.Matrix(tuple(map(tuple, M))), space, n)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_split_l2_is_the_whole_section_svd(seed):
+    rng = np.random.default_rng(seed)
+    M = reducible_section(rng, complex_entries=seed % 2 == 1)
+    assert opnorm.block_labels(M) is not None
+    r = section_report(M, sp.Lp(2.0))
+    assert r.method == "closed_form" and r.upper is None
+    assert r.value == pytest.approx(np.linalg.norm(M, 2), rel=1e-14, abs=0)
+    w = r.witness.to_array(M.shape[0])
+    assert np.linalg.norm(M @ w) / np.linalg.norm(w) == \
+        pytest.approx(r.value, rel=1e-12)
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0])
+@pytest.mark.parametrize("seed", range(4))
+def test_split_lp_within_the_whole_section_bracket(p, seed):
+    rng = np.random.default_rng(100 + seed)
+    M = reducible_section(rng, complex_entries=seed % 2 == 1)
+    space = sp.Lp(p)
+    r = section_report(M, space)
+    whole_upper = opnorm.lp_upper_bound(M, p)
+    assert r.method == "iterate"
+    assert best_column(M, space) <= r.value <= whole_upper * (1 + 1e-12)
+    w = r.witness.to_array(M.shape[0])
+    assert sp.norm_array(space, M @ w) / sp.norm_array(space, w) == \
+        pytest.approx(r.value, rel=1e-12)
+    # the split bound: still an upper bound, and never above the whole
+    # section's (the block sums and SVDs round apart from the whole ones)
+    assert r.value <= r.upper * (1 + 1e-12)
+    assert r.upper <= whole_upper * (1 + 1e-12)
+
+
+def test_split_ties_go_to_the_first_block():
+    # on l_2: a one-row block (3, 4) at columns 1-2, a one-column block
+    # (3, 4) at column 3 and a 1x1 block 5 at column 4, all of norm 5
+    # exactly, and a smaller 2x2 block; the first block's witness wins
+    M = np.zeros((6, 7), dtype=complex)
+    M[0, 1:3] = 3.0, 4.0
+    M[1:3, 3] = 3.0, 4.0
+    M[3, 4] = 5.0
+    M[4:6, 5:7] = [[1.0, 2.0], [0.5, 1.0]]
+    space = sp.Lp(2.0)
+    val, w, method, upper = opnorm._split_norm(
+        M, *opnorm.block_labels(M), space, opnorm.DEFAULT_CFG, ())
+    assert (val, method, upper) == (5.0, "closed_form", None)
+    assert np.allclose(w, [0, 0.6, 0.8, 0, 0, 0, 0], rtol=0, atol=1e-15)
+    # a 1x1 block of the same norm at column 0 comes first
+    M[5, 0] = 5.0
+    M[5, 5:7] = 0.0
+    val, w, _, _ = opnorm._split_norm(
+        M, *opnorm.block_labels(M), space, opnorm.DEFAULT_CFG, ())
+    assert val == 5.0 and (w == np.eye(7)[0]).all()
+
+
+def test_split_takes_the_best_of_each_kind_of_block():
+    # on l_2: one-column blocks of norm 1 and 5, one-row blocks of norm
+    # sqrt(2) and 10, and a 2x2 block of norm 1.5
+    M = np.zeros((7, 8), dtype=complex)
+    M[0, 0] = 1.0
+    M[1, 1:3] = 1.0, 1.0
+    M[2:4, 3] = 3.0, 4.0
+    M[4, 4:6] = 6.0, 8.0
+    M[5:7, 6:8] = [[1.0, 0.5], [0.5, 1.0]]
+    space = sp.Lp(2.0)
+    r = section_report(M, space)
+    assert r.value == pytest.approx(10.0, rel=1e-15)
+    assert np.allclose(r.witness.to_array(8), [0, 0, 0, 0, 0.6, 0.8, 0, 0],
+                       rtol=0, atol=1e-15)
+    M[4] = 0.0
+    r = section_report(M, space)
+    assert r.value == pytest.approx(5.0, rel=1e-15)
+    assert (r.witness.to_array(8) == np.eye(8)[3]).all()
+
+
+def test_split_restricts_the_starts_to_each_block(monkeypatch):
+    calls = []
+    real = opnorm.matrix_norm
+
+    def recording(B, space, cfg=opnorm.DEFAULT_CFG, starts=()):
+        calls.append((B.shape, [np.asarray(s).tolist() for s in starts]))
+        return real(B, space, cfg, starts)
+
+    monkeypatch.setattr(opnorm, "matrix_norm", recording)
+    M = np.zeros((5, 5))
+    M[3:5, 2:4] = [[1.0, 2.0], [3.0, 4.0]]
+    M[0, 4] = 1.0
+    start = np.arange(1.0, 6.0)
+    r = opnorm.operator_norm(op.Matrix(tuple(map(tuple, M))), sp.Lp(3.0), 5,
+                             starts=(start,))
+    assert calls == [((2, 2), [[3.0, 4.0]])]
+    assert r.method == "iterate"
+
+
+def test_split_scans_of_the_catalog():
+    # SimpleS on l_3 is 1x1 blocks (the swap) and a shrinking diagonal:
+    # closed form 1 at every N, the witness fixed; Tl1 on l_1.5 is a zero
+    # column and one row, the l_3 norm of (1 - 2^-n)
+    scan = opnorm.attainment_scan(op.SimpleS(3.0, 3.0), sp.Lp(3.0),
+                                  (8, 16, 32))
+    assert scan.trace == ((8, 1.0), (16, 1.0), (32, 1.0))
+    assert (scan.method, scan.attainment) == ("closed_form", "attained")
+    scan = opnorm.attainment_scan(op.Tl1(), sp.Lp(1.5), (8, 16, 32))
+    assert scan.method == "closed_form"
+    for N, value in scan.trace:
+        f = 1.0 - 2.0 ** -np.arange(1, N, dtype=float)
+        assert value == pytest.approx((f ** 3).sum() ** (1 / 3), rel=1e-14)
+
+
+def test_sex_section_splits_to_its_2x2_block():
+    T = op.catalog_build("sex")
+    for space in (sp.Lp(2.0), sp.Lp(3.0)):
+        r = opnorm.operator_norm(T, space, 401)
+        M = op.truncate_matrix(T, 401)
+        val, _, _ = opnorm.matrix_norm(M[1:3, 1:3], space)
+        assert r.value == val
+        assert set(r.witness.support()) <= {1, 2}
+        if space.p == 2:
+            assert r.value == pytest.approx((1 + math.sqrt(5)) / 2,
+                                            rel=1e-14)
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_dense_section_is_not_split(p):
+    # a dense section goes through matrix_norm as before, bit for bit
+    rng = np.random.default_rng(int(10 * p))
+    M = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+    M[2, :] = 0.0                       # zero rows do not matter
+    assert opnorm.block_labels(M) is None
+    r = section_report(M, sp.Lp(p))
+    val, w, method = opnorm.matrix_norm(M, sp.Lp(p))
+    assert (r.value, r.method) == (val, method)
+    assert (r.witness.to_array(8) == w).all()
+    if method == "iterate":
+        assert r.upper == opnorm.lp_upper_bound(M, p)
+
+
+def test_zero_section_still_warns():
+    r = opnorm.operator_norm(op.Matrix(((0, 0), (0, 0))), sp.Lp(3.0), 4)
+    assert (r.value, r.method, r.warning) == (0.0, "iterate", True)
+
+
+@pytest.mark.parametrize("space", [
+    sp.QSumLp(4.0, 2.0), sp.DirectSumLp(3.0, ((3, 2.0), (5, 4.0))),
+    sp.C0(), sp.L1(), sp.Lp(INF),
+], ids=str)
+def test_other_spaces_are_never_split(space, monkeypatch):
+    def no_split(*args):
+        raise AssertionError("split on %r" % (space,))
+
+    monkeypatch.setattr(opnorm, "block_labels", no_split)
+    monkeypatch.setattr(opnorm, "_split_norm", no_split)
+    M = reducible_section(np.random.default_rng(5))[:8, :8]
+    opnorm.operator_norm(op.Matrix(tuple(map(tuple, M))), space, 8)
+    opnorm.operator_norm(op.catalog_build("sex"), space, 8)

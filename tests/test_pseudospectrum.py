@@ -108,6 +108,23 @@ def test_grid_bounds_must_be_finite(region):
         ps.grid_scan(ZERO, sp.Lp(2), region, 3, 1.0, 4)
 
 
+@pytest.mark.parametrize("T,region", [
+    # Re(M - zI) overflows at every cell
+    (op.ScalarMul(-1e308), (1e308, 1.0000001e308, 0, 1)),
+    # the parts of M - zI stay finite; the modulus overflows at one corner
+    (op.ScalarMul(1e308), (0, 1, 1e308, 1.7e308)),
+], ids=["entry", "modulus"])
+def test_grid_rejects_an_overflowing_shifted_section(T, region, monkeypatch):
+    # each cell read inf and strict; now the grid is refused before any
+    # inversion, by truncate_matrix's rule for M - zI
+    def no_inversion(*args, **kwargs):
+        raise AssertionError("inverted a block")
+
+    monkeypatch.setattr(ps, "_invert", no_inversion)
+    with pytest.raises(ValueError, match="row or column sum"):
+        ps.grid_scan(T, sp.Lp(2), region, 2, 0.5, 2)
+
+
 def test_grid_rejects_renormed_space():
     with pytest.raises(NotImplementedError):
         ps.grid_scan(ZERO, sp.RenormedL2(), (-1, 1, -1, 1), 3, 1.0, 4)
