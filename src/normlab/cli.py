@@ -35,6 +35,14 @@ class UsageError(Exception):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors are one-line usage errors: the stock
+    one prints the usage block before its message."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
 def _parse_json(text, label):
     try:
         return json.loads(text)
@@ -164,7 +172,7 @@ def cmd_verify(args, stdout) -> int:
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process: parsing leaves it
     unchanged."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="normlab",
         description="sequence-space norms, operator norms, pseudospectra")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -198,8 +206,11 @@ def main(argv=None, stdout=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code else EXIT_OK
+    except SystemExit:             # --help
+        return EXIT_OK
+    except UsageError as exc:
+        sys.stderr.write("error: %s\n" % exc)
+        return EXIT_USAGE
     handler = {"norm": cmd_norm, "opnorm": cmd_opnorm,
                "pspec": cmd_pspec, "verify": cmd_verify}[args.command]
     try:

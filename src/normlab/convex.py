@@ -11,7 +11,10 @@ Eliminating x leaves an unconstrained nonsmooth convex problem in
 w = (alpha, beta), solved by a primal-dual (Chambolle-Pock) iteration with
 the diagonal steps of Pock & Chambolle (ICCV 2011), which are closed forms
 in q, and the atom map applied in O(N).  The duality gap is certified from a
-scaled dual-feasible point.
+scaled dual-feasible point.  It is checked after steps 1, 2, 4, 8, 16 and 32
+and then every 50 steps; the running best primal value and dual bound can
+only improve at a check, so the early checks let a solve stop sooner and
+never later.
 """
 
 from __future__ import annotations
@@ -104,8 +107,11 @@ def _split_coords(u: Coeffs, N: int):
 def minkowski_norm(u: Coeffs, N: int, tol: float = TOL) -> tuple:
     """(norm value, optimal Decomposition) with a certified duality gap.
 
-    Non-convergence is not an exception: the best feasible value is returned
-    with converged=False and the residual gap recorded.
+    The gap is checked after steps 1, 2, 4, 8, 16 and 32, then every 50
+    steps and after the last; `iterations` counts the steps run up to the
+    first check whose gap meets `tol` (or MAX_ITER).  Non-convergence is
+    not an exception: the best feasible value is returned with
+    converged=False and the residual gap recorded.
     """
     if not 0 < tol < math.inf:
         raise ValueError("tol must be positive and finite")
@@ -119,18 +125,26 @@ def minkowski_norm(u: Coeffs, N: int, tol: float = TOL) -> tuple:
     b1 = np.concatenate(([u0], tail))
     u1, u2 = complex(u1), complex(u2)
 
+    # Each step writes into these buffers, so it allocates no array; q
+    # (and tau below) also get complex copies, so that their products with
+    # complex arrays skip numpy's cast, which gives the same bits.
+    qb = np.empty(N, dtype=complex)
+    c = np.empty(N, dtype=complex)
+    g = np.empty(2 * N, dtype=complex)
+    ga, gb = g[:N], g[N:]
+    shrink = np.empty(2 * N)
+    qz = q.astype(complex)
+
     # The atom map K has about 4N nonzeros, so it and its adjoint are
     # applied in O(N).  It sends w = (alpha, beta) to (y', y1, y2), with
     # x' = (u0, tail) - y' and (x1, x2) = (u1, u2) - (y1, y2); the first
-    # entry of y' is 0, so forward() returns y' without it.
-    def forward(wv):
-        a, qb = wv[:N], q * wv[N:]
+    # entry of y' is 0, so forward() writes y' without it into c and
+    # returns (y1, y2).
+    def forward(a, b):
+        np.multiply(qz, b, out=qb)
         s = complex(qb.sum())
-        return a + qb, s, s + complex(a.sum())
-
-    def adjoint(pv1, pa, pb):
-        pt = pv1[1:] + pb
-        return np.concatenate((pt, q * (pt + pa)))
+        np.add(a, qb, out=c)
+        return s, s + complex(a.sum())
 
     # diagonal steps of Pock-Chambolle (alpha = 1): tau_j = 1 / (column
     # sum of |K|), i.e. 1/2 on alpha_n and 1/(3 q_n) on beta_n, and on each
@@ -141,23 +155,32 @@ def minkowski_norm(u: Coeffs, N: int, tol: float = TOL) -> tuple:
     sigma1 = 1.0 / (1.0 + float(q.max(initial=0.0)))
     sigma2 = 1.0 / max(1.0, N + float(q.sum()))
     sb1 = sigma1 * b1
+    tauz = tau.astype(complex)
 
     w = np.zeros(2 * N, dtype=complex)
+    w_new = np.empty_like(w)
     wbar = w.copy()
+    wbar_a, wbar_b = wbar[:N], wbar[N:]
     p1 = np.zeros(N + 1, dtype=complex)       # dual of the x' block
+    p1_t = p1[1:]
     p2a = p2b = 0j                            # dual of the (x1, x2) block
 
     def primal(wv):
-        c, y1, y2 = forward(wv)
+        y1, y2 = forward(wv[:N], wv[N:])
         r = tail - c
+        try:
+            x12 = math.hypot(abs(u1 - y1), abs(u2 - y2))
+        except OverflowError:   # a finite complex whose modulus overflows
+            x12 = math.inf
         return (float(np.abs(wv).sum())
                 + math.sqrt(abs(u0) ** 2 + np.vdot(r, r).real)
-                + math.hypot(abs(u1 - y1), abs(u2 - y2)))
+                + x12)
 
-    def dual(pv1, pa, pb):
+    def dual(pv1, pa, pb, kt):
+        # kt = K^T p, which the step has just computed
         scale = max(1.0, math.sqrt(np.vdot(pv1, pv1).real),
                     math.hypot(abs(pa), abs(pb)),
-                    float(np.abs(adjoint(pv1, pa, pb)).max(initial=0.0)))
+                    float(np.abs(kt).max(initial=0.0)))
         return -(float(np.vdot(pv1, b1).real) + (pa.conjugate() * u1).real
                  + (pb.conjugate() * u2).real) / scale
 
@@ -167,9 +190,10 @@ def minkowski_norm(u: Coeffs, N: int, tol: float = TOL) -> tuple:
     converged = False
     for it in range(MAX_ITER):
         # dual ascent: prox of the conjugate of y -> sum ||b_i - y_i||
-        c, y1, y2 = forward(wbar)
+        y1, y2 = forward(wbar_a, wbar_b)
         p1 -= sb1
-        p1[1:] += sigma1 * c
+        np.multiply(sigma1, c, out=c)
+        p1_t += c
         nb = math.sqrt(np.vdot(p1, p1).real)
         if nb > 1.0:
             p1 /= nb
@@ -179,25 +203,36 @@ def minkowski_norm(u: Coeffs, N: int, tol: float = TOL) -> tuple:
         if nb > 1.0:
             p2a /= nb
             p2b /= nb
-        # primal descent: complex soft threshold
-        w_new = w - tau * adjoint(p1, p2a, p2b)
-        mags = np.abs(w_new)
-        shrink = np.maximum(0.0, 1.0 - tau / np.maximum(mags, 1e-300))
+        # g = K^T p
+        np.add(p1_t, p2b, out=ga)
+        np.add(ga, p2a, out=gb)
+        np.multiply(qz, gb, out=gb)
+        # primal descent: complex soft threshold.  1 - tau / max(|w|, tau)
+        # equals max(0, 1 - tau / |w|) bit for bit: both are 1 - tau/|w|
+        # where |w| >= tau, and +0.0 elsewhere.
+        np.multiply(tauz, g, out=w_new)
+        np.subtract(w, w_new, out=w_new)
+        np.abs(w_new, out=shrink)
+        np.maximum(shrink, tau, out=shrink)
+        np.divide(tau, shrink, out=shrink)
+        np.subtract(1.0, shrink, out=shrink)
         w_new *= shrink
-        wbar = 2.0 * w_new - w
-        w = w_new
-        if it % 50 == 49 or it == MAX_ITER - 1:
+        np.multiply(2.0, w_new, out=wbar)
+        wbar -= w
+        w, w_new = w_new, w
+        step = it + 1
+        if step in (1, 2, 4, 8, 16, 32) or step % 50 == 0 or step == MAX_ITER:
             val = primal(w)
             if val < best_val:
                 best_val, best_w = val, w.copy()
-            best_dual = max(best_dual, dual(p1, p2a, p2b))
+            best_dual = max(best_dual, dual(p1, p2a, p2b, g))
             if best_val - best_dual <= tol * max(1.0, best_val):
                 converged = True
                 break
 
     alpha = best_w[:N]
     beta = best_w[N:]
-    c, y1, y2 = forward(best_w)
+    y1, y2 = forward(alpha, beta)
     x = Coeffs({0: u0, 1: u1 - y1, 2: u2 - y2,
                 **{n + 3: v for n, v in enumerate(tail - c)}})
     gap = max(best_val - best_dual, 0.0)

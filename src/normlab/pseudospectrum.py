@@ -116,12 +116,6 @@ def _classify(r: float, eps: float, band: float) -> str:
     return "strict" if r > thr else "outside"
 
 
-def classify_point(T, space, z: complex, eps: float, N: int) -> str:
-    """strict | level | outside for the eps-pseudospectrum on the N-section."""
-    return _classify(resolvent_norm(op.truncate_matrix(T, N), space, z),
-                     eps, LEVEL_BAND)
-
-
 # ---------------------------------------------------------------------------
 # grid scans
 # ---------------------------------------------------------------------------

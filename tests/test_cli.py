@@ -307,6 +307,21 @@ def test_python_m_normlab_runs_the_cli():
     assert proc.returncode == 1
 
 
+@pytest.mark.parametrize("script, args", [
+    ("norm_squeeze_report.py", ["--samples", "3"]),
+    ("pspec_portrait.py", ["--res", "5", "--trunc", "8", "--out", "{tmp}"]),
+])
+def test_scripts_run(script, args, tmp_path):
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.path.join(os.path.dirname(src), "scripts", script)
+    env = dict(os.environ, PYTHONPATH=src)
+    args = [a.format(tmp=tmp_path / "p.csv") for a in args]
+    proc = subprocess.run([sys.executable, path, *args],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip()
+
+
 def test_cli_and_verify_load_no_scipy():
     # scipy is a test dependency only: importing the library must not load it
     src = os.path.dirname(os.path.dirname(cli.__file__))
@@ -609,21 +624,58 @@ def _nest(inner):
 OPERATORS = _nest(_nest(LEAVES))
 
 
+# option values as typed on the command line: zero, a negative, a
+# subnormal, the largest double and the three non-finite spellings, each
+# given either as "--opt=value" or as two tokens (argparse reads a lone
+# "-inf" as an option name)
+NUMBER = st.sampled_from(["0", "-1", "5e-324", "1e308", "nan", "inf",
+                          "-inf"])
+GRIDS = st.one_of(
+    st.lists(st.one_of(NUMBER, st.just("1")), min_size=3,
+             max_size=5).map(",".join),
+    st.sampled_from(["", "a,b,c,d", "1,,2,3"]))
+
+
+def _option(name, value, joined):
+    return ["%s=%s" % (name, value)] if joined else [name, value]
+
+
+# inputs every command accepts, so that the options alone decide the run
+KNOWN = {"space": {"space": "c0"},
+         "operator": {"op": "catalog", "name": "tc0"},
+         "renorm": {"space": "renorm"},
+         "vector": [[0, 1, 0], [1, 0.5, 0], [3, -1, 1]]}
+
+
 @settings(max_examples=400, deadline=None)
 @given(command=st.sampled_from(["opnorm", "pspec", "norm"]), space=SPACES,
        operator=OPERATORS, vector=VECTORS,
-       trunc=st.integers(min_value=1, max_value=5))
+       trunc=st.integers(min_value=-1, max_value=5),
+       tol=st.one_of(st.none(), NUMBER), eps=st.one_of(st.none(), NUMBER),
+       res=st.integers(min_value=-1, max_value=3),
+       grid=st.one_of(st.none(), GRIDS), joined=st.booleans(),
+       known=st.booleans())
 def test_cli_fuzz_exits_with_a_code_and_one_line(command, space, operator,
-                                                 vector, trunc):
+                                                 vector, trunc, tol, eps,
+                                                 res, grid, joined, known):
+    if known:
+        space = KNOWN["renorm" if command == "norm" else "space"]
+        operator, vector = KNOWN["operator"], KNOWN["vector"]
     argv = [command, "--space", json.dumps(space)]
     if command == "norm":
         argv += ["--vector", json.dumps(vector)]
         if space["space"] == "renorm":
             argv += ["--trunc", str(trunc)]
+            if tol is not None:
+                argv += _option("--tol", tol, joined)
     else:
         argv += ["--operator", json.dumps(operator), "--trunc", str(trunc)]
         if command == "pspec":
-            argv += ["--res", "2"]
+            argv += _option("--res", str(res), joined)
+            if eps is not None:
+                argv += _option("--eps", eps, joined)
+            if grid is not None:
+                argv += _option("--grid", grid, joined)
     err = io.StringIO()
     with contextlib.redirect_stderr(err), \
             warnings.catch_warnings(record=True) as caught:

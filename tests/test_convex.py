@@ -95,6 +95,15 @@ def test_tol_must_be_positive_and_finite(tol):
         convex.minkowski_norm(Coeffs.basis(2), 4, tol)
 
 
+def test_overflowing_iterate_is_not_an_exception():
+    # the first gap check meets |u_1 - y_1| beyond the largest double; the
+    # solve reports that it could not certify, as it did when the first
+    # check came at step 50
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, d = convex.minkowski_norm(Coeffs({3: 1e308 + 1e308j}), 2)
+    assert not d.converged and d.iterations == convex.MAX_ITER
+
+
 def test_cone_oracle_cross_check():
     pytest.importorskip("cvxpy")
     rng = np.random.default_rng(5)
@@ -354,6 +363,181 @@ def test_large_trunc_solve_stays_small():
         tracemalloc.stop()
     assert abs(v - 1.0) < verify.AC5_TOL
     assert peak < 2e6
+
+
+# -- the buffered loop and its early gap checks against the parent -----------
+
+def parent_minkowski_norm(u: Coeffs, N: int, tol: float = convex.TOL):
+    """The solver before its step wrote into buffers and before it checked
+    the gap after steps 1, 2, 4, 8, 16 and 32: a gap check every 50 steps."""
+    if not 0 < tol < math.inf:
+        raise ValueError("tol must be positive and finite")
+    u0, u1, u2, tail = convex._split_coords(u, N)
+    if not u.entries:
+        d = convex.Decomposition(Coeffs.zero(), (0.0,) * N, (0.0,) * N,
+                                 0.0, 0.0, 0.0, True)
+        return 0.0, d
+
+    q = QSEQ.q_array(N)
+    b1 = np.concatenate(([u0], tail))
+    u1, u2 = complex(u1), complex(u2)
+
+    # The atom map K has about 4N nonzeros, so it and its adjoint are
+    # applied in O(N).  It sends w = (alpha, beta) to (y', y1, y2), with
+    # x' = (u0, tail) - y' and (x1, x2) = (u1, u2) - (y1, y2); the first
+    # entry of y' is 0, so forward() returns y' without it.
+    def forward(wv):
+        a, qb = wv[:N], q * wv[N:]
+        s = complex(qb.sum())
+        return a + qb, s, s + complex(a.sum())
+
+    def adjoint(pv1, pa, pb):
+        pt = pv1[1:] + pb
+        return np.concatenate((pt, q * (pt + pa)))
+
+    # diagonal steps of Pock-Chambolle (alpha = 1): tau_j = 1 / (column
+    # sum of |K|), i.e. 1/2 on alpha_n and 1/(3 q_n) on beta_n, and on each
+    # dual block one sigma at 1 / (its largest row sum of |K|), which keeps
+    # the dual prox a projection onto the unit ball (with N = 0 the rows are
+    # zero and any step will do)
+    tau = np.concatenate((np.full(N, 0.5), 1.0 / (3.0 * q)))
+    sigma1 = 1.0 / (1.0 + float(q.max(initial=0.0)))
+    sigma2 = 1.0 / max(1.0, N + float(q.sum()))
+    sb1 = sigma1 * b1
+
+    w = np.zeros(2 * N, dtype=complex)
+    wbar = w.copy()
+    p1 = np.zeros(N + 1, dtype=complex)       # dual of the x' block
+    p2a = p2b = 0j                            # dual of the (x1, x2) block
+
+    def primal(wv):
+        c, y1, y2 = forward(wv)
+        r = tail - c
+        return (float(np.abs(wv).sum())
+                + math.sqrt(abs(u0) ** 2 + np.vdot(r, r).real)
+                + math.hypot(abs(u1 - y1), abs(u2 - y2)))
+
+    def dual(pv1, pa, pb):
+        scale = max(1.0, math.sqrt(np.vdot(pv1, pv1).real),
+                    math.hypot(abs(pa), abs(pb)),
+                    float(np.abs(adjoint(pv1, pa, pb)).max(initial=0.0)))
+        return -(float(np.vdot(pv1, b1).real) + (pa.conjugate() * u1).real
+                 + (pb.conjugate() * u2).real) / scale
+
+    best_val = primal(w)
+    best_w = w.copy()
+    best_dual = 0.0
+    converged = False
+    for it in range(convex.MAX_ITER):
+        # dual ascent: prox of the conjugate of y -> sum ||b_i - y_i||
+        c, y1, y2 = forward(wbar)
+        p1 -= sb1
+        p1[1:] += sigma1 * c
+        nb = math.sqrt(np.vdot(p1, p1).real)
+        if nb > 1.0:
+            p1 /= nb
+        p2a += sigma2 * (y1 - u1)
+        p2b += sigma2 * (y2 - u2)
+        nb = math.hypot(abs(p2a), abs(p2b))
+        if nb > 1.0:
+            p2a /= nb
+            p2b /= nb
+        # primal descent: complex soft threshold
+        w_new = w - tau * adjoint(p1, p2a, p2b)
+        mags = np.abs(w_new)
+        shrink = np.maximum(0.0, 1.0 - tau / np.maximum(mags, 1e-300))
+        w_new *= shrink
+        wbar = 2.0 * w_new - w
+        w = w_new
+        if it % 50 == 49 or it == convex.MAX_ITER - 1:
+            val = primal(w)
+            if val < best_val:
+                best_val, best_w = val, w.copy()
+            best_dual = max(best_dual, dual(p1, p2a, p2b))
+            if best_val - best_dual <= tol * max(1.0, best_val):
+                converged = True
+                break
+
+    alpha = best_w[:N]
+    beta = best_w[N:]
+    c, y1, y2 = forward(best_w)
+    x = Coeffs({0: u0, 1: u1 - y1, 2: u2 - y2,
+                **{n + 3: v for n, v in enumerate(tail - c)}})
+    gap = max(best_val - best_dual, 0.0)
+    d = convex.Decomposition(x, tuple(alpha), tuple(beta), best_val,
+                             best_dual, gap, converged, it + 1)
+    return best_val, d
+
+
+CHECKED_STEPS = {1, 2, 4, 8, 16, 32, convex.MAX_ITER}
+
+
+def loop_cases():
+    """reference_cases(), AC5's twenty atoms and forty trunc-12 draws made
+    as sex_norm_bounds makes its samples, solved at its tolerance."""
+    cases = [pytest.param(*c.values, convex.TOL, id=c.id)
+             for c in reference_cases()]
+    for n in range(1, 11):
+        for name, atom in (("pair", pair_atom), ("triple", triple_atom)):
+            cases.append(pytest.param(atom(n), max(n, 4), convex.TOL,
+                                      id="ac5.%s%d" % (name, n)))
+    rng = np.random.default_rng(7)
+    for k in range(40):
+        supp = rng.integers(0, convex.SEX_TRUNC + 2, size=4)
+        vals = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        u = Coeffs.from_pairs(zip(supp.tolist(), vals.tolist()))
+        if not u.entries:
+            u = Coeffs.basis(2)
+        cases.append(pytest.param(u, convex.SEX_TRUNC, convex.SEX_TOL,
+                                  id="sex%d" % k))
+    return cases
+
+
+@pytest.mark.parametrize("u, N, tol", loop_cases())
+def test_loop_matches_the_parent_or_stops_sooner(u, N, tol):
+    v, d = convex.minkowski_norm(u, N, tol)
+    vp, dp = parent_minkowski_norm(u, N, tol)
+    assert d.converged and dp.converged
+    assert d.iterations in CHECKED_STEPS or d.iterations % 50 == 0
+    assert d.iterations <= dp.iterations
+    if d.iterations == dp.iterations:
+        # the same iterates, checked at a superset of the parent's steps:
+        # the best primal value can only fall and the best dual bound
+        # only rise; a value the early checks did not beat comes from the
+        # parent's own check, and so does its decomposition
+        assert v <= vp and d.dual_bound >= dp.dual_bound
+        if v == vp:
+            assert d.alpha == dp.alpha and d.beta == dp.beta
+    else:
+        # an earlier check certified its own bracket, which must meet the
+        # parent's
+        assert (max(d.dual_bound, dp.dual_bound)
+                <= min(v, vp) * (1 + 1e-12))
+
+
+@pytest.mark.parametrize("u, N", [(Coeffs({4: 0.3, 5: 0.4}), 6),
+                                  (Coeffs.basis(0), 4)])
+def test_easy_solves_stop_before_step_50(u, N):
+    _, dp = parent_minkowski_norm(u, N)
+    _, d = convex.minkowski_norm(u, N)
+    assert dp.iterations == 50
+    assert d.converged and d.iterations < 50
+
+
+def test_slow_preconditioned_draws_converge():
+    # the 4-sparse trunc-12 draws 113 and 104 of np.random.default_rng(1)
+    # need thousands of steps with the diagonal steps
+    rng = np.random.default_rng(1)
+    draws = []
+    for _ in range(140):
+        supp = rng.integers(0, 14, size=4)
+        vals = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        draws.append(Coeffs.from_pairs(zip(supp.tolist(), vals.tolist())))
+    for k in (113, 104):
+        v, d = convex.minkowski_norm(draws[k], 12)
+        vr, dr = reference_minkowski_norm(draws[k], 12)
+        assert d.converged and dr.converged
+        assert max(d.dual_bound, dr.dual_bound) <= min(v, vr) * (1 + 1e-12)
 
 
 # -- membership and atomic splits ---------------------------------------------

@@ -50,18 +50,25 @@ def test_truncated_tc0_resolvent_exact_section_value():
 
 # -- classification ------------------------------------------------------------
 
+def classify(T, space, z, eps, N):
+    """strict | level | outside for the eps-pseudospectrum on the N-section."""
+    return ps._classify(
+        ps.resolvent_norm(op.truncate_matrix(T, N), space, z), eps,
+        ps.LEVEL_BAND)
+
+
 def test_classify_level_on_rank_one_boundary():
     # at eps = 1/2 the law gives 1 + 1 = 2 = 1/eps exactly on |z| = 1
-    assert ps.classify_point(op.Tc0(), sp.C0(), 1.0, 0.5, 40) == "level"
-    assert ps.classify_point(op.Tc0(), sp.C0(), -1.5, 0.5, 40) == "outside"
-    assert ps.classify_point(op.Tc0(), sp.C0(), 0.5, 0.5, 40) == "strict"
+    assert classify(op.Tc0(), sp.C0(), 1.0, 0.5, 40) == "level"
+    assert classify(op.Tc0(), sp.C0(), -1.5, 0.5, 40) == "outside"
+    assert classify(op.Tc0(), sp.C0(), 0.5, 0.5, 40) == "strict"
 
 
 def test_classify_zero_operator():
-    assert ps.classify_point(ZERO, sp.Lp(2), 3.0, 1.0, 4) == "outside"
-    assert ps.classify_point(ZERO, sp.Lp(2), 0.5, 1.0, 4) == "strict"
+    assert classify(ZERO, sp.Lp(2), 3.0, 1.0, 4) == "outside"
+    assert classify(ZERO, sp.Lp(2), 0.5, 1.0, 4) == "strict"
     with pytest.raises(ValueError):
-        ps.classify_point(ZERO, sp.Lp(2), 1.0, -1.0, 4)
+        classify(ZERO, sp.Lp(2), 1.0, -1.0, 4)
 
 
 # -- grids ---------------------------------------------------------------------
