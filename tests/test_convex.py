@@ -369,7 +369,11 @@ def test_large_trunc_solve_stays_small():
 
 def parent_minkowski_norm(u: Coeffs, N: int, tol: float = convex.TOL):
     """The solver before its step wrote into buffers and before it checked
-    the gap after steps 1, 2, 4, 8, 16 and 32: a gap check every 50 steps."""
+    the gap after steps 1, 2, 4, 8, 16 and 32: a gap check every 50 steps.
+
+    It pins the current iterate sequence.  A later change to the iterates
+    (restarts, adaptive steps) should replace this copy with the solver it
+    changes, not keep a third copy beside reference_minkowski_norm."""
     if not 0 < tol < math.inf:
         raise ValueError("tol must be positive and finite")
     u0, u1, u2, tail = convex._split_coords(u, N)
