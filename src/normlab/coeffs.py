@@ -16,8 +16,13 @@ PRUNE_TOL = 1e-300
 
 
 def require_finite(values, what: str) -> None:
-    """Reject input data holding NaN or infinite entries."""
-    if not all(cmath.isfinite(v) for v in values):
+    """Reject input data holding NaN or infinite entries (an iterable of
+    numbers, or an array, checked whole)."""
+    if isinstance(values, np.ndarray):
+        finite = bool(np.isfinite(values).all())
+    else:
+        finite = all(cmath.isfinite(v) for v in values)
+    if not finite:
         raise ValueError("%s must be finite" % what)
 
 

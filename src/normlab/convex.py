@@ -19,6 +19,7 @@ never later.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -34,6 +35,11 @@ TOL = 1e-8              # relative duality-gap target of minkowski_norm
 MAX_ITER = 60000        # primal-dual iterations per solve
 SEX_TOL = 1e-6          # solver tolerance of the norm squeeze
 SEX_TRUNC = 12          # truncation of the squeeze's random samples
+# a vector whose largest part |Re u_i|, |Im u_i| lies outside this range is
+# solved as 2^-k u, its largest part in [1, 2), and the results are scaled
+# back by 2^k: the norm is homogeneous and a power of two scales exactly,
+# so no step meets an overflowing or underflowing intermediate
+SCALE_RANGE = (2.0 ** -500, 2.0 ** 500)
 
 
 @dataclass(frozen=True)
@@ -95,6 +101,20 @@ def _divide(v: np.ndarray, s: float) -> np.ndarray:
     return (np.ascontiguousarray(v, dtype=complex).view(float) / s).view(complex)
 
 
+def _ldexp(v, k: int) -> np.ndarray:
+    """2^k v for complex v, one ldexp per part: exact unless a part leaves
+    the normal range."""
+    parts = np.ascontiguousarray(v, dtype=complex).view(float)
+    with np.errstate(over="ignore", under="ignore"):
+        return np.ldexp(parts, k).view(complex)
+
+
+def _scaled(u: Coeffs, k: int) -> Coeffs:
+    """2^k u, as _ldexp scales its entries."""
+    vals = _ldexp(list(u.entries.values()), k)
+    return Coeffs(dict(zip(u.entries, vals.tolist())), u.dim_hint)
+
+
 def _split_coords(u: Coeffs, N: int):
     """(u0, u1, u2, tail of length N) with support confined to [0, N+3)."""
     if any(i >= N + 3 for i in u.support()):
@@ -111,7 +131,9 @@ def minkowski_norm(u: Coeffs, N: int, tol: float = TOL) -> tuple:
     steps and after the last; `iterations` counts the steps run up to the
     first check whose gap meets `tol` (or MAX_ITER).  Non-convergence is
     not an exception: the best feasible value is returned with
-    converged=False and the residual gap recorded.
+    converged=False and the residual gap recorded.  A u whose largest part
+    lies outside SCALE_RANGE is solved scaled by a power of two; inside it
+    the iterates are those of u itself.
     """
     if not 0 < tol < math.inf:
         raise ValueError("tol must be positive and finite")
@@ -120,6 +142,17 @@ def minkowski_norm(u: Coeffs, N: int, tol: float = TOL) -> tuple:
         d = Decomposition(Coeffs.zero(), (0.0,) * N, (0.0,) * N,
                           0.0, 0.0, 0.0, True)
         return 0.0, d
+    top = max(max(abs(v.real), abs(v.imag)) for v in u.entries.values())
+    if math.isfinite(top) and not SCALE_RANGE[0] <= top <= SCALE_RANGE[1]:
+        k = math.frexp(top)[1] - 1
+        _, d = minkowski_norm(_scaled(u, -k), N, tol)
+        objective, dual_bound, gap = _ldexp(
+            [d.objective, d.dual_bound, d.gap], k).real.tolist()
+        d = dataclasses.replace(
+            d, x=_scaled(d.x, k), alpha=tuple(_ldexp(d.alpha, k)),
+            beta=tuple(_ldexp(d.beta, k)), objective=objective,
+            dual_bound=dual_bound, gap=gap)
+        return objective, d
 
     q = QSEQ.q_array(N)
     b1 = np.concatenate(([u0], tail))
@@ -168,13 +201,9 @@ def minkowski_norm(u: Coeffs, N: int, tol: float = TOL) -> tuple:
     def primal(wv):
         y1, y2 = forward(wv[:N], wv[N:])
         r = tail - c
-        try:
-            x12 = math.hypot(abs(u1 - y1), abs(u2 - y2))
-        except OverflowError:   # a finite complex whose modulus overflows
-            x12 = math.inf
         return (float(np.abs(wv).sum())
                 + math.sqrt(abs(u0) ** 2 + np.vdot(r, r).real)
-                + x12)
+                + math.hypot(abs(u1 - y1), abs(u2 - y2)))
 
     def dual(pv1, pa, pb, kt):
         # kt = K^T p, which the step has just computed

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -22,7 +23,9 @@ from .opnorm import (OpnormConfig, DEFAULT_CFG, matrix_norm, matrix_norms,
                      rank_one_norm, require_norming, witness_drift)
 
 # a section A is singular when cond_2(A) > SINGULAR_COND, as np.linalg.cond
-# computes it from a full SVD.  That SVD is skipped where a cheaper bound
+# computes it from the singular values s: s_max / s_min, a 0/0 counting as
+# inf.  On l_2 those values are taken anyway (the norm is 1/s_min), so the
+# test reads them.  Elsewhere the SVD is skipped where a cheaper bound
 # decides: cond_2(A) <= ||A||_F ||A^{-1}||_F, and where the computed product
 # ||A||_F ||X||_F is below SINGULAR_COND / 100 the computed inverse X is
 # accurate to about 1e12 u N (7e-3 relative at N = 60), far inside that
@@ -79,7 +82,13 @@ def _invert(A: np.ndarray) -> tuple:
 
 def _inverse_norm(A: np.ndarray, space,
                   cfg: OpnormConfig = DEFAULT_CFG) -> tuple:
-    """(||A^{-1}||, witness, A^{-1}); (inf, None, None) when A is singular."""
+    """(||A^{-1}||, witness, A^{-1}); (inf, None, None) when A is singular.
+
+    The norm is matrix_norm of the inverse on every space, as the witness
+    and the inverse are needed too.  On l_2 it may differ in the last bits
+    from resolvent_norm's 1/sigma_min, far inside att1_perturbation's
+    1e-10 slack.
+    """
     inv, singular = _invert(A[None])
     if singular[0]:
         return math.inf, None, None
@@ -87,11 +96,43 @@ def _inverse_norm(A: np.ndarray, space,
     return val, w, inv[0]
 
 
+def _resolvent_norms(A: np.ndarray, space,
+                     cfg: OpnormConfig = DEFAULT_CFG) -> np.ndarray:
+    """||A_k^{-1}|| for each matrix of a stack A (K, N, N); +inf where A_k
+    is singular, i.e. where np.linalg.cond(A_k) > SINGULAR_COND.
+
+    On l_2 one values-only SVD of the stack gives both: the norm is
+    1/s_min and the condition number s_max/s_min, with no inverse taken.
+    Every other space inverts the stack (_invert) and takes the norms of
+    the inverses with one matrix_norms call.
+    """
+    if sp.lp_exponent(space) == 2:
+        s = np.linalg.svd(A, compute_uv=False)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            cond = s[:, 0] / s[:, -1]
+            # a zero section gives 0/0, which np.linalg.cond reads as inf
+            cond[np.isnan(cond)] = math.inf
+            return np.where(cond > SINGULAR_COND, math.inf, 1.0 / s[:, -1])
+    inv, singular = _invert(A)
+    norms = np.full(len(A), math.inf)
+    if singular.any():
+        inv = inv[~singular]
+    norms[~singular] = matrix_norms(inv, space, cfg)
+    return norms
+
+
 def resolvent_norm(M: np.ndarray, space, z: complex,
                    cfg: OpnormConfig = DEFAULT_CFG) -> float:
-    """||(M - zI)^{-1}|| as a subordinate norm; +inf when singular."""
-    return _inverse_norm(M - complex(z) * np.eye(len(M), dtype=complex),
-                         space, cfg)[0]
+    """||(M - zI)^{-1}|| as a subordinate norm; +inf when singular.
+
+    The value is _resolvent_norms' on a stack of one: 1/sigma_min on l_2,
+    the matrix norm of the inverse elsewhere.  A z or an M that is not
+    finite is refused with a ValueError.
+    """
+    require_finite((z,), "z = %r" % (z,))
+    require_finite(M, "section M")
+    A = M - complex(z) * np.eye(len(M), dtype=complex)
+    return float(_resolvent_norms(A[None], space, cfg)[0])
 
 
 def _require_eps(eps: float) -> None:
@@ -131,9 +172,10 @@ class PspecGrid:
     resnorms: tuple        # row-major, rows = fixed im starting at im_min
     band: float            # relative width of the level set
 
-    @property
+    @cached_property
     def classes(self) -> tuple:
-        """Tags strict | level | outside, in the layout of resnorms."""
+        """Tags strict | level | outside, in the layout of resnorms; taken
+        once per grid (dataclasses.replace makes a new grid)."""
         return tuple(_classify(r, self.eps, self.band)
                      for r in self.resnorms)
 
@@ -167,14 +209,16 @@ def grid_scan(T, space, region, resolution: int, eps: float, N: int,
     """Resolvent norms of the N-section at the cell centers of a grid.
 
     The cells are taken in row-major blocks of at most GRID_BLOCK matrix
-    entries.  Each block stacks M - zI and is inverted at once.  A cell is
-    singular when cond_2 > SINGULAR_COND; the SVD condition number is taken
-    only where the Frobenius bound ||A||_F ||A^{-1}||_F is not below
-    SINGULAR_COND / 100, and below it the SVD could not call the cell
-    singular (see SINGULAR_COND).  The norms of a block come from one
-    matrix_norms call.  Every value equals resolvent_norm(M, space, z, cfg)
-    bit for bit.  A grid where some M - zI has a row or column sum of
-    moduli that overflows is refused with a ValueError before any inversion.
+    entries.  Each block stacks M - zI and goes to _resolvent_norms at
+    once.  A cell is singular when cond_2 > SINGULAR_COND.  On l_2 one
+    values-only SVD of the block gives the condition numbers and the norms
+    1/sigma_min, and no inverse is taken.  Elsewhere the block is inverted;
+    the SVD condition number is taken only where the Frobenius bound
+    ||A||_F ||A^{-1}||_F is not below SINGULAR_COND / 100 (see
+    SINGULAR_COND), and the norms come from one matrix_norms call.  Every
+    value equals resolvent_norm(M, space, z, cfg) bit for bit.  A grid
+    where some M - zI has a row or column sum of moduli that overflows is
+    refused with a ValueError before any block is taken.
     """
     if resolution < 2:
         raise ValueError("resolution must be at least 2 per axis")
@@ -204,19 +248,15 @@ def grid_scan(T, space, region, resolution: int, eps: float, N: int,
     zs = np.empty((resolution, resolution), dtype=complex)
     zs.real, zs.imag = res_axis, im_axis[:, None]
     zs = zs.ravel()
-    resnorms = np.full(zs.size, math.inf)
+    resnorms = np.empty(zs.size)
     step = max(1, GRID_BLOCK // (N * N))
     for k in range(0, zs.size, step):
         block = zs[k:k + step]
         A = np.empty((block.size, N, N), dtype=complex)
         A[:] = M
         A.reshape(block.size, N * N)[:, ::N + 1] -= block[:, None]
-        inv, singular = _invert(A)
+        resnorms[k:k + step] = _resolvent_norms(A, space, cfg)
         del A          # each stack is freed before the next one is built
-        if singular.any():
-            inv = inv[~singular]
-        resnorms[k:k + step][~singular] = matrix_norms(inv, space, cfg)
-        del inv
     return PspecGrid(tuple(region), resolution, eps, N,
                      tuple(res_axis), tuple(im_axis),
                      tuple(resnorms.tolist()), band)
@@ -260,8 +300,10 @@ def att1_perturbation(T, space, z: complex, eps: float,
 
     With x a unit resolvent witness, c = ||(T-zI)^{-1}x||, y the normalized
     resolvent image and f a norming functional of y, the perturbation
-    A u = -c^{-1} f(u) x satisfies (T+A)y = zy exactly.
+    A u = -c^{-1} f(u) x satisfies (T+A)y = zy exactly.  A z that is not
+    finite is refused with a ValueError.
     """
+    require_finite((z,), "z = %r" % (z,))
     # one section wide enough to hold Ty: its leading N-block is T_N
     Tw = op.truncate_matrix(T, N + TAIL)
     A = Tw[:N, :N] - complex(z) * np.eye(N, dtype=complex)

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from normlab import cli
 from normlab import convex
+from normlab import pseudospectrum as ps
 from normlab import verify
 
 
@@ -90,6 +91,18 @@ def test_norm_solver_gap_json_parses(capsys):
     assert not obj["decomposition"]["converged"]
     assert obj["decomposition"]["iterations"] == convex.MAX_ITER
     assert err.startswith("solver gap ") and err.count("\n") == 1
+
+
+def test_norm_near_the_largest_double_is_certified(capsys):
+    # it ran all MAX_ITER steps to a NaN and exited 2
+    capsys.readouterr()
+    code, out = run(["norm", "--space", '{"space":"renorm"}', "--vector",
+                     "[[3,1e308,1e308]]", "--trunc", "2", "--format",
+                     "json"])
+    assert code == 0 and capsys.readouterr().err == ""
+    obj = json.loads(out)
+    assert obj["decomposition"]["converged"]
+    assert math.isfinite(obj["value"]) and obj["value"] > 1e308
 
 
 def test_norm_malformed_json_is_usage_error():
@@ -444,6 +457,24 @@ def test_pspec_writes_csv(tmp_path):
     assert lines[0] == "re,im,resnorm,class"
     assert len(lines) == 1 + 21 * 21
     assert "strict=" in out and "radius=" in out
+
+
+def test_pspec_classifies_each_cell_once(monkeypatch):
+    # the CSV, the summary counts and the strict radius each read the
+    # classes; they were taken three times per cell
+    calls = []
+    real = ps._classify
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(ps, "_classify", counting)
+    code, out = run(["pspec", "--space", '{"space":"c0"}',
+                     "--operator", '{"op":"catalog","name":"tc0"}',
+                     "--eps", "0.5", "--res", "7", "--trunc", "8"])
+    assert code == 0 and "strict=" in out
+    assert len(calls) == 7 * 7
 
 
 def test_pspec_res_one_rejected():

@@ -96,12 +96,29 @@ def test_tol_must_be_positive_and_finite(tol):
 
 
 def test_overflowing_iterate_is_not_an_exception():
-    # the first gap check meets |u_1 - y_1| beyond the largest double; the
-    # solve reports that it could not certify, as it did when the first
-    # check came at step 50
-    with np.errstate(over="ignore", invalid="ignore"):
-        _, d = convex.minkowski_norm(Coeffs({3: 1e308 + 1e308j}), 2)
-    assert not d.converged and d.iterations == convex.MAX_ITER
+    # the first gap check met |u_1 - y_1| beyond the largest double, and the
+    # solve ran all MAX_ITER steps to a NaN; it is now solved as 2^-1023 u
+    # and certified, at the modulus of the one entry
+    with np.errstate(all="raise"):
+        value, d = convex.minkowski_norm(Coeffs({3: 1e308 + 1e308j}), 2)
+    assert d.converged and d.gap <= convex.TOL * value
+    assert d.dual_bound <= value == math.hypot(1e308, 1e308)
+
+
+@pytest.mark.parametrize("e", [600, -600])
+def test_far_out_of_range_vector_scales_exactly(e):
+    # an AC5 atom has largest part 1, so 2^e u is solved as u itself
+    atom = Coeffs.basis(1) + Coeffs.basis(2) + Coeffs.basis(5)
+    s = 2.0 ** e
+    value, d = convex.minkowski_norm(atom, 4)
+    scaled, ds = convex.minkowski_norm(s * atom, 4)
+    assert scaled == s * value
+    assert ds.x == s * d.x
+    assert ds.alpha == tuple(s * a for a in d.alpha)
+    assert ds.beta == tuple(s * b for b in d.beta)
+    assert (ds.objective, ds.dual_bound, ds.gap) == (
+        s * d.objective, s * d.dual_bound, s * d.gap)
+    assert (ds.converged, ds.iterations) == (d.converged, d.iterations)
 
 
 def test_cone_oracle_cross_check():

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -123,11 +124,11 @@ def test_grid_bounds_must_be_finite(region):
 ], ids=["entry", "modulus"])
 def test_grid_rejects_an_overflowing_shifted_section(T, region, monkeypatch):
     # each cell read inf and strict; now the grid is refused before any
-    # inversion, by truncate_matrix's rule for M - zI
+    # block is normed, by truncate_matrix's rule for M - zI
     def no_inversion(*args, **kwargs):
-        raise AssertionError("inverted a block")
+        raise AssertionError("normed a block")
 
-    monkeypatch.setattr(ps, "_invert", no_inversion)
+    monkeypatch.setattr(ps, "_resolvent_norms", no_inversion)
     with pytest.raises(ValueError, match="row or column sum"):
         ps.grid_scan(T, sp.Lp(2), region, 2, 0.5, 2)
 
@@ -142,7 +143,7 @@ def test_grid_rejects_bad_eps_before_scan(eps, monkeypatch):
     def no_scan(*args, **kwargs):
         raise AssertionError("scanned the grid")
 
-    monkeypatch.setattr(ps, "resolvent_norm", no_scan)
+    monkeypatch.setattr(ps, "_resolvent_norms", no_scan)
     with pytest.raises(ValueError, match="^eps must be positive$"):
         ps.grid_scan(ZERO, sp.Lp(2), (-1, 1, -1, 1), 3, eps, 4)
 
@@ -215,23 +216,23 @@ def test_diag_d_grid_spot_checks():
 
 def per_cell_resolvent_norm(M, space, z, cfg=opnorm.DEFAULT_CFG):
     """The resolvent norm of one cell as grid_scan computed it cell by cell:
-    the SVD condition number, then the inverse, then the matrix norm with
-    the closed forms written as matrix_norm wrote them then (the power
-    iteration is unchanged).  Returns (norm, cond)."""
+    the SVD condition number, then on l_2 1/sigma_min of the cell, and
+    elsewhere the inverse and its matrix norm with the closed forms written
+    as matrix_norm wrote them then (the power iteration is unchanged).
+    Returns (norm, cond)."""
     A = M - complex(z) * np.eye(len(M), dtype=complex)
     cond = np.linalg.cond(A)
     if cond > ps.SINGULAR_COND:
         return INF, cond
-    inv = np.asarray(np.linalg.inv(A), dtype=complex)
     p = sp.lp_exponent(space)
+    if p == 2:
+        return 1 / np.linalg.svd(A, compute_uv=False)[-1], cond
+    inv = np.asarray(np.linalg.inv(A), dtype=complex)
     if p == 1 or p == INF:
         sums = np.ascontiguousarray(np.abs(inv.T if p == 1 else inv)).sum(
             axis=1)
         k = int(np.argmax(sums))
         return float(sums[k]), cond
-    if p == 2:
-        U, s, Vh = np.linalg.svd(inv)
-        return float(s[0]), cond
     return opnorm.matrix_norm(inv, space, cfg)[0], cond
 
 
@@ -269,7 +270,7 @@ EQUIVALENCE_CASES = {
 
 def test_grid_scan_matches_per_cell_path():
     rng = np.random.default_rng(9)
-    zero_pivots = open_regular = cond_singular = 0
+    zero_pivots = open_regular = cond_singular = diag_d_cells = 0
     for name, (T, space, N, res, extra) in EQUIVALENCE_CASES.items():
         M = op.truncate_matrix(T, N)
         cx, cy = rng.uniform(-1, 1, size=2)
@@ -282,6 +283,8 @@ def test_grid_scan_matches_per_cell_path():
             assert grid.resnorms == want, (name, region)
             assert grid.classes == tuple(ps._classify(r, 0.5, ps.LEVEL_BAND)
                                          for r in want), (name, region)
+            if name == "diag_d":
+                diag_d_cells += check_diag_d_cells(M, grid, conds)
             for (z, _, _), c in zip(grid.cells(), conds):
                 if _zero_pivot(M, z):
                     zero_pivots += 1
@@ -293,6 +296,26 @@ def test_grid_scan_matches_per_cell_path():
     # whole block goes to cond), and cells the Frobenius screen cannot
     # decide on either side of SINGULAR_COND
     assert zero_pivots >= 6 and open_regular >= 2 and cond_singular >= 2
+    assert diag_d_cells >= 100
+
+
+def check_diag_d_cells(M, grid, conds) -> int:
+    """The l_2 norm 1/sigma_min of each regular diagonal cell against the
+    exact 1/min |d_i - z|, and where cond <= 1e8 against the norm the grid
+    took before, sigma_max of the inverse; returns the cells checked."""
+    d = np.diagonal(M)
+    checked = 0
+    for (z, r, _), c in zip(grid.cells(), conds):
+        if r == INF:
+            continue
+        exact = 1 / np.min(np.abs(d - z))
+        assert abs(r - exact) <= 1e-14 * exact, (z, r, exact)
+        if c <= 1e8:
+            A = M - z * np.eye(len(M))
+            top = np.linalg.svd(np.linalg.inv(A))[1][0]
+            assert abs(r - top) <= 1e-14 * top, (z, r, top)
+        checked += 1
+    return checked
 
 
 def counted_linalg(monkeypatch, *names):
@@ -315,6 +338,45 @@ def test_grid_scan_inverts_once_per_block_without_cond(monkeypatch):
     ps.grid_scan(op.Tc0(), sp.C0(), (0.5, 3, 0.5, 3), 61, 0.5, 30)
     per_block = ps.GRID_BLOCK // (30 * 30)
     assert calls == {"cond": 0, "inv": -(-61 * 61 // per_block)}
+
+
+def test_l2_grid_takes_one_values_only_svd_per_block(monkeypatch):
+    # the norm is 1/sigma_min and the singular test s_max/s_min, both read
+    # off one SVD of the block; no inverse, no separate condition number
+    calls = counted_linalg(monkeypatch, "cond", "inv", "svd")
+    ps.grid_scan(DIAG_D, sp.Lp(2), (0, 1.2, -0.3, 0.3), 13, 0.1, 30)
+    per_block = ps.GRID_BLOCK // (30 * 30)
+    assert calls == {"cond": 0, "inv": 0, "svd": -(-13 * 13 // per_block)}
+
+
+@pytest.mark.parametrize("space", [sp.Lp(2), sp.C0(), sp.Lp(3)],
+                         ids=["l2", "c0", "l3"])
+def test_zero_section_at_zero_is_singular(space):
+    # s = 0 gives s_max/s_min = 0/0 on l_2, which np.linalg.cond reads as inf
+    grid = ps.grid_scan(ZERO, space, (-1, 1, -1, 1), 3, 1.0, 4)
+    assert grid.resnorms[4] == INF and INF not in grid.resnorms[:4]
+    assert ps.resolvent_norm(op.truncate_matrix(ZERO, 4), space, 0.0) == INF
+
+
+@pytest.mark.parametrize("z", [math.nan, INF, complex(1, math.nan)],
+                         ids=["nan", "inf", "nanj"])
+@pytest.mark.parametrize("space", [sp.C0(), sp.Lp(2), sp.Lp(3)],
+                         ids=["c0", "l2", "l3"])
+def test_non_finite_z_is_refused(space, z):
+    # each raised LinAlgError: SVD did not converge
+    M = op.truncate_matrix(op.Tc0(), 6)
+    message = "^z = %s must be finite$" % re.escape(repr(z))
+    with pytest.raises(ValueError, match=message):
+        ps.resolvent_norm(M, space, z)
+    with pytest.raises(ValueError, match=message):
+        ps.att1_perturbation(op.Tc0(), space, z, 0.5, 6)
+
+
+def test_non_finite_section_is_refused():
+    M = op.truncate_matrix(op.Tc0(), 6)
+    M[2, 3] = math.nan
+    with pytest.raises(ValueError, match="^section M must be finite$"):
+        ps.resolvent_norm(M, sp.Lp(2), 2.0)
 
 
 def test_grid_scan_memory_stays_near_one_block():
