@@ -2,7 +2,7 @@
 
 Every sequence space in the package acts on these; indices start at 0.
 Entries whose modulus falls below PRUNE_TOL are dropped on construction so
-the support stays finite and exact.
+the support stays finite and exact; JSON input refuses such entries instead.
 """
 
 from __future__ import annotations
@@ -137,7 +137,13 @@ class Coeffs:
 
     @staticmethod
     def from_json_obj(obj) -> "Coeffs":
+        """Coeffs from [[index, re, im], ...]; a nonzero entry of modulus
+        below PRUNE_TOL is refused, since construction would drop it."""
         pairs = [(require_int(i, "index"), complex(re, im))
                  for i, re, im in obj]
         require_finite((v for _, v in pairs), "coefficients")
+        for i, v in pairs:
+            if 0 < abs(v) < PRUNE_TOL:
+                raise ValueError("coefficient at index %d is nonzero with "
+                                 "modulus below %g" % (i, PRUNE_TOL))
         return Coeffs(dict(pairs))

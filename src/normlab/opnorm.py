@@ -137,12 +137,22 @@ def _power_iteration(M, space, cfg: OpnormConfig, starts=()):
     at most TOL times itself, or after MAX_ITER values.  The best value
     wins, ties going to the earliest start and then the earliest step; it
     is floored at the best basis column, whose e_j is then the witness.
+
+    The dtype follows the input: when M and every caller start are real (a
+    zero imaginary part counts as real), the batch runs in float64 on the
+    real part of M, and else in complex128.  The row rules keep a real row
+    real, so this is the complex iteration's own sequence, up to the order
+    of the gemm sums.  The witness is complex either way.
     """
     n = M.shape[1]
-    Mt = np.ascontiguousarray(M.T)
     dual = sp.dual_space(space)
     rng = np.random.default_rng(cfg.seed)
     real_only = np.isrealobj(M) or not np.any(M.imag)
+    starts = [np.asarray(s) for s in starts]
+    real = real_only and not any(np.any(np.imag(s)) for s in starts)
+    if real:
+        M, starts = np.ascontiguousarray(M.real), [s.real for s in starts]
+    Mt = np.ascontiguousarray(M.T)
 
     init = [np.ones(n)] + list(np.eye(n)[:4])
     for _ in range(RESTARTS):
@@ -150,10 +160,10 @@ def _power_iteration(M, space, cfg: OpnormConfig, starts=()):
         if not real_only:
             v = v + 1j * rng.standard_normal(n)
         init.append(v)
-    X = np.array(init + [np.asarray(s) for s in starts], dtype=complex)
+    X = np.array(init + starts, dtype=float if real else complex)
 
     best_val = np.zeros(len(X))
-    best_x = np.zeros_like(X)
+    best_x = np.zeros(X.shape, dtype=complex)
     nx = sp.norm_rows(space, X)
     rows = np.flatnonzero(nx != 0)      # the start each active row came from
     X = X[rows] / nx[rows, None]

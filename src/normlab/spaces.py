@@ -138,11 +138,16 @@ SpaceSpec = Lp | C0 | L1 | QSumLp | DirectSumLp | RenormedL2
 # so no power over- or underflows; the norm is m r and the functional is
 # sign(conj x) w / r^(p-1).  The q-sum of two parts and its weights are
 # Python scalars, which rescale where a power over- or underflows.
+# The dtype follows the input: a real array is taken in float64 and gets a
+# real functional, a complex one in complex128, so real sections iterate in
+# float64.  A real row's modulus, and its product with a real factor, are
+# the bits the complex rule takes for it, so on l_p the two agree bit for
+# bit; a sign conj(x)/|x| may come out 1 ulp below 1 in complex division.
 
 def _lp_scaled(a: np.ndarray, m: np.ndarray, p: float) -> tuple:
     """(r, w) of the l_p rule, 1 < p < inf, on the rows of the moduli a
     (k, n) with row maxima m; a zero row gets r = 0 and w = 0."""
-    u = a / np.where(m > 0, m, 1.0)[:, None]
+    u = a / (m if m.all() else np.where(m > 0, m, 1.0))[:, None]
     w = u ** (p - 1)
     return (w * u).sum(axis=-1) ** (1.0 / p), w
 
@@ -197,12 +202,16 @@ def lp_exponent(space: SpaceSpec) -> float | None:
 
 
 def _quiet(rule):
-    """Run a row-wise rule under one np.errstate: numpy's warnings from the
-    entries the rules mask or rescale say nothing."""
+    """Run a row-wise rule under one np.errstate, on a C-contiguous float64
+    copy of a real (bool, integer or float) X and a complex128 one of any
+    other: numpy's warnings from the entries the rules mask or rescale say
+    nothing."""
     @functools.wraps(rule)
     def wrapper(space, X):
+        X = np.asarray(X)
+        dtype = float if X.dtype.kind in "biuf" else complex
         with np.errstate(all="ignore"):
-            return rule(space, np.ascontiguousarray(X, dtype=complex))
+            return rule(space, np.ascontiguousarray(X, dtype=dtype))
     return wrapper
 
 
@@ -245,13 +254,14 @@ def _lp_dualities(X: np.ndarray, a: np.ndarray, m: np.ndarray,
     row maxima m, and a unit functional f (bilinear pairing) with
     f(x) = ||x||_p."""
     if p == INF:
-        F = np.zeros(X.shape, dtype=complex)
+        F = np.zeros(X.shape, dtype=X.dtype)
         for r in np.flatnonzero(m):
             j = int(np.argmax(a[r]))
             F[r, j] = _sign(X[r, j])
         return m, F
+    Xc = np.conj(X) if np.iscomplexobj(X) else X
     if p == 1:
-        return a.sum(axis=-1), np.where(a > 1e-200, np.conj(X) / a, 0)
+        return a.sum(axis=-1), np.where(a > 1e-200, Xc / a, 0)
     r, w = _lp_scaled(a, m, p)
     # f = conj(x) w / (|x| r^(p-1)); the floor on |x| (1e-150 of the row's
     # largest, and never subnormal) keeps the factor finite and shrinks only
@@ -259,23 +269,28 @@ def _lp_dualities(X: np.ndarray, a: np.ndarray, m: np.ndarray,
     # and r^(p-1) taken as 1, gets f = 0
     floor = np.maximum(m * 1e-150, _TINY)[:, None]
     rp = (np.maximum(r, 1.0) ** (p - 1))[:, None]
-    return m * r, np.conj(X) * (w / (np.maximum(a, floor) * rp))
+    return m * r, Xc * (w / (np.maximum(a, floor) * rp))
+
+
+_NO_ROWS = np.empty(0, dtype=np.intp)
 
 
 def _lift_tiny_rows(X: np.ndarray) -> tuple:
     """(X, |X|, row maxima, tiny) with each row of X whose largest modulus
     is below 1e-150 scaled by 2^600, which is exact (a zero row stays zero);
-    tiny indexes those rows.  A norming functional does not change under
+    tiny indexes those rows (none when every row reaches 1e-150, and then X
+    is returned as it came).  A norming functional does not change under
     positive scaling, and the rules above would take such rows' signs from
     subnormal moduli or drop moduli below 1e-200 as zero."""
     a = np.abs(X)
     m = a.max(axis=-1, initial=0.0)
+    if m.min(initial=INF) >= 1e-150:
+        return X, a, m, _NO_ROWS
     tiny = np.flatnonzero(m < 1e-150)
-    if tiny.size:
-        X = X.copy()
-        X[tiny] *= 2.0 ** 600
-        a[tiny] = np.abs(X[tiny])
-        m[tiny] = a[tiny].max(axis=-1, initial=0.0)
+    X = X.copy()
+    X[tiny] *= 2.0 ** 600
+    a[tiny] = np.abs(X[tiny])
+    m[tiny] = a[tiny].max(axis=-1, initial=0.0)
     return X, a, m, tiny
 
 
@@ -285,7 +300,7 @@ def _functionals(space: SpaceSpec, X: np.ndarray, a: np.ndarray,
     p = lp_exponent(space)
     if p is not None:
         return _lp_dualities(X, a, m, p)
-    out = np.zeros(X.shape, dtype=complex)
+    out = np.zeros(X.shape, dtype=X.dtype)
     if isinstance(space, QSumLp):
         if not X.shape[-1]:
             return np.zeros(len(X)), out

@@ -138,6 +138,14 @@ def test_norm_non_finite_entry_is_usage_error(vector, capsys):
                         "--vector", vector], capsys)
 
 
+@pytest.mark.parametrize("space", ['{"space":"renorm"}',
+                                   '{"space":"lp","p":2}'])
+def test_norm_coefficient_below_prune_tol_is_usage_error(space, capsys):
+    # the entry was dropped on reading, and the renorm norm printed 0.0
+    assert_usage_error(["norm", "--space", space, "--vector",
+                        "[[3,1e-301,0]]"], capsys)
+
+
 LP2 = '{"space":"lp","p":2}'
 TC0 = '{"op":"catalog","name":"tc0"}'
 

@@ -440,15 +440,28 @@ def _batched_cases():
     yield pytest.param(rng.standard_normal((7, 7)),
                        sp.DirectSumLp(3.0, ((2, 1.0), (3, 2.0), (2, 4.0))),
                        id="dsum")
+    # float64 sections, which iterate in float64, and one complex l_p one
+    rng = np.random.default_rng(22)
+    for n in (4, 16, 64):
+        yield pytest.param(rng.standard_normal((n, n)), sp.Lp(3.0),
+                           id="real-lp3-n%d" % n)
+    yield pytest.param(rng.standard_normal((6, 6)), sp.QSumLp(4.0, 2.0),
+                       id="real-qsum")
+    yield pytest.param(rng.standard_normal((9, 9)),
+                       sp.DirectSumLp(1.5, ((3, 4.0), (4, 1.0), (2, 2.0))),
+                       id="real-dsum")
+    yield pytest.param(rng.standard_normal((16, 16))
+                       + 1j * rng.standard_normal((16, 16)), sp.Lp(3.0),
+                       id="complex-lp3-n16")
 
 
 @pytest.mark.parametrize("M,space", list(_batched_cases()))
 def test_batched_iterate_not_below_reference(M, space):
     # the batch takes the same starts and steps in gemm, so it may move in
-    # the last bits, never by more
-    M = np.asarray(M, dtype=complex)
+    # the last bits, never by more; the reference runs in complex128 even
+    # where the batch runs in float64
     val, w, method = opnorm.matrix_norm(M, space)
-    ref, _ = reference_power_iteration(M, space)
+    ref, _ = reference_power_iteration(np.asarray(M, dtype=complex), space)
     assert method == "iterate"
     assert val >= ref * (1 - 1e-14)
     assert val >= best_column(M, space)
@@ -499,6 +512,49 @@ def test_iterate_takes_one_row_rule_call_per_half_step(monkeypatch):
     assert steps > 10
     assert rule == [space, sp.dual_space(space)] * steps + [space]
     assert calls.count(("norm_rows", space)) == len(calls) - len(rule) == 2
+
+
+def _record_rule_dtypes(monkeypatch) -> list:
+    """The dtype of each array the iteration hands norming_functional_rows."""
+    dtypes = []
+    real = sp.norming_functional_rows
+
+    def recording(space, X):
+        dtypes.append(np.asarray(X).dtype)
+        return real(space, X)
+    monkeypatch.setattr(sp, "norming_functional_rows", recording)
+    return dtypes
+
+
+@pytest.mark.parametrize("space", [
+    sp.Lp(3.0), sp.QSumLp(4.0, 2.0),
+    sp.DirectSumLp(3.0, ((4, 1.0), (8, 2.0)))], ids=str)
+def test_real_section_iterates_in_float64(space, monkeypatch):
+    # a real section runs every half-step in float64, whether it comes as
+    # float64 or as complex128 with a zero imaginary part, and so does one
+    # given a complex128 start with a zero imaginary part (as attainment_scan
+    # passes its witnesses); the witness is complex either way
+    dtypes = _record_rule_dtypes(monkeypatch)
+    M = np.random.default_rng(5).standard_normal((12, 12))
+    start = np.random.default_rng(6).standard_normal(12).astype(complex)
+    for A, starts in ((M, ()), (M.astype(complex), ()), (M, (start,))):
+        dtypes.clear()
+        val, w, method = opnorm.matrix_norm(A, space, starts=starts)
+        assert method == "iterate" and w.dtype == complex
+        assert len(dtypes) > 2 and set(dtypes) == {np.dtype(float)}
+
+
+def test_complex_section_or_start_iterates_in_complex128(monkeypatch):
+    dtypes = _record_rule_dtypes(monkeypatch)
+    rng = np.random.default_rng(7)
+    M = rng.standard_normal((12, 12))
+    start = rng.standard_normal(12) + 1j * rng.standard_normal(12)
+    for A, starts in ((M + 1j * rng.standard_normal((12, 12)), ()),
+                      (M, (start,))):
+        dtypes.clear()
+        val, w, method = opnorm.matrix_norm(A, sp.Lp(3.0), starts=starts)
+        assert method == "iterate" and w.dtype == complex
+        assert len(dtypes) > 2 and set(dtypes) == {np.dtype(complex)}
 
 
 def test_iterate_floored_at_best_column_on_l3_grid():

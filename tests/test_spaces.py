@@ -43,6 +43,18 @@ def test_coeffs_json_round_trip():
     assert Coeffs.from_json_obj(x.to_json_obj()) == x
 
 
+@pytest.mark.parametrize("obj", [[[3, 1e-301, 0]],
+                                 [[0, 1, 0], [2, 0, 5e-324]],
+                                 [[1, 7e-301, 7e-301]]])
+def test_coeffs_json_refuses_entries_it_would_prune(obj):
+    # construction drops such an entry, so input that holds one was read as
+    # a smaller vector with no error
+    with pytest.raises(ValueError, match="modulus below 1e-300"):
+        Coeffs.from_json_obj(obj)
+    assert Coeffs.from_json_obj([[0, 1e-300, 0], [1, 0, 0]]) == \
+        Coeffs({0: 1e-300})
+
+
 @pytest.mark.parametrize("obj", [[[1.5, 1, 0]], [["1", 1, 0]]])
 def test_coeffs_non_integral_index_rejected(obj):
     with pytest.raises(ValueError, match="index must be an integer"):
@@ -189,6 +201,22 @@ def test_rows_equal_one_row_calls_bitwise(space):
             assert np.array_equal(f, sp.norming_functional_array(space, x))
 
 
+def edge_rows(rng, n, real=False):
+    """30 rows of length n at scales from 1e-300 to 1e300, with a zero
+    row, a half-zero row, rows below 1e-150 and subnormal entries."""
+    X = rng.standard_normal((30, n))
+    if not real:
+        X = X + 1j * rng.standard_normal((30, n))
+    X *= 10.0 ** rng.uniform(-300, 300, (30, 1))
+    X[3] = 0
+    X[5, : n // 2] = 0
+    X[7:10] = X[7:10] / np.abs(X[7:10]).max() * [[1e-151], [1e-300],
+                                                   [1e-310]]
+    X[11, -1] = 1e-320
+    X[12] = 5e-324
+    return X
+
+
 @pytest.mark.parametrize("space", ROW_SPACES, ids=str)
 def test_functional_rows_return_norm_rows_bitwise(space):
     # the norms norming_functional_rows hands back are norm_rows' own, at
@@ -197,17 +225,47 @@ def test_functional_rows_return_norm_rows_bitwise(space):
     rng = np.random.default_rng(9)
     sizes = (1, 3, 7) if isinstance(space, sp.DirectSumLp) else (1, 4, 9, 40)
     for n in sizes:
-        X = rng.standard_normal((30, n)) + 1j * rng.standard_normal((30, n))
-        X *= 10.0 ** rng.uniform(-300, 300, (30, 1))
-        X[3] = 0
-        X[5, : n // 2] = 0
-        X[7:10] = X[7:10] / np.abs(X[7:10]).max() * [[1e-151], [1e-300],
-                                                       [1e-310]]
-        X[11, -1] = 1e-320
-        X[12] = 5e-324
+        X = edge_rows(rng, n)
         norms, funcs = sp.norming_functional_rows(space, X)
         assert np.array_equal(norms, sp.norm_rows(space, X))
         assert np.all(np.isfinite(funcs))
+
+
+@pytest.mark.parametrize("space", ROW_SPACES, ids=str)
+def test_real_rows_follow_the_complex_rule(space):
+    # a real array is taken in float64 and gets a real functional; its
+    # norms are the complex rule's bit for bit, and on l_p, 1 < p < inf, so
+    # is its functional; elsewhere a sign x/|x| is exactly +-1 in real
+    # division where complex division may give 1 - 2^-53, so the functional
+    # may move by 1 ulp; rows from 1e-300 to 1e300, zero rows, rows below
+    # 1e-150 and subnormal rows
+    rng = np.random.default_rng(10)
+    sizes = (1, 3, 7) if isinstance(space, sp.DirectSumLp) else (1, 4, 9, 40)
+    for n in sizes:
+        X = edge_rows(rng, n, real=True)
+        norms, funcs = sp.norming_functional_rows(space, X)
+        cnorms, cfuncs = sp.norming_functional_rows(space, X.astype(complex))
+        assert funcs.dtype == float and cfuncs.dtype == complex
+        assert not np.any(cfuncs.imag)
+        assert np.array_equal(norms, cnorms)
+        assert np.array_equal(norms, sp.norm_rows(space, X))
+        if isinstance(space, sp.Lp) and space.p < INF:
+            assert np.array_equal(funcs, cfuncs.real)
+        else:
+            assert np.all(np.abs(funcs - cfuncs.real)
+                          <= np.spacing(np.abs(cfuncs.real)))
+        if sp.lp_exponent(space) in (1, INF):
+            assert set(np.unique(funcs)) <= {-1.0, 0.0, 1.0}
+        if isinstance(space, sp.QSumLp) and space.q in (1, INF):
+            assert set(np.unique(funcs[:, 0])) <= {-1.0, 0.0, 1.0}
+
+
+def test_integer_and_bool_rows_are_taken_as_float64():
+    for X in (np.array([[3, -4], [0, 0]]), np.array([[True, False]])):
+        norms, funcs = sp.norming_functional_rows(sp.Lp(3.0), X)
+        assert funcs.dtype == norms.dtype == float
+        assert np.array_equal(funcs, sp.norming_functional_rows(
+            sp.Lp(3.0), X.astype(float))[1])
 
 
 def test_direct_sum_support_check():
