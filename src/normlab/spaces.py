@@ -136,8 +136,8 @@ SpaceSpec = Lp | C0 | L1 | QSumLp | DirectSumLp | RenormedL2
 # rule (1 < p < inf) is scaled by each row's largest modulus m: u = |x|/m
 # lies in [0, 1], w = u^(p-1) and r = (sum w u)^(1/p) lies in [1, n^(1/p)],
 # so no power over- or underflows; the norm is m r and the functional is
-# sign(conj x) w / r^(p-1).  The q-sum of two parts and its weights are
-# Python scalars, which rescale where a power over- or underflows.
+# sign(conj x) w / r^(p-1).  K (+)_q l_p on n coordinates is normed as the
+# dsum with outer exponent q and blocks (1, l_1) and (n - 1, l_p).
 # The dtype follows the input: a real array is taken in float64 and gets a
 # real functional, a complex one in complex128, so real sections iterate in
 # float64.  A real row's modulus, and its product with a real factor, are
@@ -160,36 +160,6 @@ def _lp_norms(a: np.ndarray, p: float) -> np.ndarray:
     return m if p == INF else m * _lp_scaled(a, m, p)[0]
 
 
-def _powers_in_range(x: np.ndarray, e: float) -> np.ndarray:
-    """x ** e for each entry of a 1-D float array by Python's float power,
-    or 0.0 where it over- or underflows (a subnormal result counts as
-    underflow): the caller then divides by x before raising to e."""
-    out = []
-    for v in x.tolist():
-        try:
-            d = v ** e
-        except OverflowError:
-            d = INF
-        out.append(d if _TINY <= d < INF else 0.0)
-    return np.array(out)
-
-
-def qsum_combine(alpha: float, tail: float, q: float) -> float:
-    if q == INF:
-        return max(alpha, tail)
-    if q == 1:
-        return alpha + tail
-    try:
-        s = float(alpha) ** q + float(tail) ** q
-    except OverflowError:
-        s = INF
-    if s == INF or (s < _TINY and (alpha or tail)):
-        # the sum overflowed or underflowed: factor out the larger part
-        m = max(alpha, tail)
-        return m if m == INF else m * qsum_combine(alpha / m, tail / m, q)
-    return s ** (1.0 / q)
-
-
 def lp_exponent(space: SpaceSpec) -> float | None:
     """Exponent of an l_p-family space (Lp: p, C0: inf, L1: 1), else None."""
     if isinstance(space, Lp):
@@ -199,6 +169,12 @@ def lp_exponent(space: SpaceSpec) -> float | None:
     if isinstance(space, L1):
         return 1
     return None
+
+
+@functools.lru_cache(maxsize=64)
+def _qsum_as_dsum(space: QSumLp, n: int) -> DirectSumLp:
+    """The dsum that K (+)_q l_p is on rows of width n."""
+    return DirectSumLp(space.q, ((1, 1.0), (max(n - 1, 1), space.p)))
 
 
 def _quiet(rule):
@@ -222,11 +198,7 @@ def norm_rows(space: SpaceSpec, X: np.ndarray) -> np.ndarray:
     if p is not None:
         return _lp_norms(np.abs(X), p)
     if isinstance(space, QSumLp):
-        if not X.shape[-1]:
-            return np.zeros(len(X))
-        tails = _lp_norms(np.abs(X[:, 1:]), space.p).tolist()
-        return np.array([qsum_combine(abs(v), t, space.q)
-                         for v, t in zip(X[:, 0].tolist(), tails)])
+        space = _qsum_as_dsum(space, X.shape[-1])
     if isinstance(space, DirectSumLp):
         total = space.total_size()
         if X.shape[-1] > total and np.any(X[:, total:] != 0):
@@ -300,41 +272,9 @@ def _functionals(space: SpaceSpec, X: np.ndarray, a: np.ndarray,
     p = lp_exponent(space)
     if p is not None:
         return _lp_dualities(X, a, m, p)
-    out = np.zeros(X.shape, dtype=X.dtype)
     if isinstance(space, QSumLp):
-        if not X.shape[-1]:
-            return np.zeros(len(X)), out
-        q = space.q
-        alpha = [abs(v) for v in X[:, 0].tolist()]
-        at = np.ascontiguousarray(a[:, 1:])
-        tails, ftail = _lp_dualities(X[:, 1:], at,
-                                     at.max(axis=-1, initial=0.0), space.p)
-        tails = tails.tolist()
-        nrms = [qsum_combine(al, t, q) for al, t in zip(alpha, tails)]
-        ds = _powers_in_range(np.array(nrms), q - 1).tolist()
-        weight = np.zeros(len(X))
-        for r, (al, tail, nrm, d) in enumerate(zip(alpha, tails, nrms, ds)):
-            if nrm == 0:
-                continue
-            sign = _sign(X[r, 0])
-            if q == INF:
-                # weight the attaining component; ties go to the tail
-                if tail >= al:
-                    weight[r] = 1.0
-                else:
-                    out[r, 0] = sign
-            elif q == 1:
-                out[r, 0], weight[r] = sign, 1.0
-            elif d:
-                out[r, 0] = (al ** (q - 1) / d) * sign
-                weight[r] = tail ** (q - 1) / d
-            else:
-                # nrm^(q-1) over- or underflows (q is large)
-                out[r, 0] = (al / nrm) ** (q - 1) * sign
-                weight[r] = (tail / nrm) ** (q - 1)
-        live = weight != 0
-        out[live, 1:] = weight[live, None] * ftail[live]
-        return np.array(nrms), out
+        space = _qsum_as_dsum(space, X.shape[-1])
+    out = np.zeros(X.shape, dtype=X.dtype)
     if isinstance(space, DirectSumLp):
         blocks = []
         for sl, r in space.slices():

@@ -99,39 +99,10 @@ def test_qsum_norm_survives_overflow_and_underflow(q, arr, want):
         pytest.approx(want, rel=1e-15, abs=0)
 
 
-def test_qsum_combine_unchanged_on_ordinary_pairs():
-    # away from over- and underflow the direct formula is used bit for bit
-    rng = np.random.default_rng(5)
-    alphas, tails = 10.0 ** rng.uniform(-3, 3, (2, 20000))
-    qs = rng.uniform(1.01, 12.0, 20000)
-    for alpha, tail, q in zip(alphas, tails, qs):
-        want = (alpha ** q + float(tail) ** q) ** (1.0 / q)
-        assert sp.qsum_combine(alpha, float(tail), float(q)) == want
-
-
-def test_qsum_functional_unchanged_on_ordinary_inputs():
-    # away from over- and underflow of nrm^(q-1) the direct formula is used
-    # bit for bit
-    rng = np.random.default_rng(6)
-    for _ in range(20000):
-        q, p = rng.uniform(1.01, 12.0, 2)
-        size = int(rng.integers(1, 6))
-        arr = (rng.standard_normal(size) + 1j * rng.standard_normal(size)) \
-            * 10.0 ** rng.uniform(-3, 3)
-        alpha = abs(arr[0])
-        tail = sp.norm_array(sp.Lp(p), arr[1:])
-        nrm = sp.qsum_combine(alpha, tail, q)
-        want = np.zeros(size, dtype=complex)
-        want[0] = (alpha ** (q - 1) / nrm ** (q - 1)) * sp._sign(arr[0])
-        want[1:] = (tail ** (q - 1) / nrm ** (q - 1)) \
-            * sp.norming_functional_array(sp.Lp(p), arr[1:])
-        got = sp.norming_functional_array(sp.QSumLp(q, p), arr)
-        assert np.array_equal(got, want)
-
-
 def test_qsum_functional_subnormal_power_rescales():
-    # nrm^(q-1) = 0.4^799 is subnormal: it counts as underflow, so the head
-    # weight is taken as (alpha/nrm)^(q-1), not 0^... / subnormal = 0
+    # nrm^(q-1) = 0.4^799 is subnormal; the head weight (alpha/nrm)^(q-1)
+    # is taken from moduli scaled by the row's largest, so it is not
+    # alpha^(q-1) / nrm^(q-1), which would come out 0
     q = 800.0
     arr = np.array([0.14085629 - 0.23595872j, -0.39135317 + 0.09318986j])
     f = sp.norming_functional_array(sp.QSumLp(q, 2.0), arr)
@@ -229,6 +200,47 @@ def test_functional_rows_return_norm_rows_bitwise(space):
         norms, funcs = sp.norming_functional_rows(space, X)
         assert np.array_equal(norms, sp.norm_rows(space, X))
         assert np.all(np.isfinite(funcs))
+
+
+def test_qsum_functionals_are_norming_at_every_scale():
+    # random q and p (and q = 1, inf, 800), widths 1 to 6 and the edge rows:
+    # each functional pairs with x / ||x|| to 1 and has unit dual norm, and
+    # a zero row gets f = 0; rows below 1e-150 are paired scaled by 2^600
+    rng = np.random.default_rng(6)
+    for q in [1.0, INF, 800.0, *rng.uniform(1.01, 12.0, 5)]:
+        space = sp.QSumLp(q, float(rng.uniform(1.01, 12.0)))
+        for n in range(1, 7):
+            X = edge_rows(rng, n)
+            norms, funcs = sp.norming_functional_rows(space, X)
+            live = norms > 0
+            assert not np.any(funcs[~live])
+            Y = X[live]
+            Y[np.abs(Y).max(axis=-1) < 1e-150] *= 2.0 ** 600
+            pair = np.sum(funcs[live] * (Y / sp.norm_rows(space, Y)[:, None]),
+                          axis=-1)
+            assert np.allclose(pair, 1.0, rtol=0, atol=1e-13)
+            assert np.allclose(sp.norm_rows(sp.dual_space(space), funcs[live]),
+                               1.0, rtol=0, atol=1e-13)
+
+
+def test_qsum_inf_functional_takes_the_head_on_a_tie():
+    # head and tail both 1: the argmax of the outer l_inf picks the head
+    f = sp.norming_functional_array(sp.QSumLp(INF, 2.0), [1.0, 0.6, 0.8])
+    assert np.array_equal(f, [1.0, 0.0, 0.0])
+
+
+@pytest.mark.parametrize("space", ROW_SPACES + [sp.QSumLp(1.5, 3.0)],
+                         ids=str)
+def test_norm_scales_exactly_by_powers_of_two(space):
+    # each rule scales a row by its largest modulus first, so ||2^k x|| is
+    # 2^k ||x|| bit for bit at 1e-200 as at 1; a q-sum taking s^(1/q) of
+    # s = 1e-300 was once 2.6e-14 off on [3e-200, 1e-200]
+    rng = np.random.default_rng(11)
+    X = rng.standard_normal((20, 5)) + 1j * rng.standard_normal((20, 5))
+    X *= 10.0 ** rng.uniform(-200, 100, (20, 1))
+    X[0] = [3e-200, 1e-200, 0, 0, 0]
+    assert np.array_equal(2.0 ** -664 * sp.norm_rows(space, 2.0 ** 664 * X),
+                          sp.norm_rows(space, X))
 
 
 @pytest.mark.parametrize("space", ROW_SPACES, ids=str)
