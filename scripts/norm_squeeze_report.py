@@ -3,8 +3,10 @@
 
 Part 1 squeezes the norm of S u = u + u_2 e_1 on the renormed space:
 certified lower bounds 1/q_n (which approach 2 from below) against a
-sampled upper-bound sweep showing ||S u|| < 2 ||u|| on every sample, so
-the operator has norm 2 without attaining it.
+sampled sweep showing ||S u|| < 2 ||u|| on every sample, so the operator
+has norm 2 without attaining it.  Each sample u is solved once: the dual
+bound of the solve bounds ||u|| from below, and S maps the solved
+decomposition of u to one of S u, whose cost bounds ||S u|| from above.
 
 Part 2 scans section norms of catalog operators across growing truncations
 and reports the attainment heuristic for each.

@@ -387,19 +387,23 @@ def operator_norm(T, space, N: int, cfg: OpnormConfig = DEFAULT_CFG,
         raise ValueError("N must be positive")
     require_norming(space)
 
-    # closed forms that bypass the section matrix
-    if isinstance(T, (op.Identity, op.ScalarMul)):
-        lam = 1.0 if isinstance(T, op.Identity) else complex(T.lam)
-        w = Coeffs.basis(0)
-        return NormReport(abs(lam), w, "closed_form", ((N, abs(lam)),),
-                          "attained", (_centroid(w.to_array(N)),))
-    if isinstance(T, op.Diagonal):
-        dvals = np.array([abs(T.entry(i)) for i in range(N)])
-        i = int(np.argmax(dvals))
-        val = float(dvals[i])
-        w = Coeffs.basis(i)
-        return NormReport(val, w, "closed_form", ((N, val),), "inconclusive",
-                          (float(i),))
+    # closed forms that bypass the section matrix; on a dsum they refuse a
+    # section with a nonzero entry past the block partition, as the
+    # section's own norm would
+    end = space.total_size() if isinstance(space, sp.DirectSumLp) else N
+    if isinstance(T, (op.Identity, op.ScalarMul, op.Diagonal)):
+        if isinstance(T, op.Diagonal):
+            dvals = np.array([abs(T.entry(i)) for i in range(N)])
+            i = int(np.argmax(dvals))
+            val, tag, past = float(dvals[i]), "inconclusive", dvals[end:].any()
+        else:
+            i = 0
+            val = abs(1.0 if isinstance(T, op.Identity) else complex(T.lam))
+            tag, past = "attained", val != 0 and N > end
+        if past:
+            raise ValueError("support exceeds the block partition")
+        return NormReport(val, Coeffs.basis(i), "closed_form", ((N, val),),
+                          tag, (float(i),))
     if isinstance(T, op.RankOne):
         fN = T.functional.to_array(N)
         vN = T.vector.to_array(N)

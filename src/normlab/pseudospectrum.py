@@ -142,17 +142,17 @@ def _require_eps(eps: float) -> None:
         raise ValueError("eps = %g is too small: 1/eps overflows" % eps)
 
 
-def _classify(r: float, eps: float, band: float) -> str:
+def _classify(r: float, eps: float) -> str:
     """strict | level | outside for a resolvent norm r against 1/eps.
 
-    The level band is relative (exact equality is measure zero in floating
-    point) and is checked before the strict comparison.
+    The level band LEVEL_BAND is relative (exact equality is measure zero
+    in floating point) and is checked before the strict comparison.
     """
     _require_eps(eps)
     thr = 1.0 / eps
     if r == math.inf:
         return "strict"
-    if abs(r - thr) <= band * thr:
+    if abs(r - thr) <= LEVEL_BAND * thr:
         return "level"
     return "strict" if r > thr else "outside"
 
@@ -170,14 +170,12 @@ class PspecGrid:
     res: tuple             # re axis values
     ims: tuple             # im axis values
     resnorms: tuple        # row-major, rows = fixed im starting at im_min
-    band: float            # relative width of the level set
 
     @cached_property
     def classes(self) -> tuple:
         """Tags strict | level | outside, in the layout of resnorms; taken
         once per grid (dataclasses.replace makes a new grid)."""
-        return tuple(_classify(r, self.eps, self.band)
-                     for r in self.resnorms)
+        return tuple(_classify(r, self.eps) for r in self.resnorms)
 
     def cells(self):
         points = (complex(re, im) for im in self.ims for re in self.res)
@@ -204,8 +202,7 @@ class PspecGrid:
 
 
 def grid_scan(T, space, region, resolution: int, eps: float, N: int,
-              cfg: OpnormConfig = DEFAULT_CFG,
-              band: float = LEVEL_BAND) -> PspecGrid:
+              cfg: OpnormConfig = DEFAULT_CFG) -> PspecGrid:
     """Resolvent norms of the N-section at the cell centers of a grid.
 
     The cells are taken in row-major blocks of at most GRID_BLOCK matrix
@@ -259,7 +256,7 @@ def grid_scan(T, space, region, resolution: int, eps: float, N: int,
         del A          # each stack is freed before the next one is built
     return PspecGrid(tuple(region), resolution, eps, N,
                      tuple(res_axis), tuple(im_axis),
-                     tuple(resnorms.tolist()), band)
+                     tuple(resnorms.tolist()))
 
 
 def strict_radius(grid: PspecGrid) -> float:
@@ -307,7 +304,7 @@ def att1_perturbation(T, space, z: complex, eps: float,
     # one section wide enough to hold Ty: its leading N-block is T_N
     Tw = op.truncate_matrix(T, N + TAIL)
     A = Tw[:N, :N] - complex(z) * np.eye(N, dtype=complex)
-    c, x, _ = _inverse_norm(A, space)
+    c, x, inv = _inverse_norm(A, space)
     if c == math.inf:
         # z is an eigenvalue of the section already; A = 0 certifies it
         _, _, vh = np.linalg.svd(A)
@@ -321,7 +318,7 @@ def att1_perturbation(T, space, z: complex, eps: float,
             raise ValueError(
                 "1/c = %.6g exceeds eps = %.6g: z outside the non-strict set "
                 "on this truncation" % (1.0 / c, eps))
-        y = np.linalg.solve(A, x) / c
+        y = inv @ x / c
         f = sp.norming_functional_array(space, y)
         pert = op.RankOne(Coeffs.from_array(f),
                           Coeffs.from_array(-x / c))
@@ -439,49 +436,3 @@ def _perturbed_value(Tw: np.ndarray, S, space, x: np.ndarray) -> float:
     wide = len(x) + TAIL
     M = Tw[:wide, :wide] + op.truncate_matrix(S, wide)
     return float(sp.norm_array(space, M @ np.pad(x, (0, wide - len(x)))))
-
-
-# ---------------------------------------------------------------------------
-# strict vs closure membership on a grid
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Sigma0Report:
-    eps: float
-    N: int
-    strict_count: int
-    level_certified: tuple     # (z, norm_A) pairs
-    level_uncertified: tuple   # (z, reason) pairs
-    outside_count: int
-
-
-def sigma0_vs_sigma_check(T, space, eps: float, region, resolution: int,
-                          N: int) -> Sigma0Report:
-    """Attempt a planting certificate at every level-set cell.
-
-    Strict cells need no certificate (strict membership is already
-    perturbation-reachable with norms < eps); level cells are the boundary
-    where attainment of the resolvent norm decides membership.
-    """
-    grid = grid_scan(T, space, region, resolution, eps, N, band=1e-3)
-    certified = []
-    uncertified = []
-    strict = outside = 0
-    for z, r, cls in grid.cells():
-        if cls == "strict":
-            strict += 1
-        elif cls == "outside":
-            outside += 1
-        else:
-            try:
-                cert = att1_perturbation(T, space, z, eps, N)
-            except (ValueError, RuntimeError) as exc:
-                uncertified.append((z, str(exc)))
-                continue
-            chk = verify_cert(T, space, cert)
-            if chk["ok"]:
-                certified.append((z, chk["norm_A"]))
-            else:
-                uncertified.append((z, "re-verification failed"))
-    return Sigma0Report(eps, N, strict, tuple(certified),
-                        tuple(uncertified), outside)

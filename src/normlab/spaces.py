@@ -214,12 +214,6 @@ def norm_array(space: SpaceSpec, arr: np.ndarray) -> float:
     return float(norm_rows(space, np.asarray(arr)[None])[0])
 
 
-def _sign(v: complex) -> complex:
-    a = abs(v)
-    # subnormal moduli overflow on division; treat them as zero
-    return np.conj(v) / a if a > 1e-200 else 0.0
-
-
 def _lp_dualities(X: np.ndarray, a: np.ndarray, m: np.ndarray,
                   p: float) -> tuple:
     """(norms, F): the l_p norm of each row x of X, whose moduli are a and
@@ -227,9 +221,16 @@ def _lp_dualities(X: np.ndarray, a: np.ndarray, m: np.ndarray,
     f(x) = ||x||_p."""
     if p == INF:
         F = np.zeros(X.shape, dtype=X.dtype)
-        for r in np.flatnonzero(m):
-            j = int(np.argmax(a[r]))
-            F[r, j] = _sign(X[r, j])
+        if X.shape[-1]:
+            # f is the conjugate sign of each row's first largest entry x,
+            # or 0 where |x| <= 1e-200 (subnormal moduli overflow on
+            # division).  |x| is taken by hypot, which rounds as abs() of
+            # one entry does; np.abs of an array may differ in the last bit
+            rows = np.flatnonzero(m)
+            cols = np.argmax(a[rows], axis=-1)
+            x = X[rows, cols]
+            mod = np.hypot(x.real, x.imag)
+            F[rows, cols] = np.where(mod > 1e-200, np.conj(x) / mod, 0)
         return m, F
     Xc = np.conj(X) if np.iscomplexobj(X) else X
     if p == 1:

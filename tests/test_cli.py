@@ -264,6 +264,39 @@ def test_opnorm_dsum_inf():
     assert out.startswith("2.4142135624 ")
 
 
+DSUM_2 = '{"space":"dsum","p":3,"blocks":[[2,2]]}'     # two coordinates
+DIAG_D = '{"op":"diagonal","rule":"one_minus_2pow"}'
+
+
+@pytest.mark.parametrize("oper", [DIAG_D, '{"op":"identity"}',
+                                  '{"op":"scalar","re":2}'])
+def test_opnorm_bypass_refuses_past_the_partition(oper, capsys):
+    # the 5-section is nonzero on e_2..e_4, outside the space; the diagonal
+    # bypass once printed 0.96875 with the witness e_4, where the same
+    # section given as a matrix is refused
+    capsys.readouterr()
+    code, out = run(["opnorm", "--space", DSUM_2, "--operator", oper,
+                     "--trunc", "5"])
+    assert (code, out) == (1, "")
+    assert capsys.readouterr().err == \
+        "error: support exceeds the block partition\n"
+
+
+def test_opnorm_bypass_inside_the_partition_matches_the_matrix():
+    values = []
+    for oper in (DIAG_D, '{"op":"matrix","rows":[[[0.5,0],[0,0]],'
+                         '[[0,0],[0.75,0]]]}'):
+        code, out = run(["opnorm", "--space", DSUM_2, "--operator", oper,
+                         "--trunc", "2", "--format", "json"])
+        assert code == 0
+        values.append(json.loads(out)["value"])
+    assert values[0] == values[1] == 0.75
+    # a zero scalar has no entry past the partition at any N
+    code, out = run(["opnorm", "--space", DSUM_2, "--operator",
+                     '{"op":"scalar","re":0}', "--trunc", "5"])
+    assert code == 0 and out.startswith("0.0000000000 ")
+
+
 def test_opnorm_json():
     code, out = run(["opnorm", "--space", '{"space":"lp","p":2}',
                      "--operator", '{"op":"identity"}', "--trunc", "4",

@@ -616,9 +616,28 @@ def test_atomic_split_invariants(seed):
 
 # -- the operator Su = u + u_2 e_1 --------------------------------------------
 
+SEX = op.catalog_build("sex")
+
+
+def relaxed_su_bound(d) -> float:
+    """A looser bound on ||S u|| than su_upper_bound, by the triangle
+    inequality on its terms:
+
+        ||x'||_2 + (5/3)||(x_1, x_2)||_2 + (7/4)||beta||_1
+        + sum |alpha_n| / q_n.
+    """
+    N = len(d.alpha)
+    q = QSEQ.q_array(N)
+    xa = d.x.to_array(max(d.x.dim_hint, N + 3))
+    xprime = math.hypot(abs(xa[0]), float(np.linalg.norm(xa[3:])))
+    return (xprime + (5.0 / 3.0) * math.hypot(abs(xa[1]), abs(xa[2]))
+            + (7.0 / 4.0) * float(np.abs(np.asarray(d.beta)).sum())
+            + float(np.abs(np.asarray(d.alpha) / q).sum()))
+
+
 def test_su_atom_image():
     u = Coeffs.basis(2) + Coeffs.basis(3)
-    su = op.apply(convex.SEX, u)
+    su = op.apply(SEX, u)
     assert su == Coeffs.basis(1) + Coeffs.basis(2) + Coeffs.basis(3)
     v, _ = convex.minkowski_norm(su, 4)
     assert v == pytest.approx(1.0 / QSEQ.q(1), abs=1e-6)
@@ -627,11 +646,12 @@ def test_su_atom_image():
 def test_su_upper_bound_examples():
     u = Coeffs.basis(2) + Coeffs.basis(3)
     _, d = convex.minkowski_norm(u, 4)
-    tight, relaxed = convex.su_upper_bound(u, d)
-    v_su, _ = convex.minkowski_norm(op.apply(convex.SEX, u), 4)
+    tight = convex.su_upper_bound(d)
+    v_su, _ = convex.minkowski_norm(op.apply(SEX, u), 4)
+    assert tight == pytest.approx(1.0 / QSEQ.q(1), abs=1e-6)
     assert v_su <= tight + 1e-6
-    assert v_su <= relaxed + 1e-6
-    assert relaxed < 2.0
+    assert v_su <= relaxed_su_bound(d) + 1e-6
+    assert relaxed_su_bound(d) < 2.0
 
 
 @settings(max_examples=15, deadline=None)
@@ -640,10 +660,52 @@ def test_su_upper_bound_soundness(seed):
     rng = np.random.default_rng(seed)
     u = random_coeffs(rng)
     _, d = convex.minkowski_norm(u, 8)
-    tight, relaxed = convex.su_upper_bound(u, d)
-    v_su, _ = convex.minkowski_norm(op.apply(convex.SEX, u), 8)
+    tight = convex.su_upper_bound(d)
+    v_su, d_su = convex.minkowski_norm(op.apply(SEX, u), 8)
     assert v_su <= tight + 1e-6
-    assert v_su <= relaxed + 1e-6
+    assert v_su <= relaxed_su_bound(d) + 1e-6
+    # tight is the cost of a decomposition of Su, so no dual bound on
+    # ||Su|| exceeds it beyond rounding: where the mapped decomposition is
+    # optimal the two meet (seed 274 gives them 1 ulp apart)
+    assert d_su.dual_bound <= tight * (1 + 1e-12)
+
+
+def test_su_upper_bound_on_random_decompositions():
+    # any decomposition, not only an optimal one: the bound depends on d
+    # alone, and tight <= relaxed <= max(5/3, 7/4, 1/q_N) cost(d)
+    rng = np.random.default_rng(7)
+
+    def draw(n):
+        z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        return z * (rng.random(n) < 0.7) * 10.0 ** rng.integers(-3, 4)
+
+    for _ in range(2000):
+        N = int(rng.integers(1, 25))
+        d = convex.Decomposition(Coeffs.from_array(draw(N + 3)),
+                                 tuple(draw(N)), tuple(draw(N)),
+                                 0.0, 0.0, 0.0, True)
+        tight = convex.su_upper_bound(d)
+        relaxed = relaxed_su_bound(d)
+        factor = max(5.0 / 3.0, 7.0 / 4.0, 1.0 / QSEQ.q(N))
+        assert tight <= relaxed * (1 + 1e-12)
+        cost = decomposition_objective(d.reconstruct(), d.alpha, d.beta, N)
+        assert relaxed <= factor * cost * (1 + 1e-12)
+
+
+def test_sex_norm_bounds_solves_each_sample_once(monkeypatch):
+    # the bound on ||Su|| comes from u's decomposition; Su was once solved
+    # as well, for len(Ns) + 2 samples solves
+    calls = []
+    real = convex.minkowski_norm
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(convex, "minkowski_norm", counting)
+    report = convex.sex_norm_bounds((1, 5), samples=7, seed=3)
+    assert len(calls) == 2 + 7
+    assert report.min_gap > 0 and not report.failures
 
 
 def test_sex_norm_bounds_report():
