@@ -13,6 +13,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 PRUNE_TOL = 1e-300
+# the largest truncation N of a section, a renormed space or a bypass: a
+# complex N x N section takes 16 N^2 bytes, 256 MiB at N = 4096
+MAX_TRUNC = 4096
 
 
 def require_finite(values, what: str) -> None:
@@ -31,6 +34,18 @@ def require_int(value, what: str) -> int:
     n = int(value)
     if n != value:
         raise ValueError("%s must be an integer, got %r" % (what, value))
+    return n
+
+
+def require_trunc(value, what: str) -> int:
+    """A truncation from input data: an integer in [1, MAX_TRUNC], checked
+    before anything of its size is allocated."""
+    n = require_int(value, what)
+    if n < 1:
+        raise ValueError("%s must be positive" % what)
+    if n > MAX_TRUNC:
+        raise ValueError("%s = %d exceeds the largest truncation, %d"
+                         % (what, n, MAX_TRUNC))
     return n
 
 

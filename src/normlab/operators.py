@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coeffs import Coeffs, require_finite
+from .coeffs import PRUNE_TOL, Coeffs, require_finite, require_trunc
 
 
 class UnboundedImageError(Exception):
@@ -202,12 +202,19 @@ def apply(T: OperatorSpec, x: Coeffs) -> Coeffs:
 def truncate_matrix(T: OperatorSpec, N: int) -> np.ndarray:
     """Finite section M[i, j] = <apply(T, e_j), e_i> for 0 <= i, j < N.
 
+    Identity, ScalarMul, Diagonal, RankOne, SimpleS/SimpleR, Tc0 and Tl1
+    sections are written directly in numpy, with the entries apply gives
+    bit for bit (including its pruning below PRUNE_TOL); a Sum adds its
+    terms' sections, a Transpose transposes its inner one and a Matrix is
+    copied.  A Compose still images the N basis vectors by apply, one
+    column each: the section of a product is not the product of sections.
+
+    N must lie in [1, MAX_TRUNC], checked before anything is allocated.
     Raises ValueError when a row or column sum of |M| overflows: it bounds
     the entries of M x and of g M for x and g with entries of modulus at
     most 1, so past it an l_p or resolvent norm of M is not computable.
     """
-    if N < 1:
-        raise ValueError("N must be positive")
+    N = require_trunc(N, "N")
     M = _section(T, N)
     with np.errstate(over="ignore"):
         a = np.abs(M)
@@ -219,27 +226,80 @@ def truncate_matrix(T: OperatorSpec, N: int) -> np.ndarray:
     return M
 
 
+def _cmul(ar, ai, br, bi) -> np.ndarray:
+    """(ar + i ai)(br + i bi) as Python's complex product takes it, one
+    real part at a time, with moduli below PRUNE_TOL set to 0 as Coeffs
+    prunes them; an overflow gives the same inf or NaN parts."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = np.empty(np.broadcast(ar, ai, br, bi).shape, dtype=complex)
+        out.real = ar * br - ai * bi
+        out.imag = ar * bi + ai * br
+        out[np.hypot(out.real, out.imag) < PRUNE_TOL] = 0.0
+    return out
+
+
+def diagonal_entries(T: Identity | ScalarMul | Diagonal,
+                     N: int) -> np.ndarray:
+    """The first N diagonal entries of T, as apply gives them on e_j: the
+    entry (a rule's from its own scalar formula) times 1 + 0j, pruned below
+    PRUNE_TOL."""
+    if isinstance(T, Diagonal):
+        d = np.fromiter(map(T.entry, range(N)), dtype=complex, count=N)
+    else:
+        d = np.full(N, 1.0 if isinstance(T, Identity) else complex(T.lam),
+                    dtype=complex)
+    return _cmul(d.real, d.imag, 1.0, 0.0)
+
+
 def _section(T: OperatorSpec, N: int) -> np.ndarray:
     if isinstance(T, Transpose):
         return _section(T.inner, N).T
     if isinstance(T, Sum):
-        # exact, and a term may be a Transpose, which apply cannot image
-        out = np.zeros((N, N), dtype=complex)
-        for term in T.terms:
-            out = out + _section(term, N)
-        return out
-    if isinstance(T, Matrix):
-        m = T.as_array()
-        out = np.zeros((N, N), dtype=complex)
-        k = min(N, m.shape[0]), min(N, m.shape[1])
-        out[: k[0], : k[1]] = m[: k[0], : k[1]]
+        # exact, and a term may be a Transpose, which apply cannot image.
+        # The first section accumulates the rest; adding 0.0 turns its -0.0
+        # parts to 0.0, as a sum begun from zero does
+        sections = (_section(term, N) for term in T.terms)
+        out = np.ascontiguousarray(
+            next(sections, np.zeros((N, N), dtype=complex)))
+        out += 0.0
+        for M in sections:
+            out += M
         return out
     out = np.zeros((N, N), dtype=complex)
-    for j in range(N):
-        img = apply(T, Coeffs.basis(j))
-        for i, v in img.entries.items():
-            if i < N:
-                out[i, j] = v
+    if isinstance(T, Matrix):
+        m = T.as_array()
+        k = min(N, m.shape[0]), min(N, m.shape[1])
+        out[: k[0], : k[1]] = m[: k[0], : k[1]]
+    elif isinstance(T, (Identity, ScalarMul, Diagonal)):
+        np.fill_diagonal(out, diagonal_entries(T, N))
+    elif isinstance(T, RankOne):
+        # column j is <e_j, f> v = (0 + (1 + 0j) f_j) v: nonzero only on the
+        # block where the supports of v (rows) and f (columns) meet
+        f = {j: c for j, c in T.functional.entries.items() if j < N}
+        v = {i: c for i, c in T.vector.entries.items() if i < N}
+        if f and v:
+            fa, va = np.array(list(f.values())), np.array(list(v.values()))
+            s = _cmul(fa.real, fa.imag, 1.0, 0.0) + 0.0
+            out[np.ix_(list(v), list(f))] = _cmul(
+                va.real[:, None], va.imag[:, None], s.real, s.imag)
+    elif isinstance(T, (SimpleS, SimpleR)):
+        if N > 1:
+            out[0, 1] = out[1, 0] = 1.0
+        n = np.arange(2, N)
+        out[n, n] = n / (n + 1.0) if isinstance(T, SimpleS) else (n + 1.0) / n
+    elif isinstance(T, (Tc0, Tl1)):
+        pow2 = np.ldexp(1.0, -np.arange(1, N))
+        row = 1.0 - pow2 if isinstance(T, Tl1) else pow2
+        row[row < PRUNE_TOL] = 0.0
+        out[0, 1:] = row
+    elif isinstance(T, Compose):
+        for j in range(N):
+            img = apply(T, Coeffs.basis(j))
+            for i, v in img.entries.items():
+                if i < N:
+                    out[i, j] = v
+    else:
+        raise TypeError("unknown operator %r" % (T,))
     return out
 
 

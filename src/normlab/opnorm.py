@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coeffs import Coeffs
+from .coeffs import Coeffs, require_trunc
 from . import spaces as sp
 from . import operators as op
 
@@ -383,8 +383,7 @@ def operator_norm(T, space, N: int, cfg: OpnormConfig = DEFAULT_CFG,
     closed form or a power iteration on the block alone.  Any other section,
     and every section on the other spaces, goes to matrix_norm whole.
     """
-    if N < 1:
-        raise ValueError("N must be positive")
+    N = require_trunc(N, "N")
     require_norming(space)
 
     # closed forms that bypass the section matrix; on a dsum they refuse a
@@ -393,7 +392,9 @@ def operator_norm(T, space, N: int, cfg: OpnormConfig = DEFAULT_CFG,
     end = space.total_size() if isinstance(space, sp.DirectSumLp) else N
     if isinstance(T, (op.Identity, op.ScalarMul, op.Diagonal)):
         if isinstance(T, op.Diagonal):
-            dvals = np.array([abs(T.entry(i)) for i in range(N)])
+            # np.hypot gives abs()'s bits, np.abs of a complex array may not
+            d = op.diagonal_entries(T, N)
+            dvals = np.hypot(d.real, d.imag)
             i = int(np.argmax(dvals))
             val, tag, past = float(dvals[i]), "inconclusive", dvals[end:].any()
         else:

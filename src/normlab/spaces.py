@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coeffs import Coeffs, require_int
+from .coeffs import Coeffs, require_int, require_trunc
 
 INF = math.inf
 _TINY = float(np.finfo(float).tiny)
@@ -115,9 +115,7 @@ class RenormedL2:
     trunc: int = 64
 
     def __post_init__(self):
-        object.__setattr__(self, "trunc", require_int(self.trunc, "trunc"))
-        if self.trunc < 1:
-            raise ValueError("trunc must be positive")
+        object.__setattr__(self, "trunc", require_trunc(self.trunc, "trunc"))
 
 
 SpaceSpec = Lp | C0 | L1 | QSumLp | DirectSumLp | RenormedL2

@@ -14,6 +14,7 @@ from normlab import cli
 from normlab import convex
 from normlab import pseudospectrum as ps
 from normlab import verify
+from normlab.coeffs import MAX_TRUNC
 
 
 def run(argv):
@@ -148,6 +149,7 @@ def test_norm_coefficient_below_prune_tol_is_usage_error(space, capsys):
 
 LP2 = '{"space":"lp","p":2}'
 TC0 = '{"op":"catalog","name":"tc0"}'
+DIAG_D = '{"op":"diagonal","rule":"one_minus_2pow"}'
 
 
 @pytest.mark.parametrize("argv", [
@@ -194,6 +196,56 @@ TC0 = '{"op":"catalog","name":"tc0"}'
         "grid_shift_overflow"])
 def test_out_of_domain_input_is_usage_error(argv, capsys):
     assert_usage_error(argv, capsys)
+
+
+HUGE = "1000000000000"
+
+
+@pytest.mark.parametrize("argv", [
+    ["opnorm", "--space", LP2, "--operator",
+     '{"op":"rank_one","functional":[[0,1,0]],"vector":[[1,1,0]]}',
+     "--trunc", HUGE],
+    ["opnorm", "--space", LP2, "--operator", DIAG_D, "--trunc", HUGE],
+    ["opnorm", "--space", LP2, "--operator", '{"op":"identity"}',
+     "--trunc", HUGE],
+    ["opnorm", "--space", '{"space":"qsum","q":4,"p":2}', "--operator",
+     '{"op":"catalog","name":"simple_s","p":2,"q":4}', "--trunc", HUGE],
+    ["opnorm", "--space", LP2, "--operator", TC0, "--trunc", HUGE],
+    ["pspec", "--space", LP2, "--operator", TC0, "--res", "2",
+     "--trunc", HUGE],
+    ["norm", "--space", '{"space":"renorm"}', "--vector", "[[2,1,0]]",
+     "--trunc", HUGE],
+    ["norm", "--space", '{"space":"renorm","trunc":%s}' % HUGE,
+     "--vector", "[[2,1,0]]"],
+], ids=["rank_one", "diagonal", "identity", "swap", "section", "pspec",
+        "renorm_trunc", "renorm_space_trunc"])
+def test_truncation_past_the_bound_is_refused(argv, capsys):
+    # refused before anything of size N is allocated: the rank-one bypass
+    # ended in numpy's MemoryError traceback, and the diagonal bypass
+    # looped over range(N) for minutes
+    capsys.readouterr()
+    code, out = run(argv)
+    assert (code, out) == (1, "")
+    what = "trunc" if argv[0] == "norm" else "N"
+    assert capsys.readouterr().err == (
+        "error: %s = %s exceeds the largest truncation, %d\n"
+        % (what, HUGE, MAX_TRUNC))
+
+
+def test_truncation_at_the_bound_runs():
+    code, out = run(["opnorm", "--space", LP2, "--operator", DIAG_D,
+                     "--trunc", str(MAX_TRUNC)])
+    assert code == 0 and out.startswith("1.0000000000 ")
+
+
+def test_section_entry_modulus_overflow_is_usage_error(capsys):
+    # both parts of the entry are finite but its modulus is not: Coeffs'
+    # abs() raised OverflowError, a traceback, while the column was imaged
+    assert_usage_error(
+        ["opnorm", "--space", '{"space":"lp","p":3}', "--operator",
+         '{"op":"sum","terms":[{"op":"identity"},{"op":"rank_one",'
+         '"functional":[[0,1.5e300,0]],"vector":[[0,1e8,1e8]]}]}',
+         "--trunc", "3"], capsys)
 
 
 @pytest.mark.parametrize("space,operator,message", [
@@ -265,7 +317,6 @@ def test_opnorm_dsum_inf():
 
 
 DSUM_2 = '{"space":"dsum","p":3,"blocks":[[2,2]]}'     # two coordinates
-DIAG_D = '{"op":"diagonal","rule":"one_minus_2pow"}'
 
 
 @pytest.mark.parametrize("oper", [DIAG_D, '{"op":"identity"}',

@@ -1,12 +1,14 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from normlab.coeffs import Coeffs
+from normlab.coeffs import MAX_TRUNC, PRUNE_TOL, Coeffs
 from normlab import operators as op
+from normlab import opnorm
 from normlab import spaces as sp
 
 
@@ -105,6 +107,141 @@ def test_section_is_leading_block_of_wider_section(T):
     for n in (1, 2, 5, 16, 24):
         block = np.ascontiguousarray(wide[:n, :n])
         assert op.truncate_matrix(T, n).tobytes() == block.tobytes()
+
+
+def column_section(T, N):
+    """The reference section: a Sum, Transpose or Matrix from its parts,
+    anything else column by column from apply's image of e_j."""
+    if isinstance(T, op.Transpose):
+        return column_section(T.inner, N).T
+    out = np.zeros((N, N), dtype=complex)
+    if isinstance(T, op.Sum):
+        for term in T.terms:
+            out = out + column_section(term, N)
+        return out
+    if isinstance(T, op.Matrix):
+        m = T.as_array()
+        k = min(N, m.shape[0]), min(N, m.shape[1])
+        out[: k[0], : k[1]] = m[: k[0], : k[1]]
+        return out
+    for j in range(N):
+        for i, v in op.apply(T, Coeffs.basis(j)).entries.items():
+            if i < N:
+                out[i, j] = v
+    return out
+
+
+# parts that make signed zeros, products that overflow to inf (and inf -
+# inf), and products below PRUNE_TOL (1e-160 * 1e-150), which apply prunes
+EDGE_PARTS = (0.0, -0.0, 1.0, -1.0, 1e190, -1e190, 1e-190, -1e-160, 1e-150,
+              2.5, -0.3)
+
+
+def rank_one_draws(count, seed=0):
+    """RankOne operators with a few entries each, at indices up to 410:
+    parts drawn from EDGE_PARTS and log-uniform moduli in [1e-190, 1e190],
+    or whole entries of modulus below 1.5e-155."""
+    rng = np.random.default_rng(seed)
+
+    def part():
+        if rng.random() < 0.6:
+            return float(rng.choice(EDGE_PARTS))
+        return float(rng.choice((-1, 1)) * 10.0 ** rng.uniform(-190, 190))
+
+    def entry():
+        if rng.random() < 0.25:     # two of these multiply below PRUNE_TOL
+            return 1e-155 * complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+        return complex(part(), part())
+
+    def coeffs():
+        top = 4 if rng.random() < 0.5 else 410
+        return Coeffs({int(rng.integers(0, top)): entry()
+                       for _ in range(rng.integers(0, 5))})
+
+    return [op.RankOne(coeffs(), coeffs()) for _ in range(count)]
+
+
+SIGNED_OPS = [
+    op.ScalarMul(complex(-1.0, -0.0)),
+    op.ScalarMul(1e-310),
+    op.Diagonal("one_plus_inv"),
+    op.Diagonal("explicit", (1.0, complex(-2.0, -0.0), -0.0, 1e-310, 3j)),
+    op.RankOne(Coeffs({0: 1e-160, 2: 1e190, 5: -1.0}),
+               Coeffs({1: 1e-150j, 2: complex(-1e100, 1e100), 3: -0.5})),
+]
+DIRECT_OPS = [T for T in SAMPLE_OPS
+              if not isinstance(T, (op.Sum, op.Compose, op.Matrix))]
+SECTION_OPS = (
+    DIRECT_OPS + SIGNED_OPS
+    + [op.catalog_build("sex"), op.Sum(()),
+       op.Sum((op.Transpose(op.Tc0()), op.ScalarMul(complex(-1.0, -0.0)))),
+       op.Sum(tuple(SIGNED_OPS)), op.Sum((op.Tl1(), op.SimpleR(3.0, 2.0))),
+       # -0.0 parts that no later term's +0.0 clears
+       op.Sum(SIGNED_OPS[:1]), op.Sum((SIGNED_OPS[0], SIGNED_OPS[3]))]
+    + [op.Transpose(T) for T in DIRECT_OPS + SIGNED_OPS]
+    + [op.Compose((op.Diagonal("one_minus_2pow"), op.SimpleS(2.0, 4.0),
+                   op.RankOne(Coeffs({0: 2.0, 7: -1j}),
+                              Coeffs({1: 1.0, 3: 0.5}))))])
+
+
+@pytest.mark.parametrize("T", SECTION_OPS, ids=lambda t: type(t).__name__)
+def test_section_equals_the_column_built_one_bitwise(T):
+    for N in (1, 2, 3, 17, 401):
+        assert (op.truncate_matrix(T, N).tobytes()
+                == column_section(T, N).tobytes())
+
+
+@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid")
+def test_rank_one_sections_equal_the_column_built_ones_bitwise():
+    draws = rank_one_draws(60)
+    overflow = pruned = 0
+    for T in draws + [op.Sum(tuple(draws[:30])),
+                      op.Transpose(op.Sum(tuple(draws[30:])))]:
+        for N in (1, 2, 3, 17, 401):
+            ref = column_section(T, N)
+            assert op._section(T, N).tobytes() == ref.tobytes()
+            overflow += not np.isfinite(ref).all()
+        if isinstance(T, op.RankOne):
+            pruned += any(0 < abs(f * v) < PRUNE_TOL
+                          for j, f in T.functional.entries.items()
+                          for i, v in T.vector.entries.items()
+                          if max(i, j) < 401)
+    # the draws reach both edges
+    assert overflow and pruned
+
+
+def test_tc0_section_prunes_as_apply():
+    # 2^-j falls below PRUNE_TOL from j = 997 on
+    ref = column_section(op.Tc0(), 1100)
+    assert ref[0, 996] != 0 and not ref[0, 997:].any()
+    assert op.truncate_matrix(op.Tc0(), 1100).tobytes() == ref.tobytes()
+
+
+def test_sections_raise_no_warning():
+    # SimpleR's (n + 1)/n must not be taken at n = 0
+    ops = SAMPLE_OPS + [op.catalog_build("sex"), op.catalog_build("diag_d"),
+                        op.Transpose(op.Tc0()), op.Sum(())]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for T in ops:
+            for N in (1, 2, 3):
+                op.truncate_matrix(T, N)
+
+
+@pytest.mark.parametrize("N", [0, -1, MAX_TRUNC + 1, 10 ** 12])
+def test_section_size_is_bounded(N):
+    with pytest.raises(ValueError, match="positive|largest truncation"):
+        op.truncate_matrix(op.Identity(), N)
+
+
+@pytest.mark.parametrize("T", [op.Diagonal("one_minus_2pow"),
+                               op.Diagonal("one_plus_inv"), SIGNED_OPS[3]],
+                         ids=lambda t: t.rule)
+def test_diagonal_bypass_reads_the_section_diagonal(T):
+    # operator_norm's bypass and the section share diagonal_entries
+    for N in (1, 3, 17):
+        ref = max(abs(v) for v in np.diagonal(column_section(T, N)))
+        assert opnorm.operator_norm(T, sp.Lp(3.0), N).value == ref
 
 
 def test_truncate_tc0():
