@@ -221,7 +221,7 @@ def main(argv=None, stdout=None) -> int:
     except UsageError as exc:
         sys.stderr.write("error: %s\n" % exc)
         return EXIT_USAGE
-    except (ValueError, KeyError, NotImplementedError,
+    except (ValueError, KeyError, NotImplementedError, OverflowError,
             op.UnboundedImageError) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return EXIT_USAGE

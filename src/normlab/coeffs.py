@@ -13,8 +13,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 PRUNE_TOL = 1e-300
-# the largest truncation N of a section, a renormed space or a bypass: a
-# complex N x N section takes 16 N^2 bytes, 256 MiB at N = 4096
+# the largest truncation N of a section, a renormed space or a bypass, and
+# the largest pspec resolution per axis: a complex N x N section takes
+# 16 N^2 bytes, 256 MiB at N = 4096
 MAX_TRUNC = 4096
 
 

@@ -180,7 +180,9 @@ def apply(T: OperatorSpec, x: Coeffs) -> Coeffs:
         # the operator is zero beyond its explicit block
         m = T.as_array()
         vec = x.to_array(max(x.dim_hint, m.shape[1]))
-        return Coeffs.from_array(m @ vec[: m.shape[1]])
+        # a section whose image overflows is refused by truncate_matrix
+        with np.errstate(over="ignore", invalid="ignore"):
+            return Coeffs.from_array(m @ vec[: m.shape[1]])
     if isinstance(T, (SimpleS, SimpleR)):
         shrink = isinstance(T, SimpleS)
         out = {0: x[1], 1: x[0]}

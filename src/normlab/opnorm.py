@@ -377,7 +377,7 @@ def operator_norm(T, space, N: int, cfg: OpnormConfig = DEFAULT_CFG,
     """Norm of the N-section of T as an operator on space.
 
     Identity, scalar, diagonal and rank-one operators and the swap
-    operators on QSumLp bypass the section.  On Lp with 1 < p < inf a
+    operators on K (+)_q l_p bypass the section.  On Lp with 1 < p < inf a
     section with at least two blocks (see block_labels) is normed block by
     block (see _split_norm): exact by p-additivity, with each block's
     closed form or a power iteration on the block alone.  Any other section,
@@ -386,10 +386,11 @@ def operator_norm(T, space, N: int, cfg: OpnormConfig = DEFAULT_CFG,
     N = require_trunc(N, "N")
     require_norming(space)
 
-    # closed forms that bypass the section matrix; on a dsum they refuse a
-    # section with a nonzero entry past the block partition, as the
-    # section's own norm would
-    end = space.total_size() if isinstance(space, sp.DirectSumLp) else N
+    # closed forms that bypass the section matrix; on a dsum with no tail
+    # they refuse a section with a nonzero entry past the block partition,
+    # as the section's own norm would
+    end = (space.total_size() if isinstance(space, sp.DirectSumLp)
+           and space.tail is None else N)
     if isinstance(T, (op.Identity, op.ScalarMul, op.Diagonal)):
         if isinstance(T, op.Diagonal):
             # np.hypot gives abs()'s bits, np.abs of a complex array may not
@@ -415,7 +416,7 @@ def operator_norm(T, space, N: int, cfg: OpnormConfig = DEFAULT_CFG,
         return NormReport(val, w, "closed_form", ((N, val),), "inconclusive",
                           (_centroid(warr),))
     if (isinstance(T, (op.SimpleS, op.SimpleR))
-            and isinstance(space, sp.QSumLp)):
+            and isinstance(space, sp.DirectSumLp) and space.is_qsum()):
         # the largest shrink (S) or expand (R) factor in the section and
         # the index it sits on
         if N < 3:
@@ -424,7 +425,7 @@ def operator_norm(T, space, N: int, cfg: OpnormConfig = DEFAULT_CFG,
             t, k = (N - 1.0) / N, N - 1
         else:
             t, k = 1.5, 2
-        val, (a, b, g) = maximize_swapped_f(space.p, space.q, t)
+        val, (a, b, g) = maximize_swapped_f(space.tail, space.p, t)
         w = Coeffs({0: a, 1: b} if k is None else {0: a, 1: b, k: g})
         return NormReport(val, w, "reduction_f", ((N, val),), "inconclusive",
                           (_centroid(w.to_array(N)),))
@@ -473,13 +474,30 @@ def witness_drift(witnesses, space) -> tuple:
     return aligned, dists, [_centroid(w) for w in witnesses]
 
 
-def attainment_scan(T, space, Ns, cfg: OpnormConfig = DEFAULT_CFG) -> NormReport:
-    """Run operator_norm over increasing truncations and classify attainment.
+def growth_tag(Ns, values, dists, centroids, rising: bool) -> str:
+    """attained | escaping | inconclusive for witnesses over growing
+    sections Ns, from witness_drift's dists and centroids.
 
-    The tags are heuristics, never proofs: witnesses that become Cauchy with
-    stable support read "attained"; support centroids growing like N with
-    still-increasing values read "escaping".
+    A heuristic, never a proof: the last two dists below ATT_TOL read
+    "attained"; the last two centroids at ESCAPE_FRAC of N or beyond, with
+    values that never move against their sense (rising for a norm, falling
+    for an infimum), read "escaping".
     """
+    if len(Ns) < 2:
+        return "inconclusive"
+    if all(d < ATT_TOL for d in dists[-2:]):
+        return "attained"
+    s = 1 if rising else -1
+    if (all(s * b >= s * a - 1e-15 for a, b in zip(values, values[1:]))
+            and all(c >= ESCAPE_FRAC * n
+                    for c, n in zip(centroids[-2:], Ns[-2:]))):
+        return "escaping"
+    return "inconclusive"
+
+
+def attainment_scan(T, space, Ns, cfg: OpnormConfig = DEFAULT_CFG) -> NormReport:
+    """Run operator_norm over increasing truncations and classify attainment
+    by growth_tag, the values being norms that rise with N."""
     Ns = list(Ns)
     if any(b <= a for a, b in zip(Ns, Ns[1:])):
         raise ValueError("Ns must be strictly increasing")
@@ -496,18 +514,7 @@ def attainment_scan(T, space, Ns, cfg: OpnormConfig = DEFAULT_CFG) -> NormReport
         trace.append((N, report.value))
         witnesses.append(report.witness.to_array(N))
     _, dists, centroids = witness_drift(witnesses, space)
-
-    tag = "inconclusive"
-    if len(Ns) >= 2:
-        values = [v for _, v in trace]
-        increasing = all(b >= a - 1e-15 for a, b in zip(values, values[1:]))
-        if all(d < ATT_TOL for d in dists[-2:]):
-            tag = "attained"
-        elif (increasing
-              and all(c >= ESCAPE_FRAC * n
-                      for c, n in zip(centroids[-2:], Ns[-2:]))):
-            tag = "escaping"
-
+    tag = growth_tag(Ns, [v for _, v in trace], dists, centroids, True)
     return NormReport(trace[-1][1], report.witness, report.method,
                       tuple(trace), tag, tuple(centroids), report.warning,
                       report.upper)

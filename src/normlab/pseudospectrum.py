@@ -16,11 +16,12 @@ from functools import cached_property
 
 import numpy as np
 
-from .coeffs import Coeffs, require_finite
+from .coeffs import Coeffs, require_finite, require_int, require_trunc
 from . import spaces as sp
 from . import operators as op
 from .opnorm import (OpnormConfig, DEFAULT_CFG, matrix_norm, matrix_norms,
-                     rank_one_norm, require_norming, witness_drift)
+                     growth_tag, rank_one_norm, require_norming,
+                     witness_drift)
 
 # a section A is singular when cond_2(A) > SINGULAR_COND, as np.linalg.cond
 # computes it from the singular values s: s_max / s_min, a 0/0 counting as
@@ -33,7 +34,6 @@ from .opnorm import (OpnormConfig, DEFAULT_CFG, matrix_norm, matrix_norms,
 # cell singular either.  The screen can skip the SVD, never flip its answer.
 SINGULAR_COND = 1e14
 LEVEL_BAND = 1e-6       # relative width of the level set |r - 1/eps|
-CASE_TOL = 1e-4         # minimizer Cauchy tolerance for the "fixed" case
 # rows of T's image beyond an N-section that the residuals see; a residual
 # is not certified past them
 TAIL = 8
@@ -217,8 +217,10 @@ def grid_scan(T, space, region, resolution: int, eps: float, N: int,
     where some M - zI has a row or column sum of moduli that overflows is
     refused with a ValueError before any block is taken.
     """
-    if resolution < 2:
+    # bounded by MAX_TRUNC, like a truncation, before an axis is allocated
+    if require_int(resolution, "resolution") < 2:
         raise ValueError("resolution must be at least 2 per axis")
+    resolution = require_trunc(resolution, "resolution")
     require_finite(region, "grid bounds")
     require_norming(space)
     re0, re1, im0, im1 = region
@@ -370,9 +372,10 @@ def lp111_perturbation(T, space, N: int) -> Lp111Result:
     """Perturbation S with ||S|| = c = inf_{||x||=1} ||T_N x|| and
     inf ||(T+S)x|| ~ 0 on the truncation.
 
-    Minimizers over growing sections decide the case: a Cauchy family gives
-    the rank-one S = -phi(.) T x_hat; escaping minimizers (support centroid
-    beyond N/2) give the block construction over a disjointified family.
+    Minimizers over growing sections decide the case by growth_tag, with
+    the c_n as infima, which must not rise: a Cauchy family ("attained")
+    gives the rank-one S = -phi(.) T x_hat; escaping minimizers give the
+    block construction over a disjointified family.
     """
     Ns = sorted({max(2, N // 8), max(3, N // 4), max(4, N // 2), N})
     # every section below is a leading block of this one
@@ -389,8 +392,9 @@ def lp111_perturbation(T, space, N: int) -> Lp111Result:
         minimizers.append(u / sp.norm_array(space, u))
     c = trace[-1][1]
     witnesses, dists, centroids = witness_drift(minimizers, space)
+    tag = growth_tag(Ns, [v for _, v in trace], dists, centroids, False)
 
-    if all(d < CASE_TOL for d in dists[-2:]):
+    if tag == "attained":
         xhat = witnesses[-1]
         phi = sp.norming_functional_array(space, xhat)
         Tx = Tw @ np.pad(xhat, (0, TAIL))
@@ -398,7 +402,7 @@ def lp111_perturbation(T, space, N: int) -> Lp111Result:
         new_inf = _perturbed_value(Tw, S, space, xhat)
         return Lp111Result("fixed", S, c, new_inf, tuple(trace))
 
-    if all(cn >= 0.5 * n for cn, n in zip(centroids[-2:], Ns[-2:])):
+    if tag == "escaping":
         xs = [Coeffs.from_array(w) for w in witnesses]
         dj = sp.disjointify(xs, [1e-9] * len(xs), space=space)
         blocks = []

@@ -1,10 +1,10 @@
 """Sequence-space norms on finitely supported vectors.
 
-Space descriptors cover l_p, c_0, l_1, the K (+)_q l_p sum with index 0 as
-the scalar component, finite l_p-direct sums of l_r blocks, and the
-renormed-l_2 space, whose norm (a Minkowski functional) only the convex
-solver evaluates.  Alongside the norms live the norm-splitting defect and
-the gliding-hump disjointification routine.
+Space descriptors cover l_p, c_0, l_1, l_p-direct sums of finite l_r blocks
+with an optional infinite l_r tail (K (+)_q l_p, index 0 the scalar
+component, is one), and the renormed-l_2 space, whose norm (a Minkowski
+functional) only the convex solver evaluates.  Alongside the norms live the
+norm-splitting defect and the gliding-hump disjointification routine.
 """
 
 from __future__ import annotations
@@ -66,25 +66,13 @@ class L1:
 
 
 @dataclass(frozen=True)
-class QSumLp:
-    """K (+)_q l_p with index 0 holding the scalar component."""
-
-    q: float
-    p: float
-
-    def __post_init__(self):
-        if not (self.p > 1 and self.p < INF):
-            raise ValueError("QSumLp needs 1 < p < inf")
-        if not (self.q >= 1):
-            raise ValueError("QSumLp needs q >= 1")
-
-
-@dataclass(frozen=True)
 class DirectSumLp:
-    """l_p sum of consecutive finite blocks, block k carrying the l_{r_k} norm."""
+    """l_p sum of consecutive finite blocks, block k carrying the l_{r_k}
+    norm (l_1 on one coordinate), then an infinite l_tail block if set."""
 
     p: float
     blocks: tuple  # of (size, r) pairs
+    tail: float | None = None
 
     def __post_init__(self):
         if not (self.p >= 1):
@@ -96,16 +84,39 @@ class DirectSumLp:
                 raise ValueError("block sizes must be positive")
             if not (r >= 1):
                 raise ValueError("block exponents must be >= 1")
-        object.__setattr__(self, "blocks", blocks)
+        if not (self.tail is None or self.tail >= 1):
+            raise ValueError("the tail exponent must be >= 1")
+        object.__setattr__(self, "blocks",
+                           tuple((s, 1.0 if s == 1 else r) for s, r in blocks))
+
+    def __repr__(self):
+        if self.is_qsum():
+            return "QSumLp(q=%r, p=%r)" % (self.p, self.tail)
+        tail = "" if self.tail is None else ", tail=%r" % (self.tail,)
+        return "DirectSumLp(p=%r, blocks=%r%s)" % (self.p, self.blocks, tail)
+
+    def is_qsum(self) -> bool:
+        """Whether this is K (+)_q l_p, as QSumLp(self.p, self.tail) is."""
+        return self.blocks == ((1, 1.0),) and 1 < (self.tail or 0) < INF
 
     def total_size(self) -> int:
         return sum(s for s, _ in self.blocks)
 
-    def slices(self):
+    def slices(self, n: int):
         start = 0
         for s, r in self.blocks:
             yield slice(start, start + s), r
             start += s
+        if self.tail is not None:
+            yield slice(start, n), self.tail
+
+
+def QSumLp(q: float, p: float) -> DirectSumLp:
+    """K (+)_q l_p with index 0 holding the scalar component: the dsum with
+    outer exponent q, the head block (1, l_1) and an l_p tail."""
+    if not (1 < p < INF and q >= 1):
+        raise ValueError("QSumLp needs 1 < p < inf and q >= 1")
+    return DirectSumLp(q, ((1, 1.0),), p)
 
 
 @dataclass(frozen=True)
@@ -118,7 +129,7 @@ class RenormedL2:
         object.__setattr__(self, "trunc", require_trunc(self.trunc, "trunc"))
 
 
-SpaceSpec = Lp | C0 | L1 | QSumLp | DirectSumLp | RenormedL2
+SpaceSpec = Lp | C0 | L1 | DirectSumLp | RenormedL2
 
 
 # ---------------------------------------------------------------------------
@@ -134,8 +145,8 @@ SpaceSpec = Lp | C0 | L1 | QSumLp | DirectSumLp | RenormedL2
 # rule (1 < p < inf) is scaled by each row's largest modulus m: u = |x|/m
 # lies in [0, 1], w = u^(p-1) and r = (sum w u)^(1/p) lies in [1, n^(1/p)],
 # so no power over- or underflows; the norm is m r and the functional is
-# sign(conj x) w / r^(p-1).  K (+)_q l_p on n coordinates is normed as the
-# dsum with outer exponent q and blocks (1, l_1) and (n - 1, l_p).
+# sign(conj x) w / r^(p-1).  A dsum's tail is the slice of a row past its
+# listed blocks.
 # The dtype follows the input: a real array is taken in float64 and gets a
 # real functional, a complex one in complex128, so real sections iterate in
 # float64.  A real row's modulus, and its product with a real factor, are
@@ -169,12 +180,6 @@ def lp_exponent(space: SpaceSpec) -> float | None:
     return None
 
 
-@functools.lru_cache(maxsize=64)
-def _qsum_as_dsum(space: QSumLp, n: int) -> DirectSumLp:
-    """The dsum that K (+)_q l_p is on rows of width n."""
-    return DirectSumLp(space.q, ((1, 1.0), (max(n - 1, 1), space.p)))
-
-
 def _quiet(rule):
     """Run a row-wise rule under one np.errstate, on a C-contiguous float64
     copy of a real (bool, integer or float) X and a complex128 one of any
@@ -195,14 +200,11 @@ def norm_rows(space: SpaceSpec, X: np.ndarray) -> np.ndarray:
     p = lp_exponent(space)
     if p is not None:
         return _lp_norms(np.abs(X), p)
-    if isinstance(space, QSumLp):
-        space = _qsum_as_dsum(space, X.shape[-1])
     if isinstance(space, DirectSumLp):
-        total = space.total_size()
-        if X.shape[-1] > total and np.any(X[:, total:] != 0):
+        if space.tail is None and np.any(X[:, space.total_size():] != 0):
             raise ValueError("support exceeds the block partition")
         vals = np.stack([_lp_norms(np.abs(X[:, sl]), r)
-                         for sl, r in space.slices()], axis=-1)
+                         for sl, r in space.slices(X.shape[-1])], axis=-1)
         return _lp_norms(vals, space.p)
     raise TypeError("no norm evaluation for %r" % (space,))
 
@@ -271,20 +273,18 @@ def _functionals(space: SpaceSpec, X: np.ndarray, a: np.ndarray,
     p = lp_exponent(space)
     if p is not None:
         return _lp_dualities(X, a, m, p)
-    if isinstance(space, QSumLp):
-        space = _qsum_as_dsum(space, X.shape[-1])
     out = np.zeros(X.shape, dtype=X.dtype)
     if isinstance(space, DirectSumLp):
+        slices = list(space.slices(X.shape[-1]))
         blocks = []
-        for sl, r in space.slices():
+        for sl, r in slices:
             ab = np.ascontiguousarray(a[:, sl])
             blocks.append(_lp_dualities(X[:, sl], ab,
                                         ab.max(axis=-1, initial=0.0), r))
         vals = np.stack([nb for nb, _ in blocks], axis=-1)
         norms, outer = _lp_dualities(vals, vals,
                                      vals.max(axis=-1, initial=0.0), space.p)
-        for (sl, _), (_, fb), w in zip(space.slices(), blocks,
-                                       np.real(outer).T):
+        for (sl, _), (_, fb), w in zip(slices, blocks, np.real(outer).T):
             out[:, sl] = w[:, None] * fb
         return norms, out
     raise TypeError("no explicit norming functional for %r" % (space,))
@@ -321,11 +321,10 @@ def dual_space(space: SpaceSpec) -> SpaceSpec:
         # past p = 2^53 the conjugate rounds to 1: l_1 to rounding
         q = conj_exp(p)
         return C0() if p == 1 else L1() if q == 1 else Lp(q)
-    if isinstance(space, QSumLp):
-        return QSumLp(conj_exp(space.q), conj_exp(space.p))
     if isinstance(space, DirectSumLp):
         return DirectSumLp(conj_exp(space.p),
-                           tuple((s, conj_exp(r)) for s, r in space.blocks))
+                           tuple((s, conj_exp(r)) for s, r in space.blocks),
+                           space.tail and conj_exp(space.tail))
     raise TypeError("no computable dual for %r" % (space,))
 
 
@@ -334,10 +333,20 @@ def dual_space(space: SpaceSpec) -> SpaceSpec:
 # ---------------------------------------------------------------------------
 
 def norm_eval(space: SpaceSpec, x: Coeffs) -> float:
-    n = max(x.dim_hint, 1)
+    """Norm of x from its support: zeros add nothing to an l_r norm, so only
+    a dsum's listed blocks are densified (up to x's length), and the other
+    entries are taken in index order."""
+    keys = sorted(x.entries)
+    head = None
     if isinstance(space, DirectSumLp):
-        n = max(n, space.total_size())
-    return norm_array(space, x.to_array(n))
+        total = space.total_size()
+        if space.tail is None and keys and keys[-1] >= total:
+            raise ValueError("support exceeds the block partition")
+        head = x.to_array(min(x.dim_hint, total))
+        keys = [i for i in keys if i >= total]
+    arr = np.array([x.entries[i] for i in keys], dtype=complex)
+    return norm_array(space,
+                      arr if head is None else np.concatenate([head, arr]))
 
 
 def norming_functional(space: SpaceSpec, x: Coeffs) -> Coeffs:

@@ -106,6 +106,22 @@ def test_norm_near_the_largest_double_is_certified(capsys):
     assert math.isfinite(obj["value"]) and obj["value"] > 1e308
 
 
+@pytest.mark.parametrize("space", ['{"space":"lp","p":2}',
+                                   '{"space":"qsum","q":4,"p":2}'])
+def test_norm_of_a_far_entry_allocates_nothing_of_its_index(space):
+    # the vector was densified to its largest index plus one, and this ended
+    # in numpy's MemoryError traceback
+    code, out = run(["norm", "--space", space,
+                     "--vector", "[[100000000000000,1,0]]"])
+    assert (code, out) == (0, "1.000000\n")
+
+
+def test_norm_past_the_dsum_partition_is_usage_error(capsys):
+    assert_usage_error(["norm", "--space",
+                        '{"space":"dsum","p":2,"blocks":[[2,2]]}',
+                        "--vector", "[[100000000000000,1,0]]"], capsys)
+
+
 def test_norm_malformed_json_is_usage_error():
     code, _ = run(["norm", "--space", '{"space":"lp","p":2}',
                    "--vector", "not json"])
@@ -576,6 +592,19 @@ def test_pspec_res_one_rejected():
     assert code == 1
 
 
+@pytest.mark.parametrize("res", ["100000000000000", str(MAX_TRUNC + 1)])
+def test_pspec_res_past_the_bound_is_refused(res, capsys):
+    # refused before an axis is allocated: 10^14 ended in numpy's
+    # MemoryError traceback from np.linspace
+    capsys.readouterr()
+    code, out = run(["pspec", "--space", LP2, "--operator", TC0,
+                     "--trunc", "4", "--res", res])
+    assert (code, out) == (1, "")
+    assert capsys.readouterr().err == (
+        "error: resolution = %s exceeds the largest truncation, %d\n"
+        % (res, MAX_TRUNC))
+
+
 def test_pspec_json_schema(tmp_path):
     out_file = tmp_path / "grid.json"
     code, _ = run(["pspec", "--space", '{"space":"lp","p":2}',
@@ -824,3 +853,21 @@ def _assert_code_and_one_line(argv):
     assert 0 <= code <= 4, argv
     lines = err.getvalue().count("\n") + len(caught)
     assert lines <= 1, (argv, err.getvalue(), [str(w.message) for w in caught])
+
+
+@pytest.mark.parametrize("factors", [
+    [{"op": "matrix", "rows": [[[0, 0], [0, 1e308]]]},
+     {"op": "scalar", "re": 1e308, "im": 0}],
+    [{"op": "diagonal", "rule": "one_plus_inv"},
+     {"op": "diagonal", "rule": "explicit",
+      "values": [[0, 0], [1e308, 1e308]]}],
+], ids=["matmul_invalid", "modulus_overflow"])
+def test_overflowing_product_section_is_one_line(factors):
+    # found by the fuzz above: a product's image that overflows printed
+    # numpy's matmul warning, and one whose modulus overflows a double
+    # ended in Python's OverflowError traceback
+    _assert_code_and_one_line(
+        ["opnorm", "--space", '{"space":"lp","p":1e308}', "--operator",
+         json.dumps({"op": "sum", "terms": [{"op": "compose",
+                                             "factors": factors}]}),
+         "--trunc", "2"])

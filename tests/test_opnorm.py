@@ -240,6 +240,35 @@ def test_reduction_matches_dense_section():
             assert val == pytest.approx(red.value, abs=1e-8)
 
 
+def test_swap_reduction_needs_the_qsum_shape():
+    # the qsum JSON tag builds the dsum with head (1, l_1) and an l_p tail,
+    # which takes the reduction; a tail behind any other head does not
+    T = op.SimpleS(2.0, 4.0)
+    qsum = sp.space_from_json_obj({"space": "qsum", "q": 4, "p": 2})
+    assert opnorm.operator_norm(T, qsum, 10).method == "reduction_f"
+    for space in (sp.DirectSumLp(4.0, ((2, 1.0),), 2.0),
+                  sp.DirectSumLp(4.0, ((1, 1.0), (1, 2.0)), 2.0),
+                  sp.DirectSumLp(4.0, ((1, 1.0),), INF),
+                  sp.DirectSumLp(4.0, ((1, 1.0), (9, 2.0)))):
+        assert opnorm.operator_norm(T, space, 10).method != "reduction_f"
+
+
+def test_growth_tag():
+    Ns, c = (8, 16, 32), [1.0, 6.0, 12.0]
+    assert opnorm.growth_tag(Ns[:1], [1.0], [], c[:1], True) == "inconclusive"
+    assert opnorm.growth_tag(Ns, [1, 2, 2], [0.5, 1e-4], [1.0] * 3,
+                             True) == "inconclusive"
+    assert opnorm.growth_tag(Ns, [1, 2, 2], [1e-4, 1e-4], c, True) == \
+        "attained"
+    # escaping support reads escaping only when the values move in sense
+    assert opnorm.growth_tag(Ns, [1, 2, 2], [1, 1], c, True) == "escaping"
+    assert opnorm.growth_tag(Ns, [1, 2, 2], [1, 1], c, False) == \
+        "inconclusive"
+    assert opnorm.growth_tag(Ns, [2, 1, 1], [1, 1], c, False) == "escaping"
+    assert opnorm.growth_tag(Ns, [2, 1, 1], [1, 1], [1.0, 3.0, 6.0],
+                             False) == "inconclusive"
+
+
 def test_simple_r_reduction():
     space = sp.QSumLp(4.0, 2.0)
     r = opnorm.operator_norm(op.SimpleR(2.0, 4.0), space, 12)

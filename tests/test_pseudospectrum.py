@@ -492,6 +492,13 @@ def test_lp111_simple_s():
     assert normS <= res.c + 1e-8
 
 
+def test_lp111_simple_s_value_is_pinned():
+    # AC10's SimpleS row: K (+)_4 l_2 as a dsum with an l_2 tail keeps the
+    # bits of the two-block rule it was normed by before
+    res = ps.lp111_perturbation(op.SimpleS(2.0, 4.0), sp.QSumLp(4.0, 2.0), 24)
+    assert (res.case, res.c) == ("fixed", 0.6372899387675152)
+
+
 def test_lp111_escaping_diagonal():
     res = ps.lp111_perturbation(op.Diagonal("one_plus_inv"), sp.Lp(2.0), 32)
     assert res.case == "escaping"

@@ -21,6 +21,11 @@ EXACT_SPACES = [
 ]
 
 
+def finite_dsum(space) -> bool:
+    """A dsum with no tail: rows no wider than its blocks."""
+    return isinstance(space, sp.DirectSumLp) and space.tail is None
+
+
 def coeffs_strategy(max_index=12, max_mag=4.0):
     entry = st.tuples(
         st.integers(min_value=0, max_value=max_index),
@@ -159,7 +164,7 @@ def test_rows_equal_one_row_calls_bitwise(space):
     # each row of a batch is reduced exactly as its one-row call, scales
     # from 1e-300 to 1e300 and all-zero rows included
     rng = np.random.default_rng(8)
-    sizes = (1, 3, 7) if isinstance(space, sp.DirectSumLp) else (1, 4, 9, 40)
+    sizes = (1, 3, 7) if finite_dsum(space) else (1, 4, 9, 40)
     for n in sizes:
         X = rng.standard_normal((25, n)) + 1j * rng.standard_normal((25, n))
         X *= 10.0 ** rng.uniform(-300, 300, (25, 1))
@@ -194,7 +199,7 @@ def test_functional_rows_return_norm_rows_bitwise(space):
     # scales from 1e-300 to 1e300, on zero rows and on rows below 1e-150
     # (which the functional takes scaled by 2^600) with subnormal entries
     rng = np.random.default_rng(9)
-    sizes = (1, 3, 7) if isinstance(space, sp.DirectSumLp) else (1, 4, 9, 40)
+    sizes = (1, 3, 7) if finite_dsum(space) else (1, 4, 9, 40)
     for n in sizes:
         X = edge_rows(rng, n)
         norms, funcs = sp.norming_functional_rows(space, X)
@@ -221,6 +226,40 @@ def test_qsum_functionals_are_norming_at_every_scale():
             assert np.allclose(pair, 1.0, rtol=0, atol=1e-13)
             assert np.allclose(sp.norm_rows(sp.dual_space(space), funcs[live]),
                                1.0, rtol=0, atol=1e-13)
+
+
+def test_qsum_is_the_dsum_with_an_l_p_tail_bit_for_bit():
+    # K (+)_q l_p on rows of width n was normed as the dsum with blocks
+    # (1, l_1) and (n - 1, l_p); the tail must give the same bits, on its
+    # dual too.  A one-coordinate block is now normed as l_1, so the
+    # explicit rule's l_p block has size max(n - 1, 2): a width-2 row cuts
+    # it to the one coordinate that the l_p rule took
+    for q in (1.0, 1.5, 4.0, 800.0, INF):
+        for p in (1.5, 2.0, 3.0):
+            rng = np.random.default_rng(12)
+            space = sp.QSumLp(q, p)
+            assert isinstance(space, sp.DirectSumLp)
+            for n in range(1, 41):
+                explicit = sp.DirectSumLp(q, ((1, 1.0), (max(n - 1, 2), p)))
+                pairs = ((space, explicit),
+                         (sp.dual_space(space), sp.dual_space(explicit)))
+                for X in (edge_rows(rng, n), edge_rows(rng, n, real=True)):
+                    for tail, rule in pairs:
+                        assert np.array_equal(sp.norm_rows(tail, X),
+                                              sp.norm_rows(rule, X))
+                        for a, b in zip(sp.norming_functional_rows(tail, X),
+                                        sp.norming_functional_rows(rule, X)):
+                            assert np.array_equal(a, b)
+
+
+def test_one_coordinate_blocks_take_the_l1_rule():
+    space = sp.DirectSumLp(3.0, ((1, INF), (2, INF), (1, 2.0)), 1.5)
+    assert space.blocks == ((1, 1.0), (2, INF), (1, 1.0))
+    assert sp.dual_space(sp.QSumLp(4.0, 2.0)) == sp.QSumLp(4 / 3, 2.0)
+    with pytest.raises(ValueError, match="block exponents"):
+        sp.DirectSumLp(2.0, ((1, 0.5),))
+    with pytest.raises(ValueError, match="tail exponent"):
+        sp.DirectSumLp(2.0, ((1, 1.0),), 0.5)
 
 
 def test_qsum_inf_functional_takes_the_head_on_a_tie():
@@ -252,7 +291,7 @@ def test_real_rows_follow_the_complex_rule(space):
     # may move by 1 ulp; rows from 1e-300 to 1e300, zero rows, rows below
     # 1e-150 and subnormal rows
     rng = np.random.default_rng(10)
-    sizes = (1, 3, 7) if isinstance(space, sp.DirectSumLp) else (1, 4, 9, 40)
+    sizes = (1, 3, 7) if finite_dsum(space) else (1, 4, 9, 40)
     for n in sizes:
         X = edge_rows(rng, n, real=True)
         norms, funcs = sp.norming_functional_rows(space, X)
@@ -268,7 +307,7 @@ def test_real_rows_follow_the_complex_rule(space):
                           <= np.spacing(np.abs(cfuncs.real)))
         if sp.lp_exponent(space) in (1, INF):
             assert set(np.unique(funcs)) <= {-1.0, 0.0, 1.0}
-        if isinstance(space, sp.QSumLp) and space.q in (1, INF):
+        if getattr(space, "tail", None) is not None and space.p in (1, INF):
             assert set(np.unique(funcs[:, 0])) <= {-1.0, 0.0, 1.0}
 
 
@@ -312,7 +351,7 @@ def test_norming_functional_attains(space, x, data):
     # a dsum array may end inside a block, or at a block's end short of
     # the last block
     width = (data.draw(st.integers(x.dim_hint, space.total_size()))
-             if isinstance(space, sp.DirectSumLp) else 8)
+             if finite_dsum(space) else 8)
     arr = x.to_array(width)
     f = sp.norming_functional_array(space, arr)
     nx = sp.norm_array(space, arr)
@@ -326,10 +365,9 @@ def test_dual_space_involution():
     def exps(s):
         if isinstance(s, sp.Lp):
             return (s.p,)
-        if isinstance(s, sp.QSumLp):
-            return (s.q, s.p)
         if isinstance(s, sp.DirectSumLp):
-            return (s.p,) + tuple(r for _, r in s.blocks)
+            tail = () if s.tail is None else (s.tail,)
+            return (s.p,) + tuple(r for _, r in s.blocks) + tail
         return ()
 
     for space in EXACT_SPACES:
