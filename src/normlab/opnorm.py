@@ -209,12 +209,12 @@ def matrix_norm(M: np.ndarray, space, cfg: OpnormConfig = DEFAULT_CFG,
                 starts=()):
     """Subordinate norm of M on space; (value, witness, method)."""
     M = np.asarray(M, dtype=complex)
-    p = sp.lp_exponent(space)
-    if p in (1, 2, INF):
+    if isinstance(space, sp.Lp) and space.p in (1, 2, INF):
+        p = space.p
         val, arg = _closed_form(M, p)
         w = (arg if p == 2
              else np.eye(M.shape[1], dtype=complex)[arg] if p == 1
-             else sp.norming_functional_array(sp.L1(), M[arg]))
+             else sp.norming_functional_array(sp.Lp(1.0), M[arg]))
         return float(val), w, "closed_form"
     val, w = _power_iteration(M, space, cfg, starts)
     return val, w, "iterate"
@@ -228,9 +228,8 @@ def matrix_norms(S: np.ndarray, space,
     iteration runs per matrix, each with its starts as one batch of rows and
     its value floored at the best basis column.
     """
-    p = sp.lp_exponent(space)
-    if p in (1, 2, INF):
-        return _closed_form(S, p)[0]
+    if isinstance(space, sp.Lp) and space.p in (1, 2, INF):
+        return _closed_form(S, space.p)[0]
     return np.array([matrix_norm(M, space, cfg)[0] for M in S], dtype=float)
 
 
@@ -432,7 +431,7 @@ def operator_norm(T, space, N: int, cfg: OpnormConfig = DEFAULT_CFG,
 
     M = op.truncate_matrix(T, N)
     labels = (block_labels(M)
-              if isinstance(space, sp.Lp) and space.p < INF else None)
+              if isinstance(space, sp.Lp) and 1 < space.p < INF else None)
     if labels is not None:
         val, warr, method, upper = _split_norm(M, *labels, space, cfg, starts)
     else:
@@ -499,6 +498,8 @@ def attainment_scan(T, space, Ns, cfg: OpnormConfig = DEFAULT_CFG) -> NormReport
     """Run operator_norm over increasing truncations and classify attainment
     by growth_tag, the values being norms that rise with N."""
     Ns = list(Ns)
+    if not Ns:
+        raise ValueError("Ns must not be empty")
     if any(b <= a for a, b in zip(Ns, Ns[1:])):
         raise ValueError("Ns must be strictly increasing")
     trace = []

@@ -106,7 +106,7 @@ def _resolvent_norms(A: np.ndarray, space,
     Every other space inverts the stack (_invert) and takes the norms of
     the inverses with one matrix_norms call.
     """
-    if sp.lp_exponent(space) == 2:
+    if isinstance(space, sp.Lp) and space.p == 2:
         s = np.linalg.svd(A, compute_uv=False)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             cond = s[:, 0] / s[:, -1]

@@ -1,14 +1,16 @@
 """Sequence-space norms on finitely supported vectors.
 
-Space descriptors cover l_p, c_0, l_1, l_p-direct sums of finite l_r blocks
-with an optional infinite l_r tail (K (+)_q l_p, index 0 the scalar
-component, is one), and the renormed-l_2 space, whose norm (a Minkowski
-functional) only the convex solver evaluates.  Alongside the norms live the
-norm-splitting defect and the gliding-hump disjointification routine.
+Space descriptors cover l_p for 1 <= p <= inf (on finitely supported
+vectors l_inf is c_0), l_p-direct sums of finite l_r blocks with an
+optional infinite l_r tail (K (+)_q l_p, index 0 the scalar component, is
+one), and the renormed-l_2 space, whose norm (a Minkowski functional) only
+the convex solver evaluates.  Alongside the norms live the norm-splitting
+defect and the gliding-hump disjointification routine.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from dataclasses import dataclass
@@ -48,21 +50,23 @@ class QSeqParams:
 
 @dataclass(frozen=True)
 class Lp:
+    """l_p, 1 <= p <= inf; on finitely supported vectors l_inf is c_0."""
+
     p: float
 
     def __post_init__(self):
-        if not (self.p > 1):
-            raise ValueError("Lp needs p > 1 (use L1 for p = 1)")
+        if not (self.p >= 1):
+            raise ValueError("Lp needs p >= 1")
 
 
-@dataclass(frozen=True)
-class C0:
-    pass
+def C0() -> Lp:
+    """c_0: l_p at p = inf."""
+    return Lp(INF)
 
 
-@dataclass(frozen=True)
-class L1:
-    pass
+def L1() -> Lp:
+    """l_1: l_p at p = 1."""
+    return Lp(1.0)
 
 
 @dataclass(frozen=True)
@@ -129,7 +133,7 @@ class RenormedL2:
         object.__setattr__(self, "trunc", require_trunc(self.trunc, "trunc"))
 
 
-SpaceSpec = Lp | C0 | L1 | DirectSumLp | RenormedL2
+SpaceSpec = Lp | DirectSumLp | RenormedL2
 
 
 # ---------------------------------------------------------------------------
@@ -169,17 +173,6 @@ def _lp_norms(a: np.ndarray, p: float) -> np.ndarray:
     return m if p == INF else m * _lp_scaled(a, m, p)[0]
 
 
-def lp_exponent(space: SpaceSpec) -> float | None:
-    """Exponent of an l_p-family space (Lp: p, C0: inf, L1: 1), else None."""
-    if isinstance(space, Lp):
-        return space.p
-    if isinstance(space, C0):
-        return INF
-    if isinstance(space, L1):
-        return 1
-    return None
-
-
 def _quiet(rule):
     """Run a row-wise rule under one np.errstate, on a C-contiguous float64
     copy of a real (bool, integer or float) X and a complex128 one of any
@@ -194,17 +187,22 @@ def _quiet(rule):
     return wrapper
 
 
+def _block_slices(space: DirectSumLp, X: np.ndarray) -> list:
+    """space.slices for the rows of X, refused when a tail-less dsum has
+    support past its blocks."""
+    if space.tail is None and np.any(X[:, space.total_size():] != 0):
+        raise ValueError("support exceeds the block partition")
+    return list(space.slices(X.shape[-1]))
+
+
 @_quiet
 def norm_rows(space: SpaceSpec, X: np.ndarray) -> np.ndarray:
     """Norm under the given space of each row of a dense array X (k, n)."""
-    p = lp_exponent(space)
-    if p is not None:
-        return _lp_norms(np.abs(X), p)
+    if isinstance(space, Lp):
+        return _lp_norms(np.abs(X), space.p)
     if isinstance(space, DirectSumLp):
-        if space.tail is None and np.any(X[:, space.total_size():] != 0):
-            raise ValueError("support exceeds the block partition")
         vals = np.stack([_lp_norms(np.abs(X[:, sl]), r)
-                         for sl, r in space.slices(X.shape[-1])], axis=-1)
+                         for sl, r in _block_slices(space, X)], axis=-1)
         return _lp_norms(vals, space.p)
     raise TypeError("no norm evaluation for %r" % (space,))
 
@@ -270,12 +268,11 @@ def _lift_tiny_rows(X: np.ndarray) -> tuple:
 def _functionals(space: SpaceSpec, X: np.ndarray, a: np.ndarray,
                  m: np.ndarray) -> tuple:
     """(norms, F) of the rows of X, whose moduli are a and row maxima m."""
-    p = lp_exponent(space)
-    if p is not None:
-        return _lp_dualities(X, a, m, p)
+    if isinstance(space, Lp):
+        return _lp_dualities(X, a, m, space.p)
     out = np.zeros(X.shape, dtype=X.dtype)
     if isinstance(space, DirectSumLp):
-        slices = list(space.slices(X.shape[-1]))
+        slices = _block_slices(space, X)
         blocks = []
         for sl, r in slices:
             ab = np.ascontiguousarray(a[:, sl])
@@ -316,11 +313,8 @@ def dual_space(space: SpaceSpec) -> SpaceSpec:
             return 1.0
         return e / (e - 1.0)
 
-    p = lp_exponent(space)
-    if p is not None:
-        # past p = 2^53 the conjugate rounds to 1: l_1 to rounding
-        q = conj_exp(p)
-        return C0() if p == 1 else L1() if q == 1 else Lp(q)
+    if isinstance(space, Lp):
+        return Lp(conj_exp(space.p))
     if isinstance(space, DirectSumLp):
         return DirectSumLp(conj_exp(space.p),
                            tuple((s, conj_exp(r)) for s, r in space.blocks),
@@ -333,20 +327,24 @@ def dual_space(space: SpaceSpec) -> SpaceSpec:
 # ---------------------------------------------------------------------------
 
 def norm_eval(space: SpaceSpec, x: Coeffs) -> float:
-    """Norm of x from its support: zeros add nothing to an l_r norm, so only
-    a dsum's listed blocks are densified (up to x's length), and the other
-    entries are taken in index order."""
+    """Norm of x from its support, taken in index order: zeros add nothing
+    to an l_r norm.  A dsum's listed blocks are compacted to their support,
+    an empty one to a single zero, so the outer norm still sees one value
+    per block; a one-coordinate block's value is |x|, whatever its r."""
     keys = sorted(x.entries)
-    head = None
+    vals = [x.entries[i] for i in keys]
     if isinstance(space, DirectSumLp):
-        total = space.total_size()
-        if space.tail is None and keys and keys[-1] >= total:
-            raise ValueError("support exceeds the block partition")
-        head = x.to_array(min(x.dim_hint, total))
-        keys = [i for i in keys if i >= total]
-    arr = np.array([x.entries[i] for i in keys], dtype=complex)
-    return norm_array(space,
-                      arr if head is None else np.concatenate([head, arr]))
+        blocks, head, k, end = [], [], 0, 0
+        for s, r in space.blocks:
+            end += s
+            j = bisect.bisect_left(keys, end, lo=k)
+            part = vals[k:j] or [0]
+            blocks.append((len(part), r))
+            head += part
+            k = j
+        space = DirectSumLp(space.p, tuple(blocks), space.tail)
+        vals = head + vals[k:]
+    return norm_array(space, np.array(vals, dtype=complex))
 
 
 def norming_functional(space: SpaceSpec, x: Coeffs) -> Coeffs:
@@ -417,12 +415,9 @@ def disjointify(xs, eps, space: SpaceSpec = Lp(2.0)) -> DisjointifyResult:
 
 def space_from_json_obj(obj) -> SpaceSpec:
     tag = obj["space"]
-    if tag == "lp":
-        return Lp(float(obj["p"]))
-    if tag == "c0":
-        return C0()
-    if tag == "l1":
-        return L1()
+    if tag in ("lp", "c0", "l1"):
+        return Lp(float(obj["p"]) if tag == "lp"
+                  else INF if tag == "c0" else 1.0)
     if tag == "qsum":
         q = obj["q"]
         return QSumLp(INF if q in ("inf", None) else float(q), float(obj["p"]))

@@ -436,18 +436,14 @@ def check_ac10() -> CheckResult:
     return _result("AC10", ok, rows=rows)
 
 
-def check_qseq(q_rule=None) -> CheckResult:
-    """q-sequence invariant: 1/2 < q_n < 1/sqrt(2), strictly decreasing.
-
-    q_rule is injectable so a deliberately broken sequence fails the check.
-    """
-    qseq = sp.QSeqParams()
-    q = q_rule if q_rule is not None else qseq.q
+def check_qseq() -> CheckResult:
+    """q-sequence invariant: 1/2 < q_n < 1/sqrt(2), strictly decreasing,
+    and q_1 = 0.625."""
+    q = sp.QSeqParams().q
     vals = [q(n) for n in range(1, 201)]
     ok = (all(0.5 < v < 2.0 ** -0.5 for v in vals)
-          and all(a > b for a, b in zip(vals, vals[1:])))
-    if q_rule is None:
-        ok = ok and abs(vals[0] - 0.625) < 1e-12
+          and all(a > b for a, b in zip(vals, vals[1:]))
+          and abs(vals[0] - 0.625) < 1e-12)
     return _result("qseq", ok, q1=vals[0], q200=vals[-1])
 
 

@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from normlab import cli
 from normlab import convex
 from normlab import pseudospectrum as ps
+from normlab import spaces as sp
 from normlab import verify
 from normlab.coeffs import MAX_TRUNC
 
@@ -116,6 +117,15 @@ def test_norm_of_a_far_entry_allocates_nothing_of_its_index(space):
     assert (code, out) == (0, "1.000000\n")
 
 
+def test_norm_inside_a_huge_listed_block_allocates_nothing_of_its_size():
+    # the listed block was densified up to the vector's length, and this
+    # ended in numpy's MemoryError traceback
+    code, out = run(["norm", "--space",
+                     '{"space":"dsum","p":2,"blocks":[[100000000000000,2]]}',
+                     "--vector", "[[99999999999999,1,0]]"])
+    assert (code, out) == (0, "1.000000\n")
+
+
 def test_norm_past_the_dsum_partition_is_usage_error(capsys):
     assert_usage_error(["norm", "--space",
                         '{"space":"dsum","p":2,"blocks":[[2,2]]}',
@@ -166,6 +176,24 @@ def test_norm_coefficient_below_prune_tol_is_usage_error(space, capsys):
 LP2 = '{"space":"lp","p":2}'
 TC0 = '{"op":"catalog","name":"tc0"}'
 DIAG_D = '{"op":"diagonal","rule":"one_minus_2pow"}'
+
+ENDPOINT_ARGS = {
+    "norm": ["--vector", "[[0,1,2],[3,-2,1],[7,0.5,0]]"],
+    "opnorm": ["--operator", '{"op":"matrix","rows":[[[1,0],[2,-1]],'
+               '[[3,0],[0,4]]]}', "--trunc", "2", "--format", "json"],
+    "pspec": ["--operator", TC0, "--trunc", "8", "--res", "5",
+              "--format", "json"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(ENDPOINT_ARGS))
+@pytest.mark.parametrize("tag, p", [("l1", "1"), ("c0", '"inf"')])
+def test_lp_at_an_endpoint_prints_as_its_tag(command, tag, p):
+    # c0 and l1 are the lp space at p = inf and p = 1
+    outs = [run([command, "--space", space] + ENDPOINT_ARGS[command])
+            for space in ('{"space":"%s"}' % tag,
+                          '{"space":"lp","p":%s}' % p)]
+    assert outs[0][0] == 0 and outs[0] == outs[1]
 
 
 @pytest.mark.parametrize("argv", [
@@ -512,8 +540,7 @@ def test_opnorm_compose_holding_a_transpose_is_usage_error(capsys):
 
 @pytest.mark.filterwarnings("error")
 def test_exponent_past_2_53_has_the_l1_dual():
-    # its conjugate rounds to 1: the dual was Lp(1.0), refused with
-    # "Lp needs p > 1"; l_1 is that dual to rounding
+    # its conjugate rounds to 1, so its dual is Lp(1.0): l_1 to rounding
     space = '{"space":"lp","p":1e308}'
     code, out = run(["opnorm", "--space", space, "--operator",
                      '{"op":"matrix","rows":[[[1,0],[2,0]],[[3,0],[4,0]]]}',
@@ -677,11 +704,8 @@ def test_verify_unknown_check():
 
 
 def test_verify_failure_exit_code(monkeypatch, tmp_path):
-    # inject a deliberately broken q-sequence rule through the test hook
-    def broken():
-        return verify.check_qseq(q_rule=lambda n: 0.8)
-
-    monkeypatch.setitem(verify.ALL_CHECKS, "qseq", broken)
+    # a deliberately broken q-sequence rule
+    monkeypatch.setattr(sp.QSeqParams, "q", lambda self, n: 0.8)
     out_file = tmp_path / "report.json"
     code, out = run(["verify", "--only", "qseq", "--out", str(out_file)])
     assert code == 4
@@ -690,9 +714,10 @@ def test_verify_failure_exit_code(monkeypatch, tmp_path):
     assert report["all_ok"] is False
 
 
-def test_broken_qseq_rule_fails_check():
-    assert not verify.check_qseq(q_rule=lambda n: 0.8).ok
+def test_broken_qseq_rule_fails_check(monkeypatch):
     assert verify.check_qseq().ok
+    monkeypatch.setattr(sp.QSeqParams, "q", lambda self, n: 0.8)
+    assert not verify.check_qseq().ok
 
 
 # -- misc ----------------------------------------------------------------------

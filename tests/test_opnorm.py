@@ -49,6 +49,12 @@ def test_diag_d_norm_and_escape():
     assert values == sorted(values)
 
 
+def test_attainment_scan_needs_increasing_sections():
+    for Ns in ((), [], (4, 4), (8, 4)):
+        with pytest.raises(ValueError, match="Ns must"):
+            opnorm.attainment_scan(op.Identity(), sp.Lp(2.0), Ns)
+
+
 def test_projection_norm_one_attained():
     # coordinate projection onto {0, 1} and its complement have norm one
     P = op.Diagonal("explicit", (1.0, 1.0, 0.0, 0.0, 0.0))
@@ -873,7 +879,7 @@ def test_zero_section_still_warns():
 
 @pytest.mark.parametrize("space", [
     sp.QSumLp(4.0, 2.0), sp.DirectSumLp(3.0, ((3, 2.0), (5, 4.0))),
-    sp.C0(), sp.L1(), sp.Lp(INF),
+    pytest.param(sp.L1(), id="L1()"), sp.Lp(INF),
 ], ids=str)
 def test_other_spaces_are_never_split(space, monkeypatch):
     def no_split(*args):

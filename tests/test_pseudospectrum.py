@@ -222,7 +222,7 @@ def per_cell_resolvent_norm(M, space, z, cfg=opnorm.DEFAULT_CFG):
     cond = np.linalg.cond(A)
     if cond > ps.SINGULAR_COND:
         return INF, cond
-    p = sp.lp_exponent(space)
+    p = space.p if isinstance(space, sp.Lp) else None
     if p == 2:
         return 1 / np.linalg.svd(A, compute_uv=False)[-1], cond
     inv = np.asarray(np.linalg.inv(A), dtype=complex)
