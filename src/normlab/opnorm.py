@@ -9,11 +9,9 @@ certifies a lower bound only.  Its starts run as the rows of one array,
 and its value is floored at the best basis column.  On l_p an iterate's
 report also carries a Riesz-Thorin upper bound.
 
-On l_p, 1 < p < inf, operator_norm first splits a section into its
-independent blocks (the connected components of the pattern of its
-nonzero entries).  Disjointly supported pieces add their p-th powers, so
-the norm is exactly the largest block norm, and a block with one column
-or one row has a closed form.
+Every section norm, operator_norm's and every resolvent cell's, goes
+through matrix_norm, which on l_p, 1 < p < inf, first splits the section
+into its independent blocks.
 """
 
 from __future__ import annotations
@@ -207,28 +205,38 @@ def _closed_form(M: np.ndarray, p: float) -> tuple:
 
 def matrix_norm(M: np.ndarray, space, cfg: OpnormConfig = DEFAULT_CFG,
                 starts=()):
-    """Subordinate norm of M on space; (value, witness, method)."""
+    """Subordinate norm of M on space; (value, witness, method, upper).
+
+    On Lp with 1 < p < inf a matrix with at least two blocks (see
+    block_labels) is normed block by block (see _split_norm): exact by
+    p-additivity, so the norm is the largest block norm.  Any other matrix
+    takes the closed form on l_1, l_2 and c_0/l_inf and the power iteration
+    elsewhere.  upper is lp_upper_bound for an iterate on Lp, else None.
+    """
     M = np.asarray(M, dtype=complex)
-    if isinstance(space, sp.Lp) and space.p in (1, 2, INF):
-        p = space.p
+    p = space.p if isinstance(space, sp.Lp) else None
+    labels = block_labels(M) if p is not None and 1 < p < INF else None
+    if labels is not None:
+        return _split_norm(M, *labels, space, cfg, starts)
+    if p in (1, 2, INF):
         val, arg = _closed_form(M, p)
         w = (arg if p == 2
              else np.eye(M.shape[1], dtype=complex)[arg] if p == 1
              else sp.norming_functional_array(sp.Lp(1.0), M[arg]))
-        return float(val), w, "closed_form"
+        return float(val), w, "closed_form", None
     val, w = _power_iteration(M, space, cfg, starts)
-    return val, w, "iterate"
+    return val, w, "iterate", None if p is None else lp_upper_bound(M, p)
 
 
 def matrix_norms(S: np.ndarray, space,
                  cfg: OpnormConfig = DEFAULT_CFG) -> np.ndarray:
     """The value of matrix_norm for each matrix of a stack S (K, n, n).
 
-    A closed form is one reduction over the whole stack; the power
-    iteration runs per matrix, each with its starts as one batch of rows and
-    its value floored at the best basis column.
+    On l_1 and c_0/l_inf, where nothing is split, the closed form is one
+    reduction over the whole stack.  Elsewhere matrix_norm runs per matrix,
+    so on l_p, 1 < p < inf, each resolvent cell is split into its blocks.
     """
-    if isinstance(space, sp.Lp) and space.p in (1, 2, INF):
+    if isinstance(space, sp.Lp) and space.p in (1, INF):
         return _closed_form(S, space.p)[0]
     return np.array([matrix_norm(M, space, cfg)[0] for M in S], dtype=float)
 
@@ -301,9 +309,9 @@ def _split_norm(M, rl, cl, space, cfg, starts) -> tuple:
     one norm_rows call; a one-row block's is the dual norm of its row, with
     the row's norming functional as witness (the rank-one closed form); any
     other block goes to matrix_norm with the starts restricted to its
-    columns.  The method is iterate if some block iterated, and then upper
-    is the largest block bound: lp_upper_bound of an iterated block, the
-    value of a closed-form one.
+    columns (a connected block, which it does not split again).  The method
+    is iterate if some block iterated, and then upper is the largest block
+    bound: matrix_norm's upper of an iterated block, a closed form's value.
     """
     n = M.shape[1]
     ncols = np.bincount(cl, minlength=len(rl) + n)
@@ -338,11 +346,10 @@ def _split_norm(M, rl, cl, space, cfg, starts) -> tuple:
     for lab in dict.fromkeys(cl[rest[cl]].tolist()):
         rows, cols = np.flatnonzero(rl == lab), np.flatnonzero(cl == lab)
         B = M[np.ix_(rows, cols)]
-        val, w, method = matrix_norm(B, space, cfg,
-                                     [np.asarray(s)[cols] for s in starts])
+        val, w, method, up = matrix_norm(B, space, cfg,
+                                         [np.asarray(s)[cols] for s in starts])
         iterated |= method == "iterate"
-        upper = max(upper, lp_upper_bound(B, space.p)
-                    if method == "iterate" else val)
+        upper = max(upper, val if up is None else up)
         blocks.append((val, cols[0], cols, w))
     val, _, cols, w = min(blocks, key=lambda b: (-b[0], b[1]))
     warr = np.zeros(n, dtype=complex)
@@ -376,11 +383,8 @@ def operator_norm(T, space, N: int, cfg: OpnormConfig = DEFAULT_CFG,
     """Norm of the N-section of T as an operator on space.
 
     Identity, scalar, diagonal and rank-one operators and the swap
-    operators on K (+)_q l_p bypass the section.  On Lp with 1 < p < inf a
-    section with at least two blocks (see block_labels) is normed block by
-    block (see _split_norm): exact by p-additivity, with each block's
-    closed form or a power iteration on the block alone.  Any other section,
-    and every section on the other spaces, goes to matrix_norm whole.
+    operators on K (+)_q l_p bypass the section; every other section goes
+    to matrix_norm.
     """
     N = require_trunc(N, "N")
     require_norming(space)
@@ -429,15 +433,8 @@ def operator_norm(T, space, N: int, cfg: OpnormConfig = DEFAULT_CFG,
         return NormReport(val, w, "reduction_f", ((N, val),), "inconclusive",
                           (_centroid(w.to_array(N)),))
 
-    M = op.truncate_matrix(T, N)
-    labels = (block_labels(M)
-              if isinstance(space, sp.Lp) and 1 < space.p < INF else None)
-    if labels is not None:
-        val, warr, method, upper = _split_norm(M, *labels, space, cfg, starts)
-    else:
-        val, warr, method = matrix_norm(M, space, cfg, starts)
-        upper = (lp_upper_bound(M, space.p)
-                 if method == "iterate" and isinstance(space, sp.Lp) else None)
+    val, warr, method, upper = matrix_norm(op.truncate_matrix(T, N), space,
+                                           cfg, starts)
     return NormReport(val, Coeffs.from_array(warr), method, ((N, val),),
                       "inconclusive", (_centroid(warr),),
                       warning=bool(method == "iterate" and val == 0.0),

@@ -85,14 +85,15 @@ def _inverse_norm(A: np.ndarray, space,
     """(||A^{-1}||, witness, A^{-1}); (inf, None, None) when A is singular.
 
     The norm is matrix_norm of the inverse on every space, as the witness
-    and the inverse are needed too.  On l_2 it may differ in the last bits
-    from resolvent_norm's 1/sigma_min, far inside att1_perturbation's
-    1e-10 slack.
+    and the inverse are needed too, so on l_p, 1 < p < inf, the inverse is
+    split into its blocks as a resolvent cell's is.  On l_2 it may differ
+    in the last bits from resolvent_norm's 1/sigma_min, far inside
+    att1_perturbation's 1e-10 slack.
     """
     inv, singular = _invert(A[None])
     if singular[0]:
         return math.inf, None, None
-    val, w, _ = matrix_norm(inv[0], space, cfg)
+    val, w, _, _ = matrix_norm(inv[0], space, cfg)
     return val, w, inv[0]
 
 
@@ -372,14 +373,16 @@ def lp111_perturbation(T, space, N: int) -> Lp111Result:
     """Perturbation S with ||S|| = c = inf_{||x||=1} ||T_N x|| and
     inf ||(T+S)x|| ~ 0 on the truncation.
 
-    Minimizers over growing sections decide the case by growth_tag, with
+    Minimizers over growing sections, none wider than N (so the c at N
+    is the infimum on T_N), decide the case by growth_tag, with
     the c_n as infima, which must not rise: a Cauchy family ("attained")
     gives the rank-one S = -phi(.) T x_hat; escaping minimizers give the
     block construction over a disjointified family.
     """
-    Ns = sorted({max(2, N // 8), max(3, N // 4), max(4, N // 2), N})
+    Ns = sorted({min(n, N) for n in (max(2, N // 8), max(3, N // 4),
+                                     max(4, N // 2), N)})
     # every section below is a leading block of this one
-    Tw = op.truncate_matrix(T, Ns[-1] + TAIL)
+    Tw = op.truncate_matrix(T, N + TAIL)
     trace = []
     minimizers = []
     for n in Ns:

@@ -93,12 +93,6 @@ class DirectSumLp:
         object.__setattr__(self, "blocks",
                            tuple((s, 1.0 if s == 1 else r) for s, r in blocks))
 
-    def __repr__(self):
-        if self.is_qsum():
-            return "QSumLp(q=%r, p=%r)" % (self.p, self.tail)
-        tail = "" if self.tail is None else ", tail=%r" % (self.tail,)
-        return "DirectSumLp(p=%r, blocks=%r%s)" % (self.p, self.blocks, tail)
-
     def is_qsum(self) -> bool:
         """Whether this is K (+)_q l_p, as QSumLp(self.p, self.tail) is."""
         return self.blocks == ((1, 1.0),) and 1 < (self.tail or 0) < INF

@@ -375,7 +375,7 @@ def check_ac8() -> CheckResult:
         M = rng.standard_normal((n, n))
         space = sp.Lp(p)
         t0 = time.perf_counter()
-        val, _, method = opnorm.matrix_norm(M.astype(complex), space)
+        val, _, method, _ = opnorm.matrix_norm(M.astype(complex), space)
         t1 = time.perf_counter()
         oracle = sphere_grid_norm(M, p)
         opnorm_s += t1 - t0

@@ -10,6 +10,7 @@ from normlab.coeffs import Coeffs
 from normlab import spaces as sp
 from normlab import operators as op
 from normlab import opnorm
+from test_spaces import space_id
 
 INF = math.inf
 
@@ -63,7 +64,7 @@ def test_projection_norm_one_attained():
     IP = op.Sum((op.Identity(), op.ScalarMul(-1.0), P))
     # I - P as a matrix: check through the iterate path
     M = op.truncate_matrix(op.Identity(), 5) - op.truncate_matrix(P, 5)
-    val, _, _ = opnorm.matrix_norm(M, sp.Lp(2))
+    val, _, _, _ = opnorm.matrix_norm(M, sp.Lp(2))
     assert val == pytest.approx(1.0, abs=1e-10)
 
 
@@ -240,8 +241,8 @@ def test_reduction_matches_dense_section():
         for T in (op.SimpleS(p, q), op.SimpleR(p, q)):
             red = opnorm.operator_norm(T, space, 8)
             assert red.method == "reduction_f"
-            val, _, method = opnorm.matrix_norm(op.truncate_matrix(T, 8),
-                                                space)
+            val, _, method, _ = opnorm.matrix_norm(op.truncate_matrix(T, 8),
+                                                   space)
             assert method == "iterate"
             assert val == pytest.approx(red.value, abs=1e-8)
 
@@ -279,7 +280,7 @@ def test_simple_r_reduction():
     space = sp.QSumLp(4.0, 2.0)
     r = opnorm.operator_norm(op.SimpleR(2.0, 4.0), space, 12)
     M = op.truncate_matrix(op.SimpleR(2.0, 4.0), 12)
-    val, _, _ = opnorm.matrix_norm(M, space)
+    val, _, _, _ = opnorm.matrix_norm(M, space)
     assert r.value == pytest.approx(val, abs=1e-8)
 
 
@@ -328,7 +329,7 @@ def test_matrix_norm_vs_nelder_mead(p):
     for _ in range(5):
         n = int(rng.integers(2, 5))
         M = rng.standard_normal((n, n))
-        val, _, _ = opnorm.matrix_norm(M.astype(complex), sp.Lp(p))
+        val, _, _, _ = opnorm.matrix_norm(M.astype(complex), sp.Lp(p))
         oracle = nelder_mead_norm(M, p, p)
         assert val == pytest.approx(oracle, abs=2e-6)
 
@@ -336,14 +337,14 @@ def test_matrix_norm_vs_nelder_mead(p):
 def test_matrix_norm_l2_is_svd():
     rng = np.random.default_rng(3)
     M = rng.standard_normal((5, 5))
-    val, w, method = opnorm.matrix_norm(M.astype(complex), sp.Lp(2.0))
+    val, w, method, _ = opnorm.matrix_norm(M.astype(complex), sp.Lp(2.0))
     assert method == "closed_form"
     assert val == pytest.approx(np.linalg.norm(M, 2), abs=1e-12)
 
 
 def test_matrix_norm_l1_dom_columns():
     M = np.array([[1.0, 4.0], [2.0, 0.0]])
-    val, w, method = opnorm.matrix_norm(M.astype(complex), sp.L1())
+    val, w, method, _ = opnorm.matrix_norm(M.astype(complex), sp.L1())
     assert method == "closed_form"
     assert val == pytest.approx(4.0, abs=1e-14)
 
@@ -496,7 +497,7 @@ def test_batched_iterate_not_below_reference(M, space):
     # the batch takes the same starts and steps in gemm, so it may move in
     # the last bits, never by more; the reference runs in complex128 even
     # where the batch runs in float64
-    val, w, method = opnorm.matrix_norm(M, space)
+    val, w, method, _ = opnorm.matrix_norm(M, space)
     ref, _ = reference_power_iteration(np.asarray(M, dtype=complex), space)
     assert method == "iterate"
     assert val >= ref * (1 - 1e-14)
@@ -512,7 +513,7 @@ HOMOGENEITY_M = np.random.default_rng(3).standard_normal((16, 16))
     (sp.Lp(1.5), 0.0), (sp.Lp(3.0), 0.0),
     (sp.DirectSumLp(3.0, ((4, 1.0), (6, 2.0), (6, 4.0))), 0.0),
     (sp.QSumLp(4.0, 2.0), 0.0),
-], ids=str)
+], ids=space_id)
 def test_iterate_is_homogeneous(space, rel):
     # scaling M by 2^k scales the value by 2^k bit for bit, the row rules
     # being scale-free; the stall test once read TOL absolutely below a
@@ -563,7 +564,7 @@ def _record_rule_dtypes(monkeypatch) -> list:
 
 @pytest.mark.parametrize("space", [
     sp.Lp(3.0), sp.QSumLp(4.0, 2.0),
-    sp.DirectSumLp(3.0, ((4, 1.0), (8, 2.0)))], ids=str)
+    sp.DirectSumLp(3.0, ((4, 1.0), (8, 2.0)))], ids=space_id)
 def test_real_section_iterates_in_float64(space, monkeypatch):
     # a real section runs every half-step in float64, whether it comes as
     # float64 or as complex128 with a zero imaginary part, and so does one
@@ -574,7 +575,7 @@ def test_real_section_iterates_in_float64(space, monkeypatch):
     start = np.random.default_rng(6).standard_normal(12).astype(complex)
     for A, starts in ((M, ()), (M.astype(complex), ()), (M, (start,))):
         dtypes.clear()
-        val, w, method = opnorm.matrix_norm(A, space, starts=starts)
+        val, w, method, _ = opnorm.matrix_norm(A, space, starts=starts)
         assert method == "iterate" and w.dtype == complex
         assert len(dtypes) > 2 and set(dtypes) == {np.dtype(float)}
 
@@ -587,7 +588,7 @@ def test_complex_section_or_start_iterates_in_complex128(monkeypatch):
     for A, starts in ((M + 1j * rng.standard_normal((12, 12)), ()),
                       (M, (start,))):
         dtypes.clear()
-        val, w, method = opnorm.matrix_norm(A, sp.Lp(3.0), starts=starts)
+        val, w, method, _ = opnorm.matrix_norm(A, sp.Lp(3.0), starts=starts)
         assert method == "iterate" and w.dtype == complex
         assert len(dtypes) > 2 and set(dtypes) == {np.dtype(complex)}
 
@@ -603,7 +604,7 @@ def test_iterate_floored_at_best_column_on_l3_grid():
     x = np.linspace(-2.0, 2.0, 21)[14]
     for y in np.linspace(-2.0, 2.0, 21):
         R = np.linalg.inv(M - complex(x, y) * np.eye(8))
-        val, w, _ = opnorm.matrix_norm(R, space)
+        val, w, _, _ = opnorm.matrix_norm(R, space)
         assert val >= best_column(R, space)
         assert sp.norm_array(space, R @ w) / sp.norm_array(space, w) == \
             pytest.approx(val, rel=1e-12)
@@ -648,7 +649,7 @@ def test_iterate_raises_no_overflow_warning():
     M = np.array([[1e200, 2e200], [-3e200, 5e199]], dtype=complex)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        val, w, _ = opnorm.matrix_norm(M, sp.Lp(3.0))
+        val, w, _, _ = opnorm.matrix_norm(M, sp.Lp(3.0))
     assert np.isfinite(val)
     assert best_column(M, sp.Lp(3.0)) <= val <= \
         opnorm.lp_upper_bound(M, 3.0) * (1 + 1e-12)
@@ -811,17 +812,18 @@ def test_split_takes_the_best_of_each_kind_of_block():
 
 
 def test_split_restricts_the_starts_to_each_block(monkeypatch):
+    M = np.zeros((5, 5))
+    M[3:5, 2:4] = [[1.0, 2.0], [3.0, 4.0]]
+    M[0, 4] = 1.0
     calls = []
     real = opnorm.matrix_norm
 
     def recording(B, space, cfg=opnorm.DEFAULT_CFG, starts=()):
-        calls.append((B.shape, [np.asarray(s).tolist() for s in starts]))
+        if B.shape != M.shape:          # a block's call, not the section's
+            calls.append((B.shape, [np.asarray(s).tolist() for s in starts]))
         return real(B, space, cfg, starts)
 
     monkeypatch.setattr(opnorm, "matrix_norm", recording)
-    M = np.zeros((5, 5))
-    M[3:5, 2:4] = [[1.0, 2.0], [3.0, 4.0]]
-    M[0, 4] = 1.0
     start = np.arange(1.0, 6.0)
     r = opnorm.operator_norm(op.Matrix(tuple(map(tuple, M))), sp.Lp(3.0), 5,
                              starts=(start,))
@@ -849,7 +851,7 @@ def test_sex_section_splits_to_its_2x2_block():
     for space in (sp.Lp(2.0), sp.Lp(3.0)):
         r = opnorm.operator_norm(T, space, 401)
         M = op.truncate_matrix(T, 401)
-        val, _, _ = opnorm.matrix_norm(M[1:3, 1:3], space)
+        val, _, _, _ = opnorm.matrix_norm(M[1:3, 1:3], space)
         assert r.value == val
         assert set(r.witness.support()) <= {1, 2}
         if space.p == 2:
@@ -865,11 +867,34 @@ def test_dense_section_is_not_split(p):
     M[2, :] = 0.0                       # zero rows do not matter
     assert opnorm.block_labels(M) is None
     r = section_report(M, sp.Lp(p))
-    val, w, method = opnorm.matrix_norm(M, sp.Lp(p))
+    val, w, method, _ = opnorm.matrix_norm(M, sp.Lp(p))
     assert (r.value, r.method) == (val, method)
     assert (r.witness.to_array(8) == w).all()
     if method == "iterate":
         assert r.upper == opnorm.lp_upper_bound(M, p)
+
+
+def simple_s_resolvent_inverses():
+    """Inverses of N = 8 SimpleS(3, 3) resolvents: a 2x2 block (the swap)
+    and 1x1 blocks."""
+    M = op.truncate_matrix(op.SimpleS(3.0, 3.0), 8)
+    for z in (1.4j, 0.3 - 0.7j, -1.2 + 0.4j):
+        yield np.linalg.inv(M - z * np.eye(8))
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_matrix_norm_is_the_section_norm_bit_for_bit(p):
+    # one dispatch: a resolvent cell, _inverse_norm and AC8 get what
+    # operator_norm reports, split included
+    rng = np.random.default_rng(int(10 * p))
+    mats = [reducible_section(rng, complex_entries=k % 2 == 1)
+            for k in range(3)] + list(simple_s_resolvent_inverses())
+    for M in mats:
+        assert opnorm.block_labels(M) is not None
+        val, w, method, upper = opnorm.matrix_norm(M, sp.Lp(p))
+        r = section_report(M, sp.Lp(p))
+        assert (r.value, r.method, r.upper) == (val, method, upper)
+        assert (r.witness.to_array(M.shape[0]) == w).all()
 
 
 def test_zero_section_still_warns():
@@ -879,8 +904,8 @@ def test_zero_section_still_warns():
 
 @pytest.mark.parametrize("space", [
     sp.QSumLp(4.0, 2.0), sp.DirectSumLp(3.0, ((3, 2.0), (5, 4.0))),
-    pytest.param(sp.L1(), id="L1()"), sp.Lp(INF),
-], ids=str)
+    sp.L1(), sp.Lp(INF),
+], ids=space_id)
 def test_other_spaces_are_never_split(space, monkeypatch):
     def no_split(*args):
         raise AssertionError("split on %r" % (space,))

@@ -1,0 +1,52 @@
+"""The names and shapes perfbench reads from normlab.
+
+perfbench (at the root of the repository) imports normlab functions by
+name, wraps them by name and reads their return values; a renamed function
+or a reshaped return value would otherwise show up only when the benchmark
+runs.  Nothing here changes a file under perfbench/.
+"""
+
+import json
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from normlab import opnorm
+from normlab import spaces as sp
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+import tracing  # noqa: E402
+import workloads  # noqa: E402
+
+
+@pytest.mark.parametrize("workload", sorted(workloads.GENERATORS))
+def test_warmup_requests_pass_their_checks(workload):
+    assert workloads.build(workload, 1)
+    for req in workloads.warmup(workload):
+        req.check(req.run())
+
+
+def test_tracer_wraps_and_restores_every_traced_name():
+    originals = {(owner, attr): getattr(owner, attr)
+                 for owner, attr, _, _ in tracing.SPANS + tracing.COUNTS}
+    M = np.random.default_rng(0).standard_normal((4, 4)).astype(complex)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        tracer.active = True
+        opnorm.matrix_norm(M, sp.Lp(3.0))
+        tracer.active = False
+    finally:
+        tracer.uninstall()
+    for (owner, attr), fn in originals.items():
+        assert getattr(owner, attr) is fn, attr
+    tags = [s[5] for s in tracer.spans if s[0] == "opnorm.matrix_norm"]
+    assert tags == ["iterate"]
+    values = tracing.layer_metrics(tracer, 1.0, 0.0)
+    assert values["opnorm.matrix_norm.iterate.calls"] == 1
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    assert {m["name"] for m in spec["per_layer"]} <= set(values)

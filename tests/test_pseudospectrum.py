@@ -347,6 +347,28 @@ def test_l2_grid_takes_one_values_only_svd_per_block(monkeypatch):
     assert calls == {"cond": 0, "inv": 0, "svd": -(-13 * 13 // per_block)}
 
 
+def test_l3_grid_cells_split_and_never_run_to_the_cap(monkeypatch):
+    # each SimpleS resolvent inverse is a 2x2 block and 1x1 blocks; the
+    # whole 8x8 inverse ran 4 of these cells to MAX_ITER steps
+    rule_calls = []
+    real_rule = sp.norming_functional_rows
+    real_iteration = opnorm._power_iteration
+
+    def rule(space, X):
+        rule_calls[-1] += 1
+        return real_rule(space, X)
+
+    def iteration(*args):
+        rule_calls.append(0)
+        return real_iteration(*args)
+
+    monkeypatch.setattr(sp, "norming_functional_rows", rule)
+    monkeypatch.setattr(opnorm, "_power_iteration", iteration)
+    ps.grid_scan(op.SimpleS(3.0, 3.0), sp.Lp(3.0), (-2, 2, -2, 2), 5, 0.5, 8)
+    # a row batch that runs all MAX_ITER steps makes 2 MAX_ITER - 1 calls
+    assert rule_calls and max(rule_calls) < 2 * opnorm.MAX_ITER - 1
+
+
 @pytest.mark.parametrize("space", [sp.Lp(2), sp.C0(), sp.Lp(3)],
                          ids=["l2", "c0", "l3"])
 def test_zero_section_at_zero_is_singular(space):
@@ -508,6 +530,14 @@ def test_lp111_escaping_diagonal():
     # trace of bottom-of-sphere values decreases toward the infimum 1
     values = [v for _, v in res.trace]
     assert values == sorted(values, reverse=True)
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 5, 16])
+def test_lp111_reads_no_section_wider_than_n(N):
+    # c is the infimum on T_N; the 1 + 1/(n + 1) diagonal's is 1 + 1/N
+    res = ps.lp111_perturbation(op.Diagonal("one_plus_inv"), sp.Lp(2.0), N)
+    assert max(n for n, _ in res.trace) == N
+    assert res.c == pytest.approx(1.0 + 1.0 / N, rel=1e-14)
 
 
 @pytest.mark.parametrize("T, N", [(op.ScalarMul(2.0), 16),

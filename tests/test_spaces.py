@@ -21,8 +21,16 @@ EXACT_SPACES = [
 
 
 def space_id(space) -> str:
-    """A test id: str(space), with l_1 named by its constructor."""
-    return "L1()" if space == sp.L1() else str(space)
+    """A test id: str(space), with l_1 named by its constructor, K (+)_q l_p
+    by QSumLp's arguments, and a dsum by its p, blocks and tail, if any."""
+    if space == sp.L1():
+        return "L1()"
+    if not isinstance(space, sp.DirectSumLp):
+        return str(space)
+    if space.is_qsum():
+        return "QSumLp(q=%r, p=%r)" % (space.p, space.tail)
+    tail = "" if space.tail is None else ", tail=%r" % (space.tail,)
+    return "DirectSumLp(p=%r, blocks=%r%s)" % (space.p, space.blocks, tail)
 
 
 def finite_dsum(space) -> bool:
