@@ -76,29 +76,24 @@ def maximize_swapped_f(p: float, q: float, t: float = 1.0) -> tuple:
     """Exact max of (a, b, g) -> f(b, a, t g) over K = {f(a, b, g) = 1},
     with f(a, b, g) = ||(a, ||(b, g)||_p)||_q; returns (value, argmax).
 
-    Let k = pq/|q - p| and m = t^k.  The maximum is (1 + m)^(1/k), at
-    b = 0, a^q = 1/(1 + m), g^q = m/(1 + m) when q > p, and at a = 0,
-    b^p = 1/(1 + m), g^p = m/(1 + m) when q < p.  When p = q or t = 0 it
-    is max(1, t).  Why: with u = 1 - a^q the l_p part carries
-    b^p + g^p = u^(p/q).  At fixed u the q-th power of the objective is
-    convex in b^p when q >= p, so b = 0 or g = 0 (value 1) is best, and
-    concave when q < p.  The 1-D problem left in u is concave when q > p,
-    with its stationary point at u = m/(1 + m), and convex when q < p, so
-    u = 0 (value 1) or u = 1 (a = 0) is best.  The value is taken as
+    Let k = pq/|q - p| (k = p at q = inf, where 1/q = 0) and m = t^k.
+    The maximum is (1 + m)^(1/k), at b = 0, a^q = 1/(1 + m),
+    g^q = m/(1 + m) when q > p, and at a = 0, b^p = 1/(1 + m),
+    g^p = m/(1 + m) when q < p.  When p = q or t = 0 it is max(1, t).
+    Why: with u = 1 - a^q the l_p part carries b^p + g^p = u^(p/q).  At
+    fixed u the q-th power of the objective is convex in b^p when q >= p,
+    so b = 0 or g = 0 (value 1) is best, and concave when q < p.  The 1-D
+    problem left in u is concave when q > p, with its stationary point at
+    u = m/(1 + m), and convex when q < p, so u = 0 (value 1) or u = 1
+    (a = 0) is best.  The value is taken as
     max(1, t) (1 + min(t, 1/t)^k)^(1/k), so m is never formed and cannot
     overflow.
     """
     if t < 0:
         raise ValueError("t must be non-negative")
-    if q == INF:
-        # closed branch analysis: best is alpha = gamma = 1, beta = 0
-        val = (1.0 + t ** p) ** (1.0 / p)
-        if val >= 1.0:
-            return val, (1.0, 0.0, 1.0)
-        return 1.0, (0.0, 1.0, 0.0)
     if p == q or t == 0:
         return (t, (0.0, 0.0, 1.0)) if t > 1 else (1.0, (1.0, 0.0, 0.0))
-    k = p * q / abs(q - p)
+    k = p if q == INF else p * q / abs(q - p)
     s = min(t, 1.0 / t) ** k
     val = max(1.0, t) * (1.0 + s) ** (1.0 / k)
     # 1/(1 + m) and m/(1 + m), with s = m for t <= 1 and s = 1/m for t > 1
@@ -107,15 +102,6 @@ def maximize_swapped_f(p: float, q: float, t: float = 1.0) -> tuple:
     if q > p:
         return val, (rest ** (1.0 / q), 0.0, u ** (1.0 / q))
     return val, (0.0, rest ** (1.0 / p), u ** (1.0 / p))
-
-
-def max_f_over_K(p: float, q: float) -> tuple:
-    """Maximal value C = 2^(1/p - 1/q) of the swapped norm surrogate on K
-    and its argmax: maximize_swapped_f at t = 1.  Requires 1 < p < q <= inf.
-    """
-    if not (1 < p < q):
-        raise ValueError("reduction needs 1 < p < q")
-    return maximize_swapped_f(p, q, t=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -389,35 +375,26 @@ def operator_norm(T, space, N: int, cfg: OpnormConfig = DEFAULT_CFG,
     N = require_trunc(N, "N")
     require_norming(space)
 
-    # closed forms that bypass the section matrix; on a dsum with no tail
-    # they refuse a section with a nonzero entry past the block partition,
-    # as the section's own norm would
-    end = (space.total_size() if isinstance(space, sp.DirectSumLp)
-           and space.tail is None else N)
     if isinstance(T, (op.Identity, op.ScalarMul, op.Diagonal)):
-        if isinstance(T, op.Diagonal):
-            # np.hypot gives abs()'s bits, np.abs of a complex array may not
-            d = op.diagonal_entries(T, N)
-            dvals = np.hypot(d.real, d.imag)
-            i = int(np.argmax(dvals))
-            val, tag, past = float(dvals[i]), "inconclusive", dvals[end:].any()
-        else:
-            i = 0
-            val = abs(1.0 if isinstance(T, op.Identity) else complex(T.lam))
-            tag, past = "attained", val != 0 and N > end
-        if past:
+        # np.hypot gives abs()'s bits, np.abs of a complex array may not
+        d = op.diagonal_entries(T, N)
+        dvals = np.hypot(d.real, d.imag)
+        # on a dsum with no tail, a nonzero entry past the block partition
+        # is refused, as the section's own norm would refuse it
+        if (isinstance(space, sp.DirectSumLp) and space.tail is None
+                and dvals[space.total_size():].any()):
             raise ValueError("support exceeds the block partition")
+        i = int(np.argmax(dvals))
+        val = float(dvals[i])
+        tag = "inconclusive" if isinstance(T, op.Diagonal) else "attained"
         return NormReport(val, Coeffs.basis(i), "closed_form", ((N, val),),
                           tag, (float(i),))
     if isinstance(T, op.RankOne):
-        fN = T.functional.to_array(N)
-        vN = T.vector.to_array(N)
-        dual = sp.dual_space(space)
-        val = sp.norm_array(dual, fN) * sp.norm_array(space, vN)
-        warr = sp.norming_functional_array(dual, fN)
-        w = Coeffs.from_array(warr)
-        return NormReport(val, w, "closed_form", ((N, val),), "inconclusive",
-                          (_centroid(warr),))
+        fnorm, F = sp.norming_functional_rows(
+            sp.dual_space(space), T.functional.to_array(N)[None])
+        val = float(fnorm[0]) * sp.norm_array(space, T.vector.to_array(N))
+        return NormReport(val, Coeffs.from_array(F[0]), "closed_form",
+                          ((N, val),), "inconclusive", (_centroid(F[0]),))
     if (isinstance(T, (op.SimpleS, op.SimpleR))
             and isinstance(space, sp.DirectSumLp) and space.is_qsum()):
         # the largest shrink (S) or expand (R) factor in the section and

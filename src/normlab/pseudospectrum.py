@@ -301,9 +301,10 @@ def att1_perturbation(T, space, z: complex, eps: float,
     With x a unit resolvent witness, c = ||(T-zI)^{-1}x||, y the normalized
     resolvent image and f a norming functional of y, the perturbation
     A u = -c^{-1} f(u) x satisfies (T+A)y = zy exactly.  A z that is not
-    finite is refused with a ValueError.
+    finite, or an N that require_trunc refuses, raises a ValueError.
     """
     require_finite((z,), "z = %r" % (z,))
+    N = require_trunc(N, "N")
     # one section wide enough to hold Ty: its leading N-block is T_N
     Tw = op.truncate_matrix(T, N + TAIL)
     A = Tw[:N, :N] - complex(z) * np.eye(N, dtype=complex)
@@ -379,6 +380,7 @@ def lp111_perturbation(T, space, N: int) -> Lp111Result:
     gives the rank-one S = -phi(.) T x_hat; escaping minimizers give the
     block construction over a disjointified family.
     """
+    N = require_trunc(N, "N")
     Ns = sorted({min(n, N) for n in (max(2, N // 8), max(3, N // 4),
                                      max(4, N // 2), N)})
     # every section below is a leading block of this one

@@ -61,8 +61,11 @@ def _plain(obj):
     return obj.item() if isinstance(obj, np.generic) else obj
 
 
-def _result(cid, ok, **details):
-    return CheckResult(cid, bool(ok), details)
+def _result(cid, ok=True, **details):
+    """A CheckResult: a check with rows passes exactly when every row does,
+    and one without (qseq, AC6) gives its own verdict ok."""
+    rows = details.get("rows", ())
+    return CheckResult(cid, bool(ok and all(r["ok"] for r in rows)), details)
 
 
 # ---------------------------------------------------------------------------
@@ -101,7 +104,6 @@ def check_ac1() -> CheckResult:
     differ by ~2e-3 at N = 10 and coincide in the limit).
     """
     rows = []
-    ok = True
     for p, q in ((2.0, 4.0), (2.0, INF)):
         space = sp.QSumLp(q, p)
         C = 2.0 ** (1.0 / p - (0.0 if q == INF else 1.0 / q))
@@ -122,21 +124,18 @@ def check_ac1() -> CheckResult:
                          "witness_lower_bound": witness_lb,
                          "balanced_next": balanced_next, "C": C,
                          "ok": row_ok})
-            ok = ok and row_ok
-        ok = ok and scan.attainment == "escaping"
         rows.append({"p": p, "q": "inf" if q == INF else q,
                      "attainment": scan.attainment,
                      "ok": scan.attainment == "escaping"})
-    return _result("AC1", ok, rows=rows)
+    return _result("AC1", rows=rows)
 
 
 def check_ac2() -> CheckResult:
     """Constrained maximization recovers C = 2^{1/p-1/q} and its argmax."""
     pairs = ((2.0, 4.0), (2.0, INF), (1.5, 3.0), (3.0, 6.0), (2.0, 8.0))
     rows = []
-    ok = True
     for p, q in pairs:
-        C, (a, b, g) = opnorm.max_f_over_K(p, q)
+        C, (a, b, g) = opnorm.maximize_swapped_f(p, q)
         invq = 0.0 if q == INF else 1.0 / q
         C_true = 2.0 ** (1.0 / p - invq)
         coord = 2.0 ** (-invq)
@@ -144,8 +143,7 @@ def check_ac2() -> CheckResult:
                   and abs(b) < AC2_TOL and abs(g - coord) < AC2_TOL)
         rows.append({"p": p, "q": "inf" if q == INF else q, "C": C,
                      "C_true": C_true, "argmax": [a, b, g], "ok": row_ok})
-        ok = ok and row_ok
-    return _result("AC2", ok, rows=rows)
+    return _result("AC2", rows=rows)
 
 
 def check_ac3() -> CheckResult:
@@ -154,7 +152,6 @@ def check_ac3() -> CheckResult:
     sections = ((op.truncate_matrix(op.Tc0(), 30), sp.C0(), "tc0"),
                 (op.truncate_matrix(op.Tl1(), 30), sp.L1(), "tl1"))
     rows = []
-    ok = True
     for _ in range(20):
         r = rng.uniform(0.5, 3.0)
         theta = rng.uniform(0.0, 2.0 * math.pi)
@@ -166,8 +163,7 @@ def check_ac3() -> CheckResult:
             row_ok = rel < AC3_REL_TOL
             rows.append({"op": name, "z": [z.real, z.imag], "value": val,
                          "law": law, "rel_err": rel, "ok": row_ok})
-            ok = ok and row_ok
-    return _result("AC3", ok, rows=rows)
+    return _result("AC3", rows=rows)
 
 
 def check_ac4() -> CheckResult:
@@ -177,7 +173,6 @@ def check_ac4() -> CheckResult:
     1 + 1 = 2 = 1/eps at |z| = 1).  One scan serves every eps.
     """
     rows = []
-    ok = True
     cell = 6.0 / (AC4_RESOLUTION - 1)
     eps_values = (0.1, 0.5, 1.0)
     grid = ps.grid_scan(op.Tc0(), sp.C0(), (-3, 3, -3, 3),
@@ -190,15 +185,13 @@ def check_ac4() -> CheckResult:
             row_ok = row_ok and abs(expected - 1.0) < 1e-12
         rows.append({"eps": eps, "radius": measured, "expected": expected,
                      "cell_width": cell, "ok": row_ok})
-        ok = ok and row_ok
-    return _result("AC4", ok, rows=rows)
+    return _result("AC4", rows=rows)
 
 
 def check_ac5() -> CheckResult:
     """Minkowski-norm identities: ||e2+e_{n+2}|| = 1, ||e1+e2+e_{n+2}|| = 1/q_n."""
     qseq = sp.QSeqParams()
     rows = []
-    ok = True
     for n in range(1, 11):
         v1, _ = convex.minkowski_norm(Coeffs.basis(2) + Coeffs.basis(n + 2),
                                       max(n, 4))
@@ -208,8 +201,7 @@ def check_ac5() -> CheckResult:
         row_ok = abs(v1 - 1.0) < AC5_TOL and abs(v2 - target) < AC5_TOL
         rows.append({"n": n, "pair_norm": v1, "triple_norm": v2,
                      "inv_q_n": target, "ok": row_ok})
-        ok = ok and row_ok
-    return _result("AC5", ok, rows=rows)
+    return _result("AC5", rows=rows)
 
 
 def check_ac6() -> CheckResult:
@@ -234,7 +226,6 @@ def check_ac6() -> CheckResult:
 def check_ac7() -> CheckResult:
     """30 eigenvalue-planting certificates re-verify residual and norm."""
     rows = []
-    ok = True
     cases = []
     for k in range(10):
         cases.append((op.ScalarMul(0.0), sp.Lp(2.0), 0.05 * (k + 1) * 1j
@@ -256,8 +247,7 @@ def check_ac7() -> CheckResult:
                                                    complex(z).imag],
                      "eps": eps, "residual": chk["residual"],
                      "norm_A": chk["norm_A"], "ok": row_ok})
-        ok = ok and row_ok
-    return _result("AC7", ok, count=len(rows), rows=rows)
+    return _result("AC7", count=len(rows), rows=rows)
 
 
 def sphere_grid_norm(M: np.ndarray, p: float) -> float:
@@ -367,7 +357,6 @@ def check_ac8() -> CheckResult:
     rng = np.random.default_rng(SEED)
     exps = [1.5, 2.0, 3.0, INF]
     rows = []
-    ok = True
     opnorm_s = oracle_s = 0.0
     for k in range(50):
         n = 4 if k < 10 else int(rng.integers(2, 4))
@@ -384,8 +373,7 @@ def check_ac8() -> CheckResult:
         rows.append({"k": k, "n": n, "p": "inf" if p == INF else p,
                      "value": val, "oracle": oracle, "method": method,
                      "ok": row_ok})
-        ok = ok and row_ok
-    return _result("AC8", ok, rows=rows, opnorm_s=opnorm_s,
+    return _result("AC8", rows=rows, opnorm_s=opnorm_s,
                    oracle_s=oracle_s)
 
 
@@ -393,7 +381,6 @@ def check_ac9() -> CheckResult:
     """Norm-splitting defect: exactly 0 on disjoint supports, decaying with
     shift, below 1e-6 by shift 40."""
     rows = []
-    ok = True
     x = Coeffs({i: 2.0 ** (-i) for i in range(12)})
     block = [1.0, 0.5, 0.25]
     for p in (1.5, 2.0, 3.0):
@@ -408,8 +395,7 @@ def check_ac9() -> CheckResult:
                   and abs(defects[-1]) <= abs(defects[0]))
         rows.append({"p": p, "first_defect": defects[0],
                      "last_defect": defects[-1], "ok": row_ok})
-        ok = ok and row_ok
-    return _result("AC9", ok, rows=rows)
+    return _result("AC9", rows=rows)
 
 
 def check_ac10() -> CheckResult:
@@ -418,13 +404,11 @@ def check_ac10() -> CheckResult:
              (op.SimpleS(2.0, 4.0), sp.QSumLp(4.0, 2.0), 24, "fixed"),
              (op.Diagonal("one_plus_inv"), sp.Lp(2.0), 32, "escaping"))
     rows = []
-    ok = True
     for T, space, N, want_case in cases:
         res = ps.lp111_perturbation(T, space, N)
         if not res.emitted:
             rows.append({"op": type(T).__name__, "case": res.case,
                          "ok": False})
-            ok = False
             continue
         normS = opnorm.operator_norm(res.S, space, N).value
         row_ok = (res.case == want_case
@@ -432,8 +416,7 @@ def check_ac10() -> CheckResult:
                   and res.new_inf < AC10_INF_TOL)
         rows.append({"op": type(T).__name__, "case": res.case, "c": res.c,
                      "norm_S": normS, "new_inf": res.new_inf, "ok": row_ok})
-        ok = ok and row_ok
-    return _result("AC10", ok, rows=rows)
+    return _result("AC10", rows=rows)
 
 
 def check_qseq() -> CheckResult:

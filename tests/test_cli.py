@@ -714,6 +714,24 @@ def test_verify_failure_exit_code(monkeypatch, tmp_path):
     assert report["all_ok"] is False
 
 
+def test_one_failing_row_fails_its_check(monkeypatch):
+    # AC2 with one input pair's maximum nudged off C: that row alone fails,
+    # and so do the check and the verify run
+    real = verify.opnorm.maximize_swapped_f
+
+    def nudged(p, q, t=1.0):
+        val, arg = real(p, q, t)
+        return (val + 1e-3 if (p, q) == (1.5, 3.0) else val), arg
+
+    monkeypatch.setattr(verify.opnorm, "maximize_swapped_f", nudged)
+    result = verify.check_ac2()
+    assert [r["ok"] for r in result.details["rows"]] == [
+        True, True, False, True, True]
+    assert result.ok is False
+    code, out = run(["verify", "--only", "AC2"])
+    assert (code, out) == (4, "AC2: FAIL\n")
+
+
 def test_broken_qseq_rule_fails_check(monkeypatch):
     assert verify.check_qseq().ok
     monkeypatch.setattr(sp.QSeqParams, "q", lambda self, n: 0.8)

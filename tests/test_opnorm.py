@@ -73,6 +73,18 @@ def test_identity_attained():
     assert r.value == 1.0 and r.attainment == "attained"
 
 
+@pytest.mark.parametrize(
+    "space", [sp.Lp(2.0), sp.DirectSumLp(2.0, ((2, 1.0),))], ids=space_id)
+def test_tiny_scalar_reads_as_its_pruned_diagonal(space):
+    # 1e-301 is below PRUNE_TOL: the section and apply hold zeros, so the
+    # closed form reads 0.0, as the explicit diagonal does, and nothing
+    # lies past a tail-less dsum's partition
+    r = opnorm.operator_norm(op.ScalarMul(1e-301), space, 5)
+    assert (r.value, r.attainment) == (0.0, "attained")
+    assert opnorm.operator_norm(
+        op.Diagonal("explicit", (1e-301,)), space, 5).value == 0.0
+
+
 def test_rank_one_closed_form():
     T = op.RankOne(Coeffs.basis(1) + Coeffs.basis(2), Coeffs.basis(0))
     # on l_2 the functional has norm sqrt(2)
@@ -98,19 +110,27 @@ def test_tc0_shifted_norm_law():
 # -- the three-variable reduction ---------------------------------------------
 
 def test_max_f_over_k_examples():
-    C, arg = opnorm.max_f_over_K(2.0, 4.0)
+    # at t = 1 the maximum is C = 2^(1/p - 1/q)
+    C, arg = opnorm.maximize_swapped_f(2.0, 4.0)
     assert C == pytest.approx(2.0 ** 0.25, abs=1e-10)
     assert arg == pytest.approx((2.0 ** -0.25, 0.0, 2.0 ** -0.25), abs=1e-6)
-    C, arg = opnorm.max_f_over_K(2.0, INF)
+    C, arg = opnorm.maximize_swapped_f(2.0, INF)
     assert C == pytest.approx(math.sqrt(2), abs=1e-12)
     assert arg == (1.0, 0.0, 1.0)
 
 
-def test_max_f_over_k_rejects_bad_exponents():
-    with pytest.raises(ValueError):
-        opnorm.max_f_over_K(4.0, 4.0)
-    with pytest.raises(ValueError):
-        opnorm.max_f_over_K(4.0, 2.0)
+def test_maximize_swapped_f_at_q_inf_takes_the_general_form():
+    # k = p and 1/q = 0: max(1, t) (1 + min(t, 1/t)^p)^(1/p), which is
+    # (1 + t^p)^(1/p) up to the last bit
+    assert opnorm.maximize_swapped_f(2.0, INF, 1.5) == (
+        1.8027756377319948, (1.0, 0.0, 1.0))
+    assert opnorm.maximize_swapped_f(2.0, INF, 0.0) == (1.0, (1.0, 0.0, 0.0))
+
+
+def test_maximize_swapped_f_at_q_inf_does_not_overflow():
+    # t^p is never formed, so a huge t gives a finite value
+    val, arg = opnorm.maximize_swapped_f(1.5, INF, 1e300)
+    assert val == pytest.approx(1e300, rel=1e-15) and arg == (1.0, 0.0, 1.0)
 
 
 REF_F_GRID = 48

@@ -6,6 +6,8 @@ or a reshaped return value would otherwise show up only when the benchmark
 runs.  Nothing here changes a file under perfbench/.
 """
 
+import ast
+import importlib
 import json
 import sys
 from pathlib import Path
@@ -50,3 +52,31 @@ def test_tracer_wraps_and_restores_every_traced_name():
     assert values["opnorm.matrix_norm.iterate.calls"] == 1
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     assert {m["name"] for m in spec["per_layer"]} <= set(values)
+
+
+def normlab_reads(path):
+    """(module, attribute) for each `name.attr` that a perfbench file reads
+    from a name it imports from normlab (a module, or a name in one)."""
+    tree = ast.parse(path.read_text())
+    bound = {}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.ImportFrom) and node.module
+                and node.module.split(".")[0] == "normlab"):
+            for a in node.names:
+                bound[a.asname or a.name] = (node.module, a.name)
+    return {(bound[node.value.id], node.attr) for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name) and node.value.id in bound}
+
+
+def test_every_normlab_attribute_perfbench_reads_resolves():
+    # a deletion that breaks a request outside the warm-ups fails here, not
+    # only when the benchmark runs
+    reads = set()
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        reads |= normlab_reads(path)
+    assert (("normlab", "verify"), "swap_section_norm") in reads
+    assert (("normlab", "convex"), "Decomposition") in reads
+    for (module, name), attr in sorted(reads):
+        owner = getattr(importlib.import_module(module), name)
+        assert hasattr(owner, attr), "%s.%s.%s" % (module, name, attr)

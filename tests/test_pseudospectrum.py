@@ -540,6 +540,20 @@ def test_lp111_reads_no_section_wider_than_n(N):
     assert res.c == pytest.approx(1.0 + 1.0 / N, rel=1e-14)
 
 
+@pytest.mark.parametrize("N, message", [
+    (0, "N must be positive"), (-1, "N must be positive"),
+    (2.5, "N must be an integer, got 2.5")], ids=["0", "-1", "2.5"])
+@pytest.mark.parametrize("build", [
+    lambda N: ps.att1_perturbation(op.Tc0(), sp.C0(), 0.3, 1.0, N),
+    lambda N: ps.lp111_perturbation(op.Diagonal("one_plus_inv"),
+                                    sp.Lp(2.0), N)], ids=["att1", "lp111"])
+def test_perturbations_refuse_a_bad_truncation(build, N, message):
+    # checked before the (N + TAIL)-section is built: N = 0 once raised
+    # numpy's IndexError, N = -1 a negative slice and N = 2.5 named 10.5
+    with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+        build(N)
+
+
 @pytest.mark.parametrize("T, N", [(op.ScalarMul(2.0), 16),
                                   (op.Diagonal("one_plus_inv"), 32)],
                          ids=["fixed", "escaping"])
