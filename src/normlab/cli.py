@@ -203,31 +203,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None, stdout=None) -> int:
     stdout = stdout if stdout is not None else sys.stdout
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit:             # --help
-        return EXIT_OK
-    except UsageError as exc:
-        sys.stderr.write("error: %s\n" % exc)
-        return EXIT_USAGE
-    handler = {"norm": cmd_norm, "opnorm": cmd_opnorm,
-               "pspec": cmd_pspec, "verify": cmd_verify}[args.command]
-    try:
+        args = build_parser().parse_args(argv)
+        handler = {"norm": cmd_norm, "opnorm": cmd_opnorm,
+                   "pspec": cmd_pspec, "verify": cmd_verify}[args.command]
         # an overflowing intermediate (the unscaled l_p sum) is rescaled or
         # shows in the output as inf; numpy's warning adds nothing to stderr
         with np.errstate(over="ignore"):
             return handler(args, stdout)
-    except UsageError as exc:
+    except SystemExit:             # --help
+        return EXIT_OK
+    # a RecursionError is JSON or an operator nested too deep to walk
+    except (UsageError, ValueError, KeyError, NotImplementedError,
+            OverflowError, RecursionError, op.UnboundedImageError,
+            IOError) as exc:
         sys.stderr.write("error: %s\n" % exc)
-        return EXIT_USAGE
-    except (ValueError, KeyError, NotImplementedError, OverflowError,
-            op.UnboundedImageError) as exc:
-        sys.stderr.write("error: %s\n" % exc)
-        return EXIT_USAGE
-    except IOError as exc:
-        sys.stderr.write("error: %s\n" % exc)
-        return EXIT_IO
+        return EXIT_IO if isinstance(exc, IOError) else EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -38,15 +38,16 @@ def require_int(value, what: str) -> int:
     return n
 
 
-def require_trunc(value, what: str) -> int:
-    """A truncation from input data: an integer in [1, MAX_TRUNC], checked
-    before anything of its size is allocated."""
+def require_trunc(value, what: str, room: int = 0) -> int:
+    """A truncation from input data: an integer in [1, MAX_TRUNC - room],
+    so that a section room rows wider fits too; checked before anything of
+    its size is allocated."""
     n = require_int(value, what)
     if n < 1:
         raise ValueError("%s must be positive" % what)
-    if n > MAX_TRUNC:
+    if n > MAX_TRUNC - room:
         raise ValueError("%s = %d exceeds the largest truncation, %d"
-                         % (what, n, MAX_TRUNC))
+                         % (what, n, MAX_TRUNC - room))
     return n
 
 

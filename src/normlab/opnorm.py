@@ -76,7 +76,7 @@ def maximize_swapped_f(p: float, q: float, t: float = 1.0) -> tuple:
     """Exact max of (a, b, g) -> f(b, a, t g) over K = {f(a, b, g) = 1},
     with f(a, b, g) = ||(a, ||(b, g)||_p)||_q; returns (value, argmax).
 
-    Let k = pq/|q - p| (k = p at q = inf, where 1/q = 0) and m = t^k.
+    Let k = pq/|q - p| (k = p at q = inf, k = q at p = inf) and m = t^k.
     The maximum is (1 + m)^(1/k), at b = 0, a^q = 1/(1 + m),
     g^q = m/(1 + m) when q > p, and at a = 0, b^p = 1/(1 + m),
     g^p = m/(1 + m) when q < p.  When p = q or t = 0 it is max(1, t).
@@ -93,7 +93,7 @@ def maximize_swapped_f(p: float, q: float, t: float = 1.0) -> tuple:
         raise ValueError("t must be non-negative")
     if p == q or t == 0:
         return (t, (0.0, 0.0, 1.0)) if t > 1 else (1.0, (1.0, 0.0, 0.0))
-    k = p if q == INF else p * q / abs(q - p)
+    k = p if q == INF else q if p == INF else p * q / abs(q - p)
     s = min(t, 1.0 / t) ** k
     val = max(1.0, t) * (1.0 + s) ** (1.0 / k)
     # 1/(1 + m) and m/(1 + m), with s = m for t <= 1 and s = 1/m for t > 1

@@ -5,7 +5,8 @@ above 1/eps), its closure relaxation (>=), and the level set (= 1/eps within
 a relative band).  Two constructive routines produce rank-one certificates:
 an eigenvalue-planting perturbation from a resolvent witness, and a
 norm-c perturbation S with inf ||(T+S)x|| ~ 0 built either from a converging
-minimizer or from a disjointified escaping family.
+minimizer or from a disjointified escaping family.  A planting certificate
+is (A, z, y, eps, N); verify_cert computes its residual and ||A||.
 """
 
 from __future__ import annotations
@@ -88,7 +89,7 @@ def _inverse_norm(A: np.ndarray, space,
     and the inverse are needed too, so on l_p, 1 < p < inf, the inverse is
     split into its blocks as a resolvent cell's is.  On l_2 it may differ
     in the last bits from resolvent_norm's 1/sigma_min, far inside
-    att1_perturbation's 1e-10 slack.
+    att1_perturbation's slack CERT_NORM_SLACK.
     """
     inv, singular = _invert(A[None])
     if singular[0]:
@@ -283,13 +284,17 @@ def rank_one_strict_radius(eps: float) -> float:
 # eigenvalue-planting certificates
 # ---------------------------------------------------------------------------
 
+# verify_cert passes a certificate whose residual is below CERT_RESIDUAL_TOL
+# and whose ||A|| is at most eps + CERT_NORM_SLACK
+CERT_RESIDUAL_TOL = 1e-10
+CERT_NORM_SLACK = 1e-10
+
+
 @dataclass(frozen=True)
 class PerturbationCert:
     A: op.OperatorSpec          # rank-one
     z: complex
     y: Coeffs                   # claimed eigenvector of T + A
-    residual: float
-    norm_A: float
     eps: float
     N: int
 
@@ -301,24 +306,23 @@ def att1_perturbation(T, space, z: complex, eps: float,
     With x a unit resolvent witness, c = ||(T-zI)^{-1}x||, y the normalized
     resolvent image and f a norming functional of y, the perturbation
     A u = -c^{-1} f(u) x satisfies (T+A)y = zy exactly.  A z that is not
-    finite, or an N that require_trunc refuses, raises a ValueError.
+    finite, or an N whose (N + TAIL)-section verify_cert could not build,
+    raises a ValueError.
     """
     require_finite((z,), "z = %r" % (z,))
-    N = require_trunc(N, "N")
-    # one section wide enough to hold Ty: its leading N-block is T_N
-    Tw = op.truncate_matrix(T, N + TAIL)
-    A = Tw[:N, :N] - complex(z) * np.eye(N, dtype=complex)
+    N = require_trunc(N, "N", TAIL)
+    A = op.truncate_matrix(T, N) - complex(z) * np.eye(N, dtype=complex)
     c, x, inv = _inverse_norm(A, space)
     if c == math.inf:
         # z is an eigenvalue of the section already; A = 0 certifies it
         _, _, vh = np.linalg.svd(A)
         y = np.conj(vh[-1])
         y = y / sp.norm_array(space, y)
-        pert, Ay, norm_A = op.ScalarMul(0.0), np.zeros(N), 0.0
+        pert = op.ScalarMul(0.0)
     else:
         if x is None or not np.any(x):
             raise RuntimeError("no resolvent witness found on this truncation")
-        if 1.0 / c > eps + 1e-10:
+        if 1.0 / c > eps + CERT_NORM_SLACK:
             raise ValueError(
                 "1/c = %.6g exceeds eps = %.6g: z outside the non-strict set "
                 "on this truncation" % (1.0 / c, eps))
@@ -326,21 +330,15 @@ def att1_perturbation(T, space, z: complex, eps: float,
         f = sp.norming_functional_array(space, y)
         pert = op.RankOne(Coeffs.from_array(f),
                           Coeffs.from_array(-x / c))
-        Ay = -(np.dot(f, y) / c) * x
-        norm_A = float(rank_one_norm(pert, space))
-    # residual of (T + A)y = zy on the wide section
-    yw = np.pad(y, (0, TAIL))
-    img = Tw @ yw + np.pad(Ay, (0, TAIL)) - complex(z) * yw
-    return PerturbationCert(pert, complex(z), Coeffs.from_array(y),
-                            float(sp.norm_array(space, img)), norm_A, eps, N)
+    return PerturbationCert(pert, complex(z), Coeffs.from_array(y), eps, N)
 
 
 def verify_cert(T, space, cert: PerturbationCert) -> dict:
-    """Re-verify a certificate with independent norm and residual evaluations."""
-    wide = max(cert.N, cert.y.dim_hint) + TAIL
-    yw = cert.y.to_array(wide)
-    Tw = op.truncate_matrix(T, wide) + op.truncate_matrix(cert.A, wide)
-    resid = sp.norm_array(space, Tw @ yw - cert.z * yw)
+    """Evaluate a certificate: its residual ||(T + A - zI)y|| on the
+    (N + TAIL)-section and ||A||, rank_one_norm or |lambda|."""
+    N = require_trunc(max(cert.N, cert.y.dim_hint), "N", TAIL)
+    resid = _residual(op.truncate_matrix(T, N + TAIL), cert.A, cert.z,
+                      cert.y.to_array(N), space)
     if isinstance(cert.A, op.RankOne):
         norm_A = rank_one_norm(cert.A, space)
     elif isinstance(cert.A, op.ScalarMul):
@@ -349,8 +347,17 @@ def verify_cert(T, space, cert: PerturbationCert) -> dict:
         # a section norm of a general A is only a lower bound on ||A||
         raise TypeError("no certified norm for a %s perturbation"
                         % type(cert.A).__name__)
-    ok = resid < 1e-10 and norm_A <= cert.eps + 1e-10
-    return {"ok": bool(ok), "residual": float(resid), "norm_A": float(norm_A)}
+    ok = resid < CERT_RESIDUAL_TOL and norm_A <= cert.eps + CERT_NORM_SLACK
+    return {"ok": bool(ok), "residual": resid, "norm_A": float(norm_A)}
+
+
+def _residual(Tw: np.ndarray, S, z: complex, y: np.ndarray, space) -> float:
+    """||(T + S - zI)y|| on the leading len(y) + TAIL block of T's section
+    Tw: the one residual of a certificate or a singularizing S."""
+    wide = len(y) + TAIL
+    yw = np.pad(y, (0, TAIL))
+    M = Tw[:wide, :wide] + op.truncate_matrix(S, wide)
+    return float(sp.norm_array(space, M @ yw - z * yw))
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +387,7 @@ def lp111_perturbation(T, space, N: int) -> Lp111Result:
     gives the rank-one S = -phi(.) T x_hat; escaping minimizers give the
     block construction over a disjointified family.
     """
-    N = require_trunc(N, "N")
+    N = require_trunc(N, "N", TAIL)
     Ns = sorted({min(n, N) for n in (max(2, N // 8), max(3, N // 4),
                                      max(4, N // 2), N)})
     # every section below is a leading block of this one
@@ -404,7 +411,7 @@ def lp111_perturbation(T, space, N: int) -> Lp111Result:
         phi = sp.norming_functional_array(space, xhat)
         Tx = Tw @ np.pad(xhat, (0, TAIL))
         S = op.RankOne(Coeffs.from_array(phi), Coeffs.from_array(-Tx))
-        new_inf = _perturbed_value(Tw, S, space, xhat)
+        new_inf = _residual(Tw, S, 0.0, xhat, space)
         return Lp111Result("fixed", S, c, new_inf, tuple(trace))
 
     if tag == "escaping":
@@ -433,15 +440,8 @@ def lp111_perturbation(T, space, N: int) -> Lp111Result:
             terms.append(op.RankOne(phi, (-c_used / cm) * v))
         S = op.Sum(tuple(terms))
         k = int(np.argmin(cms))
-        new_inf = _perturbed_value(Tw, S, space,
-                                   blocks[k][0].to_array())
+        new_inf = _residual(Tw, S, 0.0, blocks[k][0].to_array(), space)
         return Lp111Result("escaping", S, c_used, new_inf, tuple(trace))
 
     return Lp111Result("inconclusive", None, c, None, tuple(trace))
 
-
-def _perturbed_value(Tw: np.ndarray, S, space, x: np.ndarray) -> float:
-    """||(T + S)x|| on the leading len(x)+TAIL block of T's section Tw."""
-    wide = len(x) + TAIL
-    M = Tw[:wide, :wide] + op.truncate_matrix(S, wide)
-    return float(sp.norm_array(space, M @ np.pad(x, (0, wide - len(x)))))

@@ -242,6 +242,16 @@ def test_out_of_domain_input_is_usage_error(argv, capsys):
     assert_usage_error(argv, capsys)
 
 
+@pytest.mark.parametrize("argv", [
+    ["norm", "--space", LP2, "--vector", "[" * 5000],
+    ["opnorm", "--space", LP2, "--operator",
+     '{"op":"sum","terms":[' * 900 + '{"op":"scalar","re":1}' + "]}" * 900],
+], ids=["vector", "operator"])
+def test_deep_json_nesting_is_usage_error(argv, capsys):
+    # json and the operator walk recurse; a RecursionError is one error line
+    assert_usage_error(argv, capsys)
+
+
 HUGE = "1000000000000"
 
 

@@ -133,6 +133,17 @@ def test_maximize_swapped_f_at_q_inf_does_not_overflow():
     assert val == pytest.approx(1e300, rel=1e-15) and arg == (1.0, 0.0, 1.0)
 
 
+@pytest.mark.parametrize("t", [0.5, 2.0])
+def test_maximize_swapped_f_at_p_inf_takes_k_q(t):
+    # pq/|q - p| is inf/inf at p = inf, and its limit is k = q: the max
+    # over K is (1 + t^3)^(1/3) at a = 0, b = g = 1 (b, g: the l_inf part)
+    val, arg = opnorm.maximize_swapped_f(INF, 3.0, t)
+    assert val == pytest.approx((1.0 + t ** 3) ** (1.0 / 3.0), rel=1e-15)
+    assert arg == (0.0, 1.0, 1.0)
+    assert val == pytest.approx(opnorm.maximize_swapped_f(1e9, 3.0, t)[0],
+                                rel=1e-8)
+
+
 REF_F_GRID = 48
 
 

@@ -415,17 +415,18 @@ def test_grid_scan_memory_stays_near_one_block():
 
 def test_att1_zero_operator():
     cert = ps.att1_perturbation(ZERO, sp.Lp(2), 0.5, 1.0, 8)
-    assert cert.residual < 1e-12
-    assert cert.norm_A == pytest.approx(0.5, abs=1e-12)
     chk = ps.verify_cert(ZERO, sp.Lp(2), cert)
+    assert chk["residual"] < 1e-12
+    assert chk["norm_A"] == pytest.approx(0.5, abs=1e-12)
     assert chk["ok"]
 
 
 def test_att1_tc0():
     cert = ps.att1_perturbation(op.Tc0(), sp.C0(), -1.0, 0.51, 20)
-    assert cert.residual < 1e-10
-    assert cert.norm_A <= 0.51 + 1e-10
-    assert ps.verify_cert(op.Tc0(), sp.C0(), cert)["ok"]
+    chk = ps.verify_cert(op.Tc0(), sp.C0(), cert)
+    assert chk["residual"] < 1e-10
+    assert chk["norm_A"] <= 0.51 + 1e-10
+    assert chk["ok"]
 
 
 def test_att1_singular_residual_on_wide_section():
@@ -435,16 +436,15 @@ def test_att1_singular_residual_on_wide_section():
     T = op.RankOne(Coeffs.from_array(np.ones(6)), Coeffs.basis(8))
     cert = ps.att1_perturbation(T, sp.Lp(2), 0.0, 0.5, 6)
     chk = ps.verify_cert(T, sp.Lp(2), cert)
-    assert cert.norm_A == 0.0
-    assert cert.residual == pytest.approx(1.0, rel=1e-12)
-    assert cert.residual == pytest.approx(chk["residual"], rel=1e-12)
+    assert chk["norm_A"] == 0.0
+    assert chk["residual"] == pytest.approx(1.0, rel=1e-12)
     assert not chk["ok"]
 
 
 def test_att1_builds_one_section_of_t(monkeypatch):
     seen = counted_sections(monkeypatch)
     ps.att1_perturbation(op.Tc0(), sp.C0(), -1.0, 0.51, 20)
-    assert seen == [(op.Tc0(), 28)]
+    assert seen == [(op.Tc0(), 20)]
 
 
 def test_att1_reuses_the_inverse(monkeypatch):
@@ -459,13 +459,14 @@ def test_att1_reuses_the_inverse(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "solve", counting)
     cert = ps.att1_perturbation(op.Tc0(), sp.C0(), -1.0, 0.51, 20)
-    assert cert.residual < 1e-10 and not calls
+    assert ps.verify_cert(op.Tc0(), sp.C0(), cert)["residual"] < 1e-10
+    assert not calls
 
 
 def test_verify_cert_rejects_uncertifiable_perturbation():
     # a section norm of a Matrix A only bounds ||A|| from below on l_3
     cert = ps.PerturbationCert(op.Matrix(((0.1, 0.0), (0.0, 0.0))), 0.0,
-                               Coeffs.basis(1), 0.0, 0.1, 0.5, 2)
+                               Coeffs.basis(1), 0.5, 2)
     with pytest.raises(TypeError):
         ps.verify_cert(ZERO, sp.Lp(3.0), cert)
 
@@ -480,18 +481,34 @@ def test_att1_simple_s_shifted():
     space = sp.QSumLp(4.0, 2.0)
     z = -1.0 + 0.3
     cert = ps.att1_perturbation(T, space, z, 5.0, 10)
-    assert cert.residual < 1e-10
-    assert ps.verify_cert(T, space, cert)["ok"]
+    chk = ps.verify_cert(T, space, cert)
+    assert chk["residual"] < 1e-10
+    assert chk["ok"]
 
 
 def test_att1_singular_section():
     # z = 0 is an eigenvalue of the zero section: A = 0 certifies it
     cert = ps.att1_perturbation(ZERO, sp.Lp(2), 0.0, 0.5, 6)
     assert cert.A == op.ScalarMul(0.0)
-    assert cert.norm_A == 0.0 and cert.residual == 0.0
     assert sp.norm_eval(sp.Lp(2), cert.y) == pytest.approx(1.0, abs=1e-12)
     assert ps.verify_cert(ZERO, sp.Lp(2), cert) == {
         "ok": True, "residual": 0.0, "norm_A": 0.0}
+
+
+@pytest.mark.parametrize("T, space, z, eps, N", [
+    (op.catalog_build("sex"), sp.Lp(3.0), 0.4 + 0.2j, 2.0, 12),
+    (op.SimpleS(3.0, 3.0), sp.Lp(3.0), 0.5j, 1.0, 10),
+    (op.Tc0(), sp.DirectSumLp(2, ((3, 3), (5, 1.5)), 4), 0.6, 1.0, 12)],
+    ids=["sex_l3", "simple_s_l3", "tc0_dsum"])
+def test_att1_certificates_where_the_inverse_norm_is_an_iterate(
+        T, space, z, eps, N):
+    # the witness x comes from the power iteration, not a closed form
+    A = op.truncate_matrix(T, N) - z * np.eye(N)
+    assert opnorm.matrix_norm(np.linalg.inv(A), space)[2] == "iterate"
+    chk = ps.verify_cert(T, space, ps.att1_perturbation(T, space, z, eps, N))
+    assert chk["ok"]
+    assert chk["residual"] < 1e-15
+    assert 0 < chk["norm_A"] <= eps
 
 
 # -- singularizing perturbations ----------------------------------------------
@@ -552,6 +569,24 @@ def test_perturbations_refuse_a_bad_truncation(build, N, message):
     # numpy's IndexError, N = -1 a negative slice and N = 2.5 named 10.5
     with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
         build(N)
+
+
+@pytest.mark.parametrize("N", [4089, 4096])
+@pytest.mark.parametrize("build", [
+    lambda N: ps.att1_perturbation(op.Tc0(), sp.C0(), 0.3, 1.0, N),
+    lambda N: ps.lp111_perturbation(op.ScalarMul(2.0), sp.Lp(2.0), N),
+    lambda N: ps.verify_cert(ZERO, sp.Lp(2.0), ps.PerturbationCert(
+        ZERO, 0.0, Coeffs.basis(0), 0.5, N))],
+    ids=["att1", "lp111", "verify_cert"])
+def test_a_residual_past_the_largest_truncation_is_refused(build, N,
+                                                           monkeypatch):
+    # the residual reads the (N + TAIL)-section, so N may reach 4096 - 8;
+    # the message names the N passed, not N + TAIL, before any section
+    seen = counted_sections(monkeypatch)
+    with pytest.raises(ValueError, match="^N = %d exceeds the largest "
+                       "truncation, 4088$" % N):
+        build(N)
+    assert seen == []
 
 
 @pytest.mark.parametrize("T, N", [(op.ScalarMul(2.0), 16),
