@@ -11,7 +11,8 @@ report also carries a Riesz-Thorin upper bound.
 
 Every section norm, operator_norm's and every resolvent cell's, goes
 through matrix_norm, which on l_p, 1 < p < inf, first splits the section
-into its independent blocks.
+into its independent blocks (on l_2 only a section at least L2_SPLIT_MIN
+wide, as the SVD of a narrower one is cheaper than the split).
 """
 
 from __future__ import annotations
@@ -32,6 +33,10 @@ MAX_ITER = 400          # power-iteration steps per start
 TOL = 1e-12             # relative stall tolerance of the power iteration
 ATT_TOL = 1e-3          # witness Cauchy tolerance for "attained"
 ESCAPE_FRAC = 0.2       # centroid/N threshold for "escaping"
+# on l_2 a section narrower than this takes the SVD without trying the
+# split: a complex diagonal took 60-110 us split against 15-65 us by SVD at
+# n = 8-40, and the two met near n = 44 (one BLAS thread, 2-core host)
+L2_SPLIT_MIN = 44
 
 
 @dataclass(frozen=True)
@@ -195,13 +200,16 @@ def matrix_norm(M: np.ndarray, space, cfg: OpnormConfig = DEFAULT_CFG,
 
     On Lp with 1 < p < inf a matrix with at least two blocks (see
     block_labels) is normed block by block (see _split_norm): exact by
-    p-additivity, so the norm is the largest block norm.  Any other matrix
-    takes the closed form on l_1, l_2 and c_0/l_inf and the power iteration
+    p-additivity, so the norm is the largest block norm.  On l_2 only a
+    matrix at least L2_SPLIT_MIN wide is split.  Any other matrix takes the
+    closed form on l_1, l_2 and c_0/l_inf and the power iteration
     elsewhere.  upper is lp_upper_bound for an iterate on Lp, else None.
     """
     M = np.asarray(M, dtype=complex)
     p = space.p if isinstance(space, sp.Lp) else None
-    labels = block_labels(M) if p is not None and 1 < p < INF else None
+    split = (p is not None and 1 < p < INF
+             and not (p == 2 and max(M.shape) < L2_SPLIT_MIN))
+    labels = block_labels(M) if split else None
     if labels is not None:
         return _split_norm(M, *labels, space, cfg, starts)
     if p in (1, 2, INF):

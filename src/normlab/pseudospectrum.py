@@ -27,12 +27,18 @@ from .opnorm import (OpnormConfig, DEFAULT_CFG, matrix_norm, matrix_norms,
 # a section A is singular when cond_2(A) > SINGULAR_COND, as np.linalg.cond
 # computes it from the singular values s: s_max / s_min, a 0/0 counting as
 # inf.  On l_2 those values are taken anyway (the norm is 1/s_min), so the
-# test reads them.  Elsewhere the SVD is skipped where a cheaper bound
-# decides: cond_2(A) <= ||A||_F ||A^{-1}||_F, and where the computed product
-# ||A||_F ||X||_F is below SINGULAR_COND / 100 the computed inverse X is
-# accurate to about 1e12 u N (7e-3 relative at N = 60), far inside that
-# factor 100, so cond_2(A) < SINGULAR_COND and the SVD would not call the
-# cell singular either.  The screen can skip the SVD, never flip its answer.
+# test reads them.  Elsewhere the SVD is skipped where a cheaper test
+# decides.  A shifted section whose rows outside S (see _busy_rows) hold
+# only their diagonal is block upper triangular, A = [[A_SS, M_SR], [0, D]],
+# so A_SS is a block of A and A_SS^{-1} a block of A^{-1}: ||A_SS|| <= ||A||
+# and ||A_SS^{-1}|| <= ||A^{-1}||, so cond_2(A) >= cond_2(A_SS), and a zero
+# in D or an A_SS whose cond exceeds SINGULAR_COND makes A singular.  Any
+# other cell is screened by cond_2(A) <= ||A||_F ||A^{-1}||_F: where the
+# computed product ||A||_F ||X||_F is below SINGULAR_COND / 100 the computed
+# inverse X is accurate to about 1e12 u N (7e-3 relative at N = 60), far
+# inside that factor 100, so cond_2(A) < SINGULAR_COND and the SVD would not
+# call the cell singular either.  The screen can skip the SVD, never flip
+# its answer.
 SINGULAR_COND = 1e14
 LEVEL_BAND = 1e-6       # relative width of the level set |r - 1/eps|
 # rows of T's image beyond an N-section that the residuals see; a residual
@@ -56,26 +62,55 @@ def _frobenius(A: np.ndarray) -> np.ndarray:
         return np.sqrt(np.square(a, out=a).sum(axis=(-2, -1)))
 
 
-def _invert(A: np.ndarray) -> tuple:
-    """(inverse, singular) for a stack A (K, N, N).
+def _busy_rows(M: np.ndarray) -> tuple:
+    """(S, R): the rows of the section M (or of any M - zI) with a nonzero
+    off-diagonal entry, and the rows that hold only their diagonal."""
+    nz = M != 0
+    busy = nz.sum(axis=1) > nz.diagonal()
+    return busy.nonzero()[0], (~busy).nonzero()[0]
+
+
+def _invert(A: np.ndarray, split: tuple) -> tuple:
+    """(inverse, singular) for a stack A (K, N, N) of shifted sections whose
+    rows split into (S, R) = _busy_rows of their section.
 
     singular[k] is np.linalg.cond(A[k]) > SINGULAR_COND, and inverse[k] is
-    np.linalg.inv(A[k]) where it is not (meaningless where it is).  The
-    stack is inverted first; the SVD condition number is taken only for the
-    cells the Frobenius screen (see SINGULAR_COND) leaves open, or for the
-    whole stack when an exact zero pivot makes the inversion raise.
+    A[k]^{-1} where it is not (meaningless where it is).  In the order
+    (S, R), A = [[A_SS, M_SR], [0, D]] with D diagonal, so
+    A^{-1} = [[A_SS^{-1}, -A_SS^{-1} M_SR D^{-1}], [0, D^{-1}]] and only the
+    stack of k x k blocks A_SS goes to np.linalg.inv; when S holds every
+    row that is np.linalg.inv(A) itself.  A zero in D, or an A_SS whose
+    exact zero pivot makes the inversion raise and whose SVD condition
+    number exceeds SINGULAR_COND, makes a cell singular (see
+    SINGULAR_COND).  The SVD condition number of a whole cell is taken
+    only where the Frobenius screen leaves it open.
     """
+    S, R = split
+    B = A if not R.size else A[:, S[:, None], S]
     try:
-        inv = np.linalg.inv(A)
+        inv = np.linalg.inv(B)
+        singular = np.zeros(len(A), dtype=bool)
     except np.linalg.LinAlgError:
-        singular = np.linalg.cond(A) > SINGULAR_COND
-        regular = np.where(singular[:, None, None], np.eye(A.shape[-1]), A)
-        return np.linalg.inv(regular), singular
+        singular = np.linalg.cond(B) > SINGULAR_COND
+        regular = np.where(singular[:, None, None], np.eye(len(S)), B)
+        inv = np.linalg.inv(regular)
+        if B is A:
+            return inv, singular
+    if R.size:
+        d = A[:, R, R]
+        singular |= (d == 0).any(axis=1)
+        X = np.zeros(A.shape, dtype=complex)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            dinv = 1.0 / d
+            X[:, S[:, None], R] = inv @ A[:, S[:, None], R] * -dinv[:, None, :]
+        X[:, S[:, None], S] = inv
+        X[:, R, R] = dinv
+        inv = X
     with np.errstate(invalid="ignore"):
         # inf * 0 (an overflowing A, an underflowing inverse) is NaN and
         # leaves the cell undecided, to the SVD
-        undecided = ~(_frobenius(A) * _frobenius(inv) < SINGULAR_COND / 100)
-    singular = np.zeros(len(A), dtype=bool)
+        undecided = ~singular & ~(_frobenius(A) * _frobenius(inv)
+                                  < SINGULAR_COND / 100)
     if undecided.any():
         singular[undecided] = np.linalg.cond(A[undecided]) > SINGULAR_COND
     return inv, singular
@@ -91,17 +126,19 @@ def _inverse_norm(A: np.ndarray, space,
     in the last bits from resolvent_norm's 1/sigma_min, far inside
     att1_perturbation's slack CERT_NORM_SLACK.
     """
-    inv, singular = _invert(A[None])
+    inv, singular = _invert(A[None], _busy_rows(A))
     if singular[0]:
         return math.inf, None, None
     val, w, _, _ = matrix_norm(inv[0], space, cfg)
     return val, w, inv[0]
 
 
-def _resolvent_norms(A: np.ndarray, space,
+def _resolvent_norms(A: np.ndarray, space, split: tuple,
                      cfg: OpnormConfig = DEFAULT_CFG) -> np.ndarray:
-    """||A_k^{-1}|| for each matrix of a stack A (K, N, N); +inf where A_k
-    is singular, i.e. where np.linalg.cond(A_k) > SINGULAR_COND.
+    """||A_k^{-1}|| for each matrix of a stack A (K, N, N) of shifted
+    sections whose rows split into (S, R) = _busy_rows of their section;
+    +inf where A_k is singular, i.e. where np.linalg.cond(A_k) >
+    SINGULAR_COND.
 
     On l_2 one values-only SVD of the stack gives both: the norm is
     1/s_min and the condition number s_max/s_min, with no inverse taken.
@@ -115,7 +152,7 @@ def _resolvent_norms(A: np.ndarray, space,
             # a zero section gives 0/0, which np.linalg.cond reads as inf
             cond[np.isnan(cond)] = math.inf
             return np.where(cond > SINGULAR_COND, math.inf, 1.0 / s[:, -1])
-    inv, singular = _invert(A)
+    inv, singular = _invert(A, split)
     norms = np.full(len(A), math.inf)
     if singular.any():
         inv = inv[~singular]
@@ -134,7 +171,7 @@ def resolvent_norm(M: np.ndarray, space, z: complex,
     require_finite((z,), "z = %r" % (z,))
     require_finite(M, "section M")
     A = M - complex(z) * np.eye(len(M), dtype=complex)
-    return float(_resolvent_norms(A[None], space, cfg)[0])
+    return float(_resolvent_norms(A[None], space, _busy_rows(M), cfg)[0])
 
 
 def _require_eps(eps: float) -> None:
@@ -144,19 +181,24 @@ def _require_eps(eps: float) -> None:
         raise ValueError("eps = %g is too small: 1/eps overflows" % eps)
 
 
-def _classify(r: float, eps: float) -> str:
-    """strict | level | outside for a resolvent norm r against 1/eps.
+# _classify's tags by code, as one object array: a grid's tags are then
+# references to these three strings, not a new string per cell
+_TAGS = np.array(["outside", "level", "strict"], dtype=object)
+
+
+def _classify(r, eps: float):
+    """strict | level | outside for a resolvent norm r against 1/eps; for
+    an array r, an array of the tags of its entries.
 
     The level band LEVEL_BAND is relative (exact equality is measure zero
-    in floating point) and is checked before the strict comparison.
+    in floating point) and is checked before the strict comparison; an
+    infinite r is strict.
     """
     _require_eps(eps)
     thr = 1.0 / eps
-    if r == math.inf:
-        return "strict"
-    if abs(r - thr) <= LEVEL_BAND * thr:
-        return "level"
-    return "strict" if r > thr else "outside"
+    r = np.asarray(r, dtype=float)
+    return _TAGS[np.where(np.abs(r - thr) <= LEVEL_BAND * thr, 1,
+                          2 * (r > thr))]
 
 
 # ---------------------------------------------------------------------------
@@ -176,8 +218,9 @@ class PspecGrid:
     @cached_property
     def classes(self) -> tuple:
         """Tags strict | level | outside, in the layout of resnorms; taken
-        once per grid (dataclasses.replace makes a new grid)."""
-        return tuple(_classify(r, self.eps) for r in self.resnorms)
+        once per grid, in one _classify call (dataclasses.replace makes a
+        new grid)."""
+        return tuple(_classify(self.resnorms, self.eps).tolist())
 
     def cells(self):
         points = (complex(re, im) for im in self.ims for re in self.res)
@@ -211,8 +254,11 @@ def grid_scan(T, space, region, resolution: int, eps: float, N: int,
     entries.  Each block stacks M - zI and goes to _resolvent_norms at
     once.  A cell is singular when cond_2 > SINGULAR_COND.  On l_2 one
     values-only SVD of the block gives the condition numbers and the norms
-    1/sigma_min, and no inverse is taken.  Elsewhere the block is inverted;
-    the SVD condition number is taken only where the Frobenius bound
+    1/sigma_min, and no inverse is taken.  Elsewhere the block is inverted
+    by _invert, with the rows S of M that hold an off-diagonal entry found
+    once for the grid: only the k x k blocks on S go to LAPACK, and the
+    rows that hold only their diagonal are inverted entry by entry; the
+    SVD condition number is taken only where the Frobenius bound
     ||A||_F ||A^{-1}||_F is not below SINGULAR_COND / 100 (see
     SINGULAR_COND), and the norms come from one matrix_norms call.  Every
     value equals resolvent_norm(M, space, z, cfg) bit for bit.  A grid
@@ -250,13 +296,14 @@ def grid_scan(T, space, region, resolution: int, eps: float, N: int,
     zs.real, zs.imag = res_axis, im_axis[:, None]
     zs = zs.ravel()
     resnorms = np.empty(zs.size)
+    split = _busy_rows(M)
     step = max(1, GRID_BLOCK // (N * N))
     for k in range(0, zs.size, step):
         block = zs[k:k + step]
         A = np.empty((block.size, N, N), dtype=complex)
         A[:] = M
         A.reshape(block.size, N * N)[:, ::N + 1] -= block[:, None]
-        resnorms[k:k + step] = _resolvent_norms(A, space, cfg)
+        resnorms[k:k + step] = _resolvent_norms(A, space, split, cfg)
         del A          # each stack is freed before the next one is built
     return PspecGrid(tuple(region), resolution, eps, N,
                      tuple(res_axis), tuple(im_axis),
@@ -265,8 +312,9 @@ def grid_scan(T, space, region, resolution: int, eps: float, N: int,
 
 def strict_radius(grid: PspecGrid) -> float:
     """Largest |z| over strict cells: the disc-radius estimate of the scan."""
-    radii = [abs(z) for z, _, c in grid.cells() if c == "strict"]
-    return max(radii) if radii else 0.0
+    strict = np.array(grid.classes, dtype=object) == "strict"
+    radii = np.hypot(np.array(grid.res), np.array(grid.ims)[:, None])
+    return float(radii.ravel()[strict].max(initial=0.0))
 
 
 def rank_one_resolvent_law(z: complex) -> float:

@@ -606,7 +606,7 @@ def test_pspec_writes_csv(tmp_path):
 
 def test_pspec_classifies_each_cell_once(monkeypatch):
     # the CSV, the summary counts and the strict radius each read the
-    # classes; they were taken three times per cell
+    # classes, which one _classify call takes for the whole grid
     calls = []
     real = ps._classify
 
@@ -619,7 +619,7 @@ def test_pspec_classifies_each_cell_once(monkeypatch):
                      "--operator", '{"op":"catalog","name":"tc0"}',
                      "--eps", "0.5", "--res", "7", "--trunc", "8"])
     assert code == 0 and "strict=" in out
-    assert len(calls) == 7 * 7
+    assert len(calls) == 1 and len(calls[0][0]) == 7 * 7
 
 
 def test_pspec_res_one_rejected():

@@ -890,6 +890,29 @@ def test_sex_section_splits_to_its_2x2_block():
                                             rel=1e-14)
 
 
+@pytest.mark.parametrize("n", [16, opnorm.L2_SPLIT_MIN - 1,
+                               opnorm.L2_SPLIT_MIN])
+def test_narrow_l2_section_takes_the_svd_before_the_split(n, monkeypatch):
+    # below L2_SPLIT_MIN the SVD of a diagonal is cheaper than its split;
+    # on l_3 the split is tried at every width
+    calls = []
+    real = opnorm.block_labels
+
+    def labels(M):
+        calls.append(M.shape)
+        return real(M)
+
+    monkeypatch.setattr(opnorm, "block_labels", labels)
+    d = np.linspace(1.0, 2.0, n) * np.exp(1j * np.arange(n))
+    val, w, method, upper = opnorm.matrix_norm(np.diag(d), sp.Lp(2.0))
+    assert calls == ([] if n < opnorm.L2_SPLIT_MIN else [(n, n)])
+    assert (method, upper) == ("closed_form", None)
+    assert val == pytest.approx(2.0, rel=1e-15)
+    assert np.abs(w[-1]) == pytest.approx(1.0, rel=1e-15)
+    opnorm.matrix_norm(np.diag(d), sp.Lp(3.0))
+    assert calls[-1] == (n, n)
+
+
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
 def test_dense_section_is_not_split(p):
     # a dense section goes through matrix_norm as before, bit for bit

@@ -215,9 +215,9 @@ def test_diag_d_grid_spot_checks():
 def per_cell_resolvent_norm(M, space, z, cfg=opnorm.DEFAULT_CFG):
     """The resolvent norm of one cell as grid_scan computed it cell by cell:
     the SVD condition number, then on l_2 1/sigma_min of the cell, and
-    elsewhere the inverse and its matrix norm with the closed forms written
-    as matrix_norm wrote them then (the power iteration is unchanged).
-    Returns (norm, cond)."""
+    elsewhere LAPACK's inverse of the whole cell and its matrix norm with
+    the closed forms written as matrix_norm wrote them then (the power
+    iteration is unchanged).  Returns (norm, cond)."""
     A = M - complex(z) * np.eye(len(M), dtype=complex)
     cond = np.linalg.cond(A)
     if cond > ps.SINGULAR_COND:
@@ -276,9 +276,20 @@ def test_grid_scan_matches_per_cell_path():
         seeded = (cx - hx, cx + hx, cy - hy, cy + hy)
         for region in [(-1, 1, -1, 1), seeded] + extra:
             grid = ps.grid_scan(T, space, region, res, 0.5, N)
+            # the grid's invariant: each value is the single-cell path's
+            assert grid.resnorms == tuple(
+                ps.resolvent_norm(M, space, z)
+                for z, _, _ in grid.cells()), (name, region)
             want, conds = zip(*(per_cell_resolvent_norm(M, space, z)
                                 for z, _, _ in grid.cells()))
-            assert grid.resnorms == want, (name, region)
+            # the block inverse rounds apart from LAPACK's whole inverse;
+            # singular cells and classes are the same
+            got = np.array(grid.resnorms)
+            ref = np.array(want)
+            assert (np.isinf(got) == np.isinf(ref)).all(), (name, region)
+            fin = np.isfinite(ref)
+            assert np.allclose(got[fin], ref[fin], rtol=1e-13, atol=0), \
+                (name, region)
             assert grid.classes == tuple(ps._classify(r, 0.5)
                                          for r in want), (name, region)
             if name == "diag_d":
@@ -367,6 +378,129 @@ def test_l3_grid_cells_split_and_never_run_to_the_cap(monkeypatch):
     ps.grid_scan(op.SimpleS(3.0, 3.0), sp.Lp(3.0), (-2, 2, -2, 2), 5, 0.5, 8)
     # a row batch that runs all MAX_ITER steps makes 2 MAX_ITER - 1 calls
     assert rule_calls and max(rule_calls) < 2 * opnorm.MAX_ITER - 1
+
+
+# -- block-triangular inversion ------------------------------------------------
+
+def whole_invert(A):
+    """The reference _invert on whole cells: LAPACK's inverse of each cell,
+    the SVD condition number where an exact zero pivot makes the stack's
+    inversion raise, and otherwise where the Frobenius screen is open."""
+    try:
+        inv = np.linalg.inv(A)
+    except np.linalg.LinAlgError:
+        singular = np.linalg.cond(A) > ps.SINGULAR_COND
+        regular = np.where(singular[:, None, None], np.eye(A.shape[-1]), A)
+        return np.linalg.inv(regular), singular
+    with np.errstate(invalid="ignore"):
+        undecided = ~(ps._frobenius(A) * ps._frobenius(inv)
+                      < ps.SINGULAR_COND / 100)
+    singular = np.zeros(len(A), dtype=bool)
+    if undecided.any():
+        singular[undecided] = np.linalg.cond(A[undecided]) > ps.SINGULAR_COND
+    return inv, singular
+
+
+def shifted_stack(M, zs):
+    return M[None] - np.asarray(zs, dtype=complex)[:, None, None] \
+        * np.eye(len(M))
+
+
+@pytest.mark.parametrize("M,zs", [
+    (np.random.default_rng(3).standard_normal((6, 6))
+     + 1j * np.random.default_rng(4).standard_normal((6, 6)),
+     [0.0, 0.5 + 1j, -2.0, 3j]),
+    # an exact zero pivot at z = 0 and z = 2: the stack's inversion raises
+    (np.ones((2, 2)), [0.0, 2.0, 0.5 + 1j, 1e-15]),
+], ids=["dense", "zero_pivot"])
+def test_invert_with_every_row_busy_is_the_whole_inverse(M, zs):
+    A = shifted_stack(M, zs)
+    S, R = ps._busy_rows(M)
+    assert len(S) == len(M) and not R.size
+    inv, singular = ps._invert(A, (S, R))
+    want_inv, want_singular = whole_invert(A)
+    assert (singular == want_singular).all()
+    assert (inv[~singular] == want_inv[~singular]).all()
+
+
+# (operator, space, N, rows with off-diagonal entries)
+SPLIT_CASES = {
+    "diagonal_c0": (DIAG_D, sp.C0(), 30, 0),
+    "tc0": (op.Tc0(), sp.C0(), 30, 1),
+    "tl1": (op.Tl1(), sp.L1(), 30, 1),
+    "simple_s_l3": (op.SimpleS(3.0, 3.0), sp.Lp(3.0), 12, 2),
+    "sex_l3": (op.catalog_build("sex"), sp.Lp(3.0), 12, 1),
+}
+
+
+@pytest.mark.parametrize("name", list(SPLIT_CASES))
+def test_split_inverse_matches_lapack(name):
+    T, space, N, k = SPLIT_CASES[name]
+    M = op.truncate_matrix(T, N)
+    S, R = ps._busy_rows(M)
+    assert len(S) == k and len(S) + len(R) == N
+    zs = [complex(re, im) for re in np.linspace(-2, 2, 9)
+          for im in np.linspace(-2, 2, 9)]
+    A = shifted_stack(M, zs)
+    inv, singular = ps._invert(A, (S, R))
+    want_inv, want_singular = whole_invert(A)
+    assert (singular == want_singular).all()
+    for X, Y in zip(inv[~singular], want_inv[~singular]):
+        assert np.abs(X - Y).max() <= 1e-13 * np.abs(Y).max()
+    for z, X in zip(zs, inv):
+        r = ps.resolvent_norm(M, space, z)
+        cell = M - z * np.eye(N)
+        if r != INF:
+            want = opnorm.matrix_norm(np.linalg.inv(cell), space)[0]
+            assert r == pytest.approx(want, rel=1e-13, abs=0)
+
+
+@pytest.mark.parametrize("T,space,N,zs,k", [
+    # d_0 = 1 - 2^-1: a zero in D
+    (DIAG_D, sp.C0(), 30, [0.5], 0),
+    # the 2x2 swap block A_SS is singular at its eigenvalues +-1
+    (op.SimpleS(3.0, 3.0), sp.Lp(3.0), 8, [1.0, -1.0], 2),
+], ids=["zero_in_d", "singular_a_ss"])
+def test_split_singular_cells_are_infinite(T, space, N, zs, k, monkeypatch):
+    # decided without an SVD of a whole cell: a zero in D needs none, and
+    # A_SS's exact zero pivot takes the condition numbers of the k x k blocks
+    conds = []
+    real_cond = np.linalg.cond
+
+    def cond(A):
+        conds.append(A.shape[-1])
+        return real_cond(A)
+
+    monkeypatch.setattr(np.linalg, "cond", cond)
+    M = op.truncate_matrix(T, N)
+    for z in zs:
+        assert ps.resolvent_norm(M, space, z) == INF
+    inv, singular = ps._invert(shifted_stack(M, zs + [0.3j]),
+                               ps._busy_rows(M))
+    assert singular.tolist() == [True] * len(zs) + [False]
+    grid = ps.grid_scan(T, space, (min(zs), max(zs) + 1, 0, 1), 2, 0.5, N)
+    assert grid.resnorms[0] == INF and INF not in grid.resnorms[2:]
+    assert set(conds) == ({k} if k else set())
+
+
+def test_ac4_grid_keeps_its_classes_against_lapack():
+    # the parent's whole-cell inversion, block by block, as the reference
+    M = op.truncate_matrix(op.Tc0(), 30)
+    grid = ps.grid_scan(op.Tc0(), sp.C0(), (-3, 3, -3, 3),
+                        verify.AC4_RESOLUTION, 0.1, 30)
+    zs = [z for z, _, _ in grid.cells()]
+    ref = []
+    for k in range(0, len(zs), 256):
+        inv, singular = whole_invert(shifted_stack(M, zs[k:k + 256]))
+        sums = np.abs(inv).sum(axis=2).max(axis=1)
+        ref.extend(np.where(singular, INF, sums).tolist())
+    got, ref = np.array(grid.resnorms), np.array(ref)
+    assert (np.isinf(got) == np.isinf(ref)).all()
+    fin = np.isfinite(ref)
+    assert np.allclose(got[fin], ref[fin], rtol=1e-13, atol=0)
+    for eps in (0.1, 0.5, 1.0):
+        assert dataclasses.replace(grid, eps=eps).classes == \
+            tuple(ps._classify(ref, eps).tolist())
 
 
 @pytest.mark.parametrize("space", [sp.Lp(2), sp.C0(), sp.Lp(3)],
