@@ -212,20 +212,37 @@ def truncate_matrix(T: OperatorSpec, N: int) -> np.ndarray:
     column each: the section of a product is not the product of sections.
 
     N must lie in [1, MAX_TRUNC], checked before anything is allocated.
-    Raises ValueError when a row or column sum of |M| overflows: it bounds
-    the entries of M x and of g M for x and g with entries of modulus at
-    most 1, so past it an l_p or resolvent norm of M is not computable.
+    Raises ValueError when a row or column sum of |M| overflows.
     """
     N = require_trunc(N, "N")
     M = _section(T, N)
+    _require_line_sums(M, "the N = %d section" % N)
+    return M
+
+
+def _require_line_sums(M: np.ndarray, what: str, zs=None) -> None:
+    """Raise ValueError when a row or column sum of |M - zI| overflows, at
+    z = 0 or at any z in the box around the array zs: it bounds the entries
+    of M x and g M for |x_i|, |g_i| <= 1, so past it no l_p or resolvent
+    norm of M is computable.  The sum of all |M| plus max |z| bounds every
+    line sum; past it, |M_ii - z| is taken at the corners, its largest.
+    """
     with np.errstate(over="ignore"):
         a = np.abs(M)
+        if a.sum() + (0.0 if zs is None else np.abs(zs).max()) < math.inf:
+            return
+        if zs is not None:
+            lo = complex(zs.real.min(), zs.imag.min())
+            hi = complex(zs.real.max(), zs.imag.max())
+            corners = np.array([lo, hi, complex(lo.real, hi.imag),
+                                complex(hi.real, lo.imag)])
+            np.fill_diagonal(a, np.abs(np.diagonal(M) - corners[:, None])
+                             .max(axis=0))
         finite = (np.isfinite(a.sum(axis=0)).all()
                   and np.isfinite(a.sum(axis=1)).all())
     if not finite:
-        raise ValueError("the N = %d section is too large: a row or column "
-                         "sum of |M| overflows" % N)
-    return M
+        raise ValueError("%s is too large: a row or column sum of its "
+                         "moduli overflows" % what)
 
 
 def _cmul(ar, ai, br, bi) -> np.ndarray:

@@ -55,8 +55,11 @@ class NormReport:
     trace: tuple                      # ((N, value), ...)
     attainment: str                   # attained | escaping | inconclusive
     centroids: tuple = ()             # witness support centroid per N
-    warning: bool = False
     upper: float | None = None        # upper bound on an iterate's norm
+
+    @property
+    def warning(self) -> bool:
+        return bool(self.method == "iterate" and self.value == 0.0)
 
     def to_json_obj(self):
         obj = {
@@ -422,7 +425,6 @@ def operator_norm(T, space, N: int, cfg: OpnormConfig = DEFAULT_CFG,
                                            cfg, starts)
     return NormReport(val, Coeffs.from_array(warr), method, ((N, val),),
                       "inconclusive", (_centroid(warr),),
-                      warning=bool(method == "iterate" and val == 0.0),
                       upper=upper)
 
 
@@ -499,5 +501,5 @@ def attainment_scan(T, space, Ns, cfg: OpnormConfig = DEFAULT_CFG) -> NormReport
     _, dists, centroids = witness_drift(witnesses, space)
     tag = growth_tag(Ns, [v for _, v in trace], dists, centroids, True)
     return NormReport(trace[-1][1], report.witness, report.method,
-                      tuple(trace), tag, tuple(centroids), report.warning,
+                      tuple(trace), tag, tuple(centroids),
                       report.upper)

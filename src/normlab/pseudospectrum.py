@@ -1,12 +1,14 @@
 """Resolvent norms, pseudospectrum grids, and perturbation certificates.
 
-Three sets are tracked on finite sections: the strict set (resolvent norm
-above 1/eps), its closure relaxation (>=), and the level set (= 1/eps within
-a relative band).  Two constructive routines produce rank-one certificates:
-an eigenvalue-planting perturbation from a resolvent witness, and a
-norm-c perturbation S with inf ||(T+S)x|| ~ 0 built either from a converging
-minimizer or from a disjointified escaping family.  A planting certificate
-is (A, z, y, eps, N); verify_cert computes its residual and ||A||.
+Every resolvent norm ||(M - zI)^{-1}||, at one z or at a grid's cells,
+comes from one evaluator, _resolvent_norms.  Three sets are tracked on
+finite sections: the strict set (resolvent norm above 1/eps), its closure
+relaxation (>=), and the level set (= 1/eps within a relative band).  Two
+constructive routines produce rank-one certificates: an eigenvalue-planting
+perturbation from a resolvent witness, and a norm-c perturbation S with
+inf ||(T+S)x|| ~ 0 built either from a converging minimizer or from a
+disjointified escaping family.  A planting certificate is (A, z, y, eps, N);
+verify_cert computes its residual and ||A||.
 """
 
 from __future__ import annotations
@@ -79,11 +81,8 @@ def _invert(A: np.ndarray, split: tuple) -> tuple:
     (S, R), A = [[A_SS, M_SR], [0, D]] with D diagonal, so
     A^{-1} = [[A_SS^{-1}, -A_SS^{-1} M_SR D^{-1}], [0, D^{-1}]] and only the
     stack of k x k blocks A_SS goes to np.linalg.inv; when S holds every
-    row that is np.linalg.inv(A) itself.  A zero in D, or an A_SS whose
-    exact zero pivot makes the inversion raise and whose SVD condition
-    number exceeds SINGULAR_COND, makes a cell singular (see
-    SINGULAR_COND).  The SVD condition number of a whole cell is taken
-    only where the Frobenius screen leaves it open.
+    row that is np.linalg.inv(A) itself.  The singular test is set out at
+    SINGULAR_COND.
     """
     S, R = split
     B = A if not R.size else A[:, S[:, None], S]
@@ -120,11 +119,9 @@ def _inverse_norm(A: np.ndarray, space,
                   cfg: OpnormConfig = DEFAULT_CFG) -> tuple:
     """(||A^{-1}||, witness, A^{-1}); (inf, None, None) when A is singular.
 
-    The norm is matrix_norm of the inverse on every space, as the witness
-    and the inverse are needed too, so on l_p, 1 < p < inf, the inverse is
-    split into its blocks as a resolvent cell's is.  On l_2 it may differ
-    in the last bits from resolvent_norm's 1/sigma_min, far inside
-    att1_perturbation's slack CERT_NORM_SLACK.
+    The norm is matrix_norm of the inverse, which gives the witness too; on
+    l_2 it may differ in the last bits from resolvent_norm's 1/sigma_min,
+    far inside att1_perturbation's slack CERT_NORM_SLACK.
     """
     inv, singular = _invert(A[None], _busy_rows(A))
     if singular[0]:
@@ -133,45 +130,59 @@ def _inverse_norm(A: np.ndarray, space,
     return val, w, inv[0]
 
 
-def _resolvent_norms(A: np.ndarray, space, split: tuple,
-                     cfg: OpnormConfig = DEFAULT_CFG) -> np.ndarray:
-    """||A_k^{-1}|| for each matrix of a stack A (K, N, N) of shifted
-    sections whose rows split into (S, R) = _busy_rows of their section;
-    +inf where A_k is singular, i.e. where np.linalg.cond(A_k) >
-    SINGULAR_COND.
+def _shift(M: np.ndarray, zs: np.ndarray) -> np.ndarray:
+    """The stack (K, N, N) of M - zI for each z of zs."""
+    N = len(M)
+    A = np.empty((len(zs), N, N), dtype=complex)
+    A[:] = M
+    A.reshape(len(zs), N * N)[:, ::N + 1] -= zs[:, None]
+    return A
 
-    On l_2 one values-only SVD of the stack gives both: the norm is
-    1/s_min and the condition number s_max/s_min, with no inverse taken.
-    Every other space inverts the stack (_invert) and takes the norms of
-    the inverses with one matrix_norms call.
+
+def _resolvent_norms(M: np.ndarray, zs: np.ndarray, space,
+                     cfg: OpnormConfig = DEFAULT_CFG) -> np.ndarray:
+    """||(M - zI)^{-1}|| for each z of zs; +inf where cond_2(M - zI) >
+    SINGULAR_COND.  An overflowing row or column sum of some M - zI is
+    refused with a ValueError before any stack is built.  On l_2 one
+    values-only SVD of a stack gives the norms 1/s_min and the condition
+    numbers s_max/s_min; elsewhere _invert inverts the stack.
     """
-    if isinstance(space, sp.Lp) and space.p == 2:
-        s = np.linalg.svd(A, compute_uv=False)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            cond = s[:, 0] / s[:, -1]
-            # a zero section gives 0/0, which np.linalg.cond reads as inf
-            cond[np.isnan(cond)] = math.inf
-            return np.where(cond > SINGULAR_COND, math.inf, 1.0 / s[:, -1])
-    inv, singular = _invert(A, split)
-    norms = np.full(len(A), math.inf)
-    if singular.any():
-        inv = inv[~singular]
-    norms[~singular] = matrix_norms(inv, space, cfg)
+    op._require_line_sums(M, "M - zI", zs)
+    l2 = isinstance(space, sp.Lp) and space.p == 2
+    split = None if l2 else _busy_rows(M)
+    norms = np.empty(len(zs))
+    step = max(1, GRID_BLOCK // M.size)
+    for k in range(0, len(zs), step):
+        A = _shift(M, zs[k:k + step])
+        out = norms[k:k + step]
+        if l2:
+            s = np.linalg.svd(A, compute_uv=False)
+            with np.errstate(all="ignore"):
+                cond = s[:, 0] / s[:, -1]
+                # a zero section gives 0/0, which np.linalg.cond reads as inf
+                cond[np.isnan(cond)] = math.inf
+                out[:] = np.where(cond > SINGULAR_COND, math.inf,
+                                  1.0 / s[:, -1])
+        else:
+            inv, singular = _invert(A, split)
+            out[:] = math.inf
+            out[~singular] = matrix_norms(
+                inv[~singular] if singular.any() else inv, space, cfg)
+            del inv
+        del A          # each stack is freed before the next one is built
     return norms
 
 
 def resolvent_norm(M: np.ndarray, space, z: complex,
                    cfg: OpnormConfig = DEFAULT_CFG) -> float:
-    """||(M - zI)^{-1}|| as a subordinate norm; +inf when singular.
-
-    The value is _resolvent_norms' on a stack of one: 1/sigma_min on l_2,
-    the matrix norm of the inverse elsewhere.  A z or an M that is not
-    finite is refused with a ValueError.
+    """||(M - zI)^{-1}|| as a subordinate norm; +inf when singular: the
+    value of _resolvent_norms at one z.  A z or an M that is not finite,
+    or an M - zI with an overflowing row or column sum, is refused with a
+    ValueError.
     """
     require_finite((z,), "z = %r" % (z,))
     require_finite(M, "section M")
-    A = M - complex(z) * np.eye(len(M), dtype=complex)
-    return float(_resolvent_norms(A[None], space, _busy_rows(M), cfg)[0])
+    return float(_resolvent_norms(M, np.array([complex(z)]), space, cfg)[0])
 
 
 def _require_eps(eps: float) -> None:
@@ -248,22 +259,10 @@ class PspecGrid:
 
 def grid_scan(T, space, region, resolution: int, eps: float, N: int,
               cfg: OpnormConfig = DEFAULT_CFG) -> PspecGrid:
-    """Resolvent norms of the N-section at the cell centers of a grid.
-
-    The cells are taken in row-major blocks of at most GRID_BLOCK matrix
-    entries.  Each block stacks M - zI and goes to _resolvent_norms at
-    once.  A cell is singular when cond_2 > SINGULAR_COND.  On l_2 one
-    values-only SVD of the block gives the condition numbers and the norms
-    1/sigma_min, and no inverse is taken.  Elsewhere the block is inverted
-    by _invert, with the rows S of M that hold an off-diagonal entry found
-    once for the grid: only the k x k blocks on S go to LAPACK, and the
-    rows that hold only their diagonal are inverted entry by entry; the
-    SVD condition number is taken only where the Frobenius bound
-    ||A||_F ||A^{-1}||_F is not below SINGULAR_COND / 100 (see
-    SINGULAR_COND), and the norms come from one matrix_norms call.  Every
-    value equals resolvent_norm(M, space, z, cfg) bit for bit.  A grid
-    where some M - zI has a row or column sum of moduli that overflows is
-    refused with a ValueError before any block is taken.
+    """Resolvent norms of the N-section at the cell centers of a grid, in
+    row-major order, from one _resolvent_norms call: every value equals
+    resolvent_norm(M, space, z, cfg) bit for bit, and a grid where a row or
+    column sum of some M - zI overflows is refused before any cell is taken.
     """
     # bounded by MAX_TRUNC, like a truncation, before an axis is allocated
     if require_int(resolution, "resolution") < 2:
@@ -277,34 +276,10 @@ def grid_scan(T, space, region, resolution: int, eps: float, N: int,
     res_axis = np.linspace(re0, re1, resolution)
     im_axis = np.linspace(im0, im1, resolution)
     M = op.truncate_matrix(T, N)
-    # truncate_matrix's rule for every M - zI: a row or column sum of its
-    # moduli is the sum off the diagonal plus |M_ii - z|, which grows with
-    # |Re z - Re M_ii| and |Im z - Im M_ii|, so it is largest at a corner
-    corners = np.array([complex(re, im) for re in (re0, re1)
-                        for im in (im0, im1)])
-    with np.errstate(over="ignore"):
-        off = np.abs(M)
-        np.fill_diagonal(off, 0.0)
-        shift = np.abs(np.diagonal(M) - corners[:, None])
-        finite = (np.isfinite(off.sum(axis=1) + shift).all()
-                  and np.isfinite(off.sum(axis=0) + shift).all())
-    if not finite:
-        raise ValueError("M - zI is too large on the grid: a row or column "
-                         "sum of its moduli overflows at a corner")
     _require_eps(eps)
     zs = np.empty((resolution, resolution), dtype=complex)
     zs.real, zs.imag = res_axis, im_axis[:, None]
-    zs = zs.ravel()
-    resnorms = np.empty(zs.size)
-    split = _busy_rows(M)
-    step = max(1, GRID_BLOCK // (N * N))
-    for k in range(0, zs.size, step):
-        block = zs[k:k + step]
-        A = np.empty((block.size, N, N), dtype=complex)
-        A[:] = M
-        A.reshape(block.size, N * N)[:, ::N + 1] -= block[:, None]
-        resnorms[k:k + step] = _resolvent_norms(A, space, split, cfg)
-        del A          # each stack is freed before the next one is built
+    resnorms = _resolvent_norms(M, zs.ravel(), space, cfg)
     return PspecGrid(tuple(region), resolution, eps, N,
                      tuple(res_axis), tuple(im_axis),
                      tuple(resnorms.tolist()))
@@ -354,12 +329,15 @@ def att1_perturbation(T, space, z: complex, eps: float,
     With x a unit resolvent witness, c = ||(T-zI)^{-1}x||, y the normalized
     resolvent image and f a norming functional of y, the perturbation
     A u = -c^{-1} f(u) x satisfies (T+A)y = zy exactly.  A z that is not
-    finite, or an N whose (N + TAIL)-section verify_cert could not build,
-    raises a ValueError.
+    finite, an M - zI with an overflowing row or column sum, or an N whose
+    (N + TAIL)-section verify_cert could not build, raises a ValueError.
     """
     require_finite((z,), "z = %r" % (z,))
     N = require_trunc(N, "N", TAIL)
-    A = op.truncate_matrix(T, N) - complex(z) * np.eye(N, dtype=complex)
+    M = op.truncate_matrix(T, N)
+    zs = np.array([complex(z)])
+    op._require_line_sums(M, "M - zI", zs)
+    A = _shift(M, zs)[0]
     c, x, inv = _inverse_norm(A, space)
     if c == math.inf:
         # z is an eigenvalue of the section already; A = 0 certifies it
@@ -368,12 +346,14 @@ def att1_perturbation(T, space, z: complex, eps: float,
         y = y / sp.norm_array(space, y)
         pert = op.ScalarMul(0.0)
     else:
-        if x is None or not np.any(x):
-            raise RuntimeError("no resolvent witness found on this truncation")
-        if 1.0 / c > eps + CERT_NORM_SLACK:
+        # a computed c of 0 (an inverse that underflows) reads as 1/c = inf
+        inv_c = 1.0 / c if c else math.inf
+        if inv_c > eps + CERT_NORM_SLACK:
             raise ValueError(
                 "1/c = %.6g exceeds eps = %.6g: z outside the non-strict set "
-                "on this truncation" % (1.0 / c, eps))
+                "on this truncation" % (inv_c, eps))
+        if x is None or not np.any(x):
+            raise RuntimeError("no resolvent witness found on this truncation")
         y = inv @ x / c
         f = sp.norming_functional_array(space, y)
         pert = op.RankOne(Coeffs.from_array(f),

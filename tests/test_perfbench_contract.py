@@ -15,7 +15,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from normlab import operators as op
 from normlab import opnorm
+from normlab import pseudospectrum as ps
 from normlab import spaces as sp
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -52,6 +54,29 @@ def test_tracer_wraps_and_restores_every_traced_name():
     assert values["opnorm.matrix_norm.iterate.calls"] == 1
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     assert {m["name"] for m in spec["per_layer"]} <= set(values)
+
+
+def test_traced_l3_grid_records_its_cells_matrix_norms():
+    # the cells' norms are taken inside the evaluator, by matrix_norms;
+    # the per-layer matrix_norm counts must still see them
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        tracer.active = True
+        ps.grid_scan(op.SimpleS(3.0, 3.0), sp.Lp(3.0), (-2, 2, -2, 2), 3,
+                     0.5, 6)
+        tracer.active = False
+    finally:
+        tracer.uninstall()
+    names = [s[0] for s in tracer.spans]
+    assert names[0] == "pseudospectrum.grid_scan"
+    # 9 regular cells, each normed once right under the grid's span (a
+    # split cell's blocks are normed under its own)
+    cells = [s for s in tracer.spans
+             if s[0] == "opnorm.matrix_norm" and s[3] == 0]
+    assert len(cells) == 9
+    values = tracing.layer_metrics(tracer, 1.0, 0.0)
+    assert values["opnorm.matrix_norm.iterate.calls"] >= 1
 
 
 def normlab_reads(path):

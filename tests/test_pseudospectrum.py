@@ -123,13 +123,60 @@ def test_grid_bounds_must_be_finite(region):
 ], ids=["entry", "modulus"])
 def test_grid_rejects_an_overflowing_shifted_section(T, region, monkeypatch):
     # each cell read inf and strict; now the grid is refused before any
-    # block is normed, by truncate_matrix's rule for M - zI
+    # block is inverted or decomposed, by truncate_matrix's rule for M - zI
     def no_inversion(*args, **kwargs):
         raise AssertionError("normed a block")
 
-    monkeypatch.setattr(ps, "_resolvent_norms", no_inversion)
-    with pytest.raises(ValueError, match="row or column sum"):
-        ps.grid_scan(T, sp.Lp(2), region, 2, 0.5, 2)
+    monkeypatch.setattr(ps, "_invert", no_inversion)
+    monkeypatch.setattr(np.linalg, "svd", no_inversion)
+    for space in (sp.Lp(2), sp.C0()):
+        with pytest.raises(ValueError, match="row or column sum"):
+            ps.grid_scan(T, space, region, 2, 0.5, 2)
+
+
+HUGE_Z = 1.7e308 + 1.7e308j
+
+
+@pytest.mark.parametrize("space", [sp.C0(), sp.Lp(2), sp.Lp(3)],
+                         ids=["c0", "l2", "l3"])
+def test_resolvent_norm_refuses_an_overflowing_shift(space):
+    # |M_ii - z| overflows, so the norm (about 4e-309) read inf and strict;
+    # the grid refused the same z
+    M = op.truncate_matrix(op.Tc0(), 6)
+    with pytest.raises(ValueError, match="too large: a row or column sum"):
+        ps.resolvent_norm(M, space, HUGE_Z)
+    with pytest.raises(ValueError, match="too large: a row or column sum"):
+        ps.grid_scan(op.Tc0(), space, (0, HUGE_Z.real, 0, HUGE_Z.imag), 2,
+                     0.5, 6)
+
+
+@pytest.mark.parametrize("space", [sp.C0(), sp.Lp(2)], ids=["c0", "l2"])
+def test_shift_that_cancels_a_large_diagonal_is_kept(space):
+    # |M_ii| + |z| overflows but M - zI stays small: the rule takes
+    # |M_ii - z| itself at the corners, so neither call is refused
+    M = op.truncate_matrix(op.ScalarMul(1e308), 3)
+    assert ps.resolvent_norm(M, space, 1e308) == INF
+    grid = ps.grid_scan(op.ScalarMul(1e308), space,
+                        (1e308 - 2e292, 1e308 + 2e292, 0, 1), 3, 0.5, 3)
+    assert grid.resnorms[1] == INF and 0 < grid.resnorms[0] < INF
+
+
+def test_l2_never_splits_the_rows_and_other_spaces_split_once(monkeypatch):
+    calls = []
+    real = ps._busy_rows
+
+    def counting(M):
+        calls.append(M.shape)
+        return real(M)
+
+    monkeypatch.setattr(ps, "_busy_rows", counting)
+    M = op.truncate_matrix(DIAG_D, 30)
+    ps.resolvent_norm(M, sp.Lp(2), 0.3j)
+    ps.grid_scan(DIAG_D, sp.Lp(2), (0, 1, 0, 1), 13, 0.5, 30)
+    assert calls == []
+    # 169 cells in 19 blocks of 9, one split
+    ps.grid_scan(DIAG_D, sp.C0(), (0, 1, 0, 1), 13, 0.5, 30)
+    assert calls == [(30, 30)]
 
 
 def test_grid_rejects_renormed_space():
@@ -402,8 +449,7 @@ def whole_invert(A):
 
 
 def shifted_stack(M, zs):
-    return M[None] - np.asarray(zs, dtype=complex)[:, None, None] \
-        * np.eye(len(M))
+    return ps._shift(M, np.asarray(zs, dtype=complex))
 
 
 @pytest.mark.parametrize("M,zs", [
@@ -608,6 +654,27 @@ def test_verify_cert_rejects_uncertifiable_perturbation():
 def test_att1_eps_too_small_rejected():
     with pytest.raises(ValueError):
         ps.att1_perturbation(op.Tc0(), sp.C0(), 3.0, 0.1, 20)
+
+
+@pytest.mark.parametrize("space", [sp.C0(), sp.Lp(2), sp.Lp(3)],
+                         ids=["c0", "l2", "l3"])
+def test_att1_refuses_an_overflowing_shift(space):
+    # the overflowing M - zI read as singular: a ScalarMul(0.0) certificate
+    # that verify_cert rejected with an inf or NaN residual
+    with pytest.raises(ValueError, match="too large: a row or column sum"):
+        ps.att1_perturbation(op.Tc0(), space, HUGE_Z, 0.5, 6)
+
+
+@pytest.mark.parametrize("space", [sp.C0(), sp.Lp(2), sp.Lp(3)],
+                         ids=["c0", "l2", "l3"])
+def test_att1_reads_an_underflowing_inverse_as_1_over_c_inf(space):
+    # the true c is about 7.07e-309; the computed c is 0 (-0 on l_2), which
+    # raised ZeroDivisionError or found no witness
+    M = op.truncate_matrix(op.Tc0(), 6)
+    assert ps._inverse_norm(ps._shift(M, np.array([1e308 + 1e308j]))[0],
+                            space)[0] == 0.0
+    with pytest.raises(ValueError, match="^1/c = inf exceeds eps = 0.5"):
+        ps.att1_perturbation(op.Tc0(), space, 1e308 + 1e308j, 0.5, 6)
 
 
 def test_att1_simple_s_shifted():
