@@ -156,8 +156,10 @@ def cmd_verify(args, stdout) -> int:
         results = verify.run_checks(only or None)
     except KeyError as exc:
         raise UsageError(str(exc))
+    # with the JSON report on stdout, stdout holds that one document
+    lines = sys.stderr if args.format == "json" and not args.out else stdout
     for r in results:
-        stdout.write("%s: %s\n" % (r.check_id, "PASS" if r.ok else "FAIL"))
+        lines.write("%s: %s\n" % (r.check_id, "PASS" if r.ok else "FAIL"))
     report = {"schema_version": SCHEMA_VERSION,
               "results": [r.to_json_obj() for r in results],
               "all_ok": all(r.ok for r in results)}

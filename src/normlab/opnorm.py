@@ -9,10 +9,11 @@ certifies a lower bound only.  Its starts run as the rows of one array,
 and its value is floored at the best basis column.  On l_p an iterate's
 report also carries a Riesz-Thorin upper bound.
 
-Every section norm, operator_norm's and every resolvent cell's, goes
-through matrix_norm, which on l_p, 1 < p < inf, first splits the section
-into its independent blocks (on l_2 only a section at least L2_SPLIT_MIN
-wide, as the SVD of a narrower one is cheaper than the split).
+Every section norm but a resolvent cell's on c_0, l_1 and l_2 (see
+pseudospectrum) goes through matrix_norm, which on l_p, 1 < p < inf, first
+splits the section into its independent blocks (on l_2 only a section at
+least L2_SPLIT_MIN wide, as the SVD of a narrower one is cheaper than the
+split).
 """
 
 from __future__ import annotations
@@ -181,7 +182,7 @@ def _power_iteration(M, space, cfg: OpnormConfig, starts=()):
 
 def _closed_form(M: np.ndarray, p: float) -> tuple:
     """(values, arg) of the closed-form norm on l_1, l_2 or c_0/l_inf of a
-    matrix or a stack (..., n, n) of them.
+    matrix or a stack (..., m, n) of them.
 
     l_1 and the sup norm take the largest column (p = 1) or row sum of |M|,
     each line summed pairwise from a C-contiguous copy, as norm_rows sums it;
@@ -223,19 +224,6 @@ def matrix_norm(M: np.ndarray, space, cfg: OpnormConfig = DEFAULT_CFG,
         return float(val), w, "closed_form", None
     val, w = _power_iteration(M, space, cfg, starts)
     return val, w, "iterate", None if p is None else lp_upper_bound(M, p)
-
-
-def matrix_norms(S: np.ndarray, space,
-                 cfg: OpnormConfig = DEFAULT_CFG) -> np.ndarray:
-    """The value of matrix_norm for each matrix of a stack S (K, n, n).
-
-    On l_1 and c_0/l_inf, where nothing is split, the closed form is one
-    reduction over the whole stack.  Elsewhere matrix_norm runs per matrix,
-    so on l_p, 1 < p < inf, each resolvent cell is split into its blocks.
-    """
-    if isinstance(space, sp.Lp) and space.p in (1, INF):
-        return _closed_form(S, space.p)[0]
-    return np.array([matrix_norm(M, space, cfg)[0] for M in S], dtype=float)
 
 
 def lp_upper_bound(M: np.ndarray, p: float) -> float:
@@ -390,11 +378,10 @@ def operator_norm(T, space, N: int, cfg: OpnormConfig = DEFAULT_CFG,
         # np.hypot gives abs()'s bits, np.abs of a complex array may not
         d = op.diagonal_entries(T, N)
         dvals = np.hypot(d.real, d.imag)
-        # on a dsum with no tail, a nonzero entry past the block partition
-        # is refused, as the section's own norm would refuse it
-        if (isinstance(space, sp.DirectSumLp) and space.tail is None
-                and dvals[space.total_size():].any()):
-            raise ValueError("support exceeds the block partition")
+        # on a dsum, a nonzero entry past a tail-less block partition is
+        # refused by the rule the section's own norm applies
+        if isinstance(space, sp.DirectSumLp):
+            sp._block_slices(space, dvals[None])
         i = int(np.argmax(dvals))
         val = float(dvals[i])
         tag = "inconclusive" if isinstance(T, op.Diagonal) else "attained"

@@ -22,47 +22,38 @@ import numpy as np
 from .coeffs import Coeffs, require_finite, require_int, require_trunc
 from . import spaces as sp
 from . import operators as op
-from .opnorm import (OpnormConfig, DEFAULT_CFG, matrix_norm, matrix_norms,
+from .opnorm import (OpnormConfig, DEFAULT_CFG, _closed_form, matrix_norm,
                      growth_tag, rank_one_norm, require_norming,
                      witness_drift)
 
 # a section A is singular when cond_2(A) > SINGULAR_COND, as np.linalg.cond
-# computes it from the singular values s: s_max / s_min, a 0/0 counting as
-# inf.  On l_2 those values are taken anyway (the norm is 1/s_min), so the
-# test reads them.  Elsewhere the SVD is skipped where a cheaper test
-# decides.  A shifted section whose rows outside S (see _busy_rows) hold
-# only their diagonal is block upper triangular, A = [[A_SS, M_SR], [0, D]],
-# so A_SS is a block of A and A_SS^{-1} a block of A^{-1}: ||A_SS|| <= ||A||
-# and ||A_SS^{-1}|| <= ||A^{-1}||, so cond_2(A) >= cond_2(A_SS), and a zero
-# in D or an A_SS whose cond exceeds SINGULAR_COND makes A singular.  Any
-# other cell is screened by cond_2(A) <= ||A||_F ||A^{-1}||_F: where the
-# computed product ||A||_F ||X||_F is below SINGULAR_COND / 100 the computed
-# inverse X is accurate to about 1e12 u N (7e-3 relative at N = 60), far
-# inside that factor 100, so cond_2(A) < SINGULAR_COND and the SVD would not
-# call the cell singular either.  The screen can skip the SVD, never flip
-# its answer.
+# computes it (s_max / s_min, a 0/0 counting as inf); on l_2 the test reads
+# the singular values that give the norm 1/s_min.  Elsewhere a cheaper test
+# on the pieces of _invert decides where it can.  In the order (S, R) of
+# _busy_rows, A = [[A_SS, M_SR], [0, D]], so cond_2(A) >= cond_2(A_SS) (A_SS
+# and its inverse are blocks of A and A^{-1}), and a zero in D or an A_SS
+# with cond above SINGULAR_COND makes A singular.  Any other cell is
+# screened by cond_2(A) <= ||A||_F ||A^{-1}||_F: where the computed
+# ||A||_F ||X||_F is below SINGULAR_COND / 100, X is accurate to about
+# 1e12 u N (7e-3 relative at N = 60), far inside that factor 100, so the SVD
+# would not call the cell singular either: the screen can skip the SVD,
+# never flip its answer.
 SINGULAR_COND = 1e14
 LEVEL_BAND = 1e-6       # relative width of the level set |r - 1/eps|
 # rows of T's image beyond an N-section that the residuals see; a residual
 # is not certified past them
 TAIL = 8
-# complex entries per stack of shifted sections: 128 KiB, glibc's default
-# mmap threshold.  Stacks and inverses above it are mapped and unmapped afresh
-# for every block (the AC4 grid took 100,000 page faults at 256 KiB, against
-# about 300 here), unless something imported earlier has raised the threshold
+# complex entries per block of cells (N^2 a cell on l_2, (k + 1) N off it):
+# 128 KiB, glibc's default mmap threshold.  Larger blocks are mapped and
+# unmapped afresh each time (the AC4 grid took 100,000 page faults at
+# 256 KiB, against about 300 here), unless something imported earlier has
+# raised the threshold
 GRID_BLOCK = 1 << 13
 
 
 # ---------------------------------------------------------------------------
 # resolvent norms and point classification
 # ---------------------------------------------------------------------------
-
-def _frobenius(A: np.ndarray) -> np.ndarray:
-    """||A_k||_F for each matrix of a stack; +inf where it overflows."""
-    a = np.abs(A)
-    with np.errstate(over="ignore"):
-        return np.sqrt(np.square(a, out=a).sum(axis=(-2, -1)))
-
 
 def _busy_rows(M: np.ndarray) -> tuple:
     """(S, R): the rows of the section M (or of any M - zI) with a nonzero
@@ -72,62 +63,75 @@ def _busy_rows(M: np.ndarray) -> tuple:
     return busy.nonzero()[0], (~busy).nonzero()[0]
 
 
-def _invert(A: np.ndarray, split: tuple) -> tuple:
-    """(inverse, singular) for a stack A (K, N, N) of shifted sections whose
-    rows split into (S, R) = _busy_rows of their section.
+def _invert(M: np.ndarray, zs: np.ndarray, split: tuple) -> tuple:
+    """(Y, singular): the inverse of each M - zI, z in zs, as its pieces.
 
-    singular[k] is np.linalg.cond(A[k]) > SINGULAR_COND, and inverse[k] is
-    A[k]^{-1} where it is not (meaningless where it is).  In the order
-    (S, R), A = [[A_SS, M_SR], [0, D]] with D diagonal, so
-    A^{-1} = [[A_SS^{-1}, -A_SS^{-1} M_SR D^{-1}], [0, D^{-1}]] and only the
-    stack of k x k blocks A_SS goes to np.linalg.inv; when S holds every
-    row that is np.linalg.inv(A) itself.  The singular test is set out at
-    SINGULAR_COND.
+    In the order (S, R) = split = _busy_rows(M), M - zI = [[A_SS, M_SR],
+    [0, D]] with D diagonal, so its inverse is X = [[P, V], [0, D^{-1}]],
+    P = A_SS^{-1} and V = -P M_SR D^{-1}.  Y (K, k + 1, N) holds [P | V]
+    over [0 | D^{-1}], columns in the order (S, R).  Only the k x k blocks
+    A_SS go to np.linalg.inv; 1/d is conj(d) / |d| / |d|, |d| by hypot, so
+    |d|^2 is never formed.  singular[i] is cond_2(M - zs[i] I) >
+    SINGULAR_COND, tested as set out there; ||X||_F = ||Y||_F, and
+    ||A||_F^2 is M's off-diagonal part (rows S) plus sum |M_ii - z|^2.
     """
-    S, R = split
-    B = A if not R.size else A[:, S[:, None], S]
+    S = split[0]
+    k = len(S)
+    order = np.concatenate(split)
+    rows = M[S[:, None], order]                 # [M_SS | M_SR]
+    dz = M.diagonal()[order] - zs[:, None]      # the diagonal of M - zI
+    mod = np.hypot(dz.real, dz.imag)
+    ad = mod[:, k:]                             # |d|
+    B = _shift(rows[:, :k], zs)
+    singular = ~ad.all(axis=1)
     try:
-        inv = np.linalg.inv(B)
-        singular = np.zeros(len(A), dtype=bool)
+        # an empty A_SS (a diagonal section) is its own inverse
+        P = np.linalg.inv(B) if k else B
     except np.linalg.LinAlgError:
-        singular = np.linalg.cond(B) > SINGULAR_COND
-        regular = np.where(singular[:, None, None], np.eye(len(S)), B)
-        inv = np.linalg.inv(regular)
-        if B is A:
-            return inv, singular
-    if R.size:
-        d = A[:, R, R]
-        singular |= (d == 0).any(axis=1)
-        X = np.zeros(A.shape, dtype=complex)
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            dinv = 1.0 / d
-            X[:, S[:, None], R] = inv @ A[:, S[:, None], R] * -dinv[:, None, :]
-        X[:, S[:, None], S] = inv
-        X[:, R, R] = dinv
-        inv = X
-    with np.errstate(invalid="ignore"):
+        singular |= np.linalg.cond(B) > SINGULAR_COND
+        P = np.linalg.inv(np.where(singular[:, None, None], np.eye(k), B))
+    Y = np.zeros((len(zs), k + 1, len(M)), dtype=complex)
+    Y[:, :k, :k] = P
+    off = np.abs(rows)
+    off[:, :k].flat[::k + 1] = 0.0
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        dinv, V = Y[:, k, k:], Y[:, :k, k:]
+        np.divide(np.conj(dz[:, k:]), ad, out=dinv)
+        dinv /= ad
+        np.matmul(P, -rows[:, k:], out=V)
+        V *= dinv[:, None, :]
+        a2 = np.vdot(off, off) + np.square(mod).sum(axis=1)
+        x2 = np.square(Y.view(float)).sum(axis=(1, 2))
         # inf * 0 (an overflowing A, an underflowing inverse) is NaN and
         # leaves the cell undecided, to the SVD
-        undecided = ~singular & ~(_frobenius(A) * _frobenius(inv)
-                                  < SINGULAR_COND / 100)
+        undecided = ~(singular | (a2 * x2 < (SINGULAR_COND / 100) ** 2))
     if undecided.any():
-        singular[undecided] = np.linalg.cond(A[undecided]) > SINGULAR_COND
-    return inv, singular
+        singular[undecided] = (np.linalg.cond(_shift(M, zs[undecided]))
+                               > SINGULAR_COND)
+    return Y, singular
 
 
-def _inverse_norm(A: np.ndarray, space,
+def _assemble(Y: np.ndarray, split: tuple) -> np.ndarray:
+    """One cell's inverse (N, N), in M's own order, from its pieces Y."""
+    S, R = split
+    X = np.zeros((Y.shape[1],) * 2, dtype=complex)
+    X[S[:, None], np.concatenate(split)] = Y[:len(S)]
+    X[R, R] = Y[len(S), len(S):]
+    return X
+
+
+def _inverse_norm(M: np.ndarray, z: complex, space,
                   cfg: OpnormConfig = DEFAULT_CFG) -> tuple:
-    """(||A^{-1}||, witness, A^{-1}); (inf, None, None) when A is singular.
-
-    The norm is matrix_norm of the inverse, which gives the witness too; on
-    l_2 it may differ in the last bits from resolvent_norm's 1/sigma_min,
-    far inside att1_perturbation's slack CERT_NORM_SLACK.
-    """
-    inv, singular = _invert(A[None], _busy_rows(A))
+    """(||X||, witness, X) for X = (M - zI)^{-1} from matrix_norm, or
+    (inf, None, None) when M - zI is singular.  The norm may differ in the
+    last bits from resolvent_norm's, far inside CERT_NORM_SLACK."""
+    split = _busy_rows(M)
+    Y, singular = _invert(M, np.array([complex(z)]), split)
     if singular[0]:
         return math.inf, None, None
-    val, w, _, _ = matrix_norm(inv[0], space, cfg)
-    return val, w, inv[0]
+    X = _assemble(Y[0], split)
+    val, w, _, _ = matrix_norm(X, space, cfg)
+    return val, w, X
 
 
 def _shift(M: np.ndarray, zs: np.ndarray) -> np.ndarray:
@@ -143,33 +147,40 @@ def _resolvent_norms(M: np.ndarray, zs: np.ndarray, space,
                      cfg: OpnormConfig = DEFAULT_CFG) -> np.ndarray:
     """||(M - zI)^{-1}|| for each z of zs; +inf where cond_2(M - zI) >
     SINGULAR_COND.  An overflowing row or column sum of some M - zI is
-    refused with a ValueError before any stack is built.  On l_2 one
-    values-only SVD of a stack gives the norms 1/s_min and the condition
-    numbers s_max/s_min; elsewhere _invert inverts the stack.
+    refused with a ValueError before any cell is taken.  On l_2 one
+    values-only SVD of a block of cells gives the norms 1/s_min and the
+    condition numbers.  Elsewhere _invert gives the cells' inverses as
+    pieces: _closed_form's line sums read c_0 and l_1 norms off them, and
+    matrix_norm takes each assembled inverse on l_p and dsum.
     """
     op._require_line_sums(M, "M - zI", zs)
-    l2 = isinstance(space, sp.Lp) and space.p == 2
-    split = None if l2 else _busy_rows(M)
+    p = space.p if isinstance(space, sp.Lp) else None
+    split = None if p == 2 else _busy_rows(M)
     norms = np.empty(len(zs))
-    step = max(1, GRID_BLOCK // M.size)
-    for k in range(0, len(zs), step):
-        A = _shift(M, zs[k:k + step])
-        out = norms[k:k + step]
-        if l2:
-            s = np.linalg.svd(A, compute_uv=False)
+    cell = M.size if p == 2 else (len(split[0]) + 1) * len(M)
+    step = max(1, GRID_BLOCK // cell)
+    for i in range(0, len(zs), step):
+        if p == 2:
+            s = np.linalg.svd(_shift(M, zs[i:i + step]), compute_uv=False)
             with np.errstate(all="ignore"):
-                cond = s[:, 0] / s[:, -1]
                 # a zero section gives 0/0, which np.linalg.cond reads as inf
-                cond[np.isnan(cond)] = math.inf
-                out[:] = np.where(cond > SINGULAR_COND, math.inf,
-                                  1.0 / s[:, -1])
+                singular = ~(s[:, 0] / s[:, -1] <= SINGULAR_COND)
+                vals = 1.0 / s[:, -1]
         else:
-            inv, singular = _invert(A, split)
-            out[:] = math.inf
-            out[~singular] = matrix_norms(
-                inv[~singular] if singular.any() else inv, space, cfg)
-            del inv
-        del A          # each stack is freed before the next one is built
+            Y, singular = _invert(M, zs[i:i + step], split)
+            if p == 1:
+                # X's column sums: those of [P | V] over [0 | D^{-1}]
+                vals = _closed_form(Y, 1)[0]
+            elif p == math.inf:
+                # X's row sums: those of [P | V], and 1/|d| on the rows R
+                vals = np.abs(Y[:, -1]).max(axis=1)
+                if Y.shape[1] > 1:
+                    vals = np.maximum(vals, _closed_form(Y[:, :-1], p)[0])
+            else:
+                vals = [0.0 if bad else
+                        matrix_norm(_assemble(y, split), space, cfg)[0]
+                        for y, bad in zip(Y, singular)]
+        norms[i:i + step] = np.where(singular, math.inf, vals)
     return norms
 
 
@@ -337,11 +348,10 @@ def att1_perturbation(T, space, z: complex, eps: float,
     M = op.truncate_matrix(T, N)
     zs = np.array([complex(z)])
     op._require_line_sums(M, "M - zI", zs)
-    A = _shift(M, zs)[0]
-    c, x, inv = _inverse_norm(A, space)
+    c, x, inv = _inverse_norm(M, z, space)
     if c == math.inf:
         # z is an eigenvalue of the section already; A = 0 certifies it
-        _, _, vh = np.linalg.svd(A)
+        _, _, vh = np.linalg.svd(_shift(M, zs)[0])
         y = np.conj(vh[-1])
         y = y / sp.norm_array(space, y)
         pert = op.ScalarMul(0.0)
@@ -424,7 +434,7 @@ def lp111_perturbation(T, space, N: int) -> Lp111Result:
     minimizers = []
     for n in Ns:
         # c_n and a unit minimizer of ||T_n x|| from the resolvent at z = 0
-        val, x, inv = _inverse_norm(Tw[:n, :n], space)
+        val, x, inv = _inverse_norm(Tw[:n, :n], 0.0, space)
         if inv is None or val <= 0:
             return Lp111Result("inconclusive", None, 0.0, None, tuple(trace))
         u = inv @ x

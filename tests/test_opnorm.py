@@ -938,7 +938,7 @@ def simple_s_resolvent_inverses():
 
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
 def test_matrix_norm_is_the_section_norm_bit_for_bit(p):
-    # one dispatch: a resolvent cell, _inverse_norm and AC8 get what
+    # one dispatch: an l_p resolvent cell, _inverse_norm and AC8 get what
     # operator_norm reports, split included
     rng = np.random.default_rng(int(10 * p))
     mats = [reducible_section(rng, complex_entries=k % 2 == 1)

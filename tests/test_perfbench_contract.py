@@ -57,8 +57,9 @@ def test_tracer_wraps_and_restores_every_traced_name():
 
 
 def test_traced_l3_grid_records_its_cells_matrix_norms():
-    # the cells' norms are taken inside the evaluator, by matrix_norms;
-    # the per-layer matrix_norm counts must still see them
+    # the cells' norms are taken inside the evaluator, by matrix_norm of
+    # each regular cell's assembled inverse; the per-layer matrix_norm
+    # counts must still see them
     tracer = tracing.Tracer()
     tracer.install()
     try:

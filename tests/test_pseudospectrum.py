@@ -306,6 +306,10 @@ EQUIVALENCE_CASES = {
                [(0.5, 1.5, 0, 1)]
                + [(d + delta, 1.5, 0, 1) for d in (0.5, 0.875)
                   for delta in (1e-9, 1e-12, 1e-14, 1e-15)]),
+    # the screen's sum |d_i - z|^2 keeps the cells with cond 1e15 open
+    "diag_d_c0": (DIAG_D, sp.C0(), 30, 4,
+                  [(d + delta, 1.5, 0, 1) for d in (0.5, 0.875)
+                   for delta in (1e-12, 1e-14, 1e-15)]),
     "lower_triangle_l3": (op.Transpose(TRIANGLE), sp.Lp(3), 5, 3, []),
     "triangle_dsum": (TRIANGLE, sp.DirectSumLp(2.0, ((2, 1.0), (3, 3.0))),
                       5, 3, []),
@@ -389,10 +393,12 @@ def counted_linalg(monkeypatch, *names):
 
 def test_grid_scan_inverts_once_per_block_without_cond(monkeypatch):
     # no eigenvalue of the nilpotent section lies in the region, so the
-    # Frobenius screen decides every cell (cell by cell took 3721 conds)
+    # Frobenius screen decides every cell (cell by cell took 3721 conds);
+    # a block holds the pieces of (k + 1) N entries a cell, k = 1 (whole
+    # 30 x 30 cells took 414 blocks)
     calls = counted_linalg(monkeypatch, "cond", "inv")
     ps.grid_scan(op.Tc0(), sp.C0(), (0.5, 3, 0.5, 3), 61, 0.5, 30)
-    per_block = ps.GRID_BLOCK // (30 * 30)
+    per_block = ps.GRID_BLOCK // ((1 + 1) * 30)
     assert calls == {"cond": 0, "inv": -(-61 * 61 // per_block)}
 
 
@@ -429,10 +435,18 @@ def test_l3_grid_cells_split_and_never_run_to_the_cap(monkeypatch):
 
 # -- block-triangular inversion ------------------------------------------------
 
+def frobenius(A):
+    """||A_k||_F for each matrix of a stack; +inf where it overflows."""
+    a = np.abs(A)
+    with np.errstate(over="ignore"):
+        return np.sqrt(np.square(a, out=a).sum(axis=(-2, -1)))
+
+
 def whole_invert(A):
-    """The reference _invert on whole cells: LAPACK's inverse of each cell,
-    the SVD condition number where an exact zero pivot makes the stack's
-    inversion raise, and otherwise where the Frobenius screen is open."""
+    """The reference inversion of whole cells: LAPACK's inverse of each
+    cell, the SVD condition number where an exact zero pivot makes the
+    stack's inversion raise, and otherwise where the Frobenius screen of
+    full N x N norms is open."""
     try:
         inv = np.linalg.inv(A)
     except np.linalg.LinAlgError:
@@ -440,7 +454,7 @@ def whole_invert(A):
         regular = np.where(singular[:, None, None], np.eye(A.shape[-1]), A)
         return np.linalg.inv(regular), singular
     with np.errstate(invalid="ignore"):
-        undecided = ~(ps._frobenius(A) * ps._frobenius(inv)
+        undecided = ~(frobenius(A) * frobenius(inv)
                       < ps.SINGULAR_COND / 100)
     singular = np.zeros(len(A), dtype=bool)
     if undecided.any():
@@ -452,6 +466,14 @@ def shifted_stack(M, zs):
     return ps._shift(M, np.asarray(zs, dtype=complex))
 
 
+def split_inverses(M, zs):
+    """(X, singular): _invert's pieces of each M - zI, z in zs, assembled
+    into the N x N inverses."""
+    split = ps._busy_rows(M)
+    Y, singular = ps._invert(M, np.asarray(zs, dtype=complex), split)
+    return np.array([ps._assemble(y, split) for y in Y]), singular
+
+
 @pytest.mark.parametrize("M,zs", [
     (np.random.default_rng(3).standard_normal((6, 6))
      + 1j * np.random.default_rng(4).standard_normal((6, 6)),
@@ -460,11 +482,10 @@ def shifted_stack(M, zs):
     (np.ones((2, 2)), [0.0, 2.0, 0.5 + 1j, 1e-15]),
 ], ids=["dense", "zero_pivot"])
 def test_invert_with_every_row_busy_is_the_whole_inverse(M, zs):
-    A = shifted_stack(M, zs)
     S, R = ps._busy_rows(M)
     assert len(S) == len(M) and not R.size
-    inv, singular = ps._invert(A, (S, R))
-    want_inv, want_singular = whole_invert(A)
+    inv, singular = split_inverses(M, zs)
+    want_inv, want_singular = whole_invert(shifted_stack(M, zs))
     assert (singular == want_singular).all()
     assert (inv[~singular] == want_inv[~singular]).all()
 
@@ -487,9 +508,8 @@ def test_split_inverse_matches_lapack(name):
     assert len(S) == k and len(S) + len(R) == N
     zs = [complex(re, im) for re in np.linspace(-2, 2, 9)
           for im in np.linspace(-2, 2, 9)]
-    A = shifted_stack(M, zs)
-    inv, singular = ps._invert(A, (S, R))
-    want_inv, want_singular = whole_invert(A)
+    inv, singular = split_inverses(M, zs)
+    want_inv, want_singular = whole_invert(shifted_stack(M, zs))
     assert (singular == want_singular).all()
     for X, Y in zip(inv[~singular], want_inv[~singular]):
         assert np.abs(X - Y).max() <= 1e-13 * np.abs(Y).max()
@@ -521,8 +541,7 @@ def test_split_singular_cells_are_infinite(T, space, N, zs, k, monkeypatch):
     M = op.truncate_matrix(T, N)
     for z in zs:
         assert ps.resolvent_norm(M, space, z) == INF
-    inv, singular = ps._invert(shifted_stack(M, zs + [0.3j]),
-                               ps._busy_rows(M))
+    _, singular = split_inverses(M, zs + [0.3j])
     assert singular.tolist() == [True] * len(zs) + [False]
     grid = ps.grid_scan(T, space, (min(zs), max(zs) + 1, 0, 1), 2, 0.5, N)
     assert grid.resnorms[0] == INF and INF not in grid.resnorms[2:]
@@ -530,7 +549,7 @@ def test_split_singular_cells_are_infinite(T, space, N, zs, k, monkeypatch):
 
 
 def test_ac4_grid_keeps_its_classes_against_lapack():
-    # the parent's whole-cell inversion, block by block, as the reference
+    # whole-cell inversion, block by block, as the reference
     M = op.truncate_matrix(op.Tc0(), 30)
     grid = ps.grid_scan(op.Tc0(), sp.C0(), (-3, 3, -3, 3),
                         verify.AC4_RESOLUTION, 0.1, 30)
@@ -538,6 +557,11 @@ def test_ac4_grid_keeps_its_classes_against_lapack():
     ref = []
     for k in range(0, len(zs), 256):
         inv, singular = whole_invert(shifted_stack(M, zs[k:k + 256]))
+        X, split_singular = split_inverses(M, zs[k:k + 256])
+        assert (split_singular == singular).all()
+        big = np.abs(inv).max(axis=(1, 2))
+        assert (np.abs(X - inv).max(axis=(1, 2))
+                <= 1e-13 * big)[~singular].all()
         sums = np.abs(inv).sum(axis=2).max(axis=1)
         ref.extend(np.where(singular, INF, sums).tolist())
     got, ref = np.array(grid.resnorms), np.array(ref)
@@ -547,6 +571,49 @@ def test_ac4_grid_keeps_its_classes_against_lapack():
     for eps in (0.1, 0.5, 1.0):
         assert dataclasses.replace(grid, eps=eps).classes == \
             tuple(ps._classify(ref, eps).tolist())
+
+
+JORDAN_12 = op.Matrix(tuple(tuple(float(j == i + 1) for j in range(12))
+                             for i in range(12)))
+
+
+@pytest.mark.parametrize("T,space,N", [
+    (op.Tc0(), sp.C0(), 200),
+    (op.Tl1(), sp.L1(), 200),
+    # a Matrix section: A_SS is 11 x 11, the last row holds only its diagonal
+    (JORDAN_12, sp.C0(), 12),
+], ids=["tc0_c0", "tl1_l1", "jordan_c0"])
+def test_line_sum_grid_is_the_norm_of_each_inverse(T, space, N):
+    grid = ps.grid_scan(T, space, (-3, 3, -3, 3), 7, 0.5, N)
+    M = op.truncate_matrix(T, N)
+    ref = []
+    for z, _, _ in grid.cells():
+        cell = M - z * np.eye(N)
+        ref.append(INF if np.linalg.cond(cell) > ps.SINGULAR_COND
+                   else opnorm.matrix_norm(np.linalg.inv(cell), space)[0])
+    got, ref = np.array(grid.resnorms), np.array(ref)
+    # z = 0 is the one eigenvalue of the nilpotent sections
+    assert np.isinf(got).tolist() == np.isinf(ref).tolist() == [
+        z == 0 for z, _, _ in grid.cells()]
+    fin = np.isfinite(ref)
+    assert np.allclose(got[fin], ref[fin], rtol=1e-13, atol=0)
+
+
+def test_c0_resolvent_norms_allocate_no_complex_n_by_n_array():
+    # a cell's inverse is kept as its pieces, (k + 1) N entries; whole cells
+    # took two complex N x N arrays, the shifted section and its inverse.
+    # The overflow rule's |M| (8 N^2 bytes) is the one N x N array left
+    N = 400
+    M = op.truncate_matrix(op.Tc0(), N)
+    zs = np.array([0.7 + 0.2j, 2.0, -1.5j])
+    ps._resolvent_norms(M, zs, sp.C0())
+    tracemalloc.start()
+    try:
+        ps._resolvent_norms(M, zs, sp.C0())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * N * N
 
 
 @pytest.mark.parametrize("space", [sp.Lp(2), sp.C0(), sp.Lp(3)],
@@ -667,14 +734,17 @@ def test_att1_refuses_an_overflowing_shift(space):
 
 @pytest.mark.parametrize("space", [sp.C0(), sp.Lp(2), sp.Lp(3)],
                          ids=["c0", "l2", "l3"])
-def test_att1_reads_an_underflowing_inverse_as_1_over_c_inf(space):
-    # the true c is about 7.07e-309; the computed c is 0 (-0 on l_2), which
-    # raised ZeroDivisionError or found no witness
+def test_att1_refuses_a_huge_z_by_its_tiny_resolvent_norm(space):
+    # c is about 1/|z| = 7.07e-309, as l_2's 1/sigma_min gives it; a complex
+    # 1.0 / d formed |d|^2, which overflowed, and c read 0
     M = op.truncate_matrix(op.Tc0(), 6)
-    assert ps._inverse_norm(ps._shift(M, np.array([1e308 + 1e308j]))[0],
-                            space)[0] == 0.0
-    with pytest.raises(ValueError, match="^1/c = inf exceeds eps = 0.5"):
-        ps.att1_perturbation(op.Tc0(), space, 1e308 + 1e308j, 0.5, 6)
+    z = 1e308 + 1e308j
+    want = pytest.approx(7.071067811865477e-309, rel=1e-13, abs=0)
+    assert ps.resolvent_norm(M, space, z) == want
+    assert ps._inverse_norm(M, z, space)[0] == want
+    with pytest.raises(ValueError,
+                       match="^1/c = 1.41421e\\+308 exceeds eps = 0.5"):
+        ps.att1_perturbation(op.Tc0(), space, z, 0.5, 6)
 
 
 def test_att1_simple_s_shifted():
