@@ -225,12 +225,19 @@ def _require_line_sums(M: np.ndarray, what: str, zs=None) -> None:
     z = 0 or at any z in the box around the array zs: it bounds the entries
     of M x and g M for |x_i|, |g_i| <= 1, so past it no l_p or resolvent
     norm of M is computable.  The sum of all |M| plus max |z| bounds every
-    line sum; past it, |M_ii - z| is taken at the corners, its largest.
+    line sum, and it is at most N^2 sqrt(2) times the largest real or
+    imaginary part of M, which needs no copy of M; past that bound, each
+    line sum is taken, with |M_ii - z| at the corners, its largest.
     """
+    # top is NaN where M holds one, which the exact rule below refuses
+    x = (np.ascontiguousarray(M, dtype=complex).view(float)
+         if np.iscomplexobj(M) else M)
+    top = max(x.max(initial=0.0), -x.min(initial=0.0))
     with np.errstate(over="ignore"):
-        a = np.abs(M)
-        if a.sum() + (0.0 if zs is None else np.abs(zs).max()) < math.inf:
+        if (M.size * math.sqrt(2) * top
+                + (0.0 if zs is None else np.abs(zs).max())) < math.inf:
             return
+        a = np.abs(M)
         if zs is not None:
             lo = complex(zs.real.min(), zs.imag.min())
             hi = complex(zs.real.max(), zs.imag.max())

@@ -161,7 +161,7 @@ def test_shift_that_cancels_a_large_diagonal_is_kept(space):
     assert grid.resnorms[1] == INF and 0 < grid.resnorms[0] < INF
 
 
-def test_l2_never_splits_the_rows_and_other_spaces_split_once(monkeypatch):
+def test_every_space_splits_the_rows_once(monkeypatch):
     calls = []
     real = ps._busy_rows
 
@@ -170,13 +170,13 @@ def test_l2_never_splits_the_rows_and_other_spaces_split_once(monkeypatch):
         return real(M)
 
     monkeypatch.setattr(ps, "_busy_rows", counting)
-    M = op.truncate_matrix(DIAG_D, 30)
-    ps.resolvent_norm(M, sp.Lp(2), 0.3j)
-    ps.grid_scan(DIAG_D, sp.Lp(2), (0, 1, 0, 1), 13, 0.5, 30)
-    assert calls == []
-    # 169 cells in 19 blocks of 9, one split
-    ps.grid_scan(DIAG_D, sp.C0(), (0, 1, 0, 1), 13, 0.5, 30)
-    assert calls == [(30, 30)]
+    M = op.truncate_matrix(op.Tc0(), 30)
+    for space in (sp.Lp(2), sp.C0()):
+        calls.clear()
+        ps.resolvent_norm(M, space, 0.3j)
+        # 3721 cells in 28 blocks of 136, one split
+        ps.grid_scan(op.Tc0(), space, (0, 1, 0, 1), 61, 0.5, 30)
+        assert calls == [(30, 30)] * 2
 
 
 def test_grid_rejects_renormed_space():
@@ -301,6 +301,9 @@ EQUIVALENCE_CASES = {
             # cond 3e13 (the screen is open, cond says regular) and 3e15
             [(1e-7, 1, 0, 1), (1e-8, 1, 0, 1)]),
     "tl1": (op.Tl1(), sp.L1(), 30, 5, []),
+    # Newton on the secular equation of the pieces, at the same cells
+    "tc0_l2": (op.Tc0(), sp.Lp(2), 30, 5,
+               [(1e-7, 1, 0, 1), (1e-8, 1, 0, 1)]),
     "diag_d": (DIAG_D, sp.Lp(2), 30, 4,
                # z = d_0 = 0.5 exactly, then d_k + delta with cond 4e8-5e14
                [(0.5, 1.5, 0, 1)]
@@ -402,13 +405,16 @@ def test_grid_scan_inverts_once_per_block_without_cond(monkeypatch):
     assert calls == {"cond": 0, "inv": -(-61 * 61 // per_block)}
 
 
-def test_l2_grid_takes_one_values_only_svd_per_block(monkeypatch):
-    # the norm is 1/sigma_min and the singular test s_max/s_min, both read
-    # off one SVD of the block; no inverse, no separate condition number
-    calls = counted_linalg(monkeypatch, "cond", "inv", "svd")
-    ps.grid_scan(DIAG_D, sp.Lp(2), (0, 1.2, -0.3, 0.3), 13, 0.1, 30)
-    per_block = ps.GRID_BLOCK // (30 * 30)
-    assert calls == {"cond": 0, "inv": 0, "svd": -(-13 * 13 // per_block)}
+def test_diagonal_l2_grid_calls_no_lapack(monkeypatch):
+    # the norm is max |1/d|, read off the pieces, and the singular test
+    # max |d| / min |d| is cond_2 itself, even at z = 0.5 - 5.6e-17 (cond
+    # 9e15, which the Frobenius screen leaves open); each block took one
+    # values-only SVD
+    calls = counted_linalg(monkeypatch, "cond", "inv", "svd", "eigh",
+                           "eigvalsh")
+    grid = ps.grid_scan(DIAG_D, sp.Lp(2), (0, 1.2, -0.3, 0.3), 13, 0.1, 30)
+    assert calls == dict.fromkeys(calls, 0)
+    assert grid.resnorms.index(INF) == 6 * 13 + 5
 
 
 def test_l3_grid_cells_split_and_never_run_to_the_cap(monkeypatch):
@@ -599,21 +605,55 @@ def test_line_sum_grid_is_the_norm_of_each_inverse(T, space, N):
     assert np.allclose(got[fin], ref[fin], rtol=1e-13, atol=0)
 
 
-def test_c0_resolvent_norms_allocate_no_complex_n_by_n_array():
+def test_dense_l2_grid_takes_one_values_only_svd_per_block(monkeypatch):
+    # 2k >= N busy rows: the norm 1/sigma_min and the singular test
+    # s_max/s_min are read off one SVD of the block; no inverse, no
+    # separate condition number
+    calls = counted_linalg(monkeypatch, "cond", "inv", "svd")
+    ps.grid_scan(JORDAN_12, sp.Lp(2), (-2, 2, -2, 2), 13, 0.5, 12)
+    per_block = ps.GRID_BLOCK // (12 * 12)
+    assert calls == {"cond": 0, "inv": 0, "svd": -(-13 * 13 // per_block)}
+
+
+@pytest.mark.parametrize("N", [30, 200])
+def test_l2_grid_is_one_over_sigma_min_of_each_cell(N):
+    # the secular equation of the pieces against an SVD of each whole cell;
+    # SimpleS (M_SR = 0) gives U no weight where delta is largest, so its
+    # root is the lower bound itself
+    for T in (op.Tc0(), op.Tl1(), op.SimpleS(3.0, 3.0),
+              op.catalog_build("sex"), DIAG_D):
+        grid = ps.grid_scan(T, sp.Lp(2), (-3, 3, -3, 3), 7, 0.5, N)
+        M = op.truncate_matrix(T, N)
+        ref = []
+        for z, _, _ in grid.cells():
+            s = np.linalg.svd(M - z * np.eye(N), compute_uv=False)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ref.append(1 / s[-1] if s[0] / s[-1] <= ps.SINGULAR_COND
+                           else INF)
+        got, ref = np.array(grid.resnorms), np.array(ref)
+        assert np.isinf(got).tolist() == np.isinf(ref).tolist(), T
+        fin = np.isfinite(ref)
+        assert np.allclose(got[fin], ref[fin], rtol=1e-13, atol=0), T
+
+
+@pytest.mark.parametrize("space", [sp.C0(), sp.Lp(2)], ids=["c0", "l2"])
+def test_resolvent_norms_allocate_no_complex_n_by_n_array(space):
     # a cell's inverse is kept as its pieces, (k + 1) N entries; whole cells
-    # took two complex N x N arrays, the shifted section and its inverse.
-    # The overflow rule's |M| (8 N^2 bytes) is the one N x N array left
+    # took two complex N x N arrays, the shifted section and its inverse, on
+    # c_0, and a block of shifted sections for the SVD on l_2.  The overflow
+    # rule's |M| (8 N^2 bytes) is taken only when its bound overflows;
+    # _busy_rows' boolean M != 0 (N^2 bytes) is the one N x N array left
     N = 400
     M = op.truncate_matrix(op.Tc0(), N)
     zs = np.array([0.7 + 0.2j, 2.0, -1.5j])
-    ps._resolvent_norms(M, zs, sp.C0())
+    ps._resolvent_norms(M, zs, space)
     tracemalloc.start()
     try:
-        ps._resolvent_norms(M, zs, sp.C0())
+        ps._resolvent_norms(M, zs, space)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 16 * N * N
+    assert peak < 4 * N * N
 
 
 @pytest.mark.parametrize("space", [sp.Lp(2), sp.C0(), sp.Lp(3)],
@@ -735,8 +775,9 @@ def test_att1_refuses_an_overflowing_shift(space):
 @pytest.mark.parametrize("space", [sp.C0(), sp.Lp(2), sp.Lp(3)],
                          ids=["c0", "l2", "l3"])
 def test_att1_refuses_a_huge_z_by_its_tiny_resolvent_norm(space):
-    # c is about 1/|z| = 7.07e-309, as l_2's 1/sigma_min gives it; a complex
-    # 1.0 / d formed |d|^2, which overflowed, and c read 0
+    # c is about 1/|z| = 7.07e-309, as the cell's 1/sigma_min gives it; a
+    # complex 1.0 / d formed |d|^2, which overflowed, and c read 0.  On l_2
+    # the pieces are scaled by a power of two before they are squared
     M = op.truncate_matrix(op.Tc0(), 6)
     z = 1e308 + 1e308j
     want = pytest.approx(7.071067811865477e-309, rel=1e-13, abs=0)
@@ -745,6 +786,25 @@ def test_att1_refuses_a_huge_z_by_its_tiny_resolvent_norm(space):
     with pytest.raises(ValueError,
                        match="^1/c = 1.41421e\\+308 exceeds eps = 0.5"):
         ps.att1_perturbation(op.Tc0(), space, z, 0.5, 6)
+
+
+SWAP_2 = op.Matrix(((0.0, 1.0), (1.0, 0.0)))
+
+
+@pytest.mark.parametrize("space", [sp.C0(), sp.L1(), sp.Lp(2), sp.Lp(3)],
+                         ids=["c0", "l1", "l2", "l3"])
+def test_dense_cell_at_a_huge_z_keeps_its_tiny_resolvent_norm(space):
+    # A_SS is the whole 2 x 2 cell; LAPACK's complex reciprocal of its
+    # pivot formed |z|^2, which overflowed, and P read 0 off l_2 until A_SS
+    # was scaled by a power of two.  l_2 takes the SVD of the dense cell
+    M = op.truncate_matrix(SWAP_2, 2)
+    z = 1e308 + 1e308j
+    want = pytest.approx(7.071067811865477e-309, rel=1e-13, abs=0)
+    assert ps.resolvent_norm(M, space, z) == want
+    assert ps._inverse_norm(M, z, space)[0] == want
+    with pytest.raises(ValueError,
+                       match="^1/c = 1.41421e\\+308 exceeds eps = 0.5"):
+        ps.att1_perturbation(SWAP_2, space, z, 0.5, 2)
 
 
 def test_att1_simple_s_shifted():
