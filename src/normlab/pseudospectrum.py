@@ -27,9 +27,9 @@ from .opnorm import (OpnormConfig, DEFAULT_CFG, _closed_form, matrix_norm,
                      witness_drift)
 
 # a section A is singular when cond_2(A) > SINGULAR_COND, as np.linalg.cond
-# computes it (s_max / s_min, a 0/0 counting as inf); a dense section on
-# l_2 reads it off the singular values that give the norm 1/s_min.  Every
-# other cell is tested on the pieces of _invert where it can be.  In the
+# computes it (s_max / s_min, a 0/0 counting as inf); on l_2 a section with
+# a busy row reads it off the singular values that give the norm 1/s_min.
+# Every other cell is tested on the pieces of _invert where it can be.  In the
 # order (S, R) of _busy_rows, A = [[A_SS, M_SR], [0, D]], so cond_2(A) >=
 # cond_2(A_SS) (A_SS and its inverse are blocks of A and A^{-1}), and a zero
 # in D or an A_SS with cond above SINGULAR_COND makes A singular.  Any other
@@ -44,8 +44,8 @@ LEVEL_BAND = 1e-6       # relative width of the level set |r - 1/eps|
 # rows of T's image beyond an N-section that the residuals see; a residual
 # is not certified past them
 TAIL = 8
-# complex entries per block of cells (N^2 a cell of a dense section on l_2,
-# (k + 1) N a cell of any other):
+# complex entries per block of cells (N^2 a cell of an SVD on l_2, (k + 1) N
+# a cell of _invert's pieces):
 # 128 KiB, glibc's default mmap threshold.  Larger blocks are mapped and
 # unmapped afresh each time (the AC4 grid took 100,000 page faults at
 # 256 KiB, against about 300 here), unless something imported earlier has
@@ -123,43 +123,6 @@ def _invert(M: np.ndarray, zs: np.ndarray, split: tuple) -> tuple:
     return Y, singular
 
 
-def _spectral_norms(Y: np.ndarray, singular: np.ndarray) -> np.ndarray:
-    """||X||_2 of each cell from its pieces Y, as _invert gives them; +inf
-    where singular.  With U = Y[:, :k] and delta = |D^{-1}|^2 (0 on S),
-    X*X = diag(delta) + U^H U, so ||X||^2 is the largest lam >= max delta
-    with mu_max(U (lam - delta)^{-1} U^H) = 1 (Bunch, Nielsen & Sorensen,
-    Numer. Math. 1978).  1 - mu_max is concave and increasing there, so
-    Newton's steps from a lower bound rise monotonically to the root.
-    """
-    k = Y.shape[1] - 1
-    norms = np.full(len(Y), math.inf)
-    # each cell / 2^e, so that no square of an entry under- or overflows
-    Y = Y[~singular]
-    e = np.frexp(np.abs(Y.view(float)).max(axis=(1, 2), initial=0.0))[1]
-    Y = np.ldexp(Y.view(float), -e[:, None, None]).view(complex)
-    U, delta = Y[:, :k], np.square(np.abs(Y[:, k]))
-    # lam_max >= max delta, ||U U^H||, and each diagonal entry of X*X
-    lam = (delta + np.square(np.abs(U)).sum(axis=1)).max(axis=1)
-    live = np.flatnonzero(np.isfinite(lam)) if k else []
-    if len(live):
-        u = U[live]
-        lam[live] = np.maximum(lam[live], np.linalg.eigvalsh(
-            u @ u.conj().swapaxes(1, 2))[:, -1])
-    for _ in range(60):
-        if not len(live):
-            break
-        u, t = U[live], lam[live][:, None] - delta[live]
-        w = 1.0 / np.maximum(t, np.spacing(lam[live])[:, None])
-        mu, v = np.linalg.eigh((u * w[:, None]) @ u.conj().swapaxes(1, 2))
-        # -d mu_max / d lam = sum_j w_j^2 |(v^H U)_j|^2
-        vu = np.matmul(v[:, None, :, -1].conj(), u)[:, 0]
-        step = (mu[:, -1] - 1.0) / np.square(np.abs(vu) * w).sum(axis=1)
-        lam[live] += np.maximum(step, 0.0)
-        live = live[step > 4 * np.spacing(lam[live])]
-    norms[~singular] = np.ldexp(np.sqrt(lam), e)
-    return norms
-
-
 def _assemble(Y: np.ndarray, split: tuple) -> np.ndarray:
     """One cell's inverse (N, N), in M's own order, from its pieces Y."""
     S, R = split
@@ -196,22 +159,22 @@ def _resolvent_norms(M: np.ndarray, zs: np.ndarray, space,
                      cfg: OpnormConfig = DEFAULT_CFG) -> np.ndarray:
     """||(M - zI)^{-1}|| for each z of zs; +inf where cond_2(M - zI) >
     SINGULAR_COND.  An overflowing row or column sum of some M - zI is
-    refused with a ValueError before any cell is taken.  A dense section
-    (2k >= N busy rows) on l_2 takes one values-only SVD of a block of
-    cells, for the norms 1/s_min and the condition numbers.  Every other
-    cell's inverse comes from _invert as pieces: _spectral_norms reads l_2
-    norms off them, _closed_form's line sums c_0 and l_1 norms, and
-    matrix_norm takes each assembled inverse on l_p and dsum.
+    refused with a ValueError before any cell is taken.  On l_2 a section
+    with a busy row takes one values-only SVD of a block of cells, for the
+    norms 1/s_min and the condition numbers.  Every other cell's inverse
+    comes from _invert as pieces: the largest |1/d| is the l_2 norm of a
+    diagonal section's inverse, _closed_form's line sums give c_0 and l_1
+    norms, and matrix_norm takes each assembled inverse on l_p and dsum.
     """
     op._require_line_sums(M, "M - zI", zs)
     p = space.p if isinstance(space, sp.Lp) else None
     split = _busy_rows(M)
     k = len(split[0])
-    dense_l2 = p == 2 and 2 * k >= len(M)
+    svd = p == 2 and k > 0
     norms = np.empty(len(zs))
-    step = max(1, GRID_BLOCK // (M.size if dense_l2 else (k + 1) * len(M)))
+    step = max(1, GRID_BLOCK // (M.size if svd else (k + 1) * len(M)))
     for i in range(0, len(zs), step):
-        if dense_l2:
+        if svd:
             s = np.linalg.svd(_shift(M, zs[i:i + step]), compute_uv=False)
             with np.errstate(all="ignore"):
                 # a zero section gives 0/0, which np.linalg.cond reads as inf
@@ -219,13 +182,12 @@ def _resolvent_norms(M: np.ndarray, zs: np.ndarray, space,
                 vals = 1.0 / s[:, -1]
         else:
             Y, singular = _invert(M, zs[i:i + step], split)
-            if p == 2:
-                vals = _spectral_norms(Y, singular)
-            elif p == 1:
+            if p == 1:
                 # X's column sums: those of [P | V] over [0 | D^{-1}]
                 vals = _closed_form(Y, 1)[0]
-            elif p == math.inf:
-                # X's row sums: those of [P | V], and 1/|d| on the rows R
+            elif p in (2, math.inf):
+                # X's row sums: those of [P | V], and 1/|d| on the rows R;
+                # on l_2, X is diagonal (k = 0) and max 1/|d| is its norm
                 vals = np.abs(Y[:, -1]).max(axis=1)
                 if Y.shape[1] > 1:
                     vals = np.maximum(vals, _closed_form(Y[:, :-1], p)[0])

@@ -301,7 +301,7 @@ EQUIVALENCE_CASES = {
             # cond 3e13 (the screen is open, cond says regular) and 3e15
             [(1e-7, 1, 0, 1), (1e-8, 1, 0, 1)]),
     "tl1": (op.Tl1(), sp.L1(), 30, 5, []),
-    # Newton on the secular equation of the pieces, at the same cells
+    # the SVD path on l_2, at the same near-singular cells
     "tc0_l2": (op.Tc0(), sp.Lp(2), 30, 5,
                [(1e-7, 1, 0, 1), (1e-8, 1, 0, 1)]),
     "diag_d": (DIAG_D, sp.Lp(2), 30, 4,
@@ -410,8 +410,7 @@ def test_diagonal_l2_grid_calls_no_lapack(monkeypatch):
     # max |d| / min |d| is cond_2 itself, even at z = 0.5 - 5.6e-17 (cond
     # 9e15, which the Frobenius screen leaves open); each block took one
     # values-only SVD
-    calls = counted_linalg(monkeypatch, "cond", "inv", "svd", "eigh",
-                           "eigvalsh")
+    calls = counted_linalg(monkeypatch, "cond", "inv", "svd")
     grid = ps.grid_scan(DIAG_D, sp.Lp(2), (0, 1.2, -0.3, 0.3), 13, 0.1, 30)
     assert calls == dict.fromkeys(calls, 0)
     assert grid.resnorms.index(INF) == 6 * 13 + 5
@@ -605,21 +604,22 @@ def test_line_sum_grid_is_the_norm_of_each_inverse(T, space, N):
     assert np.allclose(got[fin], ref[fin], rtol=1e-13, atol=0)
 
 
-def test_dense_l2_grid_takes_one_values_only_svd_per_block(monkeypatch):
-    # 2k >= N busy rows: the norm 1/sigma_min and the singular test
-    # s_max/s_min are read off one SVD of the block; no inverse, no
-    # separate condition number
+@pytest.mark.parametrize("T, N", [(JORDAN_12, 12), (op.Tc0(), 30)],
+                         ids=["dense", "split"])
+def test_l2_grid_with_busy_rows_takes_one_values_only_svd_per_block(
+        monkeypatch, T, N):
+    # the norm 1/sigma_min and the singular test s_max/s_min are read off
+    # one SVD of the block; no inverse, no separate condition number
     calls = counted_linalg(monkeypatch, "cond", "inv", "svd")
-    ps.grid_scan(JORDAN_12, sp.Lp(2), (-2, 2, -2, 2), 13, 0.5, 12)
-    per_block = ps.GRID_BLOCK // (12 * 12)
+    ps.grid_scan(T, sp.Lp(2), (-2, 2, -2, 2), 13, 0.5, N)
+    per_block = ps.GRID_BLOCK // (N * N)
     assert calls == {"cond": 0, "inv": 0, "svd": -(-13 * 13 // per_block)}
 
 
 @pytest.mark.parametrize("N", [30, 200])
 def test_l2_grid_is_one_over_sigma_min_of_each_cell(N):
-    # the secular equation of the pieces against an SVD of each whole cell;
-    # SimpleS (M_SR = 0) gives U no weight where delta is largest, so its
-    # root is the lower bound itself
+    # each block's SVD, and diag_d's max |1/d|, against an SVD of each
+    # whole cell
     for T in (op.Tc0(), op.Tl1(), op.SimpleS(3.0, 3.0),
               op.catalog_build("sex"), DIAG_D):
         grid = ps.grid_scan(T, sp.Lp(2), (-3, 3, -3, 3), 7, 0.5, N)
@@ -636,15 +636,17 @@ def test_l2_grid_is_one_over_sigma_min_of_each_cell(N):
         assert np.allclose(got[fin], ref[fin], rtol=1e-13, atol=0), T
 
 
-@pytest.mark.parametrize("space", [sp.C0(), sp.Lp(2)], ids=["c0", "l2"])
-def test_resolvent_norms_allocate_no_complex_n_by_n_array(space):
+@pytest.mark.parametrize("T, space", [(op.Tc0(), sp.C0()),
+                                      (DIAG_D, sp.Lp(2))], ids=["c0", "l2"])
+def test_resolvent_norms_allocate_no_complex_n_by_n_array(T, space):
     # a cell's inverse is kept as its pieces, (k + 1) N entries; whole cells
     # took two complex N x N arrays, the shifted section and its inverse, on
-    # c_0, and a block of shifted sections for the SVD on l_2.  The overflow
-    # rule's |M| (8 N^2 bytes) is taken only when its bound overflows;
-    # _busy_rows' boolean M != 0 (N^2 bytes) is the one N x N array left
+    # c_0, and a block of shifted sections for the SVD of a diagonal section
+    # on l_2.  The overflow rule's |M| (8 N^2 bytes) is taken only when its
+    # bound overflows; _busy_rows' boolean M != 0 (N^2 bytes) is the one
+    # N x N array left
     N = 400
-    M = op.truncate_matrix(op.Tc0(), N)
+    M = op.truncate_matrix(T, N)
     zs = np.array([0.7 + 0.2j, 2.0, -1.5j])
     ps._resolvent_norms(M, zs, space)
     tracemalloc.start()
@@ -775,9 +777,8 @@ def test_att1_refuses_an_overflowing_shift(space):
 @pytest.mark.parametrize("space", [sp.C0(), sp.Lp(2), sp.Lp(3)],
                          ids=["c0", "l2", "l3"])
 def test_att1_refuses_a_huge_z_by_its_tiny_resolvent_norm(space):
-    # c is about 1/|z| = 7.07e-309, as the cell's 1/sigma_min gives it; a
-    # complex 1.0 / d formed |d|^2, which overflowed, and c read 0.  On l_2
-    # the pieces are scaled by a power of two before they are squared
+    # c is about 1/|z| = 7.07e-309, as l_2's 1/sigma_min gives it; a complex
+    # 1.0 / d formed |d|^2, which overflowed, and c read 0
     M = op.truncate_matrix(op.Tc0(), 6)
     z = 1e308 + 1e308j
     want = pytest.approx(7.071067811865477e-309, rel=1e-13, abs=0)
