@@ -350,7 +350,6 @@ def su_upper_bound(d: Decomposition) -> float:
 @dataclass(frozen=True)
 class SexReport:
     lower_bounds: tuple    # (n, 1/q_n, solver value of ||e1+e2+e_{n+2}||)
-    gaps: tuple            # per-sample (2 D(u) - su_upper_bound) / ||u||
     min_gap: float
     failures: tuple        # sample indices whose solve did not converge
 
@@ -386,5 +385,5 @@ def sex_norm_bounds(Ns, samples: int = 100, seed: int = 0) -> SexReport:
         if not du.converged:
             failures.append(k)
         gaps.append((2.0 * du.dual_bound - su_upper_bound(du)) / nu)
-    return SexReport(tuple(lower), tuple(gaps),
-                     min(gaps) if gaps else math.inf, tuple(failures))
+    return SexReport(tuple(lower), min(gaps) if gaps else math.inf,
+                     tuple(failures))

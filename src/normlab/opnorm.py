@@ -147,7 +147,7 @@ def _power_iteration(M, space, cfg: OpnormConfig, starts=()):
         M, starts = np.ascontiguousarray(M.real), [s.real for s in starts]
     Mt = np.ascontiguousarray(M.T)
 
-    init = [np.ones(n)] + list(np.eye(n)[:4])
+    init = [np.ones(n)] + list(np.eye(min(n, 4), n))
     for _ in range(RESTARTS):
         v = rng.standard_normal(n)
         if not real_only:
@@ -176,7 +176,7 @@ def _power_iteration(M, space, cfg: OpnormConfig, starts=()):
     cols = sp.norm_rows(space, Mt)
     j = int(np.argmax(cols))
     if cols[j] > best_val[k]:
-        return float(cols[j]), np.eye(n, dtype=complex)[j]
+        return float(cols[j]), np.eye(1, n, j, dtype=complex)[0]
     return float(best_val[k]), best_x[k]
 
 
@@ -219,7 +219,7 @@ def matrix_norm(M: np.ndarray, space, cfg: OpnormConfig = DEFAULT_CFG,
     if p in (1, 2, INF):
         val, arg = _closed_form(M, p)
         w = (arg if p == 2
-             else np.eye(M.shape[1], dtype=complex)[arg] if p == 1
+             else np.eye(1, M.shape[1], arg, dtype=complex)[0] if p == 1
              else sp.norming_functional_array(sp.Lp(1.0), M[arg]))
         return float(val), w, "closed_form", None
     val, w = _power_iteration(M, space, cfg, starts)

@@ -377,8 +377,6 @@ def att1_perturbation(T, space, z: complex, eps: float,
             raise ValueError(
                 "1/c = %.6g exceeds eps = %.6g: z outside the non-strict set "
                 "on this truncation" % (inv_c, eps))
-        if x is None or not np.any(x):
-            raise RuntimeError("no resolvent witness found on this truncation")
         y = inv @ x / c
         f = sp.norming_functional_array(space, y)
         pert = op.RankOne(Coeffs.from_array(f),

@@ -134,38 +134,22 @@ SpaceSpec = Lp | DirectSumLp | RenormedL2
 # norms and norming functionals on dense arrays (the numerical workhorses)
 # ---------------------------------------------------------------------------
 #
-# Every rule works on the rows of a (k, n) array at once; norm_array and
-# norming_functional_array are its one-row case, and norming_functional_rows
-# hands back the norms it takes on the way, equal to norm_rows bit for bit.
-# Rows are reduced along the last axis of C-contiguous arrays, so each row
-# is summed pairwise exactly as a 1-D array is, and numpy's elementwise
-# modulus and power give an entry the same bits wherever it sits.  The l_p
-# rule (1 < p < inf) is scaled by each row's largest modulus m: u = |x|/m
-# lies in [0, 1], w = u^(p-1) and r = (sum w u)^(1/p) lies in [1, n^(1/p)],
-# so no power over- or underflows; the norm is m r and the functional is
-# sign(conj x) w / r^(p-1).  A dsum's tail is the slice of a row past its
-# listed blocks.
+# One rule per space gives each row's norm and its norming functional
+# together (_functionals); norm_rows is its norm half, and norm_array and
+# norming_functional_array are the one-row cases.  The rule works on the
+# rows of a (k, n) array at once, reduced along the last axis of
+# C-contiguous arrays, so each row is summed pairwise exactly as a 1-D array
+# is, and numpy's elementwise modulus and power give an entry the same bits
+# wherever it sits.  The l_p rule (1 < p < inf) is scaled by each row's
+# largest modulus m: u = |x|/m lies in [0, 1], w = u^(p-1) and
+# r = (sum w u)^(1/p) lies in [1, n^(1/p)], so no power over- or
+# underflows; the norm is m r and the functional is sign(conj x) w / r^(p-1).
+# A dsum's tail is the slice of a row past its listed blocks.
 # The dtype follows the input: a real array is taken in float64 and gets a
 # real functional, a complex one in complex128, so real sections iterate in
 # float64.  A real row's modulus, and its product with a real factor, are
 # the bits the complex rule takes for it, so on l_p the two agree bit for
 # bit; a sign conj(x)/|x| may come out 1 ulp below 1 in complex division.
-
-def _lp_scaled(a: np.ndarray, m: np.ndarray, p: float) -> tuple:
-    """(r, w) of the l_p rule, 1 < p < inf, on the rows of the moduli a
-    (k, n) with row maxima m; a zero row gets r = 0 and w = 0."""
-    u = a / (m if m.all() else np.where(m > 0, m, 1.0))[:, None]
-    w = u ** (p - 1)
-    return (w * u).sum(axis=-1) ** (1.0 / p), w
-
-
-def _lp_norms(a: np.ndarray, p: float) -> np.ndarray:
-    """l_p norm of each row of the moduli a (k, n)."""
-    if p == 1:
-        return a.sum(axis=-1)
-    m = a.max(axis=-1, initial=0.0)
-    return m if p == INF else m * _lp_scaled(a, m, p)[0]
-
 
 def _quiet(rule):
     """Run a row-wise rule under one np.errstate, on a C-contiguous float64
@@ -192,13 +176,8 @@ def _block_slices(space: DirectSumLp, X: np.ndarray) -> list:
 @_quiet
 def norm_rows(space: SpaceSpec, X: np.ndarray) -> np.ndarray:
     """Norm under the given space of each row of a dense array X (k, n)."""
-    if isinstance(space, Lp):
-        return _lp_norms(np.abs(X), space.p)
-    if isinstance(space, DirectSumLp):
-        vals = np.stack([_lp_norms(np.abs(X[:, sl]), r)
-                         for sl, r in _block_slices(space, X)], axis=-1)
-        return _lp_norms(vals, space.p)
-    raise TypeError("no norm evaluation for %r" % (space,))
+    a = np.abs(X)
+    return _functionals(space, X, a, a.max(axis=-1, initial=0.0))[0]
 
 
 def norm_array(space: SpaceSpec, arr: np.ndarray) -> float:
@@ -227,7 +206,10 @@ def _lp_dualities(X: np.ndarray, a: np.ndarray, m: np.ndarray,
     Xc = np.conj(X) if np.iscomplexobj(X) else X
     if p == 1:
         return a.sum(axis=-1), np.where(a > 1e-200, Xc / a, 0)
-    r, w = _lp_scaled(a, m, p)
+    # a zero row gets r = 0 and w = 0
+    u = a / (m if m.all() else np.where(m > 0, m, 1.0))[:, None]
+    w = u ** (p - 1)
+    r = (w * u).sum(axis=-1) ** (1.0 / p)
     # f = conj(x) w / (|x| r^(p-1)); the floor on |x| (1e-150 of the row's
     # largest, and never subnormal) keeps the factor finite and shrinks only
     # entries that add nothing to f(x) or to ||f||; a zero row, with w = 0
@@ -278,7 +260,7 @@ def _functionals(space: SpaceSpec, X: np.ndarray, a: np.ndarray,
         for (sl, _), (_, fb), w in zip(slices, blocks, np.real(outer).T):
             out[:, sl] = w[:, None] * fb
         return norms, out
-    raise TypeError("no explicit norming functional for %r" % (space,))
+    raise TypeError("no explicit norm rule for %r" % (space,))
 
 
 @_quiet

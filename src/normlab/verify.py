@@ -446,7 +446,7 @@ def run_checks(only=None):
     results = []
     for name in names:
         if name not in ALL_CHECKS:
-            raise KeyError("unknown check %r" % (name,))
+            raise ValueError("unknown check %r" % (name,))
         t0 = time.perf_counter()
         result = ALL_CHECKS[name]()
         results.append(replace(result, seconds=time.perf_counter() - t0))

@@ -706,9 +706,10 @@ def test_verify_json_report(capsys):
         assert isinstance(r["seconds"], float) and r["seconds"] >= 0
 
 
-def test_verify_unknown_check():
+def test_verify_unknown_check(capsys):
     code, _ = run(["verify", "--only", "AC99"])
     assert code == 1
+    assert capsys.readouterr().err == "error: unknown check 'AC99'\n"
 
 
 def test_verify_failure_exit_code(monkeypatch, tmp_path):

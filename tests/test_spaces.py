@@ -205,18 +205,73 @@ def edge_rows(rng, n, real=False):
     return X
 
 
+def reference_norm_rows(space, X):
+    """The norms of the rows of X by an l_p rule of their own and a loop over
+    a dsum's blocks: the second copy of the rule that norm_rows once kept
+    beside the norming-functional rule."""
+    def lp_norms(a, p):
+        if p == 1:
+            return a.sum(axis=-1)
+        m = a.max(axis=-1, initial=0.0)
+        if p == INF:
+            return m
+        u = a / (m if m.all() else np.where(m > 0, m, 1.0))[:, None]
+        w = u ** (p - 1)
+        return m * (w * u).sum(axis=-1) ** (1.0 / p)
+
+    with np.errstate(all="ignore"):
+        if isinstance(space, sp.Lp):
+            return lp_norms(np.abs(X), space.p)
+        vals = np.stack([lp_norms(np.abs(X[:, sl]), r)
+                         for sl, r in space.slices(X.shape[-1])], axis=-1)
+        return lp_norms(vals, space.p)
+
+
+def special_rows(rng, n, real):
+    """edge_rows with a fifth of the entries past its first 13 rows set to
+    0, 5e-324, 1e-310, 1e300, +-inf or NaN (times 1, -1j or 1 + 1j when
+    complex); three rows when n = 0."""
+    if n == 0:
+        return np.zeros((3, 0), dtype=float if real else complex)
+    X = edge_rows(rng, n, real)
+    pick = rng.random(X.shape) < 0.2
+    pick[:13] = False
+    vals = rng.choice([0.0, 5e-324, 1e-310, 1e300, INF, -INF, math.nan],
+                      pick.sum())
+    with np.errstate(invalid="ignore"):
+        X[pick] = vals if real else vals * rng.choice([1, -1j, 1 + 1j],
+                                                      pick.sum())
+    return X
+
+
 @pytest.mark.parametrize("space", ROW_SPACES, ids=space_id)
 def test_functional_rows_return_norm_rows_bitwise(space):
-    # the norms norming_functional_rows hands back are norm_rows' own, at
-    # scales from 1e-300 to 1e300, on zero rows and on rows below 1e-150
-    # (which the functional takes scaled by 2^600) with subnormal entries
+    # norm_rows and the norms norming_functional_rows hands back are the
+    # reference rule's bit for bit, inf and NaN included, at scales from
+    # 1e-300 to 1e300, on zero rows, on rows below 1e-150 (which the
+    # functional takes scaled by 2^600) with subnormal entries, and on rows
+    # of width 0; on a row with finite entries and a nonzero norm, F pairs
+    # with the row to its norm and has unit dual norm
     rng = np.random.default_rng(9)
-    sizes = (1, 3, 7) if finite_dsum(space) else (1, 4, 9, 40)
+    sizes = (0, 1, 3, 7) if finite_dsum(space) else (0, 1, 4, 9, 40)
+    dual = sp.dual_space(space)
     for n in sizes:
-        X = edge_rows(rng, n)
-        norms, funcs = sp.norming_functional_rows(space, X)
-        assert np.array_equal(norms, sp.norm_rows(space, X))
-        assert np.all(np.isfinite(funcs))
+        for real in (False, True):
+            X = special_rows(rng, n, real)
+            ref = reference_norm_rows(space, X)
+            norms, funcs = sp.norming_functional_rows(space, X)
+            assert norms.tobytes() == ref.tobytes()
+            assert sp.norm_rows(space, X).tobytes() == ref.tobytes()
+            finite = np.isfinite(X).all(axis=-1)
+            assert np.all(np.isfinite(funcs[finite]))
+            live = finite & (ref > 0)
+            Y = X[live]
+            Y[np.abs(Y).max(axis=-1, initial=0.0) < 1e-150] *= 2.0 ** 600
+            pair = np.sum(funcs[live] * Y, axis=-1)
+            assert np.allclose(pair / reference_norm_rows(space, Y), 1.0,
+                               rtol=0, atol=1e-12)
+            assert np.allclose(sp.norm_rows(dual, funcs[live]), 1.0,
+                               rtol=0, atol=1e-12)
 
 
 def test_qsum_functionals_are_norming_at_every_scale():
