@@ -89,36 +89,40 @@ def _emit(args, text: str, stdout) -> None:
 
 def cmd_norm(args, stdout) -> int:
     space, vector = _load(args, "space", "vector")
+    payload, d = {"schema_version": SCHEMA_VERSION}, None
     if isinstance(space, sp.RenormedL2):
         if args.trunc is not None:
             space = sp.RenormedL2(args.trunc)
         tol = convex.TOL if args.tol is None else args.tol
         value, d = convex.minkowski_norm(vector, space.trunc, tol)
-        payload = {"schema_version": SCHEMA_VERSION, "value": value,
-                   "decomposition": d.to_json_obj()}
-        if args.format == "json":
-            _emit(args, json.dumps(payload, sort_keys=True), stdout)
-        else:
-            _emit(args, "%.6f" % value, stdout)
-        if not d.converged:
-            sys.stderr.write("solver gap %.3g above tolerance\n" % d.gap)
-            return EXIT_SOLVER_GAP
-        return EXIT_OK
-    if args.trunc is not None or args.tol is not None:
+        payload["decomposition"] = d.to_json_obj()
+    elif args.trunc is not None or args.tol is not None:
         raise UsageError("--trunc and --tol apply only to the renormed space")
-    value = sp.norm_eval(space, vector)
-    if args.format == "json":
-        _emit(args, json.dumps({"schema_version": SCHEMA_VERSION,
-                                "value": value}, sort_keys=True), stdout)
     else:
-        _emit(args, "%.6f" % value, stdout)
+        value = sp.norm_eval(space, vector)
+    payload["value"] = value
+    _emit(args, json.dumps(payload, sort_keys=True)
+          if args.format == "json" else "%.6f" % value, stdout)
+    if d is not None and not d.converged:
+        sys.stderr.write("solver gap %.3g above tolerance\n" % d.gap)
+        return EXIT_SOLVER_GAP
     return EXIT_OK
+
+
+def _truncs(text) -> list:
+    """opnorm's --trunc: one N, or a list N1,N2,... for the ladder."""
+    try:
+        return [int(n) for n in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError("invalid int value: %r" % text)
 
 
 def cmd_opnorm(args, stdout) -> int:
     space, operator = _load(args, "space", "operator")
     cfgo = opnorm.OpnormConfig(seed=args.seed)
-    report = opnorm.operator_norm(operator, space, args.trunc, cfgo)
+    Ns = args.trunc
+    report = (opnorm.attainment_scan(operator, space, Ns, cfgo) if Ns[1:]
+              else opnorm.operator_norm(operator, space, *Ns, cfgo))
     if args.format == "json":
         payload = {"schema_version": SCHEMA_VERSION}
         payload.update(report.to_json_obj())
@@ -160,10 +164,8 @@ def cmd_verify(args, stdout) -> int:
     report = {"schema_version": SCHEMA_VERSION,
               "results": [r.to_json_obj() for r in results],
               "all_ok": all(r.ok for r in results)}
-    if args.out:
-        _write_out(args.out, json.dumps(report, sort_keys=True))
-    elif args.format == "json":
-        stdout.write(json.dumps(report, sort_keys=True) + "\n")
+    if args.out or args.format == "json":
+        _emit(args, json.dumps(report, sort_keys=True), stdout)
     return EXIT_OK if report["all_ok"] else EXIT_VERIFY
 
 
@@ -188,7 +190,8 @@ def build_parser() -> argparse.ArgumentParser:
     pn.add_argument("--tol", type=float, help="renormed-space gap target")
     for p in (po, pp):
         p.add_argument("--operator", help="operator spec JSON")
-        p.add_argument("--trunc", type=int, default=30)
+        p.add_argument("--trunc", type=_truncs if p is po else int,
+                       default="30")
         p.add_argument("--seed", type=int, default=0)
     pp.add_argument("--eps", type=float, default=0.5)
     pp.add_argument("--grid", default="-3,3,-3,3", help="re0,re1,im0,im1")

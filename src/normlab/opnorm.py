@@ -44,6 +44,10 @@ L2_SPLIT_MIN = 44
 class OpnormConfig:
     seed: int = 0
 
+    def __post_init__(self):
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise ValueError("seed must be a non-negative integer")
+
 
 DEFAULT_CFG = OpnormConfig()
 
@@ -468,7 +472,7 @@ def growth_tag(Ns, values, dists, centroids, rising: bool) -> str:
 def attainment_scan(T, space, Ns, cfg: OpnormConfig = DEFAULT_CFG) -> NormReport:
     """Run operator_norm over increasing truncations and classify attainment
     by growth_tag, the values being norms that rise with N."""
-    Ns = list(Ns)
+    Ns = [require_trunc(N, "N") for N in Ns]
     if not Ns:
         raise ValueError("Ns must not be empty")
     if any(b <= a for a, b in zip(Ns, Ns[1:])):

@@ -214,6 +214,8 @@ def resolvent_norm(M: np.ndarray, space, z: complex,
 def _require_eps(eps: float) -> None:
     if not eps > 0:
         raise ValueError("eps must be positive")
+    if eps == math.inf:
+        raise ValueError("eps must be finite")
     if 1.0 / float(eps) == math.inf:
         raise ValueError("eps = %g is too small: 1/eps overflows" % eps)
 
@@ -358,6 +360,7 @@ def att1_perturbation(T, space, z: complex, eps: float,
     finite, an M - zI with an overflowing row or column sum, or an N whose
     (N + TAIL)-section verify_cert could not build, raises a ValueError.
     """
+    _require_eps(eps)
     require_finite((z,), "z = %r" % (z,))
     N = require_trunc(N, "N", TAIL)
     M = op.truncate_matrix(T, N)

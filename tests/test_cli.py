@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 import warnings
@@ -12,10 +13,12 @@ from hypothesis import given, settings, strategies as st
 
 from normlab import cli
 from normlab import convex
+from normlab import operators as op
+from normlab import opnorm
 from normlab import pseudospectrum as ps
 from normlab import spaces as sp
 from normlab import verify
-from normlab.coeffs import MAX_TRUNC
+from normlab.coeffs import Coeffs, MAX_TRUNC
 
 
 def run(argv):
@@ -232,12 +235,21 @@ def test_lp_at_an_endpoint_prints_as_its_tag(command, tag, p):
      '{"op":"scalar","re":1e308}]}', "--trunc", "3", "--res", "2"],
     ["pspec", "--space", LP2, "--operator", '{"op":"scalar","re":-1e308}',
      "--grid=1e308,1.0000001e308,0,1", "--res", "2", "--trunc", "2"],
+    ["pspec", "--space", LP2, "--operator", TC0, "--res", "3",
+     "--trunc", "4", "--eps", "inf"],
+    ["opnorm", "--space", '{"space":"lp","p":3}', "--operator", TC0,
+     "--trunc", "4", "--seed=-1"],
+    ["pspec", "--space", LP2, "--operator", TC0, "--res", "3",
+     "--trunc", "4", "--seed=-1"],
+    ["pspec", "--space", '{"space":"c0"}', "--operator", TC0, "--res", "3",
+     "--trunc", "4", "--seed=-1"],
 ], ids=["index", "block_size", "trunc", "tol_negative", "tol_nan",
         "tol_on_lp", "trunc_on_lp", "renorm_trunc_zero",
         "renorm_trunc_negative", "catalog_name", "empty_matrix",
         "pspec_renorm", "grid_nan", "grid_inf", "grid_span_overflow",
         "missing_key", "section_sum_overflow", "section_entry_overflow",
-        "grid_shift_overflow"])
+        "grid_shift_overflow", "eps_inf", "opnorm_seed_negative",
+        "pspec_l2_seed_negative", "pspec_c0_seed_negative"])
 def test_out_of_domain_input_is_usage_error(argv, capsys):
     assert_usage_error(argv, capsys)
 
@@ -466,17 +478,99 @@ def test_python_m_normlab_runs_the_cli():
     assert proc.returncode == 1
 
 
-@pytest.mark.parametrize("script, args", [
-    ("norm_squeeze_report.py", ["--samples", "3"]),
+def _experiments():
+    """The normlab commands of README's Experiments block, as argv lists."""
+    readme = os.path.join(os.path.dirname(os.path.dirname(__file__)),
+                          "README.md")
+    with open(readme) as fh:
+        text = fh.read()
+    block = text.split("## Experiments")[1].split("```sh\n")[1]
+    lines = block.split("```")[0].replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines
+            if line.startswith("normlab ")]
+
+
+# each attainment ladder of README's Experiments block: its tag and the
+# length of its trace
+LADDERS = {
+    "5,10,20,40": ("escaping", 4),      # diag_d on l_2
+    "4,8,16": ("attained", 3),          # I + e_1 (x) e_0 on l_2
+    "5,10,20,30": ("escaping", 4),      # I + Tc0 on c_0
+    "8,16,32": ("attained", 3),         # I + F on l_3
+    "10,100,1000": ("escaping", 3),     # the swap on qsum(4, 2)
+}
+
+
+def test_readme_experiments_run(tmp_path):
+    ladders = {}
+    for argv in _experiments():
+        if "--out" in argv:
+            i = argv.index("--out") + 1
+            argv[i] = str(tmp_path / argv[i])
+        code, _ = run(argv)
+        assert code == 0, argv
+        if argv[0] == "opnorm":
+            trunc = argv[argv.index("--trunc") + 1]
+            code, out = run(argv + ["--format", "json"])
+            obj = json.loads(out)
+            ladders[trunc] = (obj["attainment"], len(obj["trace"]))
+    assert ladders == LADDERS
+    assert (tmp_path / "grid.csv").exists()
+
+
+I_PLUS_F = ('{"op":"sum","terms":[{"op":"identity"},{"op":"rank_one",'
+            '"functional":[[0,1,0]],"vector":[[3,1,0],[5,0.5,0]]}]}')
+
+
+def test_opnorm_ladder_prints_the_attainment_scan_report():
+    argv = ["opnorm", "--space", '{"space":"lp","p":3}', "--operator",
+            I_PLUS_F, "--trunc", "8,16,32"]
+    T = op.Sum((op.Identity(), op.RankOne(Coeffs.basis(0),
+                                          Coeffs({3: 1.0, 5: 0.5}))))
+    scan = opnorm.attainment_scan(T, sp.Lp(3.0), (8, 16, 32))
+    code, out = run(argv + ["--format", "json"])
+    assert code == 0
+    assert json.loads(out) == dict(json.loads(json.dumps(scan.to_json_obj())),
+                                   schema_version=1)
+    assert run(argv) == (0, "%.10f method=iterate attainment=attained\n"
+                         % scan.value)
+    assert scan.upper == pytest.approx(1.798, abs=1e-3)
+
+
+@pytest.mark.parametrize("trunc, message", [
+    ("8,8", "Ns must be strictly increasing"),
+    ("8,4", "Ns must be strictly increasing"),
+    ("8,x", "argument --trunc: invalid int value: '8,x'"),
+    ("8,", "argument --trunc: invalid int value: '8,'"),
+    ("0,8", "N must be positive"),
 ])
-def test_scripts_run(script, args):
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    path = os.path.join(os.path.dirname(src), "scripts", script)
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, path, *args],
-                          capture_output=True, text=True, env=env)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip()
+def test_opnorm_bad_ladder_is_usage_error(trunc, message, capsys):
+    capsys.readouterr()
+    code, out = run(["opnorm", "--space", LP2, "--operator", TC0,
+                     "--trunc", trunc])
+    assert (code, out) == (1, "")
+    assert capsys.readouterr().err == "error: %s\n" % message
+
+
+def test_ladder_past_the_bound_is_refused_before_any_section(monkeypatch,
+                                                             capsys):
+    calls = []
+    real = opnorm.operator_norm
+
+    def counting(*args, **kwargs):
+        calls.append(args[2])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(opnorm, "operator_norm", counting)
+    argv = ["opnorm", "--space", LP2, "--operator", TC0, "--trunc"]
+    assert run(argv + ["8,16"])[0] == 0 and calls == [8, 16]
+    calls.clear()
+    capsys.readouterr()
+    assert run(argv + ["8,16," + HUGE]) == (1, "")
+    assert calls == []
+    assert capsys.readouterr().err == (
+        "error: N = %s exceeds the largest truncation, %d\n"
+        % (HUGE, MAX_TRUNC))
 
 
 def test_cli_and_verify_load_no_scipy():

@@ -56,6 +56,24 @@ def test_attainment_scan_needs_increasing_sections():
             opnorm.attainment_scan(op.Identity(), sp.Lp(2.0), Ns)
 
 
+def test_attainment_scan_bounds_every_n_before_the_first_section(
+        monkeypatch):
+    def no_section(*args, **kwargs):
+        raise AssertionError("built a section")
+
+    monkeypatch.setattr(opnorm, "operator_norm", no_section)
+    with pytest.raises(ValueError, match="^N = 4097 exceeds the largest "
+                                         "truncation, 4096$"):
+        opnorm.attainment_scan(op.Tc0(), sp.Lp(2.0), (8, 16, 4097))
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, "0"])
+def test_config_refuses_a_seed_that_is_not_a_non_negative_integer(seed):
+    with pytest.raises(ValueError,
+                       match="^seed must be a non-negative integer$"):
+        opnorm.OpnormConfig(seed=seed)
+
+
 def test_projection_norm_one_attained():
     # coordinate projection onto {0, 1} and its complement have norm one
     P = op.Diagonal("explicit", (1.0, 1.0, 0.0, 0.0, 0.0))

@@ -765,6 +765,16 @@ def test_att1_eps_too_small_rejected():
         ps.att1_perturbation(op.Tc0(), sp.C0(), 3.0, 0.1, 20)
 
 
+@pytest.mark.parametrize("eps, message", [
+    (math.inf, "eps must be finite"), (math.nan, "eps must be positive"),
+    (0.0, "eps must be positive"), (-1.0, "eps must be positive")])
+def test_att1_refuses_an_eps_outside_the_grid_domain(eps, message):
+    # att1 once certified eps = inf (verify_cert passed it), built a failing
+    # certificate at NaN and named 0 and -1 only as "1/c exceeds eps"
+    with pytest.raises(ValueError, match="^%s$" % message):
+        ps.att1_perturbation(op.Tc0(), sp.C0(), 0.6, eps, 20)
+
+
 @pytest.mark.parametrize("space", [sp.C0(), sp.Lp(2), sp.Lp(3)],
                          ids=["c0", "l2", "l3"])
 def test_att1_refuses_an_overflowing_shift(space):
