@@ -284,15 +284,17 @@ class AtomicSplit:
 
 
 def b_atomic_decompose(u: Coeffs, N: int) -> AtomicSplit:
+    """u in B as a convex split over its ball piece and atom families, read
+    off minkowski_norm's optimal decomposition at truncation N.  A u with
+    ||u||_2 <= 1/2 is its own ball piece and needs no solve.  Support at
+    N + 3 or beyond, or a u outside B, raises a ValueError."""
+    _split_coords(u, N)
+    if float(np.linalg.norm(u.to_array(N + 3))) <= 0.5:
+        # Cauchy: ||x'|| + ||(x_1, x_2)|| <= sqrt(2) ||u||_2 < 1
+        return AtomicSplit(1.0, u, 0.0, Coeffs.zero(), 0.0, Coeffs.zero())
     value, d = minkowski_norm(u, N)
     if value > 1.0 + TOL:
         raise ValueError("u is outside B (norm %.9g > 1)" % value)
-
-    arr = u.to_array(N + 3)
-    l2 = float(np.linalg.norm(arr))
-    if l2 <= 0.5:
-        # Cauchy-inequality fast path: the ball piece absorbs u whole
-        return AtomicSplit(1.0, u, 0.0, Coeffs.zero(), 0.0, Coeffs.zero())
 
     xa = d.x.to_array(N + 3)
     a = (math.hypot(abs(xa[0]), float(np.linalg.norm(xa[3:])))

@@ -373,7 +373,9 @@ def operator_norm(T, space, N: int, cfg: OpnormConfig = DEFAULT_CFG,
 
     Identity, scalar, diagonal and rank-one operators and the swap
     operators on K (+)_q l_p bypass the section; every other section goes
-    to matrix_norm.
+    to matrix_norm.  The swap reduction keys on a bare SimpleS or SimpleR:
+    any other spelling of a swap takes the power iteration, whose value is
+    a lower bound, with upper None on qsum.
     """
     N = require_trunc(N, "N")
     require_norming(space)

@@ -4,11 +4,11 @@ Every resolvent norm ||(M - zI)^{-1}||, at one z or at a grid's cells,
 comes from one evaluator, _resolvent_norms.  Three sets are tracked on
 finite sections: the strict set (resolvent norm above 1/eps), its closure
 relaxation (>=), and the level set (= 1/eps within a relative band).  Two
-constructive routines produce rank-one certificates: an eigenvalue-planting
-perturbation from a resolvent witness, and a norm-c perturbation S with
-inf ||(T+S)x|| ~ 0 built either from a converging minimizer or from a
-disjointified escaping family.  A planting certificate is (A, z, y, eps, N);
-verify_cert computes its residual and ||A||.
+constructive routines plant the one rank-one -f_y(.)(T - zI)y at a bottom
+vector y (_plant): an eigenvalue-planting perturbation, and a norm-c
+perturbation S with inf ||(T+S)x|| ~ 0 built either from a converging
+minimizer or from a disjointified escaping family.  A planting certificate
+is (A, z, y, eps, N); verify_cert computes its residual and ||A||.
 """
 
 from __future__ import annotations
@@ -132,18 +132,18 @@ def _assemble(Y: np.ndarray, split: tuple) -> np.ndarray:
     return X
 
 
-def _inverse_norm(M: np.ndarray, z: complex, space,
-                  cfg: OpnormConfig = DEFAULT_CFG) -> tuple:
-    """(||X||, witness, X) for X = (M - zI)^{-1} from matrix_norm, or
-    (inf, None, None) when M - zI is singular.  The norm may differ in the
-    last bits from resolvent_norm's, far inside CERT_NORM_SLACK."""
+def _inverse_norm(M: np.ndarray, z: complex, space) -> tuple:
+    """(c, y): c = ||X|| for X = (M - zI)^{-1} from matrix_norm, witness w,
+    and the unit bottom vector y = X w / c, where ||(M - zI)y|| = 1/c is
+    least; (inf, None) for a singular M - zI, (0.0, None) when X underflows.
+    c may differ in the last bits from resolvent_norm's (CERT_NORM_SLACK)."""
     split = _busy_rows(M)
     Y, singular = _invert(M, np.array([complex(z)]), split)
     if singular[0]:
-        return math.inf, None, None
+        return math.inf, None
     X = _assemble(Y[0], split)
-    val, w, _, _ = matrix_norm(X, space, cfg)
-    return val, w, X
+    val, w, _, _ = matrix_norm(X, space)
+    return (val, X @ w / val) if val else (0.0, None)
 
 
 def _shift(M: np.ndarray, zs: np.ndarray) -> np.ndarray:
@@ -354,11 +354,11 @@ def att1_perturbation(T, space, z: complex, eps: float,
                       N: int) -> PerturbationCert:
     """Plant the eigenvalue z into T with a rank-one A of norm 1/c <= eps.
 
-    With x a unit resolvent witness, c = ||(T-zI)^{-1}x||, y the normalized
-    resolvent image and f a norming functional of y, the perturbation
-    A u = -c^{-1} f(u) x satisfies (T+A)y = zy exactly.  A z that is not
-    finite, an M - zI with an overflowing row or column sum, or an N whose
-    (N + TAIL)-section verify_cert could not build, raises a ValueError.
+    With c = ||(M - zI)^{-1}|| on the N-section M and y its bottom vector
+    (_inverse_norm), A = _plant(M, z, y) has norm ||(M - zI)y|| = 1/c and
+    (M + A)y = zy.  A z that is not finite, an M - zI with an overflowing
+    row or column sum, or an N whose (N + TAIL)-section verify_cert could
+    not build, raises a ValueError.
     """
     _require_eps(eps)
     require_finite((z,), "z = %r" % (z,))
@@ -366,7 +366,7 @@ def att1_perturbation(T, space, z: complex, eps: float,
     M = op.truncate_matrix(T, N)
     zs = np.array([complex(z)])
     op._require_line_sums(M, "M - zI", zs)
-    c, x, inv = _inverse_norm(M, z, space)
+    c, y = _inverse_norm(M, z, space)
     if c == math.inf:
         # z is an eigenvalue of the section already; A = 0 certifies it
         _, _, vh = np.linalg.svd(_shift(M, zs)[0])
@@ -380,10 +380,7 @@ def att1_perturbation(T, space, z: complex, eps: float,
             raise ValueError(
                 "1/c = %.6g exceeds eps = %.6g: z outside the non-strict set "
                 "on this truncation" % (inv_c, eps))
-        y = inv @ x / c
-        f = sp.norming_functional_array(space, y)
-        pert = op.RankOne(Coeffs.from_array(f),
-                          Coeffs.from_array(-x / c))
+        pert = _plant(M, z, y, space)
     return PerturbationCert(pert, complex(z), Coeffs.from_array(y), eps, N)
 
 
@@ -414,6 +411,17 @@ def _residual(Tw: np.ndarray, S, z: complex, y: np.ndarray, space) -> float:
     return float(sp.norm_array(space, M @ yw - z * yw))
 
 
+def _plant(Tw: np.ndarray, z: complex, y: np.ndarray, space) -> op.RankOne:
+    """A = -f_y(.)(T - zI)y, f_y a norming functional of y, T read off its
+    section Tw and y zero-padded to Tw's rows: for a unit y, ||A|| =
+    ||(T - zI)y|| and (T + A)y = zy.  A positive multiple of y keeps f_y."""
+    # np.concatenate costs a tenth of np.pad's 11 us
+    yw = np.concatenate((y, np.zeros(len(Tw) - len(y))))
+    return op.RankOne(
+        Coeffs.from_array(sp.norming_functional_array(space, y)),
+        Coeffs.from_array(z * yw - Tw @ yw))
+
+
 # ---------------------------------------------------------------------------
 # norm-c singularizing perturbations
 # ---------------------------------------------------------------------------
@@ -438,63 +446,51 @@ def lp111_perturbation(T, space, N: int) -> Lp111Result:
     Minimizers over growing sections, none wider than N (so the c at N
     is the infimum on T_N), decide the case by growth_tag, with
     the c_n as infima, which must not rise: a Cauchy family ("attained")
-    gives the rank-one S = -phi(.) T x_hat; escaping minimizers give the
-    block construction over a disjointified family.
+    gives the rank-one S = _plant(T, 0, x_hat); escaping minimizers give
+    the block construction over a disjointified family.
     """
     N = require_trunc(N, "N", TAIL)
     Ns = sorted({min(n, N) for n in (max(2, N // 8), max(3, N // 4),
                                      max(4, N // 2), N)})
-    # every section below is a leading block of this one
+    # every section and image of T below is read off this one
     Tw = op.truncate_matrix(T, N + TAIL)
     trace = []
     minimizers = []
     for n in Ns:
-        # c_n and a unit minimizer of ||T_n x|| from the resolvent at z = 0
-        val, x, inv = _inverse_norm(Tw[:n, :n], 0.0, space)
-        if inv is None or val <= 0:
+        # c_n and a unit minimizer of ||T_n x||, the bottom vector at z = 0
+        val, y = _inverse_norm(Tw[:n, :n], 0.0, space)
+        if y is None:
             return Lp111Result("inconclusive", None, 0.0, None, tuple(trace))
-        u = inv @ x
         trace.append((n, 1.0 / val))
-        minimizers.append(u / sp.norm_array(space, u))
+        minimizers.append(y)
     c = trace[-1][1]
     witnesses, dists, centroids = witness_drift(minimizers, space)
     tag = growth_tag(Ns, [v for _, v in trace], dists, centroids, False)
 
     if tag == "attained":
         xhat = witnesses[-1]
-        phi = sp.norming_functional_array(space, xhat)
-        Tx = Tw @ np.pad(xhat, (0, TAIL))
-        S = op.RankOne(Coeffs.from_array(phi), Coeffs.from_array(-Tx))
+        S = _plant(Tw, 0.0, xhat, space)
         new_inf = _residual(Tw, S, 0.0, xhat, space)
         return Lp111Result("fixed", S, c, new_inf, tuple(trace))
 
     if tag == "escaping":
-        xs = [Coeffs.from_array(w) for w in witnesses]
-        dj = sp.disjointify(xs, [1e-9] * len(xs), space=space)
-        blocks = []
-        for u in dj.vectors:
-            nu = sp.norm_eval(space, u)
-            if nu <= 0:
-                continue
-            u = (1.0 / nu) * u
-            v = op.apply(T, u)
-            blocks.append((u, v))
+        # disjointify keeps its first candidate; each u it gives has a norm
+        # above 1 - 5e-10, a unit witness less a leak below 5e-10
+        dj = sp.disjointify([Coeffs.from_array(w) for w in witnesses],
+                            [1e-9] * len(witnesses), space=space)
+        us = [u.to_array() for u in dj.vectors]
+        us = [(1.0 / sp.norm_array(space, u)) * u for u in us]
+        images = [Tw[:, :len(u)] @ u for u in us]
         # images must also be pairwise disjoint; thin the family if not
-        vdj = sp.disjointify([v for _, v in blocks],
-                             [1e-9] * len(blocks), space=space)
-        if not vdj.ok and len(vdj.indices) >= 1:
-            blocks = [blocks[i - 1] for i in vdj.indices]
-        if not blocks:
-            return Lp111Result("inconclusive", None, c, None, tuple(trace))
-        cms = [sp.norm_eval(space, v) for _, v in blocks]
+        vdj = sp.disjointify([Coeffs.from_array(v) for v in images],
+                             [1e-9] * len(us), space=space)
+        us = [us[i - 1] for i in vdj.indices]
+        cms = [sp.norm_array(space, images[i - 1]) for i in vdj.indices]
         c_used = min(cms)
-        terms = []
-        for (u, v), cm in zip(blocks, cms):
-            phi = sp.norming_functional(space, u).restrict(u.support())
-            terms.append(op.RankOne(phi, (-c_used / cm) * v))
-        S = op.Sum(tuple(terms))
-        k = int(np.argmin(cms))
-        new_inf = _residual(Tw, S, 0.0, blocks[k][0].to_array(), space)
+        # each term plants 0 at (c/c_k) u_k: -(c/c_k) phi_k(.) T u_k
+        S = op.Sum(tuple(_plant(Tw, 0.0, (c_used / cm) * u, space)
+                         for u, cm in zip(us, cms)))
+        new_inf = _residual(Tw, S, 0.0, us[int(np.argmin(cms))], space)
         return Lp111Result("escaping", S, c_used, new_inf, tuple(trace))
 
     return Lp111Result("inconclusive", None, c, None, tuple(trace))

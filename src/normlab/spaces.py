@@ -323,10 +323,6 @@ def norm_eval(space: SpaceSpec, x: Coeffs) -> float:
     return norm_array(space, np.array(vals, dtype=complex))
 
 
-def norming_functional(space: SpaceSpec, x: Coeffs) -> Coeffs:
-    return Coeffs.from_array(norming_functional_array(space, x.to_array()))
-
-
 def p_space_defect(x: Coeffs, useq, p: float, space: SpaceSpec):
     """Defect ||x+u_n|| - (||x||^p + ||u_n||^p)^(1/p), one value per u_n.
 

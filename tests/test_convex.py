@@ -601,6 +601,25 @@ def test_atomic_split_rejects_outside():
         convex.b_atomic_decompose(Coeffs({1: 1.9}), 4)
 
 
+@pytest.mark.parametrize("u", [
+    Coeffs({0: 0.2, 4: 0.3}), Coeffs({1: 0.3, 2: 0.4j}), Coeffs({6: 0.5}),
+    Coeffs.zero()], ids=["head_tail", "complex_pair", "edge", "zero"])
+def test_small_atomic_split_runs_no_solve(u, monkeypatch):
+    # a u with ||u||_2 <= 1/2 lies in the ball piece (||x'|| + ||(x_1, x_2)||
+    # <= sqrt(2)/2), so its split is u itself and minkowski_norm never runs
+    calls = []
+    monkeypatch.setattr(convex, "minkowski_norm",
+                        lambda *args: calls.append(args))
+    s = convex.b_atomic_decompose(u, 4)
+    assert calls == []
+    assert (s.a, s.x, s.b, s.y, s.c, s.w) == (
+        1.0, u, 0.0, Coeffs.zero(), 0.0, Coeffs.zero())
+    # support at N + 3 or beyond is still refused, before the l_2 test
+    with pytest.raises(ValueError, match="^support of u must lie in"):
+        convex.b_atomic_decompose(u + Coeffs({7: 0.01}), 4)
+    assert calls == []
+
+
 @settings(max_examples=10, deadline=None)
 @given(seed=st.integers(0, 10 ** 6))
 def test_atomic_split_invariants(seed):

@@ -10,6 +10,7 @@ from normlab.coeffs import Coeffs
 from normlab import spaces as sp
 from normlab import operators as op
 from normlab import opnorm
+from normlab import verify
 from test_spaces import space_id
 
 INF = math.inf
@@ -307,6 +308,16 @@ def test_swap_reduction_needs_the_qsum_shape():
                   sp.DirectSumLp(4.0, ((1, 1.0),), INF),
                   sp.DirectSumLp(4.0, ((1, 1.0), (9, 2.0)))):
         assert opnorm.operator_norm(T, space, 10).method != "reduction_f"
+
+
+def test_a_swap_spelled_otherwise_takes_the_iterate():
+    # the reduction keys on a bare SimpleS: the same operator behind a
+    # ScalarMul(1) factor is normed by the power iteration, a lower bound
+    # with no upper on qsum
+    T = op.Compose((op.ScalarMul(1.0), op.SimpleS(2.0, 4.0)))
+    r = opnorm.operator_norm(T, sp.QSumLp(4.0, 2.0), 100)
+    assert (r.method, r.upper) == ("iterate", None)
+    assert r.value <= verify.swap_section_norm(2.0, 4.0, 100)
 
 
 def test_growth_tag():

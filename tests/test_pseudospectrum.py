@@ -938,3 +938,61 @@ def test_lp111_builds_one_section_of_t(T, N, monkeypatch):
     seen = counted_sections(monkeypatch)
     ps.lp111_perturbation(T, sp.Lp(2.0), N)
     assert [s for s in seen if s[0] == T] == [(T, N + 8)]
+
+
+@pytest.mark.parametrize("T, space, N", [
+    (op.ScalarMul(2.0), sp.Lp(2.0), 16),
+    (op.SimpleS(2.0, 4.0), sp.QSumLp(4.0, 2.0), 24),
+    (op.catalog_build("sex"), sp.Lp(3.0), 12)],
+    ids=["scalar_l2", "simple_s_qsum", "sex_l3"])
+def test_lp111_fixed_s_is_att1_at_zero(T, space, N):
+    # one planting: lp111's fixed S is att1's A at z = 0 with eps = c, up to
+    # the phase of the bottom vector, which a rank-one f_y(.)y cancels
+    res = ps.lp111_perturbation(T, space, N)
+    assert res.case == "fixed"
+    cert = ps.att1_perturbation(T, space, 0.0, res.c, N)
+    S, A = op.truncate_matrix(res.S, N), op.truncate_matrix(cert.A, N)
+    assert np.abs(S - A).max() <= 1e-12 * np.abs(A).max()
+    assert ps.verify_cert(T, space, cert)["ok"]
+    assert ps.verify_cert(T, space, dataclasses.replace(cert, A=res.S))["ok"]
+
+
+@pytest.mark.parametrize("build", [
+    lambda: [ps.att1_perturbation(T, space, z, eps, N)
+             for T, space, z, eps, N in (
+                 (op.ScalarMul(0.0), sp.Lp(2.0), 0.3j, 0.8, 12),
+                 (op.Diagonal("one_minus_2pow"), sp.Lp(2.0), 0.6 + 0.05j,
+                  0.4, 16),
+                 (op.Tc0(), sp.C0(), 0.6j, 1.0, 20))],
+    lambda: ps.lp111_perturbation(op.ScalarMul(2.0), sp.Lp(2.0), 16),
+    lambda: ps.lp111_perturbation(op.Diagonal("one_plus_inv"), sp.Lp(2.0),
+                                  32)],
+    ids=["att1_ac7", "lp111_fixed", "lp111_escaping"])
+def test_perturbations_read_t_off_its_section(build, monkeypatch):
+    # every image of T is a product with the section each construction
+    # holds; the escaping case once imaged its blocks through op.apply
+    def no_apply(T, x):
+        raise AssertionError("op.apply(%r)" % (T,))
+
+    monkeypatch.setattr(op, "apply", no_apply)
+    assert build()
+
+
+@pytest.mark.parametrize("N", [8, 16, 32, 64])
+@pytest.mark.parametrize("space", [sp.L1(), sp.Lp(1.5), sp.Lp(2.0),
+                                   sp.Lp(3.0), sp.C0()],
+                         ids=["l1", "l1.5", "l2", "l3", "c0"])
+def test_lp111_escaping_s_is_one_rank_one_per_disjoint_block(space, N):
+    # the diagonal's witnesses are disjoint unit vectors, so every block is
+    # kept and each term is supported on its own block
+    res = ps.lp111_perturbation(op.Diagonal("one_plus_inv"), space, N)
+    assert res.case == "escaping"
+    terms = res.S.terms
+    assert len(terms) == len(res.trace)
+    assert all(isinstance(t, op.RankOne) for t in terms)
+    for i, t in enumerate(terms):
+        assert t.functional.support() <= t.vector.support()
+        for s in terms[i + 1:]:
+            assert not t.vector.support() & s.vector.support()
+    assert res.new_inf < 1e-10
+    assert opnorm.operator_norm(res.S, space, N).value <= res.c + 1e-8
