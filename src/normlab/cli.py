@@ -130,9 +130,6 @@ def cmd_opnorm(args, stdout) -> int:
     else:
         _emit(args, "%.10f method=%s attainment=%s"
               % (report.value, report.method, report.attainment), stdout)
-        if report.warning:
-            sys.stderr.write("warning: the iterate returned 0; "
-                             "the value is only a lower bound\n")
     return EXIT_OK
 
 

@@ -19,7 +19,7 @@ split).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -62,10 +62,6 @@ class NormReport:
     centroids: tuple = ()             # witness support centroid per N
     upper: float | None = None        # upper bound on an iterate's norm
 
-    @property
-    def warning(self) -> bool:
-        return bool(self.method == "iterate" and self.value == 0.0)
-
     def to_json_obj(self):
         obj = {
             "value": self.value,
@@ -74,7 +70,6 @@ class NormReport:
             "trace": [[n, v] for n, v in self.trace],
             "centroids": list(self.centroids),
             "witness": self.witness.to_json_obj(),
-            "warning": self.warning,
         }
         if self.method == "iterate":
             obj["upper"] = self.upper
@@ -212,6 +207,9 @@ def matrix_norm(M: np.ndarray, space, cfg: OpnormConfig = DEFAULT_CFG,
     matrix at least L2_SPLIT_MIN wide is split.  Any other matrix takes the
     closed form on l_1, l_2 and c_0/l_inf and the power iteration
     elsewhere.  upper is lp_upper_bound for an iterate on Lp, else None.
+    A matrix with no nonzero entry has the closed form 0 with witness e_0
+    on every space; only the iterate's path scans M for it, as a closed
+    form's value 0 already tells.
     """
     M = np.asarray(M, dtype=complex)
     p = space.p if isinstance(space, sp.Lp) else None
@@ -222,12 +220,15 @@ def matrix_norm(M: np.ndarray, space, cfg: OpnormConfig = DEFAULT_CFG,
         return _split_norm(M, *labels, space, cfg, starts)
     if p in (1, 2, INF):
         val, arg = _closed_form(M, p)
-        w = (arg if p == 2
-             else np.eye(1, M.shape[1], arg, dtype=complex)[0] if p == 1
-             else sp.norming_functional_array(sp.Lp(1.0), M[arg]))
-        return float(val), w, "closed_form", None
-    val, w = _power_iteration(M, space, cfg, starts)
-    return val, w, "iterate", None if p is None else lp_upper_bound(M, p)
+        if val:
+            w = (arg if p == 2
+                 else np.eye(1, M.shape[1], arg, dtype=complex)[0] if p == 1
+                 else sp.norming_functional_array(sp.Lp(1.0), M[arg]))
+            return float(val), w, "closed_form", None
+    elif M.any():
+        val, w = _power_iteration(M, space, cfg, starts)
+        return val, w, "iterate", None if p is None else lp_upper_bound(M, p)
+    return 0.0, np.eye(1, M.shape[1], dtype=complex)[0], "closed_form", None
 
 
 def lp_upper_bound(M: np.ndarray, p: float) -> float:
@@ -380,6 +381,7 @@ def operator_norm(T, space, N: int, cfg: OpnormConfig = DEFAULT_CFG,
     N = require_trunc(N, "N")
     require_norming(space)
 
+    tag, upper = "inconclusive", None
     if isinstance(T, (op.Identity, op.ScalarMul, op.Diagonal)):
         # np.hypot gives abs()'s bits, np.abs of a complex array may not
         d = op.diagonal_entries(T, N)
@@ -389,17 +391,17 @@ def operator_norm(T, space, N: int, cfg: OpnormConfig = DEFAULT_CFG,
         if isinstance(space, sp.DirectSumLp):
             sp._block_slices(space, dvals[None])
         i = int(np.argmax(dvals))
-        val = float(dvals[i])
-        tag = "inconclusive" if isinstance(T, op.Diagonal) else "attained"
-        return NormReport(val, Coeffs.basis(i), "closed_form", ((N, val),),
-                          tag, (float(i),))
-    if isinstance(T, op.RankOne):
+        val, w, method, centroid = (float(dvals[i]), Coeffs.basis(i),
+                                    "closed_form", float(i))
+        if not isinstance(T, op.Diagonal):
+            tag = "attained"
+    elif isinstance(T, op.RankOne):
         fnorm, F = sp.norming_functional_rows(
             sp.dual_space(space), T.functional.to_array(N)[None])
         val = float(fnorm[0]) * sp.norm_array(space, T.vector.to_array(N))
-        return NormReport(val, Coeffs.from_array(F[0]), "closed_form",
-                          ((N, val),), "inconclusive", (_centroid(F[0]),))
-    if (isinstance(T, (op.SimpleS, op.SimpleR))
+        w, method, centroid = (Coeffs.from_array(F[0]), "closed_form",
+                               _centroid(F[0]))
+    elif (isinstance(T, (op.SimpleS, op.SimpleR))
             and isinstance(space, sp.DirectSumLp) and space.is_qsum()):
         # the largest shrink (S) or expand (R) factor in the section and
         # the index it sits on
@@ -411,14 +413,12 @@ def operator_norm(T, space, N: int, cfg: OpnormConfig = DEFAULT_CFG,
             t, k = 1.5, 2
         val, (a, b, g) = maximize_swapped_f(space.tail, space.p, t)
         w = Coeffs({0: a, 1: b} if k is None else {0: a, 1: b, k: g})
-        return NormReport(val, w, "reduction_f", ((N, val),), "inconclusive",
-                          (_centroid(w.to_array(N)),))
-
-    val, warr, method, upper = matrix_norm(op.truncate_matrix(T, N), space,
-                                           cfg, starts)
-    return NormReport(val, Coeffs.from_array(warr), method, ((N, val),),
-                      "inconclusive", (_centroid(warr),),
-                      upper=upper)
+        method, centroid = "reduction_f", _centroid(w.to_array(N))
+    else:
+        val, warr, method, upper = matrix_norm(op.truncate_matrix(T, N),
+                                               space, cfg, starts)
+        w, centroid = Coeffs.from_array(warr), _centroid(warr)
+    return NormReport(val, w, method, ((N, val),), tag, (centroid,), upper)
 
 
 # ---------------------------------------------------------------------------
@@ -434,41 +434,35 @@ def _phase_align(w: np.ndarray) -> np.ndarray:
     return w * np.conj(s)
 
 
-def witness_drift(witnesses, space) -> tuple:
-    """(aligned, dists, centroids) for witnesses over growing sections.
+def growth_tag(Ns, values, witnesses, space, rising: bool) -> tuple:
+    """(tag, aligned, centroids) for witnesses over growing sections Ns,
+    the tag attained | escaping | inconclusive.
 
     aligned holds each witness with its global phase fixed on its largest
-    coordinate; dists the space norms between consecutive aligned witnesses
-    (the shorter one zero-padded); centroids the support centroid of each.
-    """
-    aligned = [_phase_align(w) for w in witnesses]
-    dists = []
-    for wa, wb in zip(aligned, aligned[1:]):
-        pad = np.zeros(len(wb), dtype=complex)
-        pad[: len(wa)] = wa
-        dists.append(sp.norm_array(space, pad - wb))
-    return aligned, dists, [_centroid(w) for w in witnesses]
-
-
-def growth_tag(Ns, values, dists, centroids, rising: bool) -> str:
-    """attained | escaping | inconclusive for witnesses over growing
-    sections Ns, from witness_drift's dists and centroids.
-
-    A heuristic, never a proof: the last two dists below ATT_TOL read
+    coordinate, centroids the support centroid of each.  The tag is a
+    heuristic, never a proof: the last two space norms between consecutive
+    aligned witnesses (the shorter one zero-padded) below ATT_TOL read
     "attained"; the last two centroids at ESCAPE_FRAC of N or beyond, with
     values that never move against their sense (rising for a norm, falling
     for an infimum), read "escaping".
     """
-    if len(Ns) < 2:
-        return "inconclusive"
-    if all(d < ATT_TOL for d in dists[-2:]):
-        return "attained"
+    aligned = [_phase_align(w) for w in witnesses]
+    centroids = [_centroid(w) for w in witnesses]
+    dists = [sp.norm_array(space, np.concatenate(
+                 (wa, np.zeros(len(wb) - len(wa)))) - wb)
+             for wa, wb in zip(aligned, aligned[1:])]
     s = 1 if rising else -1
-    if (all(s * b >= s * a - 1e-15 for a, b in zip(values, values[1:]))
+    if len(Ns) < 2:
+        tag = "inconclusive"
+    elif all(d < ATT_TOL for d in dists[-2:]):
+        tag = "attained"
+    elif (all(s * b >= s * a - 1e-15 for a, b in zip(values, values[1:]))
             and all(c >= ESCAPE_FRAC * n
                     for c, n in zip(centroids[-2:], Ns[-2:]))):
-        return "escaping"
-    return "inconclusive"
+        tag = "escaping"
+    else:
+        tag = "inconclusive"
+    return tag, aligned, centroids
 
 
 def attainment_scan(T, space, Ns, cfg: OpnormConfig = DEFAULT_CFG) -> NormReport:
@@ -479,20 +473,15 @@ def attainment_scan(T, space, Ns, cfg: OpnormConfig = DEFAULT_CFG) -> NormReport
         raise ValueError("Ns must not be empty")
     if any(b <= a for a, b in zip(Ns, Ns[1:])):
         raise ValueError("Ns must be strictly increasing")
-    trace = []
-    witnesses = []
-    report = None
+    trace, witnesses = [], []
     for N in Ns:
-        starts = ()
-        if witnesses:
-            padded = np.zeros(N, dtype=complex)
-            padded[: len(witnesses[-1])] = witnesses[-1]
-            starts = (padded,)
+        # the last rung's witness, zero-padded to N, is one more start
+        starts = [np.concatenate((w, np.zeros(N - len(w))))
+                  for w in witnesses[-1:]]
         report = operator_norm(T, space, N, cfg, starts)
         trace.append((N, report.value))
         witnesses.append(report.witness.to_array(N))
-    _, dists, centroids = witness_drift(witnesses, space)
-    tag = growth_tag(Ns, [v for _, v in trace], dists, centroids, True)
-    return NormReport(trace[-1][1], report.witness, report.method,
-                      tuple(trace), tag, tuple(centroids),
-                      report.upper)
+    tag, _, centroids = growth_tag(Ns, [v for _, v in trace], witnesses,
+                                   space, True)
+    return replace(report, trace=tuple(trace), attainment=tag,
+                   centroids=tuple(centroids))

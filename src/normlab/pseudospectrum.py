@@ -23,8 +23,7 @@ from .coeffs import Coeffs, require_finite, require_int, require_trunc
 from . import spaces as sp
 from . import operators as op
 from .opnorm import (OpnormConfig, DEFAULT_CFG, _closed_form, matrix_norm,
-                     growth_tag, rank_one_norm, require_norming,
-                     witness_drift)
+                     growth_tag, rank_one_norm, require_norming)
 
 # a section A is singular when cond_2(A) > SINGULAR_COND, as np.linalg.cond
 # computes it (s_max / s_min, a 0/0 counting as inf); on l_2 a section with
@@ -406,7 +405,7 @@ def _residual(Tw: np.ndarray, S, z: complex, y: np.ndarray, space) -> float:
     """||(T + S - zI)y|| on the leading len(y) + TAIL block of T's section
     Tw: the one residual of a certificate or a singularizing S."""
     wide = len(y) + TAIL
-    yw = np.pad(y, (0, TAIL))
+    yw = np.concatenate((y, np.zeros(TAIL)))
     M = Tw[:wide, :wide] + op.truncate_matrix(S, wide)
     return float(sp.norm_array(space, M @ yw - z * yw))
 
@@ -464,8 +463,8 @@ def lp111_perturbation(T, space, N: int) -> Lp111Result:
         trace.append((n, 1.0 / val))
         minimizers.append(y)
     c = trace[-1][1]
-    witnesses, dists, centroids = witness_drift(minimizers, space)
-    tag = growth_tag(Ns, [v for _, v in trace], dists, centroids, False)
+    tag, witnesses, _ = growth_tag(Ns, [v for _, v in trace], minimizers,
+                                   space, False)
 
     if tag == "attained":
         xhat = witnesses[-1]

@@ -586,27 +586,38 @@ def test_cli_and_verify_load_no_scipy():
     assert proc.stdout == "[]\n"
 
 
-def test_opnorm_json_warning_is_a_json_bool():
+def test_opnorm_json_has_no_warning_key():
     code, out = run(["opnorm", "--space", '{"space":"qsum","q":1,"p":3}',
                      "--operator",
                      '{"op":"matrix","rows":[[[1,0],[2,0],[0,1]],'
                      '[[3,0],[-4,0],[1,0]],[[0,0.5],[1,0],[2,0]]]}',
                      "--trunc", "3", "--format", "json"])
     assert code == 0
-    assert '"warning": false' in out
-    assert json.loads(out)["warning"] is False
+    assert "warning" not in json.loads(out)
 
 
-def test_opnorm_text_shows_zero_iterate_warning(capsys):
+def test_opnorm_text_zero_section_is_a_closed_form(capsys):
     capsys.readouterr()
     code, out = run(["opnorm", "--space", '{"space":"lp","p":3}',
                      "--operator",
                      '{"op":"matrix","rows":[[[0,0],[0,0]],[[0,0],[0,0]]]}',
                      "--trunc", "2"])
     assert code == 0
-    assert out == "0.0000000000 method=iterate attainment=inconclusive\n"
-    assert capsys.readouterr().err == (
-        "warning: the iterate returned 0; the value is only a lower bound\n")
+    assert out == "0.0000000000 method=closed_form attainment=inconclusive\n"
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("oper", [
+    '{"op":"matrix","rows":[[[0,0],[0,0]],[[0,0],[0,0]]]}',
+    '{"op":"scalar","re":0}'])
+def test_opnorm_zero_section_past_the_partition_reads_zero(oper):
+    # the 5-section reaches past DSUM_2's two coordinates, but only a
+    # nonzero entry there is refused
+    code, out = run(["opnorm", "--space", DSUM_2, "--operator", oper,
+                     "--trunc", "5", "--format", "json"])
+    assert code == 0
+    r = json.loads(out)
+    assert (r["value"], r["method"]) == (0.0, "closed_form")
 
 
 def test_opnorm_qsum_large_outer_exponent_iterates():
@@ -845,6 +856,22 @@ def test_broken_qseq_rule_fails_check(monkeypatch):
 
 def test_usage_no_command():
     assert cli.main([]) == 1
+
+
+def test_help_exits_zero(capsys):
+    assert cli.main(["--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: normlab")
+
+
+@pytest.mark.parametrize("space, oper, message", [
+    ('{"space":"xx"}', TC0, "unknown space tag 'xx'"),
+    (LP2, '{"op":"xx"}', "unknown operator tag 'xx'"),
+])
+def test_unknown_tag_is_usage_error(space, oper, message, capsys):
+    capsys.readouterr()
+    code, out = run(["opnorm", "--space", space, "--operator", oper])
+    assert (code, out) == (1, "")
+    assert capsys.readouterr().err == "error: %s\n" % message
 
 
 def test_bad_grid_flag():

@@ -313,6 +313,11 @@ def test_reconstruct_matches_coeffs_sum_bitwise():
         assert rec.dim_hint == ref.dim_hint
 
 
+def test_atom_sum_without_atoms_is_its_input():
+    x = Coeffs({0: 1.5, 3: -2j}, dim_hint=6)
+    assert convex._atom_sum(x) is x
+
+
 def test_atomic_split_pieces_match_coeffs_sums():
     # y and w of b_atomic_decompose equal their term-by-term Coeffs sums
     u = 0.5 * pair_atom(30) + 0.4 * QSEQ.q(7) * triple_atom(7)

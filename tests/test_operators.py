@@ -299,6 +299,22 @@ def test_dual_examples():
     assert np.allclose(Ms[:, 1:], 0, atol=0)
 
 
+def test_dual_of_a_transpose_is_its_inner_operator():
+    assert op.dual_operator(op.Transpose(op.Tc0())) == op.Tc0()
+
+
+def test_non_operator_raises_type_error():
+    for call in (lambda: op.apply("T", Coeffs.basis(0)),
+                 lambda: op._section("T", 3), lambda: op.dual_operator("T")):
+        with pytest.raises(TypeError, match="unknown operator 'T'"):
+            call()
+
+
+def test_unknown_operator_tag_raises():
+    with pytest.raises(ValueError, match="unknown operator tag 'xx'"):
+        op.operator_from_json_obj({"op": "xx"})
+
+
 def test_transpose_apply_raises():
     with pytest.raises(op.UnboundedImageError):
         op.apply(op.dual_operator(op.Tc0()), Coeffs.basis(0))

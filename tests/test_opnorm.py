@@ -320,20 +320,64 @@ def test_a_swap_spelled_otherwise_takes_the_iterate():
     assert r.value <= verify.swap_section_norm(2.0, 4.0, 100)
 
 
+def e(i, n):
+    return np.eye(1, n, i, dtype=complex)[0]
+
+
 def test_growth_tag():
-    Ns, c = (8, 16, 32), [1.0, 6.0, 12.0]
-    assert opnorm.growth_tag(Ns[:1], [1.0], [], c[:1], True) == "inconclusive"
-    assert opnorm.growth_tag(Ns, [1, 2, 2], [0.5, 1e-4], [1.0] * 3,
-                             True) == "inconclusive"
-    assert opnorm.growth_tag(Ns, [1, 2, 2], [1e-4, 1e-4], c, True) == \
+    Ns, l2 = (8, 16, 32), sp.Lp(2.0)
+    far = [e(1, 8), e(6, 16), e(12, 32)]            # centroids 1, 6, 12
+    near = [e(1, 8), e(3, 16), e(6, 32)]            # 3 < ESCAPE_FRAC * 16
+
+    def tag(Ns, values, witnesses, rising):
+        return opnorm.growth_tag(Ns, values, witnesses, l2, rising)[0]
+
+    assert tag(Ns[:1], [1.0], far[:1], True) == "inconclusive"
+    # drifted once, then still: the last two distances are sqrt(2) and 0
+    mid = (e(0, 16) + e(2, 16)) / math.sqrt(2)      # centroid 1
+    still = [e(1, 8), mid, np.concatenate((mid, np.zeros(16)))]
+    assert tag(Ns, [1, 2, 2], still, True) == "inconclusive"
+    # equal up to a global phase: distance 0 once aligned
+    assert tag(Ns, [1, 2, 2], [e(1, 8), 1j * e(1, 16), -e(1, 32)], True) == \
         "attained"
     # escaping support reads escaping only when the values move in sense
-    assert opnorm.growth_tag(Ns, [1, 2, 2], [1, 1], c, True) == "escaping"
-    assert opnorm.growth_tag(Ns, [1, 2, 2], [1, 1], c, False) == \
-        "inconclusive"
-    assert opnorm.growth_tag(Ns, [2, 1, 1], [1, 1], c, False) == "escaping"
-    assert opnorm.growth_tag(Ns, [2, 1, 1], [1, 1], [1.0, 3.0, 6.0],
-                             False) == "inconclusive"
+    assert tag(Ns, [1, 2, 2], far, True) == "escaping"
+    assert tag(Ns, [1, 2, 2], far, False) == "inconclusive"
+    assert tag(Ns, [2, 1, 1], far, False) == "escaping"
+    assert tag(Ns, [2, 1, 1], near, False) == "inconclusive"
+
+
+def test_growth_tag_aligns_and_measures_the_witnesses():
+    Ns, l2 = (8, 16, 32), sp.Lp(2.0)
+    ws = [-1j * e(1, 8), e(6, 16), 2j * e(12, 32)]
+    tag, aligned, centroids = opnorm.growth_tag(Ns, [1, 2, 2], ws, l2, True)
+    assert tag == "escaping"
+    assert centroids == [1.0, 6.0, 12.0]
+    for a, w in zip(aligned, ws):
+        assert (a == np.abs(w)).all()
+
+
+def test_growth_tag_keeps_a_zero_witness():
+    zeros = [np.zeros(8, dtype=complex), np.zeros(16, dtype=complex)]
+    tag, aligned, centroids = opnorm.growth_tag((8, 16), [0.0, 0.0], zeros,
+                                                sp.Lp(2.0), True)
+    assert (tag, centroids) == ("attained", [0.0, 0.0])
+    assert all(a is w for a, w in zip(aligned, zeros))
+
+
+@pytest.mark.parametrize("N", [1, 2])
+@pytest.mark.parametrize("cls", [op.SimpleS, op.SimpleR])
+def test_swap_reduction_on_short_sections(cls, N):
+    # no shrink or expand factor sits in a section of at most two
+    r = opnorm.operator_norm(cls(2.0, 4.0), sp.QSumLp(4.0, 2.0), N)
+    assert (r.value, r.method) == (verify.swap_section_norm(2.0, 4.0, N),
+                                   "reduction_f")
+    assert (r.value, r.witness) == (1.0, Coeffs.basis(0))
+
+
+def test_maximize_swapped_f_refuses_negative_t():
+    with pytest.raises(ValueError, match="t must be non-negative"):
+        opnorm.maximize_swapped_f(2.0, 4.0, -0.5)
 
 
 def test_simple_r_reduction():
@@ -980,9 +1024,18 @@ def test_matrix_norm_is_the_section_norm_bit_for_bit(p):
         assert (r.witness.to_array(M.shape[0]) == w).all()
 
 
-def test_zero_section_still_warns():
-    r = opnorm.operator_norm(op.Matrix(((0, 0), (0, 0))), sp.Lp(3.0), 4)
-    assert (r.value, r.method, r.warning) == (0.0, "iterate", True)
+@pytest.mark.parametrize("space", [
+    sp.Lp(3.0), sp.Lp(1.5), sp.QSumLp(4.0, 2.0),
+    sp.DirectSumLp(3.0, ((3, 2.0), (5, 4.0))), sp.C0(), sp.L1(), sp.Lp(2.0),
+], ids=space_id)
+def test_zero_section_is_a_closed_form(space):
+    # the 0 is exact on every space: the iterate's value is floored at the
+    # best column, so it read 0, as a lower bound, only here
+    r = opnorm.operator_norm(op.Matrix(((0, 0), (0, 0))), space, 4)
+    assert (r.value, r.method, r.upper) == (0.0, "closed_form", None)
+    assert r.witness == Coeffs.basis(0)
+    assert set(r.to_json_obj()) == {"value", "method", "attainment", "trace",
+                                    "centroids", "witness"}
 
 
 @pytest.mark.parametrize("space", [

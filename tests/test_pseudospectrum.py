@@ -737,7 +737,7 @@ def test_att1_builds_one_section_of_t(monkeypatch):
 
 
 def test_att1_reuses_the_inverse(monkeypatch):
-    # y is the witness's image under the inverse _inverse_norm returns;
+    # y is the unit bottom vector _inverse_norm returns;
     # A was once factored a second time by np.linalg.solve
     calls = []
     real = np.linalg.solve

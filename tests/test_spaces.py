@@ -54,6 +54,12 @@ def test_coeffs_pruning_and_support():
     assert (Coeffs.basis(2) - Coeffs.basis(2)).support() == frozenset()
 
 
+def test_coeffs_hash_ignores_dim_hint_and_negation_negates():
+    assert hash(Coeffs({1: 2}, dim_hint=5)) == hash(Coeffs({1: 2}))
+    assert len({Coeffs({1: 2}, dim_hint=5), Coeffs({1: 2})}) == 1
+    assert -Coeffs({1: 2}) == Coeffs({1: -2})
+
+
 def test_coeffs_json_round_trip():
     x = Coeffs({0: 1 + 2j, 7: -0.5})
     assert Coeffs.from_json_obj([[0, 1, 2], [7.0, -0.5, 0]]) == x
@@ -461,6 +467,13 @@ def test_norming_functional_attains(space, x, data):
     assert abs(np.imag(np.sum(f * arr))) < 1e-10
     assert sp.norm_array(sp.dual_space(space), f) == pytest.approx(
         1.0, rel=1e-10)
+
+
+def test_unknown_space_tag_and_renormed_dual_raise():
+    with pytest.raises(ValueError, match="unknown space tag 'xx'"):
+        sp.space_from_json_obj({"space": "xx"})
+    with pytest.raises(TypeError, match="no computable dual"):
+        sp.dual_space(sp.RenormedL2())
 
 
 def test_dual_space_involution():
