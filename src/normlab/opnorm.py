@@ -153,6 +153,11 @@ def _power_iteration(M, space, cfg: OpnormConfig, starts=()):
             v = v + 1j * rng.standard_normal(n)
         init.append(v)
     X = np.array(init + starts, dtype=float if real else complex)
+    if isinstance(space, sp.DirectSumLp) and space.tail is None:
+        # M past the blocks is refused; a start there is cut off at them
+        sp._block_slices(space, M)
+        sp._block_slices(space, Mt)
+        X[:, space.total_size():] = 0
 
     best_val = np.zeros(len(X))
     best_x = np.zeros(X.shape, dtype=complex)
@@ -352,12 +357,6 @@ def _centroid(w: np.ndarray) -> float:
     a = np.abs(w) ** 2
     tot = a.sum()
     return float((np.arange(len(w)) * a).sum() / tot) if tot > 0 else 0.0
-
-
-def rank_one_norm(T: op.RankOne, space) -> float:
-    """||f||_{X*} ||v||_X: the norm of x -> <x, f> v on X = space."""
-    return (sp.norm_eval(sp.dual_space(space), T.functional)
-            * sp.norm_eval(space, T.vector))
 
 
 def require_norming(space) -> None:

@@ -7,8 +7,8 @@ relaxation (>=), and the level set (= 1/eps within a relative band).  Two
 constructive routines plant the one rank-one -f_y(.)(T - zI)y at a bottom
 vector y (_plant): an eigenvalue-planting perturbation, and a norm-c
 perturbation S with inf ||(T+S)x|| ~ 0 built either from a converging
-minimizer or from a disjointified escaping family.  A planting certificate
-is (A, z, y, eps, N); verify_cert computes its residual and ||A||.
+minimizer or from a disjointified escaping family.  Both return a
+certificate (A, z, y, eps, N), whose residual and ||A|| verify_cert computes.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .coeffs import Coeffs, require_finite, require_int, require_trunc
 from . import spaces as sp
 from . import operators as op
 from .opnorm import (OpnormConfig, DEFAULT_CFG, _closed_form, matrix_norm,
-                     growth_tag, rank_one_norm, require_norming)
+                     growth_tag, operator_norm, require_norming)
 
 # a section A is singular when cond_2(A) > SINGULAR_COND, as np.linalg.cond
 # computes it (s_max / s_min, a 0/0 counting as inf); on l_2 a section with
@@ -342,7 +342,7 @@ CERT_NORM_SLACK = 1e-10
 
 @dataclass(frozen=True)
 class PerturbationCert:
-    A: op.OperatorSpec          # rank-one
+    A: op.OperatorSpec          # a RankOne, a Sum of them or a ScalarMul
     z: complex
     y: Coeffs                   # claimed eigenvector of T + A
     eps: float
@@ -385,29 +385,28 @@ def att1_perturbation(T, space, z: complex, eps: float,
 
 def verify_cert(T, space, cert: PerturbationCert) -> dict:
     """Evaluate a certificate: its residual ||(T + A - zI)y|| on the
-    (N + TAIL)-section and ||A||, rank_one_norm or |lambda|."""
+    (N + TAIL)-section and ||A||, |lambda| or the closed-form norm of that
+    section for RankOnes in it; any other A (an iterate, an A past the
+    section) raises a TypeError, as its section norm is only a lower bound."""
     N = require_trunc(max(cert.N, cert.y.dim_hint), "N", TAIL)
-    resid = _residual(op.truncate_matrix(T, N + TAIL), cert.A, cert.z,
-                      cert.y.to_array(N), space)
-    if isinstance(cert.A, op.RankOne):
-        norm_A = rank_one_norm(cert.A, space)
-    elif isinstance(cert.A, op.ScalarMul):
-        norm_A = abs(cert.A.lam)
+    wide, A = N + TAIL, cert.A
+    if isinstance(A, op.ScalarMul):
+        norm_A = abs(A.lam)
     else:
-        # a section norm of a general A is only a lower bound on ||A||
-        raise TypeError("no certified norm for a %s perturbation"
-                        % type(cert.A).__name__)
+        terms = A.terms if isinstance(A, op.Sum) else (A,)
+        inside = all(isinstance(t, op.RankOne) and max(
+            (*t.functional.entries, *t.vector.entries), default=0) < wide
+            for t in terms)
+        report = operator_norm(A, space, wide) if inside else None
+        if report is None or report.method == "iterate":
+            raise TypeError("no certified norm for a %s perturbation on the "
+                            "%d-section" % (type(A).__name__, wide))
+        norm_A = report.value
+    y = cert.y.to_array(wide)
+    M = op.truncate_matrix(T, wide) + op.truncate_matrix(A, wide)
+    resid = float(sp.norm_array(space, M @ y - cert.z * y))
     ok = resid < CERT_RESIDUAL_TOL and norm_A <= cert.eps + CERT_NORM_SLACK
     return {"ok": bool(ok), "residual": resid, "norm_A": float(norm_A)}
-
-
-def _residual(Tw: np.ndarray, S, z: complex, y: np.ndarray, space) -> float:
-    """||(T + S - zI)y|| on the leading len(y) + TAIL block of T's section
-    Tw: the one residual of a certificate or a singularizing S."""
-    wide = len(y) + TAIL
-    yw = np.concatenate((y, np.zeros(TAIL)))
-    M = Tw[:wide, :wide] + op.truncate_matrix(S, wide)
-    return float(sp.norm_array(space, M @ yw - z * yw))
 
 
 def _plant(Tw: np.ndarray, z: complex, y: np.ndarray, space) -> op.RankOne:
@@ -428,25 +427,21 @@ def _plant(Tw: np.ndarray, z: complex, y: np.ndarray, space) -> op.RankOne:
 @dataclass(frozen=True)
 class Lp111Result:
     case: str                  # fixed | escaping | inconclusive
-    S: op.OperatorSpec | None
+    cert: PerturbationCert | None  # S planting 0 at a unit y, eps = c
     c: float
-    new_inf: float | None
     trace: tuple               # ((N, c_N), ...) bottom-of-sphere values
-
-    @property
-    def emitted(self) -> bool:
-        return self.S is not None
 
 
 def lp111_perturbation(T, space, N: int) -> Lp111Result:
     """Perturbation S with ||S|| = c = inf_{||x||=1} ||T_N x|| and
-    inf ||(T+S)x|| ~ 0 on the truncation.
+    inf ||(T+S)x|| ~ 0 on the truncation, as a certificate (S, 0, y, c, N).
 
     Minimizers over growing sections, none wider than N (so the c at N
     is the infimum on T_N), decide the case by growth_tag, with
     the c_n as infima, which must not rise: a Cauchy family ("attained")
-    gives the rank-one S = _plant(T, 0, x_hat); escaping minimizers give
-    the block construction over a disjointified family.
+    gives the rank-one S = _plant(T, 0, x_hat), y = x_hat; escaping
+    minimizers give the block construction over a disjointified family,
+    y the unit block u_k of least c_k = c.
     """
     N = require_trunc(N, "N", TAIL)
     Ns = sorted({min(n, N) for n in (max(2, N // 8), max(3, N // 4),
@@ -459,7 +454,7 @@ def lp111_perturbation(T, space, N: int) -> Lp111Result:
         # c_n and a unit minimizer of ||T_n x||, the bottom vector at z = 0
         val, y = _inverse_norm(Tw[:n, :n], 0.0, space)
         if y is None:
-            return Lp111Result("inconclusive", None, 0.0, None, tuple(trace))
+            return Lp111Result("inconclusive", None, 0.0, tuple(trace))
         trace.append((n, 1.0 / val))
         minimizers.append(y)
     c = trace[-1][1]
@@ -468,9 +463,9 @@ def lp111_perturbation(T, space, N: int) -> Lp111Result:
 
     if tag == "attained":
         xhat = witnesses[-1]
-        S = _plant(Tw, 0.0, xhat, space)
-        new_inf = _residual(Tw, S, 0.0, xhat, space)
-        return Lp111Result("fixed", S, c, new_inf, tuple(trace))
+        cert = PerturbationCert(_plant(Tw, 0.0, xhat, space), 0.0,
+                                Coeffs.from_array(xhat), c, N)
+        return Lp111Result("fixed", cert, c, tuple(trace))
 
     if tag == "escaping":
         # disjointify keeps its first candidate; each u it gives has a norm
@@ -489,8 +484,9 @@ def lp111_perturbation(T, space, N: int) -> Lp111Result:
         # each term plants 0 at (c/c_k) u_k: -(c/c_k) phi_k(.) T u_k
         S = op.Sum(tuple(_plant(Tw, 0.0, (c_used / cm) * u, space)
                          for u, cm in zip(us, cms)))
-        new_inf = _residual(Tw, S, 0.0, us[int(np.argmin(cms))], space)
-        return Lp111Result("escaping", S, c_used, new_inf, tuple(trace))
+        cert = PerturbationCert(S, 0.0, Coeffs.from_array(
+            us[int(np.argmin(cms))]), c_used, N)
+        return Lp111Result("escaping", cert, c_used, tuple(trace))
 
-    return Lp111Result("inconclusive", None, c, None, tuple(trace))
+    return Lp111Result("inconclusive", None, c, tuple(trace))
 

@@ -401,16 +401,17 @@ def check_ac10() -> CheckResult:
     rows = []
     for T, space, N, want_case in cases:
         res = ps.lp111_perturbation(T, space, N)
-        if not res.emitted:
+        if res.cert is None:
             rows.append({"op": type(T).__name__, "case": res.case,
                          "ok": False})
             continue
-        normS = opnorm.operator_norm(res.S, space, N).value
+        chk = ps.verify_cert(T, space, res.cert)
+        normS, new_inf = chk["norm_A"], chk["residual"]
         row_ok = (res.case == want_case
                   and normS <= res.c + AC10_NORM_SLACK
-                  and res.new_inf < AC10_INF_TOL)
+                  and new_inf < AC10_INF_TOL)
         rows.append({"op": type(T).__name__, "case": res.case, "c": res.c,
-                     "norm_S": normS, "new_inf": res.new_inf, "ok": row_ok})
+                     "norm_S": normS, "new_inf": new_inf, "ok": row_ok})
     return _result("AC10", rows=rows)
 
 

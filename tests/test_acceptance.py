@@ -46,18 +46,32 @@ def test_ac5_minkowski_identities():
     _gate(verify.check_ac5())
 
 
+# AC5's pair and triple atoms at n = 1, 4, 9, for the oracles at N = 13
+AC5_ATOMS = [Coeffs.basis(2) + Coeffs.basis(n + 2) + extra
+             for n in (1, 4, 9)
+             for extra in (Coeffs.zero(), Coeffs.basis(1))]
+
+
 def test_ac5_cone_form_cross_check():
     # independent second-order-cone route for the same identities at N <= 16
     cvxpy = pytest.importorskip("cvxpy")
     from test_convex import cone_oracle
     from normlab import convex
 
-    for n in (1, 4, 9):
-        for u in (Coeffs.basis(2) + Coeffs.basis(n + 2),
-                  Coeffs.basis(1) + Coeffs.basis(2) + Coeffs.basis(n + 2)):
-            v, _ = convex.minkowski_norm(u, 13)
-            assert v == pytest.approx(cone_oracle(u, 13), abs=1e-5)
+    for u in AC5_ATOMS:
+        v, _ = convex.minkowski_norm(u, 13)
+        assert v == pytest.approx(cone_oracle(u, 13), abs=1e-5)
     print("\nAC5-cone-oracle: PASS")
+
+
+def test_ac5_dual_form_cross_check():
+    # the same atoms through the dual problem, with scipy alone
+    from test_convex import dual_oracle
+    from normlab import convex
+
+    for u in AC5_ATOMS:
+        v, _ = convex.minkowski_norm(u, 13)
+        assert v == pytest.approx(dual_oracle(u, 13), abs=1e-5)
 
 
 def test_ac6_norm_squeeze():

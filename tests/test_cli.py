@@ -414,6 +414,34 @@ def test_opnorm_bypass_inside_the_partition_matches_the_matrix():
     assert code == 0 and out.startswith("0.0000000000 ")
 
 
+def test_opnorm_iterate_on_a_section_wider_than_the_partition():
+    # the section is zero past the two coordinates; the power iteration's
+    # starts once reached e_2..e_4 and were refused, where --trunc 2 read 1
+    code, out = run(["opnorm", "--space", DSUM_2, "--operator",
+                     '{"op":"matrix","rows":[[[1,0],[0,0]],[[0,0],[0,0]]]}',
+                     "--trunc", "5", "--format", "json"])
+    assert code == 0
+    obj = json.loads(out)
+    assert (obj["value"], obj["method"]) == (1.0, "iterate")
+    assert all(i < 2 for i, _, _ in obj["witness"])
+
+
+@pytest.mark.parametrize("rows", [
+    [[[0, 0], [0, 0], [1, 0]], [[0, 0]] * 3, [[0, 0]] * 3],
+    [[[0, 0]] * 3, [[0, 0]] * 3, [[1, 0], [0, 0], [0, 0]]]],
+    ids=["column_2", "row_2"])
+def test_opnorm_iterate_refuses_a_matrix_past_the_partition(rows, capsys):
+    # zeroing the starts past the blocks alone read column 2 as 1.0 with
+    # the witness e_2, a coordinate the space does not have
+    capsys.readouterr()
+    code, out = run(["opnorm", "--space", DSUM_2, "--operator",
+                     json.dumps({"op": "matrix", "rows": rows}),
+                     "--trunc", "3"])
+    assert (code, out) == (1, "")
+    assert capsys.readouterr().err == \
+        "error: support exceeds the block partition\n"
+
+
 def test_opnorm_json():
     code, out = run(["opnorm", "--space", '{"space":"lp","p":2}',
                      "--operator", '{"op":"identity"}', "--trunc", "4",

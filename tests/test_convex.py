@@ -33,6 +33,46 @@ def cone_oracle(u: Coeffs, N: int) -> float:
     return float(prob.value)
 
 
+def dual_oracle(u: Coeffs, N: int) -> float:
+    """Independent solve of the dual problem by scipy's SLSQP: the largest
+    Re sum_i g_i u_i over g in C^{N+3} with ||(g_0, g_3, ...)||_2 <= 1,
+    ||(g_1, g_2)||_2 <= 1 and, for each n, |g_2 + g_{n+2}| <= 1 and
+    q_n |g_1 + g_2 + g_{n+2}| <= 1.
+
+    Each bound reads ||C g||_2^2 <= 1 for a real matrix C, on g = a + ib
+    split as the real vector (a, b).  SLSQP may end about 1e-8 infeasible
+    and report no success, so only its value is read.
+    """
+    from scipy.optimize import minimize
+
+    arr = u.to_array(N + 3)
+    n = N + 3
+    q = QSEQ.q_array(N)
+    eye = np.eye(n)
+    mats = [eye[[0, *range(3, n)]], eye[[1, 2]]]
+    for k in range(N):
+        pair = eye[[2]] + eye[[k + 3]]
+        mats += [pair, q[k] * (pair + eye[[1]])]
+
+    def parts(x):
+        return [(C, C @ x[:n], C @ x[n:]) for C in mats]
+
+    def bounds(x):
+        return np.array([1.0 - ca @ ca - cb @ cb for _, ca, cb in parts(x)])
+
+    def bounds_jac(x):
+        return np.array([np.concatenate((-2.0 * ca @ C, -2.0 * cb @ C))
+                         for C, ca, cb in parts(x)])
+
+    c = np.concatenate((arr.real, -arr.imag))
+    res = minimize(lambda x: -c @ x, np.zeros(2 * n), jac=lambda x: -c,
+                   method="SLSQP",
+                   constraints={"type": "ineq", "fun": bounds,
+                                "jac": bounds_jac},
+                   options={"maxiter": 1000, "ftol": 1e-14})
+    return float(c @ res.x)
+
+
 def decomposition_objective(u: Coeffs, alpha, beta, N: int) -> float:
     """Hand-computed cost of the decomposition of u with the given atom
     coefficients: ||x'||_2 + ||(x_1, x_2)||_2 + ||alpha||_1 + ||beta||_1."""
@@ -121,16 +161,27 @@ def test_far_out_of_range_vector_scales_exactly(e):
     assert (ds.converged, ds.iterations) == (d.converged, d.iterations)
 
 
-def test_cone_oracle_cross_check():
-    pytest.importorskip("cvxpy")
+def oracle_targets() -> list:
+    """The vectors the decomposition oracles cross-check at N = 12."""
     rng = np.random.default_rng(5)
     targets = [Coeffs.basis(2) + Coeffs.basis(3),
                Coeffs.basis(1) + Coeffs.basis(2) + Coeffs.basis(5),
                Coeffs({0: 1.0, 1: 0.5, 2: -0.25, 7: 1j})]
-    targets += [random_coeffs(rng) for _ in range(5)]
-    for u in targets:
+    return targets + [random_coeffs(rng) for _ in range(5)]
+
+
+def test_cone_oracle_cross_check():
+    pytest.importorskip("cvxpy")
+    for u in oracle_targets():
         v, _ = convex.minkowski_norm(u, 12)
         assert v == pytest.approx(cone_oracle(u, 12), abs=2e-6)
+
+
+def test_dual_oracle_cross_check():
+    # the same vectors through the dual problem, with scipy alone
+    for u in oracle_targets():
+        v, _ = convex.minkowski_norm(u, 12)
+        assert v == pytest.approx(dual_oracle(u, 12), abs=2e-6)
 
 
 # -- soundness properties ------------------------------------------------------

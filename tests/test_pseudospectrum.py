@@ -760,6 +760,29 @@ def test_verify_cert_rejects_uncertifiable_perturbation():
         ps.verify_cert(ZERO, sp.Lp(3.0), cert)
 
 
+def test_verify_cert_refuses_a_rank_one_past_the_section():
+    # (T + A)e_0 = e_20 with T = 0, but the residual reads only the
+    # (4 + TAIL)-section; this certificate once passed with residual 0
+    A = op.RankOne(Coeffs.basis(0), Coeffs.basis(20))
+    cert = ps.PerturbationCert(A, 0.0, Coeffs.basis(0), 1.0, 4)
+    with pytest.raises(TypeError):
+        ps.verify_cert(ZERO, sp.Lp(2.0), cert)
+
+
+def test_verify_cert_refuses_a_sum_whose_section_norm_is_an_iterate():
+    # two overlapping dense rank-ones on l_3 make one dense 3 x 3 block,
+    # whose norm the power iteration only bounds from below
+    A = op.Sum((op.RankOne(Coeffs.from_array([1.0, 1.0, 1.0]),
+                           Coeffs.from_array([1.0, 2.0, 3.0])),
+                op.RankOne(Coeffs.from_array([1.0, -1.0, 0.5]),
+                           Coeffs.from_array([3.0, 1.0, -2.0]))))
+    assert opnorm.operator_norm(A, sp.Lp(3.0), 2 + ps.TAIL).method == \
+        "iterate"
+    cert = ps.PerturbationCert(A, 0.0, Coeffs.basis(0), 10.0, 2)
+    with pytest.raises(TypeError):
+        ps.verify_cert(ZERO, sp.Lp(3.0), cert)
+
+
 def test_att1_eps_too_small_rejected():
     with pytest.raises(ValueError):
         ps.att1_perturbation(op.Tc0(), sp.C0(), 3.0, 0.1, 20)
@@ -859,18 +882,18 @@ def test_lp111_scalar():
     res = ps.lp111_perturbation(op.ScalarMul(2.0), sp.Lp(2.0), 16)
     assert res.case == "fixed"
     assert res.c == pytest.approx(2.0, abs=1e-10)
-    assert res.new_inf < 1e-10
-    normS = opnorm.operator_norm(res.S, sp.Lp(2.0), 16).value
-    assert normS <= res.c + 1e-8
+    chk = ps.verify_cert(op.ScalarMul(2.0), sp.Lp(2.0), res.cert)
+    assert chk["residual"] < 1e-10
+    assert chk["norm_A"] <= res.c + 1e-8
 
 
 def test_lp111_simple_s():
     space = sp.QSumLp(4.0, 2.0)
     res = ps.lp111_perturbation(op.SimpleS(2.0, 4.0), space, 24)
     assert res.case == "fixed"
-    assert res.new_inf < 1e-6
-    normS = opnorm.operator_norm(res.S, space, 24).value
-    assert normS <= res.c + 1e-8
+    chk = ps.verify_cert(op.SimpleS(2.0, 4.0), space, res.cert)
+    assert chk["residual"] < 1e-6
+    assert chk["norm_A"] <= res.c + 1e-8
 
 
 def test_lp111_simple_s_value_is_pinned():
@@ -883,9 +906,9 @@ def test_lp111_simple_s_value_is_pinned():
 def test_lp111_escaping_diagonal():
     res = ps.lp111_perturbation(op.Diagonal("one_plus_inv"), sp.Lp(2.0), 32)
     assert res.case == "escaping"
-    assert res.new_inf < 1e-10
-    normS = opnorm.operator_norm(res.S, sp.Lp(2.0), 32).value
-    assert normS <= res.c + 1e-8
+    chk = ps.verify_cert(op.Diagonal("one_plus_inv"), sp.Lp(2.0), res.cert)
+    assert chk["residual"] < 1e-10
+    assert chk["norm_A"] <= res.c + 1e-8
     # trace of bottom-of-sphere values decreases toward the infimum 1
     values = [v for _, v in res.trace]
     assert values == sorted(values, reverse=True)
@@ -951,10 +974,12 @@ def test_lp111_fixed_s_is_att1_at_zero(T, space, N):
     res = ps.lp111_perturbation(T, space, N)
     assert res.case == "fixed"
     cert = ps.att1_perturbation(T, space, 0.0, res.c, N)
-    S, A = op.truncate_matrix(res.S, N), op.truncate_matrix(cert.A, N)
+    S = op.truncate_matrix(res.cert.A, N)
+    A = op.truncate_matrix(cert.A, N)
     assert np.abs(S - A).max() <= 1e-12 * np.abs(A).max()
     assert ps.verify_cert(T, space, cert)["ok"]
-    assert ps.verify_cert(T, space, dataclasses.replace(cert, A=res.S))["ok"]
+    assert ps.verify_cert(T, space,
+                          dataclasses.replace(cert, A=res.cert.A))["ok"]
 
 
 @pytest.mark.parametrize("build", [
@@ -985,14 +1010,16 @@ def test_perturbations_read_t_off_its_section(build, monkeypatch):
 def test_lp111_escaping_s_is_one_rank_one_per_disjoint_block(space, N):
     # the diagonal's witnesses are disjoint unit vectors, so every block is
     # kept and each term is supported on its own block
-    res = ps.lp111_perturbation(op.Diagonal("one_plus_inv"), space, N)
+    T = op.Diagonal("one_plus_inv")
+    res = ps.lp111_perturbation(T, space, N)
     assert res.case == "escaping"
-    terms = res.S.terms
+    terms = res.cert.A.terms
     assert len(terms) == len(res.trace)
     assert all(isinstance(t, op.RankOne) for t in terms)
     for i, t in enumerate(terms):
         assert t.functional.support() <= t.vector.support()
         for s in terms[i + 1:]:
             assert not t.vector.support() & s.vector.support()
-    assert res.new_inf < 1e-10
-    assert opnorm.operator_norm(res.S, space, N).value <= res.c + 1e-8
+    chk = ps.verify_cert(T, space, res.cert)
+    assert chk["residual"] < 1e-10
+    assert chk["norm_A"] <= res.c + 1e-8
