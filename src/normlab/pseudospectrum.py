@@ -89,18 +89,29 @@ def _invert(M: np.ndarray, zs: np.ndarray, split: tuple) -> tuple:
     Y = np.zeros((len(zs), k + 1, len(M)), dtype=complex)
     P = Y[:, :k, :k]
     if k:
-        # A_SS / 2^e, e from its largest modulus, so that LAPACK's complex
-        # reciprocals neither under- nor overflow
-        e = np.frexp(mod[:, :k].max(axis=1, initial=off[:, :k].max()))[1]
-        e = -e[:, None, None]
-        B = np.ldexp(_shift(rows[:, :k], zs).view(float), e).view(complex)
+        # A_SS / 2^e, e from its largest modulus m, so that LAPACK's complex
+        # reciprocals neither under- nor overflow.  A power of two changes
+        # no rounding while every operand stays a normal double, and for
+        # 2^-256 < m < 2^256 that holds unscaled: the pivots (at most m
+        # times the growth factor) and their reciprocals (at most
+        # k SINGULAR_COND / m in a cell that is not singular) stay 2^600
+        # inside the normal range, so there the scaling is skipped
+        m = mod[:, :k].max(axis=1, initial=off[:, :k].max())
+        scale = not (2.0 ** -256 < m.min() and m.max() < 2.0 ** 256)
+        B = _shift(rows[:, :k], zs)
+        if scale:
+            e = -np.frexp(m)[1][:, None, None]
+            B = np.ldexp(B.view(float), e).view(complex)
         try:
             inv = np.linalg.inv(B)
         except np.linalg.LinAlgError:
             singular |= np.linalg.cond(B) > SINGULAR_COND
             inv = np.linalg.inv(np.where(singular[:, None, None], np.eye(k),
                                          B))
-        np.ldexp(inv.view(float), e, out=P.view(float))
+        if scale:
+            np.ldexp(inv.view(float), e, out=P.view(float))
+        else:
+            P[:] = inv
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         dinv, V = Y[:, k, k:], Y[:, :k, k:]
         np.divide(np.conj(dz[:, k:]), ad, out=dinv)

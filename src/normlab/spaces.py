@@ -135,8 +135,9 @@ SpaceSpec = Lp | DirectSumLp | RenormedL2
 # ---------------------------------------------------------------------------
 #
 # One rule per space gives each row's norm and its norming functional
-# together (_functionals); norm_rows is its norm half, and norm_array and
-# norming_functional_array are the one-row cases.  The rule works on the
+# together (_functionals); norm_rows asks it for the norms alone, and it
+# then builds no functional.  norm_array and norming_functional_array are
+# the one-row cases.  The rule works on the
 # rows of a (k, n) array at once, reduced along the last axis of
 # C-contiguous arrays, so each row is summed pairwise exactly as a 1-D array
 # is, and numpy's elementwise modulus and power give an entry the same bits
@@ -177,7 +178,8 @@ def _block_slices(space: DirectSumLp, X: np.ndarray) -> list:
 def norm_rows(space: SpaceSpec, X: np.ndarray) -> np.ndarray:
     """Norm under the given space of each row of a dense array X (k, n)."""
     a = np.abs(X)
-    return _functionals(space, X, a, a.max(axis=-1, initial=0.0))[0]
+    m = a.max(axis=-1, initial=0.0)
+    return _functionals(space, X, a, m, functional=False)[0]
 
 
 def norm_array(space: SpaceSpec, arr: np.ndarray) -> float:
@@ -186,10 +188,22 @@ def norm_array(space: SpaceSpec, arr: np.ndarray) -> float:
 
 
 def _lp_dualities(X: np.ndarray, a: np.ndarray, m: np.ndarray,
-                  p: float) -> tuple:
+                  p: float, functional: bool) -> tuple:
     """(norms, F): the l_p norm of each row x of X, whose moduli are a and
     row maxima m, and a unit functional f (bilinear pairing) with
-    f(x) = ||x||_p."""
+    f(x) = ||x||_p, or F = None when not functional."""
+    if p == INF:
+        norms = m
+    elif p == 1:
+        norms = a.sum(axis=-1)
+    else:
+        # a zero row gets r = 0 and w = 0
+        u = a / (m if m.all() else np.where(m > 0, m, 1.0))[:, None]
+        w = u ** (p - 1)
+        r = (w * u).sum(axis=-1) ** (1.0 / p)
+        norms = m * r
+    if not functional:
+        return norms, None
     if p == INF:
         F = np.zeros(X.shape, dtype=X.dtype)
         if X.shape[-1]:
@@ -202,21 +216,17 @@ def _lp_dualities(X: np.ndarray, a: np.ndarray, m: np.ndarray,
             x = X[rows, cols]
             mod = np.hypot(x.real, x.imag)
             F[rows, cols] = np.where(mod > 1e-200, np.conj(x) / mod, 0)
-        return m, F
+        return norms, F
     Xc = np.conj(X) if np.iscomplexobj(X) else X
     if p == 1:
-        return a.sum(axis=-1), np.where(a > 1e-200, Xc / a, 0)
-    # a zero row gets r = 0 and w = 0
-    u = a / (m if m.all() else np.where(m > 0, m, 1.0))[:, None]
-    w = u ** (p - 1)
-    r = (w * u).sum(axis=-1) ** (1.0 / p)
+        return norms, np.where(a > 1e-200, Xc / a, 0)
     # f = conj(x) w / (|x| r^(p-1)); the floor on |x| (1e-150 of the row's
     # largest, and never subnormal) keeps the factor finite and shrinks only
     # entries that add nothing to f(x) or to ||f||; a zero row, with w = 0
     # and r^(p-1) taken as 1, gets f = 0
     floor = np.maximum(m * 1e-150, _TINY)[:, None]
     rp = (np.maximum(r, 1.0) ** (p - 1))[:, None]
-    return m * r, Xc * (w / (np.maximum(a, floor) * rp))
+    return norms, Xc * (w / (np.maximum(a, floor) * rp))
 
 
 _NO_ROWS = np.empty(0, dtype=np.intp)
@@ -242,21 +252,26 @@ def _lift_tiny_rows(X: np.ndarray) -> tuple:
 
 
 def _functionals(space: SpaceSpec, X: np.ndarray, a: np.ndarray,
-                 m: np.ndarray) -> tuple:
-    """(norms, F) of the rows of X, whose moduli are a and row maxima m."""
+                 m: np.ndarray, functional: bool) -> tuple:
+    """(norms, F) of the rows of X, whose moduli are a and row maxima m;
+    F is None when not functional."""
     if isinstance(space, Lp):
-        return _lp_dualities(X, a, m, space.p)
-    out = np.zeros(X.shape, dtype=X.dtype)
+        return _lp_dualities(X, a, m, space.p, functional)
     if isinstance(space, DirectSumLp):
         slices = _block_slices(space, X)
         blocks = []
         for sl, r in slices:
             ab = np.ascontiguousarray(a[:, sl])
             blocks.append(_lp_dualities(X[:, sl], ab,
-                                        ab.max(axis=-1, initial=0.0), r))
+                                        ab.max(axis=-1, initial=0.0), r,
+                                        functional))
         vals = np.stack([nb for nb, _ in blocks], axis=-1)
         norms, outer = _lp_dualities(vals, vals,
-                                     vals.max(axis=-1, initial=0.0), space.p)
+                                     vals.max(axis=-1, initial=0.0), space.p,
+                                     functional)
+        if not functional:
+            return norms, None
+        out = np.zeros(X.shape, dtype=X.dtype)
         for (sl, _), (_, fb), w in zip(slices, blocks, np.real(outer).T):
             out[:, sl] = w[:, None] * fb
         return norms, out
@@ -269,7 +284,7 @@ def norming_functional_rows(space: SpaceSpec, X: np.ndarray) -> tuple:
     norm_rows bit for bit, and a Hahn-Banach surrogate, a unit dual vector f
     with sum f_i x_i = ||x||."""
     lifted, a, m, tiny = _lift_tiny_rows(X)
-    norms, F = _functionals(space, lifted, a, m)
+    norms, F = _functionals(space, lifted, a, m, functional=True)
     if tiny.size:
         # the norms of the unlifted rows, as norm_rows takes them
         norms[tiny] = norm_rows(space, X[tiny])

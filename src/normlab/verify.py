@@ -36,7 +36,7 @@ AC10_NORM_SLACK = 1e-8
 AC10_INF_TOL = 1e-6
 SEED = 0                # draws of AC3, AC6 and AC8
 GRID_RES = 0.01         # spacing of the AC8 sphere-grid oracle
-BOX_SIDE = 6            # axis indices per side of an oracle box
+BOX_SIDE = 10           # axis indices per side of an oracle box
 
 
 @dataclass(frozen=True)
@@ -251,36 +251,45 @@ def sphere_grid_norm(M: np.ndarray, p: float) -> float:
     Directions are the points on the faces of the sup-norm cube: one
     coordinate pinned to 1, the other n-1 free on the GRID_RES axis of
     [-1, 1].  On a face, image row r is M[r, face] + sum_j M[r, c_j] x_j.
-    Ratios are compared as p-th powers, sum_r |img_r|^p over
-    ||x||_p^p = 1 + sum_j |x_j|^p, a denominator all faces share; on
-    p = inf the numerator is max_r |img_r| and the denominator is 1 (the
-    axis exceeds |x_j| = 1 by at most 2e-15).  One 1/p root is taken, of
-    the maximum.
+    Ratios are compared as p-th powers, N(x) = sum_r |img_r|^p over
+    D(x) = ||x||_p^p = 1 + sum_j |x_j|^p, a denominator all faces share; on
+    p = inf the numerator is max_r |img_r| and D is 1 (the axis exceeds
+    |x_j| = 1 by at most 2e-15).  One 1/p root is taken, of the maximum.
 
     The result is the maximum over the whole grid, bit for bit, but most
-    of the grid is never evaluated (Piyavskii-Shubert branch and bound).
-    Each face's free coordinates are cut into boxes of BOX_SIDE axis
-    indices a side (the last one shorter).  On a box with centre c and
-    half-widths h, |img_r(x)| <= |img_r(c)| + sum_j |M[r, c_j]| h_j, and
-    the denominator is at least 1 + sum_j min_box |x_j|^p; their quotient
-    bounds every direction in the box.  The best value starts at the
-    largest value in each face's top box; a face then evaluates only its
-    boxes whose bound times 1 + 1e-9 reaches the best value, in
-    decreasing order of bound, and stops at the first that falls short.
-    Every direction is computed by the same formula, in the same order
-    of operations, as a full scan of the grid would compute it.  Only
-    rounding can make a computed value exceed its box's computed bound:
-    by a few p n ulps of sum_r (sum_j |M[r, j]|)^p, which is at most
-    (rows n) times the grid maximum (take x = the signs of one row).
-    The 1e-9 margin covers that many times over, so no pruned box holds
-    a larger computed value and the maximum is the full grid's exactly.
+    of the grid is never evaluated (branch and bound).  Each face's free
+    coordinates are cut into boxes of BOX_SIDE axis indices a side.  A
+    box's hull reaches the next box's first index, so its 2^(n-1)
+    vertices are grid points, and each face evaluates N once, on the
+    lattice of box corners.  N is convex for p >= 1, and so is D.  With
+    beta = best / (1 + 1e-9) and L the tangent plane of D at the box's
+    centre c, L <= D and H = N - beta L is convex, so on the whole box
+    N - beta D <= max over vertices v of H(v) = N(v) - beta (D(c) +
+    grad D(c).(v - c)).  A box where that maximum is below 0 holds no
+    ratio above beta and is pruned (on p = inf, L = D = 1).  The best
+    value starts at the largest value in each face's top box; a face then
+    evaluates its kept boxes in decreasing order of the first-order bound
+    max_v N(v) / (1 + sum_j min_box |x_j|^p), and stops at the first whose
+    bound times 1 + 1e-9 falls short of the best value.
 
-    The grid is never stored.  One face's bounds are live at a time, one
-    float per box and image row: (201 / BOX_SIDE)^(n-1) boxes, 1.3 MB at
-    n = 4 and about 34 times more per added dimension; a batch of boxes
-    holds about as many directions as there are boxes.  Uses only M.real
-    and numpy, never opnorm, so AC8 can cross-check the production path
-    with it.
+    Every direction is computed by the same formula, in the same order
+    of operations, as a full scan would compute it, so the result is the
+    grid maximum V unless V's box is pruned or cut off.  In exact
+    arithmetic it is neither: best <= V, so at V's direction H >= N -
+    beta D >= 1e-9 V / (1 + 1e-9), and the box's first-order bound is at
+    least V.  That 1e-9 is the rounding allowance.  Rounding moves N, at
+    V's direction and at each vertex, by a few (p n + rows) ulps of
+    sum_r (sum_j |M[r, j]|)^p <= (rows n) V (take x = the signs of one
+    row), and beta D, beta D(c) and the linear term, each at most
+    (p + 1) n V, by a few n ulps of that.  The allowance covers all of it
+    many times over, away from under- and overflow.  A zero matrix
+    (beta = 0, H = 0) prunes nothing.
+
+    The grid is never stored: each face keeps N at its
+    (201 / BOX_SIDE + 1)^(n-1) box corners, 85 kB at n = 4, and a batch of
+    boxes holds about as many directions as a face has boxes.  Uses only
+    M.real and numpy, never opnorm, so AC8 can cross-check the production
+    path with it.
     """
     n = M.shape[1]
     if n == 1:
@@ -292,24 +301,31 @@ def sphere_grid_norm(M: np.ndarray, p: float) -> float:
     k = axis.size
     axp = np.abs(axis) ** p
     starts = np.arange(0, k, BOX_SIDE)
-    ends = np.minimum(starts + BOX_SIDE, k) - 1
+    nb = starts.size
+    corners = axis[np.minimum(np.arange(nb + 1) * BOX_SIDE, k - 1)]
     margin = 1.0 + 1e-9
+    # per box and free coordinate: the least |x_j|^p, and |x_j|^p's tangent
+    # at the box's centre c, at its lower and upper corner (D = 1 on inf)
+    least, tangent = np.zeros(nb), [np.zeros(nb)] * 2
+    if p != INF:
+        c = (corners[:-1] + corners[1:]) / 2
+        least = np.minimum.reduceat(axp, starts)
+        tangent = [np.abs(c) ** p + p * np.abs(c) ** (p - 1) * np.sign(c)
+                   * (x - c) for x in (corners[:-1], corners[1:])]
 
     def spread(a, j):
         # a's last axis moved onto free coordinate j's array axis
         return a.reshape(a.shape[:-1] + (1,) * j + a.shape[-1:]
                          + (1,) * (n - 2 - j))
 
-    def ratio(face, xs, pows, halves=()):
-        # image rows on array axis 0; halves widen |img| to a box bound
+    def ratio(face, xs, pows):
+        # image rows on array axis 0
         free = [c for c in range(n) if c != face]
         col = M.real.reshape(M.shape[:1] + (1,) * xs[0].ndim + (n,))
         img = col[..., face]
         for c, x in zip(free, xs):
             img = img + col[..., c] * x
         np.abs(img, out=img)
-        for c, h in zip(free, halves):
-            img += np.abs(col[..., c]) * h
         if p == INF:
             return img.max(axis=0)
         den = 1.0
@@ -320,23 +336,33 @@ def sphere_grid_norm(M: np.ndarray, p: float) -> float:
 
     def face_max(face, boxes):
         # every direction of the given boxes, clipped at axis index k-1
-        los = np.unravel_index(boxes, (starts.size,) * (n - 1))
+        los = np.unravel_index(boxes, (nb,) * (n - 1))
         idx = [np.minimum(starts[lo][:, None] + np.arange(BOX_SIDE), k - 1)
                for lo in los]
         xs = [spread(axis[i], j) for j, i in enumerate(idx)]
         pows = [spread(axp[i], j) for j, i in enumerate(idx)]
         return float(ratio(face, xs, pows).max())
 
-    # per box: centre, smallest |x_j|^p and half-width, on the box grid
-    box = [[spread(v, j) for j in range(n - 1)]
-           for v in ((axis[starts] + axis[ends]) / 2,
-                     np.minimum.reduceat(axp, starts),
-                     (axis[ends] - axis[starts]) / 2)]
-    best = max(face_max(face, np.argmax(ratio(face, *box))[None])
-               for face in range(n))
-    for face in range(n):
-        ub = ratio(face, *box).ravel()
-        cand = np.flatnonzero(ub * margin >= best)
+    def vertex_max(a, lin):
+        # max over each box's vertices v of a[i + v] + sum_j lin[v_j][i_j]
+        for j in range(n - 1):
+            shift = [(slice(None),) * j + (slice(e, e + nb),) for e in (0, 1)]
+            a = np.maximum(*(a[sh] + spread(t, j)
+                             for sh, t in zip(shift, lin)))
+        return a
+
+    # N at every box corner of each face
+    at_corners = [ratio(face, [spread(corners, j) for j in range(n - 1)], ())
+                  for face in range(n)]
+    den = 1.0 + sum(spread(least, j) for j in range(n - 1))
+    ubs = [(vertex_max(Nc, [np.zeros(nb)] * 2) / den).ravel()
+           for Nc in at_corners]
+    best = max(face_max(face, np.argmax(ub)[None])
+               for face, ub in enumerate(ubs))
+    for face, (Nc, ub) in enumerate(zip(at_corners, ubs)):
+        beta = best / margin
+        H = vertex_max(Nc, [-beta * t for t in tangent]) - beta
+        cand = np.flatnonzero(H.ravel() >= 0.0)
         cand = cand[np.argsort(-ub[cand], kind="stable")]
         # a batch holds about as many directions as the face has boxes
         batch = max(1, ub.size // BOX_SIDE ** (n - 1))

@@ -176,14 +176,14 @@ def test_sphere_grid_norm_equals_full_scan_on_ac8_small():
             M, p), k
 
 
-@pytest.mark.parametrize("k", [0, 3])
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
 def test_sphere_grid_norm_equals_full_scan_on_ac8_4x4(k):
     M, p = {k: (M, p) for k, M, p in ac8_instances()}[k]
-    assert M.shape == (4, 4) and p == (1.5 if k == 0 else INF)
+    assert M.shape == (4, 4) and p == [1.5, 2.0, 3.0, INF][k]
     assert verify.sphere_grid_norm(M, p) == sphere_grid_norm_streamed(M, p)
 
 
-@pytest.mark.parametrize("p", [1.01, 7.0])
+@pytest.mark.parametrize("p", [1.01, 2.0, 7.0])
 @pytest.mark.parametrize("scale", [1e-8, 1e8])
 @pytest.mark.parametrize("n", [2, 3])
 def test_sphere_grid_norm_equals_full_scan_on_hard_draws(n, scale, p):
@@ -193,7 +193,11 @@ def test_sphere_grid_norm_equals_full_scan_on_hard_draws(n, scale, p):
     zero_column[:, 1] = 0.0
     equal_rows = plain.copy()
     equal_rows[1] = equal_rows[0]
-    for M in (plain, zero_column, equal_rows):
+    # the ratio is flat on l_p (a permutation) or on l_2 (an orthogonal Q),
+    # so every box holds the maximum and none may be pruned
+    permutation = scale * np.eye(n)[rng.permutation(n)]
+    orthogonal = scale * np.linalg.qr(rng.standard_normal((n, n)))[0]
+    for M in (plain, zero_column, equal_rows, permutation, orthogonal):
         assert verify.sphere_grid_norm(M, p) == sphere_grid_norm_streamed(
             M, p)
 
