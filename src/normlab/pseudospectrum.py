@@ -5,10 +5,11 @@ comes from one evaluator, _resolvent_norms.  Three sets are tracked on
 finite sections: the strict set (resolvent norm above 1/eps), its closure
 relaxation (>=), and the level set (= 1/eps within a relative band).  Two
 constructive routines plant the one rank-one -f_y(.)(T - zI)y at a bottom
-vector y (_plant): an eigenvalue-planting perturbation, and a norm-c
-perturbation S with inf ||(T+S)x|| ~ 0 built either from a converging
-minimizer or from a disjointified escaping family.  Both return a
-certificate (A, z, y, eps, N), whose residual and ||A|| verify_cert computes.
+vector y (_plant), a singular cell's included: an eigenvalue-planting
+perturbation, and a norm-c perturbation S with inf ||(T+S)x|| ~ 0 built
+either from a converging minimizer or from a disjointified escaping family.
+Both return a certificate (A, z, y, eps, N), A a RankOne or a Sum of them,
+whose residual and ||A|| verify_cert computes.
 """
 
 from __future__ import annotations
@@ -145,12 +146,16 @@ def _assemble(Y: np.ndarray, split: tuple) -> np.ndarray:
 def _inverse_norm(M: np.ndarray, z: complex, space) -> tuple:
     """(c, y): c = ||X|| for X = (M - zI)^{-1} from matrix_norm, witness w,
     and the unit bottom vector y = X w / c, where ||(M - zI)y|| = 1/c is
-    least; (inf, None) for a singular M - zI, (0.0, None) when X underflows.
-    c may differ in the last bits from resolvent_norm's (CERT_NORM_SLACK)."""
+    least; on a singular M - zI, (inf, y) with y the last right singular
+    vector, scaled to a unit in the space norm; (0.0, None) when X
+    underflows.  c may differ in the last bits from resolvent_norm's
+    (CERT_NORM_SLACK)."""
     split = _busy_rows(M)
-    Y, singular = _invert(M, np.array([complex(z)]), split)
+    zs = np.array([complex(z)])
+    Y, singular = _invert(M, zs, split)
     if singular[0]:
-        return math.inf, None
+        y = np.conj(np.linalg.svd(_shift(M, zs)[0])[2][-1])
+        return math.inf, y / sp.norm_array(space, y)
     X = _assemble(Y[0], split)
     val, w, _, _ = matrix_norm(X, space)
     return (val, X @ w / val) if val else (0.0, None)
@@ -353,7 +358,7 @@ CERT_NORM_SLACK = 1e-10
 
 @dataclass(frozen=True)
 class PerturbationCert:
-    A: op.OperatorSpec          # a RankOne, a Sum of them or a ScalarMul
+    A: op.OperatorSpec          # a RankOne or a Sum of them
     z: complex
     y: Coeffs                   # claimed eigenvector of T + A
     eps: float
@@ -366,9 +371,11 @@ def att1_perturbation(T, space, z: complex, eps: float,
 
     With c = ||(M - zI)^{-1}|| on the N-section M and y its bottom vector
     (_inverse_norm), A = _plant(M, z, y) has norm ||(M - zI)y|| = 1/c and
-    (M + A)y = zy.  A z that is not finite, an M - zI with an overflowing
-    row or column sum, or an N whose (N + TAIL)-section verify_cert could
-    not build, raises a ValueError.
+    (M + A)y = zy; on a singular cell (c = inf), A has a norm of order
+    sigma_min(M - zI) (0 at an exact eigenvalue) and an exact residual.
+    A z that is not finite, an M - zI with an overflowing row or column
+    sum, or an N whose (N + TAIL)-section verify_cert could not build,
+    raises a ValueError.
     """
     _require_eps(eps)
     require_finite((z,), "z = %r" % (z,))
@@ -377,42 +384,32 @@ def att1_perturbation(T, space, z: complex, eps: float,
     zs = np.array([complex(z)])
     op._require_line_sums(M, "M - zI", zs)
     c, y = _inverse_norm(M, z, space)
-    if c == math.inf:
-        # z is an eigenvalue of the section already; A = 0 certifies it
-        _, _, vh = np.linalg.svd(_shift(M, zs)[0])
-        y = np.conj(vh[-1])
-        y = y / sp.norm_array(space, y)
-        pert = op.ScalarMul(0.0)
-    else:
-        # a computed c of 0 (an inverse that underflows) reads as 1/c = inf
-        inv_c = 1.0 / c if c else math.inf
-        if inv_c > eps + CERT_NORM_SLACK:
-            raise ValueError(
-                "1/c = %.6g exceeds eps = %.6g: z outside the non-strict set "
-                "on this truncation" % (inv_c, eps))
-        pert = _plant(M, z, y, space)
-    return PerturbationCert(pert, complex(z), Coeffs.from_array(y), eps, N)
+    # a computed c of 0 (an inverse that underflows) reads as 1/c = inf
+    inv_c = 1.0 / c if c else math.inf
+    if inv_c > eps + CERT_NORM_SLACK:
+        raise ValueError(
+            "1/c = %.6g exceeds eps = %.6g: z outside the non-strict set "
+            "on this truncation" % (inv_c, eps))
+    return PerturbationCert(_plant(M, z, y, space), complex(z),
+                            Coeffs.from_array(y), eps, N)
 
 
 def verify_cert(T, space, cert: PerturbationCert) -> dict:
     """Evaluate a certificate: its residual ||(T + A - zI)y|| on the
-    (N + TAIL)-section and ||A||, |lambda| or the closed-form norm of that
-    section for RankOnes in it; any other A (an iterate, an A past the
-    section) raises a TypeError, as its section norm is only a lower bound."""
+    (N + TAIL)-section and ||A||, the closed-form norm of that section for
+    RankOnes in it; any other A (an iterate, an A past the section) raises
+    a TypeError, as its section norm is only a lower bound."""
     N = require_trunc(max(cert.N, cert.y.dim_hint), "N", TAIL)
     wide, A = N + TAIL, cert.A
-    if isinstance(A, op.ScalarMul):
-        norm_A = abs(A.lam)
-    else:
-        terms = A.terms if isinstance(A, op.Sum) else (A,)
-        inside = all(isinstance(t, op.RankOne) and max(
-            (*t.functional.entries, *t.vector.entries), default=0) < wide
-            for t in terms)
-        report = operator_norm(A, space, wide) if inside else None
-        if report is None or report.method == "iterate":
-            raise TypeError("no certified norm for a %s perturbation on the "
-                            "%d-section" % (type(A).__name__, wide))
-        norm_A = report.value
+    terms = A.terms if isinstance(A, op.Sum) else (A,)
+    inside = all(isinstance(t, op.RankOne) and max(
+        (*t.functional.entries, *t.vector.entries), default=0) < wide
+        for t in terms)
+    report = operator_norm(A, space, wide) if inside else None
+    if report is None or report.method == "iterate":
+        raise TypeError("no certified norm for a %s perturbation on the "
+                        "%d-section" % (type(A).__name__, wide))
+    norm_A = report.value
     y = cert.y.to_array(wide)
     M = op.truncate_matrix(T, wide) + op.truncate_matrix(A, wide)
     resid = float(sp.norm_array(space, M @ y - cert.z * y))
@@ -464,7 +461,7 @@ def lp111_perturbation(T, space, N: int) -> Lp111Result:
     for n in Ns:
         # c_n and a unit minimizer of ||T_n x||, the bottom vector at z = 0
         val, y = _inverse_norm(Tw[:n, :n], 0.0, space)
-        if y is None:
+        if not 0 < val < math.inf:
             return Lp111Result("inconclusive", None, 0.0, tuple(trace))
         trace.append((n, 1.0 / val))
         minimizers.append(y)

@@ -252,3 +252,15 @@ def test_ac9_p_space_defect():
 
 def test_ac10_singularizing_perturbation():
     _gate(verify.check_ac10())
+
+
+def test_ac10_fails_an_inconclusive_case(monkeypatch):
+    # a case with no certificate is a failing row that names only its case
+    monkeypatch.setattr(verify.ps, "lp111_perturbation",
+                        lambda T, space, N: verify.ps.Lp111Result(
+                            "inconclusive", None, 0.0, ()))
+    result = verify.check_ac10()
+    assert result.ok is False
+    assert result.details["rows"] == [
+        {"op": name, "case": "inconclusive", "ok": False}
+        for name in ("ScalarMul", "SimpleS", "Diagonal")]

@@ -852,12 +852,51 @@ def test_att1_simple_s_shifted():
 
 
 def test_att1_singular_section():
-    # z = 0 is an eigenvalue of the zero section: A = 0 certifies it
+    # z = 0 is an eigenvalue of the zero section: the planted A is zero
     cert = ps.att1_perturbation(ZERO, sp.Lp(2), 0.0, 0.5, 6)
-    assert cert.A == op.ScalarMul(0.0)
+    assert not op.truncate_matrix(cert.A, 6 + ps.TAIL).any()
     assert sp.norm_eval(sp.Lp(2), cert.y) == pytest.approx(1.0, abs=1e-12)
     assert ps.verify_cert(ZERO, sp.Lp(2), cert) == {
         "ok": True, "residual": 0.0, "norm_A": 0.0}
+
+
+@pytest.mark.parametrize("space", [sp.Lp(2.0), sp.C0(), sp.L1(), sp.Lp(3.0)],
+                         ids=["l2", "c0", "l1", "l3"])
+def test_att1_plants_a_singular_cell_whose_sigma_min_is_no_rounding(space):
+    # cond 1e15 makes z = 0 a singular cell, yet sigma_min = 1e-9 is far
+    # above CERT_RESIDUAL_TOL: an A = 0 certificate once failed with
+    # residual 1e-9, where the planted A has norm 1e-9 and residual 0
+    T = op.Diagonal("explicit", (1e6, 1e-9))
+    cert = ps.att1_perturbation(T, space, 0.0, 0.5, 2)
+    assert ps.verify_cert(T, space, cert) == {
+        "ok": True, "residual": 0.0, "norm_A": 1e-9}
+
+
+SPACES_4 = (sp.L1(), sp.Lp(2.0), sp.C0(), sp.Lp(3.0))
+
+
+def test_att1_certifies_cells_at_the_spectrum():
+    # z within 1e-16..1e-8 of an eigenvalue of seeded complex sections,
+    # relative to their scale: regular and singular cells alike plant a
+    # rank-one whose certificate passes
+    rng = np.random.default_rng(40)
+    singular = 0
+    for k in range(120):
+        n = int(rng.integers(2, 7))
+        scale = 10.0 ** rng.uniform(-2, 3)
+        G = scale * (rng.standard_normal((n, n))
+                     + 1j * rng.standard_normal((n, n)))
+        if k % 3 == 0:
+            G = np.triu(G)
+        T = op.Matrix(tuple(map(tuple, G)))
+        lam = rng.choice(np.linalg.eigvals(G))
+        z = lam + scale * 10.0 ** rng.uniform(-16, -8) * np.exp(
+            2j * math.pi * rng.uniform())
+        for space in SPACES_4:
+            cert = ps.att1_perturbation(T, space, z, scale, n)
+            assert ps.verify_cert(T, space, cert)["ok"], (k, space)
+        singular += ps.resolvent_norm(G, sp.Lp(2.0), z) == INF
+    assert singular >= 30
 
 
 @pytest.mark.parametrize("T, space, z, eps, N", [
@@ -912,6 +951,16 @@ def test_lp111_escaping_diagonal():
     # trace of bottom-of-sphere values decreases toward the infimum 1
     values = [v for _, v in res.trace]
     assert values == sorted(values, reverse=True)
+
+
+@pytest.mark.parametrize("values, trace", [
+    ((1.0, 0.0, 2.0), ()), ((1.0, 2.0, 0.0, 3.0, 4.0), ((2, 1.0),))],
+    ids=["first_rung", "second_rung"])
+def test_lp111_stops_at_a_singular_rung(values, trace):
+    # a rung whose section is singular has no c_n: the ladder stops there
+    res = ps.lp111_perturbation(op.Diagonal("explicit", values), sp.Lp(2.0),
+                                16)
+    assert res == ps.Lp111Result("inconclusive", None, 0.0, trace)
 
 
 @pytest.mark.parametrize("N", [1, 2, 3, 5, 16])
