@@ -146,16 +146,13 @@ def _assemble(Y: np.ndarray, split: tuple) -> np.ndarray:
 def _inverse_norm(M: np.ndarray, z: complex, space) -> tuple:
     """(c, y): c = ||X|| for X = (M - zI)^{-1} from matrix_norm, witness w,
     and the unit bottom vector y = X w / c, where ||(M - zI)y|| = 1/c is
-    least; on a singular M - zI, (inf, y) with y the last right singular
-    vector, scaled to a unit in the space norm; (0.0, None) when X
-    underflows.  c may differ in the last bits from resolvent_norm's
-    (CERT_NORM_SLACK)."""
+    least; (inf, None) on a singular M - zI, read off _invert before any
+    SVD; (0.0, None) when X underflows.  c may differ in the last bits
+    from resolvent_norm's (CERT_NORM_SLACK)."""
     split = _busy_rows(M)
-    zs = np.array([complex(z)])
-    Y, singular = _invert(M, zs, split)
+    Y, singular = _invert(M, np.array([complex(z)]), split)
     if singular[0]:
-        y = np.conj(np.linalg.svd(_shift(M, zs)[0])[2][-1])
-        return math.inf, y / sp.norm_array(space, y)
+        return math.inf, None
     X = _assemble(Y[0], split)
     val, w, _, _ = matrix_norm(X, space)
     return (val, X @ w / val) if val else (0.0, None)
@@ -367,31 +364,36 @@ class PerturbationCert:
 
 def att1_perturbation(T, space, z: complex, eps: float,
                       N: int) -> PerturbationCert:
-    """Plant the eigenvalue z into T with a rank-one A of norm 1/c <= eps.
+    """Plant the eigenvalue z into T with a rank-one A of norm at most eps.
 
-    With c = ||(M - zI)^{-1}|| on the N-section M and y its bottom vector
-    (_inverse_norm), A = _plant(M, z, y) has norm ||(M - zI)y|| = 1/c and
-    (M + A)y = zy; on a singular cell (c = inf), A has a norm of order
-    sigma_min(M - zI) (0 at an exact eigenvalue) and an exact residual.
-    A z that is not finite, an M - zI with an overflowing row or column
-    sum, or an N whose (N + TAIL)-section verify_cert could not build,
-    raises a ValueError.
+    On the (N + TAIL)-section Tw of T, verify_cert's, y is the bottom
+    vector of the N-section M = Tw[:N, :N] (_inverse_norm), or on a
+    singular cell the last right singular vector of M - zI, scaled to a
+    unit.  A = _plant(Tw, z, y) has (T + A)y = zy on Tw and the norm
+    ||(Tw - zI)y||, at least 1/c = 1/||(M - zI)^{-1}|| and above it only
+    where T maps y past the N-section.  Where that norm exceeds eps +
+    CERT_NORM_SLACK, z is refused with a ValueError, as is a z that is
+    not finite, an M - zI with an overflowing row or column sum, or an N
+    whose (N + TAIL)-section could not be built.
     """
     _require_eps(eps)
     require_finite((z,), "z = %r" % (z,))
     N = require_trunc(N, "N", TAIL)
-    M = op.truncate_matrix(T, N)
+    Tw = op.truncate_matrix(T, N + TAIL)
+    M = Tw[:N, :N]
     zs = np.array([complex(z)])
     op._require_line_sums(M, "M - zI", zs)
     c, y = _inverse_norm(M, z, space)
-    # a computed c of 0 (an inverse that underflows) reads as 1/c = inf
-    inv_c = 1.0 / c if c else math.inf
-    if inv_c > eps + CERT_NORM_SLACK:
-        raise ValueError(
-            "1/c = %.6g exceeds eps = %.6g: z outside the non-strict set "
-            "on this truncation" % (inv_c, eps))
-    return PerturbationCert(_plant(M, z, y, space), complex(z),
-                            Coeffs.from_array(y), eps, N)
+    if c == math.inf:
+        y = np.conj(np.linalg.svd(_shift(M, zs)[0])[2][-1])
+        y = y / sp.norm_array(space, y)
+    # an inverse that underflows (c = 0) leaves no y: ||A|| reads inf
+    A = _plant(Tw, z, y, space) if c else None
+    norm_A = sp.norm_array(space, A.vector.to_array()) if c else math.inf
+    if not norm_A <= eps + CERT_NORM_SLACK:
+        raise ValueError("||A|| = %.6g exceeds eps = %.6g: z is not "
+                         "certified on this truncation" % (norm_A, eps))
+    return PerturbationCert(A, complex(z), Coeffs.from_array(y), eps, N)
 
 
 def verify_cert(T, space, cert: PerturbationCert) -> dict:

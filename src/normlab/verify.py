@@ -2,8 +2,8 @@
 
 Each check returns a structured result so the CLI can print a pass/fail
 table and emit a machine-readable report.  Tolerances are pinned as
-constants here, AC7's beside pseudospectrum.verify_cert; the pytest
-acceptance gate calls these same functions.
+constants here, AC7's and AC10's beside pseudospectrum.verify_cert; the
+pytest acceptance gate calls these same functions.
 """
 
 from __future__ import annotations
@@ -32,8 +32,6 @@ AC5_TOL = 1e-4
 AC6_MIN_N100_BOUND = 1.99
 AC8_TOL = 1e-3
 AC9_DECAY_TOL = 1e-6
-AC10_NORM_SLACK = 1e-8
-AC10_INF_TOL = 1e-6
 SEED = 0                # draws of AC3, AC6 and AC8
 GRID_RES = 0.01         # spacing of the AC8 sphere-grid oracle
 BOX_SIDE = 10           # axis indices per side of an oracle box
@@ -420,7 +418,7 @@ def check_ac9() -> CheckResult:
 
 
 def check_ac10() -> CheckResult:
-    """Norm-c singularizing perturbations on the three example operators."""
+    """Norm-c singularizing perturbations, each row verify_cert's verdict."""
     cases = ((op.ScalarMul(2.0), sp.Lp(2.0), 16, "fixed"),
              (op.SimpleS(2.0, 4.0), sp.QSumLp(4.0, 2.0), 24, "fixed"),
              (op.Diagonal("one_plus_inv"), sp.Lp(2.0), 32, "escaping"))
@@ -432,12 +430,8 @@ def check_ac10() -> CheckResult:
                          "ok": False})
             continue
         chk = ps.verify_cert(T, space, res.cert)
-        normS, new_inf = chk["norm_A"], chk["residual"]
-        row_ok = (res.case == want_case
-                  and normS <= res.c + AC10_NORM_SLACK
-                  and new_inf < AC10_INF_TOL)
         rows.append({"op": type(T).__name__, "case": res.case, "c": res.c,
-                     "norm_S": normS, "new_inf": new_inf, "ok": row_ok})
+                     **chk, "ok": chk["ok"] and res.case == want_case})
     return _result("AC10", rows=rows)
 
 
