@@ -14,18 +14,20 @@ in q, and the atom map applied in O(N).  The duality gap is certified from a
 scaled dual-feasible point.  It is checked after steps 1, 2, 4, 8, 16 and 32
 and then every 50 steps; the running best primal value and dual bound can
 only improve at a check, so the early checks let a solve stop sooner and
-never later.
+never later.  minkowski_norms runs the same iteration on a stack of vectors
+at one truncation.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .coeffs import Coeffs
+from .coeffs import Coeffs, require_finite
 from .spaces import Q_RULE, QSeqParams
 
 QSEQ = QSeqParams()
@@ -114,12 +116,58 @@ def _scaled(u: Coeffs, k: int) -> Coeffs:
 
 
 def _split_coords(u: Coeffs, N: int):
-    """(u0, u1, u2, tail of length N) with support confined to [0, N+3)."""
+    """(u0, u1, u2, tail of length N) with support confined to [0, N+3)
+    and every entry finite."""
     if any(i >= N + 3 for i in u.support()):
         raise ValueError("support of u must lie in [0, N+3) for trunc N=%d"
                          % N)
     arr = u.to_array(N + 3)
+    require_finite(arr, "coefficients")
     return arr[0], arr[1], arr[2], arr[3:]
+
+
+def _shift(u: Coeffs) -> int:
+    """The k with 2^-k u's largest part in [1, 2) when u's largest part
+    lies outside SCALE_RANGE, else 0 (u = 0 included)."""
+    top = max((max(abs(v.real), abs(v.imag)) for v in u.entries.values()),
+              default=1.0)
+    if SCALE_RANGE[0] <= top <= SCALE_RANGE[1]:
+        return 0
+    return math.frexp(top)[1] - 1
+
+
+def _scaled_back(d: Decomposition, k: int) -> Decomposition:
+    """The solve of 2^k u from the solve d of u, exactly."""
+    objective, dual_bound, gap = _ldexp(
+        [d.objective, d.dual_bound, d.gap], k).real.tolist()
+    return dataclasses.replace(
+        d, x=_scaled(d.x, k), alpha=tuple(_ldexp(d.alpha, k)),
+        beta=tuple(_ldexp(d.beta, k)), objective=objective,
+        dual_bound=dual_bound, gap=gap)
+
+
+def _zero_solve(N: int) -> Decomposition:
+    """The solve of u = 0: the zero decomposition, with no step."""
+    return Decomposition(Coeffs.zero(), (0.0,) * N, (0.0,) * N,
+                         0.0, 0.0, 0.0, True)
+
+
+def _steps(N: int):
+    """q_1..q_N and the diagonal steps of Pock-Chambolle (alpha = 1):
+    tau_j = 1 / (column sum of |K|), i.e. 1/2 on alpha_n and 1/(3 q_n) on
+    beta_n, and on each dual block one sigma at 1 / (its largest row sum of
+    |K|), which keeps the dual prox a projection onto the unit ball (with
+    N = 0 the rows are zero and any step will do)."""
+    q = QSEQ.q_array(N)
+    tau = np.concatenate((np.full(N, 0.5), 1.0 / (3.0 * q)))
+    sigma1 = 1.0 / (1.0 + float(q.max(initial=0.0)))
+    sigma2 = 1.0 / max(1.0, N + float(q.sum()))
+    return q, tau, sigma1, sigma2
+
+
+def _checked(step: int) -> bool:
+    """Whether the duality gap is checked after this step."""
+    return step in (1, 2, 4, 8, 16, 32) or step % 50 == 0 or step == MAX_ITER
 
 
 def minkowski_norm(u: Coeffs, N: int, tol: float = TOL) -> tuple:
@@ -131,28 +179,20 @@ def minkowski_norm(u: Coeffs, N: int, tol: float = TOL) -> tuple:
     not an exception: the best feasible value is returned with
     converged=False and the residual gap recorded.  A u whose largest part
     lies outside SCALE_RANGE is solved scaled by a power of two; inside it
-    the iterates are those of u itself.
+    the iterates are those of u itself.  A non-finite entry raises a
+    ValueError.
     """
     if not 0 < tol < math.inf:
         raise ValueError("tol must be positive and finite")
     u0, u1, u2, tail = _split_coords(u, N)
     if not u.entries:
-        d = Decomposition(Coeffs.zero(), (0.0,) * N, (0.0,) * N,
-                          0.0, 0.0, 0.0, True)
-        return 0.0, d
-    top = max(max(abs(v.real), abs(v.imag)) for v in u.entries.values())
-    if math.isfinite(top) and not SCALE_RANGE[0] <= top <= SCALE_RANGE[1]:
-        k = math.frexp(top)[1] - 1
-        _, d = minkowski_norm(_scaled(u, -k), N, tol)
-        objective, dual_bound, gap = _ldexp(
-            [d.objective, d.dual_bound, d.gap], k).real.tolist()
-        d = dataclasses.replace(
-            d, x=_scaled(d.x, k), alpha=tuple(_ldexp(d.alpha, k)),
-            beta=tuple(_ldexp(d.beta, k)), objective=objective,
-            dual_bound=dual_bound, gap=gap)
-        return objective, d
+        return 0.0, _zero_solve(N)
+    k = _shift(u)
+    if k:
+        d = _scaled_back(minkowski_norm(_scaled(u, -k), N, tol)[1], k)
+        return d.objective, d
 
-    q = QSEQ.q_array(N)
+    q, tau, sigma1, sigma2 = _steps(N)
     b1 = np.concatenate(([u0], tail))
     u1, u2 = complex(u1), complex(u2)
 
@@ -177,14 +217,6 @@ def minkowski_norm(u: Coeffs, N: int, tol: float = TOL) -> tuple:
         np.add(a, qb, out=c)
         return s, s + complex(a.sum())
 
-    # diagonal steps of Pock-Chambolle (alpha = 1): tau_j = 1 / (column
-    # sum of |K|), i.e. 1/2 on alpha_n and 1/(3 q_n) on beta_n, and on each
-    # dual block one sigma at 1 / (its largest row sum of |K|), which keeps
-    # the dual prox a projection onto the unit ball (with N = 0 the rows are
-    # zero and any step will do)
-    tau = np.concatenate((np.full(N, 0.5), 1.0 / (3.0 * q)))
-    sigma1 = 1.0 / (1.0 + float(q.max(initial=0.0)))
-    sigma2 = 1.0 / max(1.0, N + float(q.sum()))
     sb1 = sigma1 * b1
     tauz = tau.astype(complex)
 
@@ -248,7 +280,7 @@ def minkowski_norm(u: Coeffs, N: int, tol: float = TOL) -> tuple:
         wbar -= w
         w, w_new = w_new, w
         step = it + 1
-        if step in (1, 2, 4, 8, 16, 32) or step % 50 == 0 or step == MAX_ITER:
+        if _checked(step):
             val = primal(w)
             if val < best_val:
                 best_val, best_w = val, w.copy()
@@ -266,6 +298,116 @@ def minkowski_norm(u: Coeffs, N: int, tol: float = TOL) -> tuple:
     d = Decomposition(x, tuple(alpha), tuple(beta), best_val,
                       best_dual, gap, converged, it + 1)
     return best_val, d
+
+
+def minkowski_norms(us, N: int, tol: float = TOL) -> list:
+    """[minkowski_norm(u, N, tol) for u in us], solved as one stack.
+
+    Every state array of minkowski_norm's loop gains a leading row axis;
+    the steps, the check schedule and the power-of-two scaling are its
+    own, and a row leaves the stack at the first check whose gap meets
+    `tol`, with its best value, dual bound and iteration count.  The rows
+    agree with minkowski_norm up to rounding, since the norms here are sums
+    of squares where it takes BLAS dot products and hypot.  Each step costs
+    numpy about twice the dispatch of a 1-D step, so one vector belongs on
+    minkowski_norm.
+    """
+    if not 0 < tol < math.inf:
+        raise ValueError("tol must be positive and finite")
+    for u in us:
+        _split_coords(u, N)
+    out = [_zero_solve(N)] * len(us)
+    live = [r for r, u in enumerate(us) if u.entries]
+    shifts = [_shift(us[r]) for r in live]
+    # the dual (p1 | p2a, p2b) is one row of length N + 3, and u is held in
+    # its layout, (u0, tail | u1, u2)
+    layout = [0, *range(3, N + 3), 1, 2]
+    B = np.array([_scaled(us[r], -k).to_array(N + 3)[layout]
+                  for r, k in zip(live, shifts)], dtype=complex)
+    B = B.reshape(len(live), N + 3)
+    q, tau, sigma1, sigma2 = _steps(N)
+    qz, tauz = q.astype(complex), tau.astype(complex)
+    sigma = np.array([sigma1] * (N + 1) + [sigma2] * 2)
+
+    def forward(W):
+        # K w in the dual's layout, (0, y' | y1, y2)
+        a = W[:, :N]
+        kw = np.zeros((len(W), N + 3), dtype=complex)
+        c = kw[:, 1:N + 1]
+        np.multiply(qz, W[:, N:], out=c)
+        s = np.add.reduce(c, axis=1)
+        c += a
+        kw[:, N + 1] = s
+        np.add(s, np.add.reduce(a, axis=1), out=kw[:, N + 2])
+        return kw
+
+    def norms(P):
+        # the two blocks' l_2 norms, per row
+        return np.sqrt(np.add.reduceat(P.view(float) ** 2, (0, 2 * N + 2),
+                                       axis=1))
+
+    def primal(W, B):
+        n = norms(B - forward(W))
+        return np.abs(W).sum(axis=1) + n[:, 0] + n[:, 1]
+
+    def dual(P, G, B):
+        scale = np.maximum(norms(P).max(axis=1),
+                           np.abs(G).max(axis=1, initial=1.0))
+        return -(P.view(float) * B.view(float)).sum(axis=1) / scale
+
+    W = np.zeros((len(live), 2 * N), dtype=complex)
+    Wbar, best_W = W.copy(), W.copy()
+    P = np.zeros_like(B)
+    SB = sigma * B
+    best_val, best_dual = primal(W, B), np.zeros(len(live))
+    rows = np.arange(len(live))
+    for it in range(MAX_ITER if live else 0):   # an empty stack takes none
+        # the steps of minkowski_norm, row by row
+        P -= SB
+        P += sigma * forward(Wbar)
+        n = norms(P)
+        np.maximum(n, 1.0, out=n)
+        P[:, :N + 1] /= n[:, :1]
+        P[:, N + 1:] /= n[:, 1:]
+        G = np.empty_like(W)
+        np.add(P[:, 1:N + 1], P[:, N + 2:], out=G[:, :N])
+        np.add(G[:, :N], P[:, N + 1:N + 2], out=G[:, N:])
+        G[:, N:] *= qz
+        W_new = W - tauz * G
+        W_new *= 1.0 - tau / np.maximum(np.abs(W_new), tau)
+        Wbar = 2.0 * W_new - W
+        W = W_new
+        step = it + 1
+        if not _checked(step):
+            continue
+        val = primal(W, B)
+        better = val < best_val
+        best_val[better] = val[better]
+        best_W[better] = W[better]
+        np.maximum(best_dual, dual(P, G, B), out=best_dual)
+        met = best_val - best_dual <= tol * np.maximum(1.0, best_val)
+        done = met | (step == MAX_ITER)
+        if not done.any():
+            continue
+        X = B - forward(best_W)
+        for j in np.flatnonzero(done):
+            x, w = X[j], best_W[j]
+            d = Decomposition(
+                Coeffs({0: x[0], 1: x[N + 1], 2: x[N + 2],
+                        **{i + 3: v for i, v in enumerate(x[1:N + 1])}}),
+                tuple(w[:N]), tuple(w[N:]), float(best_val[j]),
+                float(best_dual[j]),
+                max(float(best_val[j] - best_dual[j]), 0.0), bool(met[j]),
+                step)
+            k = shifts[rows[j]]
+            out[live[rows[j]]] = _scaled_back(d, k) if k else d
+        keep = ~done
+        if not keep.any():
+            break
+        W, Wbar, P, B, SB, best_W, best_val, best_dual, rows = (
+            v[keep] for v in (W, Wbar, P, B, SB, best_W, best_val,
+                              best_dual, rows))
+    return [(d.objective, d) for d in out]
 
 
 @dataclass(frozen=True)
@@ -287,7 +429,8 @@ def b_atomic_decompose(u: Coeffs, N: int) -> AtomicSplit:
     """u in B as a convex split over its ball piece and atom families, read
     off minkowski_norm's optimal decomposition at truncation N.  A u with
     ||u||_2 <= 1/2 is its own ball piece and needs no solve.  Support at
-    N + 3 or beyond, or a u outside B, raises a ValueError."""
+    N + 3 or beyond, a non-finite entry or a u outside B raises a
+    ValueError."""
     _split_coords(u, N)
     if float(np.linalg.norm(u.to_array(N + 3))) <= 0.5:
         # Cauchy: ||x'|| + ||(x_1, x_2)|| <= sqrt(2) ||u||_2 < 1
@@ -354,38 +497,49 @@ class SexReport:
     lower_bounds: tuple    # (n, 1/q_n, solver value of ||e1+e2+e_{n+2}||)
     min_gap: float
     failures: tuple        # sample indices whose solve did not converge
+    iterations_total: int  # the samples' primal-dual steps, summed
+    iterations_max: int    # and the largest of them
+    # seconds spent on the lower bounds' atoms and on the samples; a rerun
+    # takes other times, so they are left out of the report's repr and ==
+    atoms_s: float = dataclasses.field(repr=False, compare=False)
+    samples_s: float = dataclasses.field(repr=False, compare=False)
 
 
 def sex_norm_bounds(Ns, samples: int = 100, seed: int = 0) -> SexReport:
     """Two-sided squeeze on ||S||: lower bounds 1/q_n -> 2 and, per random
     unit sample, a certified strict gap ||Su|| < 2 ||u||.
 
-    Each sample takes one solve, of u.  The strictness certificate is
-    one-sided on both ends: su_upper_bound of u's decomposition (an upper
-    bound on ||Su||) must stay below twice the solve's dual bound (a lower
-    bound on ||u||).  That bound is at most 1.926 times the solve's
-    objective at SEX_TRUNC, so the gap is positive whenever the solve has
-    converged to SEX_TOL; a sample whose solve has not is a failure.
+    Each atom takes one minkowski_norm solve at its own truncation n; the
+    samples, all at SEX_TRUNC, are solved as one minkowski_norms stack, one
+    solve of u each.  The strictness certificate is one-sided on both ends:
+    su_upper_bound of u's decomposition (an upper bound on ||Su||) must
+    stay below twice the solve's dual bound (a lower bound on ||u||).  That
+    bound is at most 1.926 times the solve's objective at SEX_TRUNC, so the
+    gap is positive whenever the solve has converged to SEX_TOL; a sample
+    whose solve has not is a failure.
     """
+    t0 = time.perf_counter()
     lower = []
     for n in Ns:
         atom = Coeffs.basis(1) + Coeffs.basis(2) + Coeffs.basis(n + 2)
         value, _ = minkowski_norm(atom, n, SEX_TOL)
         lower.append((n, 1.0 / QSEQ.q(n), value))
+    t1 = time.perf_counter()
 
     rng = np.random.default_rng(seed)
-    gaps = []
-    failures = []
-    for k in range(samples):
+    us = []
+    for _ in range(samples):
         supp = rng.integers(0, SEX_TRUNC + 2, size=4)
         vals = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         u = Coeffs.from_pairs(zip(supp.tolist(), vals.tolist()))
-        if not u.entries:
-            u = Coeffs.basis(2)
-        # by homogeneity the gap of the unit sample u/nu is this one / nu
-        nu, du = minkowski_norm(u, SEX_TRUNC, SEX_TOL)
-        if not du.converged:
-            failures.append(k)
-        gaps.append((2.0 * du.dual_bound - su_upper_bound(du)) / nu)
-    return SexReport(tuple(lower), min(gaps) if gaps else math.inf,
-                     tuple(failures))
+        us.append(u if u.entries else Coeffs.basis(2))
+    solves = minkowski_norms(us, SEX_TRUNC, SEX_TOL)
+    # by homogeneity the gap of the unit sample u/nu is this one / nu
+    gaps = [(2.0 * du.dual_bound - su_upper_bound(du)) / nu
+            for nu, du in solves]
+    failures = tuple(k for k, (_, du) in enumerate(solves)
+                     if not du.converged)
+    iterations = [du.iterations for _, du in solves]
+    return SexReport(tuple(lower), min(gaps, default=math.inf), failures,
+                     sum(iterations), max(iterations, default=0),
+                     t1 - t0, time.perf_counter() - t1)

@@ -217,7 +217,10 @@ def check_ac6() -> CheckResult:
     return _result("AC6", ok, lower_bounds=[list(t) for t in
                                             report.lower_bounds],
                    min_gap=report.min_gap,
-                   failures=list(report.failures))
+                   failures=list(report.failures),
+                   iterations_total=report.iterations_total,
+                   iterations_max=report.iterations_max,
+                   atoms_s=report.atoms_s, samples_s=report.samples_s)
 
 
 def check_ac7() -> CheckResult:

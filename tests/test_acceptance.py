@@ -75,7 +75,11 @@ def test_ac5_dual_form_cross_check():
 
 
 def test_ac6_norm_squeeze():
-    _gate(verify.check_ac6())
+    result = verify.check_ac6()
+    _gate(result)
+    details = result.to_json_obj()["details"]
+    assert details["atoms_s"] >= 0 and details["samples_s"] >= 0
+    assert details["iterations_total"] >= details["iterations_max"] > 0
 
 
 def test_ac7_planting_certificates():

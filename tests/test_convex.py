@@ -133,6 +133,8 @@ def test_support_precondition():
 def test_tol_must_be_positive_and_finite(tol):
     with pytest.raises(ValueError, match="tol"):
         convex.minkowski_norm(Coeffs.basis(2), 4, tol)
+    with pytest.raises(ValueError, match="tol"):
+        convex.minkowski_norms([Coeffs.basis(2)], 4, tol)
 
 
 def test_overflowing_iterate_is_not_an_exception():
@@ -558,16 +560,22 @@ def loop_cases():
         for name, atom in (("pair", pair_atom), ("triple", triple_atom)):
             cases.append(pytest.param(atom(n), max(n, 4), convex.TOL,
                                       id="ac5.%s%d" % (name, n)))
-    rng = np.random.default_rng(7)
-    for k in range(40):
-        supp = rng.integers(0, convex.SEX_TRUNC + 2, size=4)
-        vals = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        u = Coeffs.from_pairs(zip(supp.tolist(), vals.tolist()))
-        if not u.entries:
-            u = Coeffs.basis(2)
+    for k, u in enumerate(sex_draws(7, 40)):
         cases.append(pytest.param(u, convex.SEX_TRUNC, convex.SEX_TOL,
                                   id="sex%d" % k))
     return cases
+
+
+def sex_draws(seed, count):
+    """The first `count` samples sex_norm_bounds draws at this seed."""
+    rng = np.random.default_rng(seed)
+    draws = []
+    for _ in range(count):
+        supp = rng.integers(0, convex.SEX_TRUNC + 2, size=4)
+        vals = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        u = Coeffs.from_pairs(zip(supp.tolist(), vals.tolist()))
+        draws.append(u if u.entries else Coeffs.basis(2))
+    return draws
 
 
 @pytest.mark.parametrize("u, N, tol", loop_cases())
@@ -615,6 +623,78 @@ def test_slow_preconditioned_draws_converge():
         vr, dr = reference_minkowski_norm(draws[k], 12)
         assert d.converged and dr.converged
         assert max(d.dual_bound, dr.dual_bound) <= min(v, vr) * (1 + 1e-12)
+
+
+# -- the stacked solve against minkowski_norm ----------------------------------
+
+@pytest.mark.parametrize("seed, count", [(verify.SEED, 100), (7, 40)],
+                         ids=["ac6", "loop_cases"])
+def test_stack_matches_minkowski_norm(seed, count):
+    # the same steps and checks, row by row: each row stops at the same
+    # check as its 1-D solve, with a bracket that meets the 1-D one
+    us = sex_draws(seed, count)
+    solves = convex.minkowski_norms(us, convex.SEX_TRUNC, convex.SEX_TOL)
+    assert len(solves) == count
+    for u, (v, d) in zip(us, solves):
+        v1, d1 = convex.minkowski_norm(u, convex.SEX_TRUNC, convex.SEX_TOL)
+        assert d.converged and v == d.objective
+        assert d.iterations == d1.iterations
+        assert max(d.dual_bound, d1.dual_bound) <= min(v, v1) * (1 + 1e-12)
+
+
+def test_stack_edge_rows(monkeypatch):
+    # the slowest AC6 sample (750 steps) and one with its largest part in
+    # [1, 2), so that 2^600 u and 2^-600 u are solved as u itself
+    hard, u = sex_draws(verify.SEED, 100)[76], sex_draws(7, 1)[0]
+    top = max(max(abs(v.real), abs(v.imag)) for v in u.entries.values())
+    u = 2.0 ** (1 - math.frexp(top)[1]) * u
+    N, tol = convex.SEX_TRUNC, convex.SEX_TOL
+    v_hard, d_hard = convex.minkowski_norm(hard, N, tol)
+    assert d_hard.iterations == 750
+
+    with pytest.raises(ValueError, match="^support of u must lie in"):
+        convex.minkowski_norms([u, Coeffs.basis(N + 3)], N, tol)
+
+    monkeypatch.setattr(convex, "MAX_ITER", 40)
+    stack = [Coeffs.zero(), u, 2.0 ** 600 * u, hard, 2.0 ** -600 * u,
+             Coeffs.basis(0)]
+    solves = convex.minkowski_norms(stack, N, tol)
+    for w, (v, d) in zip(stack, solves):
+        v1, d1 = convex.minkowski_norm(w, N, tol)
+        assert (d.converged, d.iterations) == (d1.converged, d1.iterations)
+        assert max(d.dual_bound, d1.dual_bound) <= min(v, v1) * (1 + 1e-12)
+        assert d.gap == max(v - d.dual_bound, 0.0)
+    zero, base, big, slow, small, easy = (d for _, d in solves)
+    assert zero == convex.minkowski_norm(Coeffs.zero(), N)[1]
+    assert zero.iterations == 0 and zero.objective == 0.0
+    assert easy.converged and easy.iterations < 40
+    # 40 steps do not certify the slow row, but its bracket holds
+    assert not slow.converged and slow.iterations == 40
+    assert slow.dual_bound <= v_hard * (1 + 1e-12)
+    assert v_hard <= slow.objective * (1 + 1e-12)
+    for s, d in ((2.0 ** 600, big), (2.0 ** -600, small)):
+        assert d.x == s * base.x
+        assert d.alpha == tuple(s * a for a in base.alpha)
+        assert d.beta == tuple(s * b for b in base.beta)
+        assert (d.objective, d.dual_bound, d.gap) == (
+            s * base.objective, s * base.dual_bound, s * base.gap)
+        assert (d.converged, d.iterations) == (base.converged,
+                                               base.iterations)
+
+
+@pytest.mark.parametrize("value", [math.inf, complex(1.0, -math.inf),
+                                   complex(math.inf, math.nan)],
+                         ids=["inf", "imag_inf", "inf_nan"])
+def test_non_finite_entries_are_refused(value):
+    # they ran all MAX_ITER steps to a NaN norm; Coeffs keeps them, since
+    # their modulus is infinite
+    u = Coeffs({0: 0.5, 3: value})
+    with pytest.raises(ValueError, match="^coefficients must be finite$"):
+        convex.minkowski_norm(u, 4)
+    with pytest.raises(ValueError, match="^coefficients must be finite$"):
+        convex.minkowski_norms([Coeffs.basis(2), u], 4)
+    with pytest.raises(ValueError, match="^coefficients must be finite$"):
+        convex.b_atomic_decompose(u, 4)
 
 
 # -- membership and atomic splits ---------------------------------------------
@@ -768,23 +848,35 @@ def test_su_upper_bound_on_random_decompositions():
 
 
 def test_sex_norm_bounds_solves_each_sample_once(monkeypatch):
-    # the bound on ||Su|| comes from u's decomposition; Su was once solved
-    # as well, for len(Ns) + 2 samples solves
-    calls = []
-    real = convex.minkowski_norm
+    # the bound on ||Su|| comes from u's decomposition, so Su is never
+    # solved
+    calls, stacks = [], []
+    real, real_stack = convex.minkowski_norm, convex.minkowski_norms
 
     def counting(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
+    def stacking(us, *args, **kwargs):
+        stacks.append(list(us))
+        return real_stack(us, *args, **kwargs)
+
     monkeypatch.setattr(convex, "minkowski_norm", counting)
+    monkeypatch.setattr(convex, "minkowski_norms", stacking)
     report = convex.sex_norm_bounds((1, 5), samples=7, seed=3)
-    assert len(calls) == 2 + 7
+    # the two atoms one solve each, the seven samples one stack
+    assert [N for _, N, _ in calls] == [1, 5]
+    assert [us for us in stacks] == [sex_draws(3, 7)]
     assert report.min_gap > 0 and not report.failures
+    assert report.iterations_total >= report.iterations_max > 0
 
 
 def test_sex_norm_bounds_report():
     report = convex.sex_norm_bounds((1, 5, 20), samples=10, seed=0)
+    # a rerun repeats the report, its stage times aside
+    rerun = convex.sex_norm_bounds((1, 5, 20), samples=10, seed=0)
+    assert rerun == report and repr(rerun) == repr(report)
+    assert report.atoms_s > 0 and report.samples_s > 0
     bounds = [b for _, b, _ in report.lower_bounds]
     assert bounds == sorted(bounds)
     for n, b, v in report.lower_bounds:
