@@ -68,8 +68,10 @@ class Coeffs:
         return hash(frozenset(self.entries.items()))
 
     def __post_init__(self):
+        # `not <` keeps a NaN, which compares False either way, for the
+        # callers' finite checks to refuse
         pruned = {int(i): complex(v) for i, v in self.entries.items()
-                  if abs(v) >= PRUNE_TOL}
+                  if not abs(v) < PRUNE_TOL}
         for i in pruned:
             if i < 0:
                 raise ValueError("negative index %d" % i)

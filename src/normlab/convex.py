@@ -14,8 +14,11 @@ in q, and the atom map applied in O(N).  The duality gap is certified from a
 scaled dual-feasible point.  It is checked after steps 1, 2, 4, 8, 16 and 32
 and then every 50 steps; the running best primal value and dual bound can
 only improve at a check, so the early checks let a solve stop sooner and
-never later.  minkowski_norms runs the same iteration on a stack of vectors
-at one truncation.
+never later.  The dual often becomes exact long before the primal: at a
+failed check where the best dual bound has not risen since the last one,
+a decomposition read off the dual point by the KKT conditions is kept if
+it costs less.  minkowski_norms runs the same iteration on a stack of
+vectors at one truncation.
 """
 
 from __future__ import annotations
@@ -40,6 +43,11 @@ SEX_TRUNC = 12          # truncation of the squeeze's random samples
 # back by 2^k: the norm is homogeneous and a power of two scales exactly,
 # so no step meets an overflowing or underflowing intermediate
 SCALE_RANGE = (2.0 ** -500, 2.0 ** 500)
+# the KKT decomposition: a piece is active when its dual norm lies within
+# KKT_SLACK (relative) of the largest, and the NNLS stops after NNLS_PASSES
+# least-squares solves, which covers active sets of about that many pieces
+KKT_SLACK = 1e-6
+NNLS_PASSES = 40
 
 
 @dataclass(frozen=True)
@@ -54,6 +62,7 @@ class Decomposition:
     gap: float
     converged: bool
     iterations: int = 0    # primal-dual iterations the solve ran
+    kkt: bool = False      # objective is that of the KKT decomposition
 
     def reconstruct(self) -> Coeffs:
         beta = np.asarray(self.beta, dtype=complex)
@@ -62,7 +71,7 @@ class Decomposition:
 
     def to_json_obj(self):
         return {
-            "schema_version": 1,
+            "schema_version": 2,
             "x": self.x.to_json_obj(),
             "alpha": [[v.real, v.imag] for v in self.alpha],
             "beta": [[v.real, v.imag] for v in self.beta],
@@ -71,6 +80,7 @@ class Decomposition:
             "gap": self.gap,
             "converged": self.converged,
             "iterations": self.iterations,
+            "kkt": self.kkt,
             "q_rule": Q_RULE,
         }
 
@@ -170,17 +180,93 @@ def _checked(step: int) -> bool:
     return step in (1, 2, 4, 8, 16, 32) or step % 50 == 0 or step == MAX_ITER
 
 
+def _stalled(best_dual, last_dual):
+    """Whether the best dual bound has not risen since the last check, up
+    to the rounding by which minkowski_norm and minkowski_norms differ."""
+    return best_dual <= last_dual * (1.0 + 1e-12)
+
+
+def _nnls(A, b, passes: int) -> np.ndarray:
+    """Lawson-Hanson: a z >= 0 minimizing ||A z - b||_2 for real A and b,
+    stopping after `passes` least-squares solves (rounding can make the
+    active-set loop cycle)."""
+    k = A.shape[1]
+    z = np.zeros(k)
+    on = np.zeros(k, dtype=bool)
+    tol = 10 * max(A.shape) * np.finfo(float).eps * max(
+        1.0, float(np.abs(A).max(initial=0.0)) * float(np.abs(b).max()))
+    grow = True
+    for _ in range(passes):
+        if grow:
+            grad = np.where(on, -np.inf, A.T @ (b - A @ z))
+            j = int(np.argmax(grad))
+            if grad[j] <= tol:
+                break
+            on[j] = True
+        s = np.zeros(k)
+        s[on] = np.linalg.lstsq(A[:, on], b, rcond=None)[0]
+        low = on & (s <= 0)
+        grow = not low.any()
+        if grow:
+            z = s
+            continue
+        # step from z toward s until a coefficient reaches 0, and drop it
+        z += float((z[low] / (z[low] - s[low])).min()) * (s - z)
+        on &= z > tol
+        z[~on] = 0.0
+    return z
+
+
+def _kkt_w(b, p, g, q) -> np.ndarray:
+    """A decomposition w read off the dual point p by the KKT conditions.
+
+    b and p lie in the layout (u0, tail | u1, u2), g = K^T p.  A piece is
+    active when its dual norm, ||p'||, ||(p1, p2)|| or |g_j|, comes within
+    KKT_SLACK of the scale that makes p feasible; an active atom points
+    along -g_j, and x' and (x1, x2) along -p' and -(p1, p2).  The
+    nonnegative sizes that fit u best come from _nnls on the real form of
+    u = x + K w.  Any w is feasible, since its cost is taken with
+    x = u - K w, so a rough fit only costs more."""
+    N = len(q)
+    norms = (math.sqrt(np.vdot(p[:N + 1], p[:N + 1]).real),
+             math.sqrt(np.vdot(p[N + 1:], p[N + 1:]).real))
+    mags = np.abs(g)
+    cut = (1.0 - KKT_SLACK) * max(1.0, *norms, mags.max(initial=0.0))
+    act = np.flatnonzero(mags >= cut)
+    d = -g[act] / mags[act]
+    cols = np.zeros((N + 3, len(act) + 2), dtype=complex)
+    if norms[0] >= cut:
+        cols[:N + 1, 0] = -p[:N + 1] / norms[0]
+    if norms[1] >= cut:
+        cols[N + 1:, 1] = -p[N + 1:] / norms[1]
+    # atom j's column d_j K e_j: d_j (resp. q_n d_j) in its tail row n + 1
+    # and in the u2 row for a pair atom, also in the u1 row for a triple
+    n, k = act % N, np.arange(2, len(act) + 2)
+    y = np.where(act < N, 1.0, q[n]) * d
+    cols[n + 1, k] = y
+    cols[N + 1, k] = np.where(act < N, 0.0, y)
+    cols[N + 2, k] = y
+    z = _nnls(np.concatenate((cols.real, cols.imag)),
+              np.concatenate((b.real, b.imag)), NNLS_PASSES)
+    w = np.zeros(2 * N, dtype=complex)
+    w[act] = z[2:] * d
+    return w
+
+
 def minkowski_norm(u: Coeffs, N: int, tol: float = TOL) -> tuple:
     """(norm value, optimal Decomposition) with a certified duality gap.
 
     The gap is checked after steps 1, 2, 4, 8, 16 and 32, then every 50
     steps and after the last; `iterations` counts the steps run up to the
-    first check whose gap meets `tol` (or MAX_ITER).  Non-convergence is
-    not an exception: the best feasible value is returned with
-    converged=False and the residual gap recorded.  A u whose largest part
-    lies outside SCALE_RANGE is solved scaled by a power of two; inside it
-    the iterates are those of u itself.  A non-finite entry raises a
-    ValueError.
+    first check whose gap meets `tol` (or MAX_ITER).  At a check that
+    fails with the best dual bound no higher than at the last one, the KKT
+    decomposition of the dual point (_kkt_w) replaces the best iterate if
+    it costs less (`kkt` records that) and the gap is tested again.
+    Non-convergence is not an exception: the best feasible value is
+    returned with converged=False and the residual gap recorded.  A u
+    whose largest part lies outside SCALE_RANGE is solved scaled by a power
+    of two; inside it the iterates are those of u itself.  A non-finite
+    entry raises a ValueError.
     """
     if not 0 < tol < math.inf:
         raise ValueError("tol must be positive and finite")
@@ -245,8 +331,8 @@ def minkowski_norm(u: Coeffs, N: int, tol: float = TOL) -> tuple:
 
     best_val = primal(w)
     best_w = w.copy()
-    best_dual = 0.0
-    converged = False
+    best_dual = last_dual = 0.0
+    converged = kkt = False
     for it in range(MAX_ITER):
         # dual ascent: prox of the conjugate of y -> sum ||b_i - y_i||
         y1, y2 = forward(wbar_a, wbar_b)
@@ -283,11 +369,20 @@ def minkowski_norm(u: Coeffs, N: int, tol: float = TOL) -> tuple:
         if _checked(step):
             val = primal(w)
             if val < best_val:
-                best_val, best_w = val, w.copy()
+                best_val, best_w, kkt = val, w.copy(), False
             best_dual = max(best_dual, dual(p1, p2a, p2b, g))
+            if (best_val - best_dual > tol * max(1.0, best_val)
+                    and _stalled(best_dual, last_dual)):
+                # the dual has stalled, so the primal lags: read one off it
+                wk = _kkt_w(np.concatenate((b1, (u1, u2))),
+                            np.concatenate((p1, (p2a, p2b))), g, q)
+                val = primal(wk)
+                if val < best_val:
+                    best_val, best_w, kkt = val, wk, True
             if best_val - best_dual <= tol * max(1.0, best_val):
                 converged = True
                 break
+            last_dual = best_dual
 
     alpha = best_w[:N]
     beta = best_w[N:]
@@ -296,7 +391,7 @@ def minkowski_norm(u: Coeffs, N: int, tol: float = TOL) -> tuple:
                 **{n + 3: v for n, v in enumerate(tail - c)}})
     gap = max(best_val - best_dual, 0.0)
     d = Decomposition(x, tuple(alpha), tuple(beta), best_val,
-                      best_dual, gap, converged, it + 1)
+                      best_dual, gap, converged, it + 1, kkt)
     return best_val, d
 
 
@@ -304,9 +399,10 @@ def minkowski_norms(us, N: int, tol: float = TOL) -> list:
     """[minkowski_norm(u, N, tol) for u in us], solved as one stack.
 
     Every state array of minkowski_norm's loop gains a leading row axis;
-    the steps, the check schedule and the power-of-two scaling are its
-    own, and a row leaves the stack at the first check whose gap meets
-    `tol`, with its best value, dual bound and iteration count.  The rows
+    the steps, the check schedule, the KKT rule for a stalled dual (one
+    row at a time) and the power-of-two scaling are its own, and a row
+    leaves the stack at the first check whose gap meets `tol`, with its
+    best value, dual bound and iteration count.  The rows
     agree with minkowski_norm up to rounding, since the norms here are sums
     of squares where it takes BLAS dot products and hypot.  Each step costs
     numpy about twice the dispatch of a 1-D step, so one vector belongs on
@@ -360,6 +456,7 @@ def minkowski_norms(us, N: int, tol: float = TOL) -> list:
     P = np.zeros_like(B)
     SB = sigma * B
     best_val, best_dual = primal(W, B), np.zeros(len(live))
+    last_dual, kkt = best_dual.copy(), np.zeros(len(live), dtype=bool)
     rows = np.arange(len(live))
     for it in range(MAX_ITER if live else 0):   # an empty stack takes none
         # the steps of minkowski_norm, row by row
@@ -384,8 +481,17 @@ def minkowski_norms(us, N: int, tol: float = TOL) -> list:
         better = val < best_val
         best_val[better] = val[better]
         best_W[better] = W[better]
+        kkt[better] = False
         np.maximum(best_dual, dual(P, G, B), out=best_dual)
         met = best_val - best_dual <= tol * np.maximum(1.0, best_val)
+        # minkowski_norm's rule for a stalled dual, row by row
+        for j in np.flatnonzero(~met & _stalled(best_dual, last_dual)):
+            wk = _kkt_w(B[j], P[j], G[j], q)
+            val = primal(wk[None], B[j:j + 1])[0]
+            if val < best_val[j]:
+                best_val[j], best_W[j], kkt[j] = val, wk, True
+        met = best_val - best_dual <= tol * np.maximum(1.0, best_val)
+        last_dual = best_dual.copy()
         done = met | (step == MAX_ITER)
         if not done.any():
             continue
@@ -398,15 +504,15 @@ def minkowski_norms(us, N: int, tol: float = TOL) -> list:
                 tuple(w[:N]), tuple(w[N:]), float(best_val[j]),
                 float(best_dual[j]),
                 max(float(best_val[j] - best_dual[j]), 0.0), bool(met[j]),
-                step)
+                step, bool(kkt[j]))
             k = shifts[rows[j]]
             out[live[rows[j]]] = _scaled_back(d, k) if k else d
         keep = ~done
         if not keep.any():
             break
-        W, Wbar, P, B, SB, best_W, best_val, best_dual, rows = (
-            v[keep] for v in (W, Wbar, P, B, SB, best_W, best_val,
-                              best_dual, rows))
+        W, Wbar, P, B, SB, best_W, best_val, best_dual, last_dual, kkt, \
+            rows = (v[keep] for v in (W, Wbar, P, B, SB, best_W, best_val,
+                                      best_dual, last_dual, kkt, rows))
     return [(d.objective, d) for d in out]
 
 

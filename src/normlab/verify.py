@@ -190,14 +190,15 @@ def check_ac5() -> CheckResult:
     qseq = sp.QSeqParams()
     rows = []
     for n in range(1, 11):
-        v1, _ = convex.minkowski_norm(Coeffs.basis(2) + Coeffs.basis(n + 2),
-                                      max(n, 4))
-        v2, _ = convex.minkowski_norm(Coeffs.basis(1) + Coeffs.basis(2)
-                                      + Coeffs.basis(n + 2), max(n, 4))
+        v1, d1 = convex.minkowski_norm(Coeffs.basis(2) + Coeffs.basis(n + 2),
+                                       max(n, 4))
+        v2, d2 = convex.minkowski_norm(Coeffs.basis(1) + Coeffs.basis(2)
+                                       + Coeffs.basis(n + 2), max(n, 4))
         target = 1.0 / qseq.q(n)
         row_ok = abs(v1 - 1.0) < AC5_TOL and abs(v2 - target) < AC5_TOL
         rows.append({"n": n, "pair_norm": v1, "triple_norm": v2,
-                     "inv_q_n": target, "ok": row_ok})
+                     "inv_q_n": target, "pair_iterations": d1.iterations,
+                     "triple_iterations": d2.iterations, "ok": row_ok})
     return _result("AC5", rows=rows)
 
 

@@ -62,6 +62,9 @@ def test_norm_json_format():
     assert obj["value"] == pytest.approx(1.0, abs=1e-6)
     assert obj["decomposition"]["converged"]
     assert obj["decomposition"]["iterations"] > 0
+    # e_2 + e_3 is the pair atom n = 1, closed by the KKT decomposition
+    assert obj["decomposition"]["schema_version"] == 2
+    assert obj["decomposition"]["kkt"] is True
 
 
 def test_norm_json_format_lp():

@@ -428,6 +428,62 @@ def test_atom_iterations_at_n100(atom, limit):
     assert d.to_json_obj()["iterations"] == d.iterations
 
 
+@pytest.mark.parametrize("atom, limit", [(pair_atom, 100),
+                                         (triple_atom, 400)])
+def test_kkt_closes_atoms_at_n100(atom, limit):
+    # the diagonal steps alone took 150 (pair) and 1250 (triple); the KKT
+    # decomposition read off the stalled dual stops them at 4 and 200
+    v, d = convex.minkowski_norm(atom(100), 100)
+    assert d.converged and 0 < d.iterations <= limit
+    assert d.kkt
+    obj = d.to_json_obj()
+    assert obj["iterations"] == d.iterations and obj["kkt"] is True
+    assert obj["schema_version"] == 2
+
+
+def test_ac5_atoms_close_by_step_100():
+    # they took 100-350 steps on the diagonal steps alone
+    for n in range(1, 11):
+        for atom in (pair_atom, triple_atom):
+            u = atom(n)
+            v, d = convex.minkowski_norm(u, max(n, 4))
+            assert d.converged and d.iterations <= 100
+            assert d.gap <= convex.TOL * max(1.0, v)
+            assert d.dual_bound <= v * (1 + 1e-12)
+            diff = d.reconstruct() - u
+            assert all(abs(e) <= 1e-9 for e in diff.entries.values())
+
+
+def kkt_cases():
+    """Seeded complex multiples of one pair or triple atom and sums of two
+    pair atoms, at truncations 4-30: most are closed by the KKT step."""
+    rng = np.random.default_rng(43)
+    cases = []
+    for k in range(24):
+        N = int(rng.integers(4, 31))
+        n, m = (int(v) for v in rng.integers(1, N + 1, size=2))
+        a, b = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        cases.append((N, [a * pair_atom(n), a * triple_atom(n),
+                          a * pair_atom(n) + b * pair_atom(m)][k % 3]))
+    return cases
+
+
+def test_kkt_closed_brackets_meet_the_dense_reference():
+    closed = 0
+    for N, u in kkt_cases():
+        v, d = convex.minkowski_norm(u, N)
+        assert d.converged and d.dual_bound <= v * (1 + 1e-12)
+        if not d.kkt:
+            continue
+        closed += 1
+        vr, dr = reference_minkowski_norm(u, N)
+        assert dr.converged
+        assert max(d.dual_bound, dr.dual_bound) <= min(v, vr) * (1 + 1e-12)
+        diff = d.reconstruct() - u
+        assert all(abs(e) <= 1e-9 * v for e in diff.entries.values())
+    assert closed >= 12
+
+
 def test_large_trunc_solve_stays_small():
     # a dense K at trunc 2000 alone would take 64 MB
     tracemalloc.start()
@@ -682,13 +738,88 @@ def test_stack_edge_rows(monkeypatch):
                                                base.iterations)
 
 
+def test_stack_takes_the_kkt_rule_row_by_row():
+    # scaled atoms, which the KKT step closes, beside draws, which it does
+    # not: each row stops where its 1-D solve stops, by the same rule
+    rng = np.random.default_rng(5)
+    N = convex.SEX_TRUNC
+    us = [complex(*rng.standard_normal(2)) * atom(n)
+          for n in range(1, N + 1) for atom in (pair_atom, triple_atom)]
+    us += sex_draws(7, 6)
+    solves = convex.minkowski_norms(us, N)
+    assert sum(d.kkt for _, d in solves) >= N
+    for u, (v, d) in zip(us, solves):
+        v1, d1 = convex.minkowski_norm(u, N)
+        assert d.converged and (d.iterations, d.kkt) == (d1.iterations,
+                                                         d1.kkt)
+        assert max(d.dual_bound, d1.dual_bound) <= min(v, v1) * (1 + 1e-12)
+
+
+# -- the Lawson-Hanson NNLS against scipy's -----------------------------------
+
+def nnls_system(kind, seed):
+    """A seeded real system: tall (8 x 5) and full rank, with a zero
+    column, with a duplicate column, rank deficient (column 4 = column 0 +
+    column 1), or wide (4 x 7) and rank deficient as well."""
+    rng = np.random.default_rng(seed)
+    m, k = (4, 7) if kind == "wide" else (8, 5)
+    A = rng.standard_normal((m, k))
+    if kind == "zero":
+        A[:, 2] = 0.0
+    if kind == "duplicate":
+        A[:, 3] = A[:, 1]
+    if kind in ("rank", "wide"):
+        A[:, 4] = A[:, 0] + A[:, 1]
+    if kind == "wide":
+        A[:, 5] = 2.0 * A[:, 2]
+    return A, rng.standard_normal(m)
+
+
+@pytest.mark.parametrize("kind", ["full", "zero", "duplicate", "rank",
+                                  "wide"])
+def test_nnls_matches_scipy(kind):
+    from scipy.optimize import nnls
+
+    for seed in range(100):
+        A, b = nnls_system(kind, seed)
+        z = convex._nnls(A, b, 3 * A.shape[1])
+        assert (z >= 0).all()
+        zs = nnls(A, b)[0]
+        if kind in ("full", "zero"):
+            # full column rank on the live columns: one minimizer
+            assert np.allclose(z, zs, rtol=1e-9, atol=1e-12)
+        if kind == "zero":
+            assert z[2] == 0.0
+        # scipy's own residual norm can miss the true one, so both are
+        # taken afresh
+        r, rs = (np.linalg.norm(A @ v - b) for v in (z, zs))
+        assert abs(r - rs) <= 1e-12 * np.linalg.norm(b)
+
+
+def test_nnls_pass_cap_stops_a_degenerate_loop(monkeypatch):
+    # a least-squares solve that rounds every coefficient below 0 makes
+    # Lawson-Hanson add a column, step back, drop it and add it again
+    A, b = nnls_system("full", 0)
+    solves = []
+
+    def negative(M, y, rcond=None):
+        solves.append(M.shape[1])
+        return (-np.ones(M.shape[1]),)
+
+    monkeypatch.setattr(np.linalg, "lstsq", negative)
+    z = convex._nnls(A, b, 25)
+    assert len(solves) == 25 and (z == 0.0).all()
+
+
 @pytest.mark.parametrize("value", [math.inf, complex(1.0, -math.inf),
-                                   complex(math.inf, math.nan)],
-                         ids=["inf", "imag_inf", "inf_nan"])
+                                   complex(math.inf, math.nan), math.nan],
+                         ids=["inf", "imag_inf", "inf_nan", "nan"])
 def test_non_finite_entries_are_refused(value):
-    # they ran all MAX_ITER steps to a NaN norm; Coeffs keeps them, since
-    # their modulus is infinite
+    # the infinite ones ran all MAX_ITER steps to a NaN norm; a NaN was
+    # pruned by Coeffs, which read it as the zero entry.  Coeffs keeps them
+    # all, since no modulus of theirs is below PRUNE_TOL
     u = Coeffs({0: 0.5, 3: value})
+    assert 3 in u.entries
     with pytest.raises(ValueError, match="^coefficients must be finite$"):
         convex.minkowski_norm(u, 4)
     with pytest.raises(ValueError, match="^coefficients must be finite$"):
