@@ -6,7 +6,10 @@ l_inf: row sums, l_2: SVD, diagonal and rank-one operators: closed forms,
 swap-plus-shrink on the K (+)_q l_p sum: a closed-form 3-variable maximum).
 Everything else falls back to a generalized power iteration, which
 certifies a lower bound only.  Its starts run as the rows of one array,
-and its value is floored at the best basis column.  On l_p an iterate's
+and its value is floored at the best basis column.  On l_p each step takes
+the scaled l_p weights of its rows twice (spaces.lp_weights) and no
+normalised functional; on a direct sum each half-step is one
+norming_functional_rows call.  On l_p an iterate's
 report also carries a Riesz-Thorin upper bound.
 
 Every section norm but a resolvent cell's on c_0, l_1 and l_2 (see
@@ -116,28 +119,79 @@ def maximize_swapped_f(p: float, q: float, t: float = 1.0) -> tuple:
 # matrix norms with exact reductions and power iteration
 # ---------------------------------------------------------------------------
 
+def _signed(Y: np.ndarray, a: np.ndarray, m: np.ndarray,
+            w: np.ndarray) -> np.ndarray:
+    """sign(conj y) w for the rows y of Y, whose moduli are a and row maxima
+    m: np.copysign on a real row, conj(y) w / |y| on a complex one, with
+    |y| floored at 1e-150 of the row's largest and never subnormal (a zero
+    row, with w = 0, gets 0)."""
+    if Y.dtype.kind != "c":
+        return np.copysign(w, Y)
+    floor = np.maximum(m * 1e-150, sp._TINY)[:, None]
+    return np.conj(Y) * (w / np.maximum(a, floor))
+
+
+def _half_steps(space) -> tuple:
+    """(forward, back), the power iteration's two half-steps on space.
+
+    forward(Y) gives the norm of each row y of Y and a positive multiple of
+    y's norming functional; back(H) gives the unit vector normed by each row
+    h of H, the dual space's norming functional of h.  On l_p, 1 < p < inf,
+    both come from the scaled weights (spaces.lp_weights) of rows whose
+    largest modulus was lifted to 1e-150 or more by an exact 2^600
+    (spaces._lift_tiny_rows): forward gives m r (a lifted row's scaled back)
+    and sign(conj y) w, whose scale the next matmul does not need, and back
+    sign(conj h) w_h / r_h^(q-1), q = p/(p - 1).  Every other space takes
+    norming_functional_rows for both.
+    """
+    if not (isinstance(space, sp.Lp) and 1 < space.p < INF):
+        dual = sp.dual_space(space)
+        return (lambda Y: sp.norming_functional_rows(space, Y),
+                lambda H: sp.norming_functional_rows(dual, H)[1])
+    p, q = space.p, sp.dual_space(space).p
+
+    def forward(Y):
+        Y, a, m, tiny = sp._lift_tiny_rows(Y)
+        w, r = sp.lp_weights(a, m, p)
+        val = m * r
+        if tiny.size:
+            val[tiny] *= 2.0 ** -600
+        return val, _signed(Y, a, m, w)
+
+    def back(H):
+        H, a, m, _ = sp._lift_tiny_rows(H)
+        w, r = sp.lp_weights(a, m, q)
+        # a zero row, with r = 0, gets x = 0 and then the value 0
+        return _signed(H, a, m, w / (np.maximum(r, 1.0) ** (q - 1))[:, None])
+
+    return forward, back
+
+
 def _power_iteration(M, space, cfg: OpnormConfig, starts=()):
     """(value, witness) of the generalized power iteration on M.
 
     The starts (ones, e_0..e_3, RESTARTS random vectors, then the caller's)
     run as the rows of one array, normed once.  A row x steps to the dual
-    functional of M^T g, g the norming functional of y = Mx, which is a
-    unit vector by construction.  Each half-step is one
-    norming_functional_rows call: the first gives the value ||y|| and g
-    together, the second the next x.  A row leaves the batch when its
-    value is not positive (a vanished step gives the value 0) or moves by
-    at most TOL times itself, or after MAX_ITER values.  The best value
+    functional of M^T g, g a positive multiple of the norming functional of
+    y = Mx; the new x is a unit vector by construction.  The two half-steps
+    are _half_steps': the first gives the value ||y|| and g together, the
+    second the next x.  A row leaves the batch when its value is not
+    positive (a vanished step gives the value 0) or moves by at most TOL
+    times itself, or after MAX_ITER values; its best value and row are kept
+    with the active rows and written back when it leaves.  The best value
     wins, ties going to the earliest start and then the earliest step; it
     is floored at the best basis column, whose e_j is then the witness.
+    The loop runs under one np.errstate: the entries the half-steps mask or
+    rescale say nothing.
 
     The dtype follows the input: when M and every caller start are real (a
     zero imaginary part counts as real), the batch runs in float64 on the
-    real part of M, and else in complex128.  The row rules keep a real row
-    real, so this is the complex iteration's own sequence, up to the order
-    of the gemm sums.  The witness is complex either way.
+    real part of M, and else in complex128.  The half-steps keep a real row
+    real and take its signs exactly, so this is the complex iteration's
+    sequence up to the order of the gemm sums and the last bits of a sign
+    conj(y)/|y|.  The witness is complex either way.
     """
     n = M.shape[1]
-    dual = sp.dual_space(space)
     rng = np.random.default_rng(cfg.seed)
     real_only = np.isrealobj(M) or not np.any(M.imag)
     starts = [np.asarray(s) for s in starts]
@@ -159,22 +213,34 @@ def _power_iteration(M, space, cfg: OpnormConfig, starts=()):
         sp._block_slices(space, Mt)
         X[:, space.total_size():] = 0
 
+    forward, back = _half_steps(space)
     best_val = np.zeros(len(X))
     best_x = np.zeros(X.shape, dtype=complex)
     nx = sp.norm_rows(space, X)
     rows = np.flatnonzero(nx != 0)      # the start each active row came from
     X = X[rows] / nx[rows, None]
+    bv, bx = np.zeros(len(rows)), np.zeros_like(X)   # the active rows' best
     prev = np.full(len(rows), -1.0)
-    for it in range(MAX_ITER):
-        val, G = sp.norming_functional_rows(space, X @ Mt)
-        better = val > best_val[rows]
-        best_val[rows[better]] = val[better]
-        best_x[rows[better]] = X[better]
-        go = (val > 0) & (np.abs(val - prev) > TOL * val)
-        if it == MAX_ITER - 1 or not go.any():
-            break
-        rows, prev = rows[go], val[go]
-        X = sp.norming_functional_rows(dual, G[go] @ M)[1]
+    with np.errstate(all="ignore"):
+        for it in range(MAX_ITER):
+            val, G = forward(X @ Mt)
+            better = val > bv
+            if np.count_nonzero(better) == len(val):
+                bv, bx = val, X
+            else:
+                bv = np.where(better, val, bv)
+                bx = np.where(better[:, None], X, bx)
+            go = (val > 0) & (np.abs(val - prev) > TOL * val)
+            active = np.count_nonzero(go)
+            if it == MAX_ITER - 1 or not active:
+                break
+            if active < len(go):
+                done = rows[~go]
+                best_val[done], best_x[done] = bv[~go], bx[~go]
+                rows, bv, bx, val, G = rows[go], bv[go], bx[go], val[go], G[go]
+            prev = val
+            X = back(G @ M)
+    best_val[rows], best_x[rows] = bv, bx
 
     k = int(np.argmax(best_val))
     cols = sp.norm_rows(space, Mt)
@@ -241,8 +307,11 @@ def lp_upper_bound(M: np.ndarray, p: float) -> float:
 
     The smaller of two interpolations: between l_1 and l_inf,
     ||M||_1^(1/p) ||M||_inf^(1-1/p), and through l_2, between l_2 and
-    l_inf for p > 2 and between l_1 and l_2 for p < 2.
+    l_inf for p > 2 and between l_1 and l_2 for p < 2.  A section with no
+    imaginary part is bounded in float64, as it iterates.
     """
+    if np.iscomplexobj(M) and not np.any(M.imag):
+        M = M.real
     n1, ninf = _closed_form(M, 1)[0], _closed_form(M, INF)[0]
     n2 = np.linalg.norm(M, 2)
     via_2 = (n2 ** (2 / p) * ninf ** (1 - 2 / p) if p > 2

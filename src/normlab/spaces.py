@@ -21,6 +21,7 @@ from .coeffs import Coeffs, require_int, require_trunc
 
 INF = math.inf
 _TINY = float(np.finfo(float).tiny)
+_LEAST = float(np.finfo(float).smallest_subnormal)
 Q_RULE = "half_plus_quarter_shift"      # the q-sequence's name in JSON
 
 
@@ -145,6 +146,7 @@ SpaceSpec = Lp | DirectSumLp | RenormedL2
 # largest modulus m: u = |x|/m lies in [0, 1], w = u^(p-1) and
 # r = (sum w u)^(1/p) lies in [1, n^(1/p)], so no power over- or
 # underflows; the norm is m r and the functional is sign(conj x) w / r^(p-1).
+# lp_weights is that scaling, which opnorm's power iteration also takes.
 # A dsum's tail is the slice of a row past its listed blocks.
 # The dtype follows the input: a real array is taken in float64 and gets a
 # real functional, a complex one in complex128, so real sections iterate in
@@ -187,6 +189,18 @@ def norm_array(space: SpaceSpec, arr: np.ndarray) -> float:
     return float(norm_rows(space, np.asarray(arr)[None])[0])
 
 
+def lp_weights(a: np.ndarray, m: np.ndarray, p: float) -> tuple:
+    """(w, r): the scaled l_p weights, 1 < p < inf, of the rows whose
+    moduli are a and row maxima m.  With u = a/m in [0, 1], w = u^(p-1)
+    and r = (sum w u)^(1/p) in [1, n^(1/p)], so a row's l_p norm is m r and
+    sign(conj x) w is its norming functional up to the positive factor
+    r^(p-1); a zero row, divided by the least subnormal, gets w = 0 and
+    r = 0."""
+    u = a / np.maximum(m, _LEAST)[:, None]
+    w = u ** (p - 1)
+    return w, (w * u).sum(axis=-1) ** (1.0 / p)
+
+
 def _lp_dualities(X: np.ndarray, a: np.ndarray, m: np.ndarray,
                   p: float, functional: bool) -> tuple:
     """(norms, F): the l_p norm of each row x of X, whose moduli are a and
@@ -197,10 +211,7 @@ def _lp_dualities(X: np.ndarray, a: np.ndarray, m: np.ndarray,
     elif p == 1:
         norms = a.sum(axis=-1)
     else:
-        # a zero row gets r = 0 and w = 0
-        u = a / (m if m.all() else np.where(m > 0, m, 1.0))[:, None]
-        w = u ** (p - 1)
-        r = (w * u).sum(axis=-1) ** (1.0 / p)
+        w, r = lp_weights(a, m, p)
         norms = m * r
     if not functional:
         return norms, None

@@ -522,7 +522,9 @@ def test_renormed_space_rejected():
 
 def reference_power_iteration(M, space, cfg=opnorm.DEFAULT_CFG, starts=()):
     """The per-start power iteration that the batched one replaced, kept
-    as a reference: one 1-D vector at a time, no basis-column floor."""
+    as a reference: one 1-D vector at a time, no basis-column floor.  It
+    stops as the batch does, when a value moves by at most TOL times
+    itself, so it runs to the same end on 2^-500 M as on M."""
     n = M.shape[1]
     Mt = M.T
     dual = sp.dual_space(space)
@@ -552,7 +554,7 @@ def reference_power_iteration(M, space, cfg=opnorm.DEFAULT_CFG, starts=()):
                 break
             if val > best_val:
                 best_val, best_x = val, x.copy()
-            if abs(val - prev) <= opnorm.TOL * max(1.0, val):
+            if abs(val - prev) <= opnorm.TOL * val:
                 break
             prev = val
             g = sp.norming_functional_array(space, y)
@@ -594,6 +596,26 @@ def _batched_cases():
     yield pytest.param(rng.standard_normal((16, 16))
                        + 1j * rng.standard_normal((16, 16)), sp.Lp(3.0),
                        id="complex-lp3-n16")
+    # the ends of the exponent range, a zero column (e_0's image is 0), a
+    # section whose rows sum to 0 (the ones start's image is 0), sections
+    # scaled by 2^+-500, and ones whose images fall below 1e-150, where the
+    # l_p half-steps lift their rows by 2^600
+    rng = np.random.default_rng(23)
+    for p in (1.1, 10.0):
+        for n in (16, 64):
+            yield pytest.param(rng.standard_normal((n, n)), sp.Lp(p),
+                               id="real-lp%g-n%d" % (p, n))
+    Z = rng.standard_normal((12, 12))
+    Z[:, 0] = 0
+    yield pytest.param(Z, sp.Lp(3.0), id="zero-column")
+    D = rng.standard_normal((12, 12))
+    yield pytest.param(D - D.mean(axis=1, keepdims=True), sp.Lp(1.5),
+                       id="rank-deficient")
+    for k in (500, -500, -600):
+        R = rng.standard_normal((16, 16))
+        C = R + 1j * rng.standard_normal((16, 16))
+        yield pytest.param(2.0 ** k * R, sp.Lp(1.5), id="real-2^%d" % k)
+        yield pytest.param(2.0 ** k * C, sp.Lp(4.0), id="complex-2^%d" % k)
 
 
 @pytest.mark.parametrize("M,space", list(_batched_cases()))
@@ -607,7 +629,7 @@ def test_batched_iterate_not_below_reference(M, space):
     assert val >= ref * (1 - 1e-14)
     assert val >= best_column(M, space)
     assert sp.norm_array(space, M @ w) / sp.norm_array(space, w) == \
-        pytest.approx(val, rel=1e-12)
+        pytest.approx(val, rel=1e-12, abs=0)
 
 
 HOMOGENEITY_M = np.random.default_rng(3).standard_normal((16, 16))
@@ -628,42 +650,84 @@ def test_iterate_is_homogeneous(space, rel):
         assert val == pytest.approx(2.0 ** k * base, rel=rel, abs=0), k
 
 
+@pytest.mark.parametrize("p", [1.5, 4.0])
+def test_complex_iterate_keeps_its_value_on_subnormal_images(p):
+    # images of 2^-1024 C lie near and below the least normal double; the
+    # l_p half-steps lift such rows by 2^600 before they take the signs
+    # conj(y)/|y|, and without the lift the floor on |y| bent every sign
+    # and the value came out 4-42% low
+    C = np.random.default_rng(5).standard_normal((16, 16, 2)) @ [1, 1j]
+    base = opnorm.matrix_norm(C, sp.Lp(p))[0]
+    for k in (-1024, -1028):
+        val = opnorm.matrix_norm(2.0 ** k * C, sp.Lp(p))[0]
+        assert val == pytest.approx(2.0 ** k * base, rel=1e-13, abs=0), k
+
+
 def test_iterate_takes_one_row_rule_call_per_half_step(monkeypatch):
-    # one norming_functional_rows call gives the values and functionals of
-    # the images, one more the next iterates; norm_rows norms the starts
-    # and the basis columns
+    # on l_p each half-step takes the scaled weights of its rows once, the
+    # images' at p and the next iterates' at the conjugate exponent, and no
+    # norming_functional_rows call; on qsum and dsum one
+    # norming_functional_rows call gives the values and functionals of the
+    # images, one more the next iterates.  norm_rows norms the starts and
+    # the basis columns on every space
     calls = []
 
     def counting(name):
         real = getattr(sp, name)
 
-        def wrapper(space, X):
-            calls.append((name, space))
-            return real(space, X)
+        def wrapper(*args):
+            calls.append((name, args[-1] if name == "lp_weights" else args[0]))
+            return real(*args)
         return wrapper
 
-    for name in ("norm_rows", "norming_functional_rows"):
+    for name in ("norm_rows", "norming_functional_rows", "lp_weights"):
         monkeypatch.setattr(sp, name, counting(name))
-    space = sp.Lp(3.0)
     M = np.random.default_rng(4).standard_normal((12, 12)).astype(complex)
+
+    space = sp.Lp(3.0)
     opnorm.matrix_norm(M, space)
-    rule = [s for name, s in calls if name == "norming_functional_rows"]
-    steps = len(rule) // 2
+    assert [name for name, _ in calls].count("norming_functional_rows") == 0
+    assert calls.count(("norm_rows", space)) == 2
+    # norm_rows' own weights open and close the list
+    weights = [e for name, e in calls if name == "lp_weights"]
+    steps = (len(weights) - 1) // 2
     assert steps > 10
-    assert rule == [space, sp.dual_space(space)] * steps + [space]
-    assert calls.count(("norm_rows", space)) == len(calls) - len(rule) == 2
+    assert weights == [3.0] + [3.0, 1.5] * (steps - 1) + [3.0, 3.0]
+
+    for space in (sp.QSumLp(4.0, 2.0),
+                  sp.DirectSumLp(3.0, ((4, 1.0), (8, 2.0)))):
+        calls.clear()
+        opnorm.matrix_norm(M, space)
+        rule = [s for name, s in calls if name == "norming_functional_rows"]
+        steps = len(rule) // 2
+        assert steps > 10
+        assert rule == [space, sp.dual_space(space)] * steps + [space]
+        assert calls.count(("norm_rows", space)) == 2
 
 
 def _record_rule_dtypes(monkeypatch) -> list:
-    """The dtype of each array the iteration hands norming_functional_rows."""
+    """The dtype of the rows each half-step takes: every l_p half-step and
+    every norming_functional_rows call lifts its rows' tiny ones first."""
     dtypes = []
-    real = sp.norming_functional_rows
+    real = sp._lift_tiny_rows
 
-    def recording(space, X):
-        dtypes.append(np.asarray(X).dtype)
-        return real(space, X)
-    monkeypatch.setattr(sp, "norming_functional_rows", recording)
+    def recording(X):
+        dtypes.append(X.dtype)
+        return real(X)
+    monkeypatch.setattr(sp, "_lift_tiny_rows", recording)
     return dtypes
+
+
+def _weights_calls(monkeypatch) -> list:
+    """One entry per sp.lp_weights call."""
+    calls = []
+    real = sp.lp_weights
+
+    def counting(a, m, p):
+        calls.append(p)
+        return real(a, m, p)
+    monkeypatch.setattr(sp, "lp_weights", counting)
+    return calls
 
 
 @pytest.mark.parametrize("space", [
@@ -673,28 +737,37 @@ def test_real_section_iterates_in_float64(space, monkeypatch):
     # a real section runs every half-step in float64, whether it comes as
     # float64 or as complex128 with a zero imaginary part, and so does one
     # given a complex128 start with a zero imaginary part (as attainment_scan
-    # passes its witnesses); the witness is complex either way
+    # passes its witnesses); the witness is complex either way.  On l_p the
+    # weights helper takes one call per half-step (norm_rows' two calls
+    # lift nothing), a dsum's blocks take it through their row rule
     dtypes = _record_rule_dtypes(monkeypatch)
+    weights = _weights_calls(monkeypatch)
     M = np.random.default_rng(5).standard_normal((12, 12))
     start = np.random.default_rng(6).standard_normal(12).astype(complex)
     for A, starts in ((M, ()), (M.astype(complex), ()), (M, (start,))):
         dtypes.clear()
+        weights.clear()
         val, w, method, _ = opnorm.matrix_norm(A, space, starts=starts)
         assert method == "iterate" and w.dtype == complex
         assert len(dtypes) > 2 and set(dtypes) == {np.dtype(float)}
+        if isinstance(space, sp.Lp):
+            assert len(weights) == len(dtypes) + 2
 
 
 def test_complex_section_or_start_iterates_in_complex128(monkeypatch):
     dtypes = _record_rule_dtypes(monkeypatch)
+    weights = _weights_calls(monkeypatch)
     rng = np.random.default_rng(7)
     M = rng.standard_normal((12, 12))
     start = rng.standard_normal(12) + 1j * rng.standard_normal(12)
     for A, starts in ((M + 1j * rng.standard_normal((12, 12)), ()),
                       (M, (start,))):
         dtypes.clear()
+        weights.clear()
         val, w, method, _ = opnorm.matrix_norm(A, sp.Lp(3.0), starts=starts)
         assert method == "iterate" and w.dtype == complex
         assert len(dtypes) > 2 and set(dtypes) == {np.dtype(complex)}
+        assert len(weights) == len(dtypes) + 2
 
 
 def test_iterate_floored_at_best_column_on_l3_grid():
